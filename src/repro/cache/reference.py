@@ -29,15 +29,27 @@ The shared behavioural contract both generations implement:
 
 Eviction *order* is part of the contract — see
 :mod:`repro.cache.way_partition` for the precise tie-breaking rules.
+
+:class:`NaiveSharedOccupancyModel` is the NumPy body of
+:meth:`repro.cache.sharing.SharedOccupancyModel.step` from before the
+float rewrite, kept the same way: ``tests/cache/test_sharing.py``
+asserts the float stepper returns its exact bits, and the unmanaged
+epoch-loop oracle (:mod:`repro.sim.reference`) steps with it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .set_assoc import AccessResult
 
-__all__ = ["NaiveSetAssociativeCache", "NaiveWayPartitionedCache"]
+__all__ = [
+    "NaiveSetAssociativeCache",
+    "NaiveSharedOccupancyModel",
+    "NaiveWayPartitionedCache",
+]
 
 
 class NaiveSetAssociativeCache:
@@ -194,3 +206,63 @@ class NaiveWayPartitionedCache:
     def occupancy(self) -> int:
         """Lines currently resident across all partitions."""
         return len(self._where)
+
+
+class NaiveSharedOccupancyModel:
+    """NumPy shared-LRU occupancy stepper (pre-rewrite reference).
+
+    Semantically identical to
+    :class:`~repro.cache.sharing.SharedOccupancyModel` — same closed
+    form, same guards, same rounding — on ``np.ndarray`` vectors.
+    """
+
+    def __init__(self, capacity_lines: float):
+        if capacity_lines <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = float(capacity_lines)
+
+    def step(
+        self,
+        occupancies: np.ndarray,
+        insertion_rates: np.ndarray,
+        dt: float,
+    ) -> np.ndarray:
+        """Advance occupancies by ``dt`` with constant insertion rates."""
+        occ = np.asarray(occupancies, dtype=float).copy()
+        rates = np.asarray(insertion_rates, dtype=float)
+        if occ.shape != rates.shape:
+            raise ValueError("occupancies and rates must have matching shape")
+        if np.any(occ < 0) or np.any(rates < 0):
+            raise ValueError("occupancies and rates must be non-negative")
+        if dt < 0:
+            raise ValueError("dt must be non-negative")
+        if dt == 0 or not rates.any():
+            return occ
+
+        total_occ = occ.sum()
+        if total_occ > self.capacity + 1e-6:
+            raise ValueError("occupancies exceed capacity")
+
+        # Phase 1: cache not yet full -- insertions land in free space.
+        remaining = dt
+        free = self.capacity - total_occ
+        total_rate = rates.sum()
+        if free > 1e-9:
+            fill_time = free / total_rate
+            phase = min(fill_time, remaining)
+            occ += rates * phase
+            remaining -= phase
+            if remaining <= 1e-12:
+                return occ
+
+        # Phase 2: full cache -- exponential approach to the
+        # proportional-share fixed point o_i* = (r_i / R) * C.
+        fixed_point = rates / total_rate * self.capacity
+        decay = np.exp(-total_rate * remaining / self.capacity)
+        occ = fixed_point + (occ - fixed_point) * decay
+        # Numerical guard: renormalize tiny drift.
+        occ = np.clip(occ, 0.0, None)
+        excess = occ.sum() - self.capacity
+        if abs(excess) > 1e-6:
+            occ *= self.capacity / occ.sum()
+        return occ

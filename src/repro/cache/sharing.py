@@ -14,13 +14,72 @@ exactly the inertia effect of paper Figures 2 and 4: an idle
 latency-critical app (``r_i = 0``) sees its footprint decay
 exponentially as batch apps insert, and must rebuild it at its own miss
 rate when the next request arrives.
+
+The stepper runs once per epoch of the unmanaged replay on vectors of
+a handful of apps, where NumPy's per-call overhead dwarfs the
+arithmetic, so it works on Python floats.  Its bits are those of the
+NumPy body it replaced (kept as
+:class:`repro.cache.reference.NaiveSharedOccupancyModel`): every
+element-wise expression keeps NumPy's operation order, sums follow
+NumPy's summation order (:func:`pairwise_sum`), and the decay factor
+still comes from ``np.exp``, whose last ulp differs from ``math.exp``
+on some hosts.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
-__all__ = ["SharedOccupancyModel"]
+__all__ = ["SharedOccupancyModel", "pairwise_sum"]
+
+#: NumPy's pairwise-summation block: runs up to this length are summed
+#: with eight running partial sums, longer ones are split in two.
+_PW_BLOCKSIZE = 128
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, in NumPy's summation order.
+
+    Below eight elements NumPy adds left to right.  From eight up to
+    128 it keeps eight running partial sums (element ``i`` goes to sum
+    ``i % 8``), combines them as ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``
+    and adds the leftover tail left to right; longer vectors are split
+    at half (rounded down to a multiple of eight) and summed
+    recursively.  A plain left fold differs from NumPy in the last ulp
+    from eight elements on.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _blocked_sum(values, 0, n)
+
+
+def _blocked_sum(a: Sequence[float], lo: int, n: int) -> float:
+    """NumPy's pairwise sum of ``a[lo:lo+n]`` for ``n >= 8``."""
+    if n > _PW_BLOCKSIZE:
+        half = n // 2
+        half -= half % 8
+        return _blocked_sum(a, lo, half) + _blocked_sum(a, lo + half, n - half)
+    r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+    stop = lo + n - n % 8
+    for i in range(lo + 8, stop, 8):
+        r0 += a[i]
+        r1 += a[i + 1]
+        r2 += a[i + 2]
+        r3 += a[i + 3]
+        r4 += a[i + 4]
+        r5 += a[i + 5]
+        r6 += a[i + 6]
+        r7 += a[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(stop, lo + n):
+        total += a[i]
+    return total
 
 
 class SharedOccupancyModel:
@@ -28,59 +87,75 @@ class SharedOccupancyModel:
 
     def __init__(self, capacity_lines: float):
         if capacity_lines <= 0:
-            raise ValueError("capacity must be positive")
+            raise ValueError(f"capacity must be positive, got {capacity_lines!r}")
         self.capacity = float(capacity_lines)
 
     def step(
         self,
-        occupancies: np.ndarray,
-        insertion_rates: np.ndarray,
+        occupancies: Sequence[float],
+        insertion_rates: Sequence[float],
         dt: float,
-    ) -> np.ndarray:
+    ) -> List[float]:
         """Advance occupancies by ``dt`` with constant insertion rates.
 
-        ``insertion_rates`` are misses per cycle per app.  Returns the
-        new occupancy vector; total occupancy never exceeds capacity
-        and individual occupancies never go negative.
+        ``occupancies`` (lines) and ``insertion_rates`` (misses per
+        cycle) hold one float per app.  Returns the new occupancies as
+        a list; total occupancy never exceeds capacity and individual
+        occupancies never go negative.
         """
-        occ = np.asarray(occupancies, dtype=float).copy()
-        rates = np.asarray(insertion_rates, dtype=float)
-        if occ.shape != rates.shape:
-            raise ValueError("occupancies and rates must have matching shape")
-        if np.any(occ < 0) or np.any(rates < 0):
-            raise ValueError("occupancies and rates must be non-negative")
+        n = len(occupancies)
+        if len(insertion_rates) != n:
+            raise ValueError(
+                f"{n} occupancies but {len(insertion_rates)} insertion rates"
+            )
+        for field, values in (
+            ("occupancy", occupancies),
+            ("insertion rate", insertion_rates),
+        ):
+            for i, value in enumerate(values):
+                if value < 0:
+                    raise ValueError(f"{field} of app {i} is negative: {value!r}")
         if dt < 0:
-            raise ValueError("dt must be non-negative")
-        if dt == 0 or not rates.any():
-            return occ
+            raise ValueError(f"dt must be non-negative, got {dt!r}")
+        if dt == 0 or not any(insertion_rates):
+            return list(occupancies)
 
-        total_occ = occ.sum()
-        if total_occ > self.capacity + 1e-6:
-            raise ValueError("occupancies exceed capacity")
+        capacity = self.capacity
+        total_occ = pairwise_sum(occupancies)
+        if total_occ > capacity + 1e-6:
+            raise ValueError(
+                f"occupancies sum to {total_occ!r} lines, "
+                f"over the capacity of {capacity!r}"
+            )
 
         # Phase 1: cache not yet full -- insertions land in free space.
+        occ = occupancies
         remaining = dt
-        free = self.capacity - total_occ
-        total_rate = rates.sum()
+        free = capacity - total_occ
+        total_rate = pairwise_sum(insertion_rates)
         if free > 1e-9:
             fill_time = free / total_rate
             phase = min(fill_time, remaining)
-            occ += rates * phase
+            occ = [o + r * phase for o, r in zip(occ, insertion_rates)]
             remaining -= phase
             if remaining <= 1e-12:
                 return occ
 
         # Phase 2: full cache -- exponential approach to the
         # proportional-share fixed point o_i* = (r_i / R) * C.
-        fixed_point = rates / total_rate * self.capacity
-        decay = np.exp(-total_rate * remaining / self.capacity)
-        occ = fixed_point + (occ - fixed_point) * decay
+        decay = float(np.exp(-total_rate * remaining / capacity))
+        new = []
+        for o, r in zip(occ, insertion_rates):
+            fixed_point = r / total_rate * capacity
+            v = fixed_point + (o - fixed_point) * decay
+            # np.clip(v, 0.0, None): -0.0 becomes 0.0, NaN passes.
+            new.append(0.0 if v <= 0.0 else v)
         # Numerical guard: renormalize tiny drift.
-        occ = np.clip(occ, 0.0, None)
-        excess = occ.sum() - self.capacity
-        if abs(excess) > 1e-6:
-            occ *= self.capacity / occ.sum()
-        return occ
+        total = pairwise_sum(new)
+        if abs(total - capacity) > 1e-6:
+            scale = capacity / total
+            new = [v * scale for v in new]
+        return new
 
     def equilibrium(self, insertion_rates: np.ndarray) -> np.ndarray:
         """Fixed-point occupancies for constant insertion rates."""

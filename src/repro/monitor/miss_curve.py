@@ -13,11 +13,12 @@ UMON curves to 256 points (Section 6).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["MissCurve", "combine_curves"]
+__all__ = ["MissCurve", "combine_curves", "interp_float"]
 
 
 def _as_float_array(values: Iterable[float]) -> np.ndarray:
@@ -133,9 +134,12 @@ class MissCurve:
         ``curve.lookup_many(a)[i]`` is bit-identical to ``curve(a[i])``
         — batching changes the cost, never the numbers.  This is the
         batched lookup used wherever many allocations are evaluated at
-        once (:meth:`resample`, :func:`combine_curves`); the *scalar*
-        hot paths are instead served by the value-keyed memos in
-        :class:`repro.sim.fill.FillState`.
+        once (:meth:`resample`, :func:`combine_curves`).  Scalar hot
+        paths that must not pay ``np.interp``'s per-call overhead use
+        :func:`interp_float` over the curve's float tables instead: the
+        grouped fill states (:class:`repro.sim.fill.GroupFillState`)
+        and the unmanaged shared-LRU epoch loop
+        (:meth:`repro.sim.engine.MixEngine.run` under LRU).
         """
         return np.interp(np.asarray(sizes, dtype=float), self._sizes, self._ratios)
 
@@ -233,6 +237,33 @@ class MissCurve:
             f"m(0)={self._ratios[0]:.3f}, "
             f"m({self._sizes[-1]:.0f})={self._ratios[-1]:.3f})"
         )
+
+
+def interp_float(x: float, sizes: Sequence[float], ratios: Sequence[float]) -> float:
+    """``np.interp(x, sizes, ratios)`` for one float, without NumPy.
+
+    ``sizes``/``ratios`` are a curve's knots as Python floats
+    (``curve.sizes.tolist()``, ``curve.miss_ratios.tolist()``).  For an
+    ascending grid ``np.interp`` clamps to the end values outside it,
+    returns the knot value on a knot, and otherwise finds the segment
+    ``sizes[j] <= x < sizes[j+1]`` and evaluates
+    ``slope * (x - sizes[j]) + ratios[j]`` with
+    ``slope = (ratios[j+1] - ratios[j]) / (sizes[j+1] - sizes[j])``.
+    This performs those exact operations in the same order (on a knot
+    the product is zero, so the lerp lands on the knot value), so
+    ``interp_float(x, ...) == float(curve(x))`` bit for bit, NaN
+    included.
+    """
+    if x <= sizes[0]:
+        return ratios[0]
+    if x >= sizes[-1]:
+        return ratios[-1]
+    if x != x:
+        return x
+    j = bisect_right(sizes, x) - 1
+    s_lo = sizes[j]
+    m_lo = ratios[j]
+    return ((ratios[j + 1] - m_lo) / (sizes[j + 1] - s_lo)) * (x - s_lo) + m_lo
 
 
 def combine_curves(curves: Sequence[MissCurve], weights: Sequence[float]) -> MissCurve:

@@ -53,11 +53,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cache.schemes import SchemeModel
-from ..cache.sharing import SharedOccupancyModel
+from ..cache.sharing import SharedOccupancyModel, pairwise_sum
 from ..core.deboost import DeBoostTracker
 from .bandwidth import BandwidthModel
 from ..cpu import CoreModel, make_core_model
-from ..monitor.miss_curve import MissCurve
+from ..monitor.miss_curve import MissCurve, interp_float
 from ..policies.base import AppView, BoostPlan, Decision, Policy, PolicyContext
 from ..workloads.batch import BatchWorkload
 from ..workloads.latency_critical import LCWorkload
@@ -967,96 +967,150 @@ class MixEngine:
     # Unmanaged (shared LRU) mode
     # ------------------------------------------------------------------
     def _run_unmanaged(self) -> MixResult:
-        model = SharedOccupancyModel(self.llc_lines)
-        n = len(self.apps)
-        occ = np.full(n, self.llc_lines / n, dtype=float)
-        # Per-LC arrival times as plain floats, materialized **once**:
-        # the request index is just the list position, so the old
-        # per-run (time, index) tuple lists carried no information.
-        arrival_times = [lc.spec.arrivals.tolist() for lc in self.lc_apps]
-        ptrs = [0] * len(self.lc_apps)
+        """Shared-LRU replay: epochs of frozen occupancies, over floats.
 
-        while not all(lc.exhausted for lc in self.lc_apps):
-            # Per-app miss ratio and access interval at the frozen
-            # occupancies, computed once per epoch and shared by the
-            # candidate-time scan and the advancement loop (both used
-            # to evaluate the identical expressions independently).
-            p_vals = [0.0] * n
-            per_access_vals = [0.0] * n
-            for app in self.apps:
-                p = min(1.0, float(app.curve(occ[app.index])))
-                p_vals[app.index] = p
-                per_access_vals[app.index] = app.hit_interval + p * app.miss_penalty
+        Each epoch evaluates every app's miss ratio at its current
+        occupancy, advances all apps to the next arrival, completion or
+        epoch cap at those frozen ratios, then steps the occupancies
+        through the fluid model.  With a handful of apps NumPy's
+        per-call overhead dwarfs the arithmetic, so the whole epoch is
+        one pass over Python floats whose bits equal the NumPy loop it
+        replaced (kept as the oracle :func:`repro.sim.reference.run_unmanaged`):
+        curve lookups go through :func:`~repro.monitor.miss_curve.interp_float`,
+        the exact scalar copy of ``np.interp``; sums keep NumPy's order
+        (:func:`~repro.cache.sharing.pairwise_sum`); ``min``/``max``
+        become comparisons returning the same operand the builtins do.
+        """
+        step = SharedOccupancyModel(self.llc_lines).step
+        apps = self.apps
+        lc_apps = self.lc_apps
+        n = len(apps)
+        occ = [self.llc_lines / n] * n
+        curve_sizes = [app.curve.sizes.tolist() for app in apps]
+        curve_ratios = [app.curve.miss_ratios.tolist() for app in apps]
+        hit_intervals = [app.hit_interval for app in apps]
+        penalties = [app.miss_penalty for app in apps]
+        batch = [
+            (app.index, app.result, app.profile.instructions_per_access)
+            for app in self.batch_apps
+        ]
+        # Per-LC streams as plain floats, materialized once: the
+        # request index is the list position.
+        arrival_times = [lc.spec.arrivals.tolist() for lc in lc_apps]
+        req_accesses = [lc.req_accesses.tolist() for lc in lc_apps]
+        counts = [len(times) for times in arrival_times]
+        ptrs = [0] * len(lc_apps)
+        lc_range = range(len(lc_apps))
+        now = self.now
+
+        # Every LC instance has at least one request, so the first
+        # epoch always runs; later ones run until every instance has
+        # drained its stream (checked at the end of each epoch).
+        exhausted = False
+        while not exhausted:
+            # Miss ratio and time per access at the frozen occupancies;
+            # ``p if p < 1.0 else 1.0`` is ``min(1.0, p)``.
+            p_vals = [
+                p if p < 1.0 else 1.0
+                for p in map(interp_float, occ, curve_sizes, curve_ratios)
+            ]
+            per_access = [
+                h + p * m for h, p, m in zip(hit_intervals, p_vals, penalties)
+            ]
 
             # Candidate event times.
-            t_next = self.now + _LRU_EPOCH
-            for k, lc in enumerate(self.lc_apps):
-                if ptrs[k] < len(arrival_times[k]):
-                    t_next = min(t_next, arrival_times[k][ptrs[k]])
+            t_next = now + _LRU_EPOCH
+            for k in lc_range:
+                if ptrs[k] < counts[k]:
+                    t = arrival_times[k][ptrs[k]]
+                    if t < t_next:
+                        t_next = t
+                lc = lc_apps[k]
                 if lc.serving is not None:
                     if lc.remaining > 0:
-                        per_access = per_access_vals[lc.index]
-                        t_next = min(t_next, self.now + lc.remaining * per_access)
+                        t = now + lc.remaining * per_access[lc.index]
                     else:
-                        t_next = min(t_next, lc._fixed_end)
-            dt = max(t_next - self.now, 0.0)
+                        t = lc._fixed_end
+                    if t < t_next:
+                        t_next = t
+            dt = t_next - now
+            if dt < 0.0:  # max(dt, 0.0)
+                dt = 0.0
 
-            # Advance everyone by dt at frozen occupancies.
-            rates = np.zeros(n)
-            for app in self.apps:
-                p = p_vals[app.index]
-                per_access = per_access_vals[app.index]
-                if isinstance(app, _BatchApp):
-                    accesses = dt / per_access
-                    app.result.instructions += (
-                        accesses * app.profile.instructions_per_access
-                    )
-                    app.result.cycles += dt
-                    rates[app.index] = p / per_access
+            # Advance everyone by dt at the frozen occupancies.
+            rates = [0.0] * n
+            for lc in lc_apps:
+                i = lc.index
+                if lc.serving is not None:
+                    remaining = lc.remaining
+                    if remaining > 0:
+                        p = p_vals[i]
+                        pa = per_access[i]
+                        accesses = dt / pa
+                        if remaining < accesses:
+                            accesses = remaining
+                        lc.remaining = remaining - accesses
+                        misses = accesses * p
+                        stats = lc.stats
+                        stats.accesses += accesses
+                        stats.misses += misses
+                        lc.total_accesses += accesses
+                        lc.total_misses += misses
+                        rates[i] = p / pa
                 else:
-                    lc = app
-                    if lc.serving is not None and lc.remaining > 0:
-                        accesses = min(dt / per_access, lc.remaining)
-                        lc.remaining -= accesses
-                        self._note_lc_progress(lc, accesses, accesses * p)
-                        rates[lc.index] = p / per_access
-                    elif lc.serving is None:
-                        lc.stats.idle_time += dt
+                    lc.stats.idle_time += dt
+            for i, result, instructions_per_access in batch:
+                pa = per_access[i]
+                result.instructions += dt / pa * instructions_per_access
+                result.cycles += dt
+                rates[i] = p_vals[i] / pa
             if dt > 0:
-                occ = model.step(occ, rates, dt)
+                occ = step(occ, rates, dt)
                 if self.bandwidth is not None:
                     multiplier = self.bandwidth.penalty_multiplier(
-                        float(rates.sum())
+                        pairwise_sum(rates)
                     )
-                    for app in self.apps:
+                    for app in apps:
                         app.miss_penalty = app.base_miss_penalty * multiplier
-            self.now = t_next
+                    penalties = [app.miss_penalty for app in apps]
+            now = t_next
+            self.now = now
 
             # Completions.
-            for lc in self.lc_apps:
+            for k in lc_range:
+                lc = lc_apps[k]
                 if lc.serving is None:
                     continue
-                if float(lc.req_accesses[lc.serving]) > 0:
+                if req_accesses[k][lc.serving] > 0:
                     done = lc.remaining <= _COMPLETION_TOL
                 else:
-                    done = self.now >= lc._fixed_end - 1e-6
+                    done = now >= lc._fixed_end - 1e-6
                 if done:
                     self._complete_unmanaged(lc)
 
             # Arrivals.
-            for k, lc in enumerate(self.lc_apps):
+            horizon = now + 1e-9
+            exhausted = True
+            for k in lc_range:
+                lc = lc_apps[k]
                 times = arrival_times[k]
-                while ptrs[k] < len(times) and times[ptrs[k]] <= self.now + 1e-9:
-                    req_idx = ptrs[k]
-                    ptrs[k] += 1
-                    lc.arrival_ptr = ptrs[k]
-                    lc.queue.append(req_idx)
+                ptr = ptrs[k]
+                while ptr < counts[k] and times[ptr] <= horizon:
+                    lc.queue.append(ptr)
+                    ptr += 1
+                if ptr != ptrs[k]:
+                    ptrs[k] = ptr
+                    lc.arrival_ptr = ptr
                 if lc.serving is None and lc.queue:
                     if not lc.active:
                         lc.active = True
                         lc.stats.activations += 1
                         lc.result.activations += 1
                     self._start_unmanaged(lc, lc.queue.pop(0))
+                if exhausted and (
+                    ptr < counts[k] or lc.queue or lc.serving is not None
+                ):
+                    exhausted = False
         return self._collect()
 
     def _start_unmanaged(self, lc: _LCApp, req_idx: int) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cache.schemes import SchemeModel
-from ..monitor.miss_curve import MissCurve
+from ..monitor.miss_curve import MissCurve, interp_float
 
 __all__ = ["Advance", "FillState", "GroupFillState"]
 
@@ -362,8 +362,9 @@ class GroupFillState(FillState):
       (``bisect_right`` equals ``np.searchsorted(side="right")``, and
       the list entries are the same ``float(sizes[i])`` values the
       parent coerced per lookup);
-    * :meth:`base_miss_ratio` evaluates the curve with a scalar
-      ``bisect`` + lerp over the same float tables instead of calling
+    * :meth:`base_miss_ratio` evaluates the curve with
+      :func:`~repro.monitor.miss_curve.interp_float` (a scalar
+      ``bisect`` + lerp) over the same float tables instead of calling
       ``np.interp`` on a Python scalar — for an ascending knot grid the
       interpolant is the one multiply-add ``np.interp`` performs on the
       same segment, so the result is bit-equal (clamping included);
@@ -447,29 +448,14 @@ class GroupFillState(FillState):
     def base_miss_ratio(self) -> float:
         """Parent :meth:`FillState.base_miss_ratio` without ``np.interp``.
 
-        ``np.interp`` on a scalar inside an ascending grid finds the
-        segment ``sizes[j] <= x < sizes[j+1]`` and evaluates
-        ``slope * (x - sizes[j]) + ratios[j]``; outside the grid it
-        clamps to the endpoint values.  This replica performs those
-        exact operations on the cached float tables (same values the
-        parent's ``float(...)`` coercion would produce), so the memo
-        stores bit-identical ratios.
+        :func:`~repro.monitor.miss_curve.interp_float` over the cached
+        float tables is the exact scalar copy of ``np.interp``, so the
+        memo stores bit-identical ratios.
         """
         r = self.resident
         if self._p_key != r:
             sizes_l, ratios_l = self._curve_tables
-            if r <= sizes_l[0]:
-                val = ratios_l[0]
-            elif r >= sizes_l[-1]:
-                val = ratios_l[-1]
-            else:
-                j = bisect_right(sizes_l, r) - 1
-                s_lo = sizes_l[j]
-                m_lo = ratios_l[j]
-                val = (
-                    (ratios_l[j + 1] - m_lo) / (sizes_l[j + 1] - s_lo)
-                ) * (r - s_lo) + m_lo
-            self._p_val = val
+            self._p_val = interp_float(r, sizes_l, ratios_l)
             self._p_key = r
         return self._p_val
 

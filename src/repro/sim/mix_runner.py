@@ -269,10 +269,29 @@ class MixRunner:
         group, as :meth:`run_mix_group` does) must leave the returned
         :class:`~repro.sim.results.MixResult` bit-identical.
         """
+        engine = self.mix_engine(spec, policy, scheme=scheme, shared=shared)
+        result = engine.run()
+        result.baseline_tail_cycles = self.baseline(
+            spec.lc_workload, spec.load
+        ).tail95_cycles
+        return result
+
+    def mix_engine(
+        self,
+        spec: MixSpec,
+        policy: Policy,
+        scheme: Optional[SchemeModel] = None,
+        shared: Optional[GroupShared] = None,
+    ) -> MixEngine:
+        """The fresh engine :meth:`run_mix` replays for one cell.
+
+        Exposed so an oracle can consume a twin of the production
+        engine (``tests/sim/test_unmanaged_equivalence.py`` runs the
+        reference unmanaged loop on it).
+        """
         baseline = self.baseline(spec.lc_workload, spec.load)
-        lc_specs = self._mix_lc_specs(spec, baseline)
-        engine = MixEngine(
-            lc_specs=lc_specs,
+        return MixEngine(
+            lc_specs=self._mix_lc_specs(spec, baseline),
             batch_workloads=list(spec.batch_apps),
             policy=policy,
             config=self.config,
@@ -284,9 +303,6 @@ class MixRunner:
             mix_id=spec.mix_id,
             shared=shared,
         )
-        result = engine.run()
-        result.baseline_tail_cycles = baseline.tail95_cycles
-        return result
 
     def _mix_lc_specs(
         self, spec: MixSpec, baseline: BaselineResult

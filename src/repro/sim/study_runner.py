@@ -30,9 +30,11 @@ from .grid_replay import GroupShared, grid_replay_enabled
 from .mix_runner import MixRunner
 
 __all__ = [
-    "run_scaleout_point",
+    "bandwidth_engine",
     "run_bandwidth_point",
+    "run_scaleout_point",
     "scaleout_baseline_instance",
+    "scaleout_engine",
 ]
 
 
@@ -183,15 +185,14 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
     return tail95, p95
 
 
-def run_scaleout_point(spec, store=None):
-    """One (machine size, policy) scaleout measurement.
+def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
+    """The joint-replay engine of one scaleout point, and its baseline tail.
 
     ``spec`` is a :class:`~repro.experiments.scaleout.ScaleoutSpec`;
     half the cores run LC instances, half batch apps, with the LLC
-    growing proportionally (2 MB per core, as in the baseline).
+    growing proportionally (2 MB per core, as in the baseline).  The
+    engine is fresh; :func:`run_scaleout_point` runs it.
     """
-    from ..experiments.scaleout import ScaleOutResult
-
     cores = spec.cores
     workload = make_lc_workload(spec.lc_name)
     batch_classes = ("n", "f", "t", "s")
@@ -240,11 +241,23 @@ def run_scaleout_point(spec, store=None):
         # bit-identical to the ungrouped path at any group size).
         shared=GroupShared() if grid_replay_enabled() else None,
     )
+    return engine, tail95
+
+
+def run_scaleout_point(spec, store=None):
+    """One (machine size, policy) scaleout measurement.
+
+    ``spec`` is a :class:`~repro.experiments.scaleout.ScaleoutSpec`;
+    the engine comes from :func:`scaleout_engine`.
+    """
+    from ..experiments.scaleout import ScaleOutResult
+
+    engine, tail95 = scaleout_engine(spec, store)
     result = engine.run()
     result.baseline_tail_cycles = tail95
     return ScaleOutResult(
-        cores=cores,
-        policy=policy.name,
+        cores=spec.cores,
+        policy=engine.policy.name,
         tail_degradation=result.tail_degradation(),
         weighted_speedup=result.weighted_speedup(),
     )
@@ -253,8 +266,8 @@ def run_scaleout_point(spec, store=None):
 # ----------------------------------------------------------------------
 # Bandwidth
 # ----------------------------------------------------------------------
-def run_bandwidth_point(spec, store=None):
-    """One (channel capacity, policy) bandwidth-contention measurement.
+def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
+    """The engine of one bandwidth-contention point, and its baseline tail.
 
     ``spec`` is a
     :class:`~repro.experiments.bandwidth_study.BandwidthSpec`.  The
@@ -264,10 +277,9 @@ def run_bandwidth_point(spec, store=None):
     Bandwidth runs stay outside replay groups deliberately: contention
     rescales miss penalties per interval, and the engine refuses the
     ``shared``/``bandwidth`` combination rather than audit every
-    group-shared key against that mutation.
+    group-shared key against that mutation.  The engine is fresh;
+    :func:`run_bandwidth_point` runs it.
     """
-    from ..experiments.bandwidth_study import BandwidthPoint
-
     mix = make_mix_specs(
         lc_names=[spec.lc_name], loads=[spec.load], mixes_per_combo=1
     )[spec.mix_index]
@@ -300,11 +312,24 @@ def run_bandwidth_point(spec, store=None):
         mix_id=f"bw-{spec.peak_misses_per_kilocycle}",
         bandwidth=bandwidth,
     )
+    return engine, baseline.tail95_cycles
+
+
+def run_bandwidth_point(spec, store=None):
+    """One (channel capacity, policy) bandwidth-contention measurement.
+
+    ``spec`` is a
+    :class:`~repro.experiments.bandwidth_study.BandwidthSpec`; the
+    engine comes from :func:`bandwidth_engine`.
+    """
+    from ..experiments.bandwidth_study import BandwidthPoint
+
+    engine, tail95 = bandwidth_engine(spec, store)
     result = engine.run()
-    result.baseline_tail_cycles = baseline.tail95_cycles
+    result.baseline_tail_cycles = tail95
     return BandwidthPoint(
         peak_misses_per_kilocycle=spec.peak_misses_per_kilocycle,
-        policy=policy.name,
+        policy=engine.policy.name,
         tail_degradation=result.tail_degradation(),
         weighted_speedup=result.weighted_speedup(),
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitor.miss_curve import MissCurve, combine_curves
+from repro.monitor.miss_curve import MissCurve, combine_curves, interp_float
 
 
 def simple_curve():
@@ -184,6 +184,37 @@ def test_property_interpolation_bounded_and_monotone(ratios, query):
     # Monotone: larger allocations never miss more.
     bigger = float(curve(min(query * curve.max_size + 5, curve.max_size)))
     assert bigger <= value + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(
+        st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=40
+    ),
+    ratios=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=41, max_size=41
+    ),
+    query=st.floats(min_value=-0.1, max_value=1.1),
+    on_knot=st.booleans(),
+)
+def test_property_interp_float_is_np_interp(gaps, ratios, query, on_knot):
+    """Bit for bit equal to ``float(curve(x))`` inside the grid, on its
+    knots, and clamped outside it."""
+    sizes = np.concatenate(([0.0], np.cumsum(gaps)))
+    curve = MissCurve(sizes, ratios[: len(sizes)])
+    sizes_l, ratios_l = curve.sizes.tolist(), curve.miss_ratios.tolist()
+    if on_knot:
+        x = sizes_l[int(query % 1.0 * len(sizes_l)) % len(sizes_l)]
+    else:
+        x = query * curve.max_size
+    assert interp_float(x, sizes_l, ratios_l).hex() == float(curve(x)).hex()
+
+
+def test_interp_float_passes_nan_through():
+    curve = simple_curve()
+    sizes_l, ratios_l = curve.sizes.tolist(), curve.miss_ratios.tolist()
+    assert np.isnan(interp_float(float("nan"), sizes_l, ratios_l))
+    assert np.isnan(curve(float("nan")))
 
 
 @settings(max_examples=50, deadline=None)

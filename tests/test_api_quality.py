@@ -73,6 +73,7 @@ MODULES = [
     "repro.sim.trace_sim",
     "repro.sim.bandwidth",
     "repro.sim.study_runner",
+    "repro.sim.reference",
     "repro.experiments",
     "repro.analysis",
     "repro.analysis.stats",
