@@ -59,26 +59,24 @@ convention):
     kernel.
 ``joint_replay_grid``
     The joint six-app replays of a 4-policy × 2-load sweep grid, run
-    batched — every policy cell of one mix through a single
+    the production way — every policy cell of one mix through a single
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` replay group
     sharing one :class:`~repro.sim.grid_replay.GroupShared` context —
     versus the scalar per-cell ``run_mix`` loop, the kept oracle.  The
     two grids are asserted result-for-result identical (every
-    ``MixResult`` field) before either time is recorded; the PR-7
+    ``MixResult`` field) before either time is recorded; the
     acceptance floor for the recorded ``speedup`` is ≥2×.
 ``lockstep_replay``
     The joint six-app replays of one mix's eight-cell fixed-allocation
     sensitivity sweep (LC partitions at 0.25×–2× the working-set
-    target), run through the lockstep SoA engine
-    (:mod:`repro.sim.lockstep`) — all cells advanced together over the
-    group's shared arrival/work arrays — versus the PR-7 grouped
-    per-cell event loop (``run_mix_group(..., lockstep=False)``), the
-    kept scalar path.  The two grids are asserted result-for-result
-    identical before either time is recorded; the PR-10 acceptance
-    floor for the recorded ``speedup`` is ≥2×.  Where
-    ``joint_replay_grid`` prices what *grouping* saves over per-cell
-    ``run_mix``, this kernel prices what *lockstep execution* saves
-    over the grouped loop — the two ratios compose.
+    target), run through ``run_mix_group`` (the
+    :class:`~repro.sim.lockstep.LockstepEngine` over one shared
+    context) versus the same cells through the scalar per-cell
+    ``run_mix`` oracle.  The two grids are asserted result-for-result
+    identical before either time is recorded.  Where
+    ``joint_replay_grid`` prices the production engine on policy-heavy
+    cells, this kernel prices it on an event-loop-bound grid; its
+    floor is in :data:`SPEEDUP_FLOORS`.
 ``stream_synthesis``
     Bulk (arrivals, works) request-stream synthesis across all five LC
     work distributions through the batched
@@ -220,7 +218,11 @@ _COMPARED_KERNELS = (
 SPEEDUP_FLOORS = {
     "warm_sweep_grid": 2.0,
     "joint_replay_grid": 2.0,
-    "lockstep_replay": 2.0,
+    # Twice the deleted grouped per-cell loop's speedup over scalar
+    # run_mix on this kernel's own grid (2.25x, median of 24
+    # interleaved pairs), so the kernel keeps its floor of 2x over
+    # that loop.
+    "lockstep_replay": 4.5,
 }
 
 #: Per-kernel keys every document must carry (see :func:`validate_bench`).
@@ -509,7 +511,7 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
     :func:`~repro.runtime.work.execute_specs` groups a sweep); the
     baseline arm runs the same cells through the scalar per-cell
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix` loop — the kept
-    oracle, which is also what ``REPRO_GRID_REPLAY=0`` restores.
+    oracle.
 
     Verified before timing: the two grids must be result-for-result
     identical under :func:`_mix_results_identical` (every latency,
@@ -552,18 +554,11 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
             ]
 
         def run_grouped() -> List[Any]:
-            # Pinned to the grouped per-cell loop: this kernel tracks
-            # what *grouping* saves over scalar run_mix.  The lockstep
-            # engine (on by default) is priced separately by the
-            # ``lockstep_replay`` kernel, so letting it leak in here
-            # would silently conflate the two trajectories.
             grid: List[Any] = []
             for mix in mixes:
                 grid.extend(
                     runner.run_mix_group(
-                        mix,
-                        [(policy.build(), None) for policy in policy_specs],
-                        lockstep=False,
+                        mix, [(policy.build(), None) for policy in policy_specs]
                     )
                 )
             return grid
@@ -593,24 +588,23 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
 
 
 def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
-    """Lockstep SoA replay of a fixed-allocation sweep vs the grouped loop.
+    """Replay of a fixed-allocation sweep: production engine vs oracle.
 
     Scope, precisely: the **replay phase only**, like
-    ``joint_replay_grid`` — but the axis here is the *engine*, not the
-    grouping.  One warm :class:`~repro.sim.mix_runner.MixRunner`
-    (baseline and streams derived outside the timed region, artifact
-    cache pinned on) replays one (masstree, load 0.9) mix under eight
+    ``joint_replay_grid``, on a grid that prices the event loop.  One
+    warm :class:`~repro.sim.mix_runner.MixRunner` (baseline and streams
+    derived outside the timed region, artifact cache pinned on)
+    replays one (masstree, load 0.9) mix under eight
     :class:`~repro.policies.fixed.FixedPolicy` cells sweeping the LC
     partition from 0.25× to 2× the workload's working-set target — the
     allocation-sensitivity sweep the paper's motivating figures walk,
     and a grid whose per-cell cost is the event loop itself rather
-    than policy work both engines would pay identically.  The lockstep
-    arm runs the eight cells through
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` with
-    ``lockstep=True`` (all cells advanced together over the group's
-    shared arrival/work arrays); the baseline arm runs the same cells
-    with ``lockstep=False`` — the PR-7 grouped per-cell loop, which is
-    also what ``REPRO_LOCKSTEP=0`` restores.
+    than policy work both arms would pay identically.  The engine arm
+    runs the eight cells through
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` (the
+    :class:`~repro.sim.lockstep.LockstepEngine` over one shared
+    context); the baseline arm runs the same cells through the scalar
+    per-cell :meth:`~repro.sim.mix_runner.MixRunner.run_mix` oracle.
 
     The policies carry explicit per-app target dicts, which are not
     expressible as a :class:`~repro.runtime.spec.PolicySpec` (spec
@@ -621,8 +615,8 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
     Verified before timing: the two grids must be result-for-result
     identical under :func:`_mix_results_identical`, else the kernel
     raises instead of recording a meaningless ratio.  Cells are rebuilt
-    per pass — policies are stateful controllers.  The PR-10
-    acceptance floor for the recorded ``speedup`` is ≥2×.
+    per pass — policies are stateful controllers.  The acceptance
+    floor for the recorded ``speedup`` is in :data:`SPEEDUP_FLOORS`.
     """
     from .policies.fixed import FixedPolicy
     from .runtime.artifacts import get_artifacts
@@ -659,33 +653,34 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
                 cells.append((policy, None))
             return cells
 
-        def run_lockstep() -> List[Any]:
-            return runner.run_mix_group(mix, build_cells(), lockstep=True)
+        def run_engine() -> List[Any]:
+            return runner.run_mix_group(mix, build_cells())
 
-        def run_grouped() -> List[Any]:
-            return runner.run_mix_group(mix, build_cells(), lockstep=False)
+        def run_per_cell() -> List[Any]:
+            return [
+                runner.run_mix(mix, policy, scheme=scheme)
+                for policy, scheme in build_cells()
+            ]
 
-        # Verify once, outside the timed region: every lockstep cell
-        # must match the grouped loop (itself verified against scalar
-        # run_mix by joint_replay_grid and the equivalence tests)
-        # before the speedup means anything.
-        for lockstep_cell, grouped_cell in zip(run_lockstep(), run_grouped()):
-            if not _mix_results_identical(lockstep_cell, grouped_cell):
+        # Verify once, outside the timed region: every engine cell must
+        # match the per-cell oracle before the speedup means anything.
+        for engine_cell, oracle_cell in zip(run_engine(), run_per_cell()):
+            if not _mix_results_identical(engine_cell, oracle_cell):
                 raise RuntimeError(
-                    "lockstep replay diverged from the grouped event loop"
+                    "lockstep replay diverged from the per-cell oracle"
                 )
 
-        samples = _time_repeats(run_lockstep, repeats)
-        grouped_samples = _time_repeats(run_grouped, repeats)
+        samples = _time_repeats(run_engine, repeats)
+        per_cell_samples = _time_repeats(run_per_cell, repeats)
     artifacts.clear()  # leave no grid-sized pools behind in the process
-    best, grouped_best = min(samples), min(grouped_samples)
+    best, per_cell_best = min(samples), min(per_cell_samples)
     return _kernel_entry(
         samples,
         units=len(lc_fractions),
         unit="cells",
-        baseline_seconds=grouped_best,
-        baseline_runs=grouped_samples,
-        speedup=grouped_best / best,
+        baseline_seconds=per_cell_best,
+        baseline_runs=per_cell_samples,
+        speedup=per_cell_best / best,
         verified_identical=True,
     )
 
@@ -982,7 +977,7 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
         raise ValueError("repeats must be positive")
     accesses = 100_000 if quick else 1_000_000
     requests = 30 if quick else 60
-    #: The lockstep kernel pins a longer replay (the PR-10 floor was
+    #: The lockstep kernel pins a longer replay (its floor was
     #: committed at 240 requests): its ratio is an event-loop number,
     #: and too-short replays drown it in per-group setup.  It also
     #: takes extra repeats — both arms are sub-second, so best-of
@@ -1296,7 +1291,7 @@ def format_bench(payload: Dict[str, Any]) -> str:
             against = {
                 "warm_sweep_grid": "cache-off",
                 "joint_replay_grid": "per-cell",
-                "lockstep_replay": "grouped",
+                "lockstep_replay": "per-cell",
             }.get(name, "naive")
             note = (
                 f"{entry['speedup']:.2f}x vs {against}"

@@ -39,7 +39,6 @@ from .fig12_slack import DEFAULT_SLACKS, run_fig12
 from .fig13_schemes import SchemeEntry, run_fig13
 from .sweep import (
     DEFAULT_POLICIES,
-    DEFAULT_POLICY_FACTORIES,
     RunRecord,
     SweepResult,
     run_policy_sweep,
@@ -75,7 +74,6 @@ __all__ = [
     "SweepResult",
     "run_policy_sweep",
     "DEFAULT_POLICIES",
-    "DEFAULT_POLICY_FACTORIES",
     "PAPER_TABLE3",
     "run_table3",
     "format_table3",

@@ -7,52 +7,30 @@ Sweeps execute on the :mod:`repro.runtime` session — declarative
 result store and fanned across cores by the session's executor — so
 the several benchmarks reading the same data (Fig 9, Fig 10, Table 3)
 trigger a single computation *across processes*, not just within one.
+A serial session replays the policy cells of each mix as one replay
+group (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`).
 
-:func:`run_policy_sweep` remains the load-bearing entry point.  New
-callers pass ``policies`` (a sequence of
-:class:`~repro.runtime.spec.PolicySpec`); the historical
-``policy_factories`` tuples of ``(name, callable)`` still work and run
-through an in-process legacy path (callables cannot be fingerprinted,
-so only their baselines hit the store).
+:func:`run_policy_sweep` is the load-bearing entry point: policies are
+:class:`~repro.runtime.spec.PolicySpec` entries (the five paper schemes
+by default) and the scheme a :class:`~repro.runtime.spec.SchemeSpec`
+or registry name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..cache.schemes import SchemeModel
-from ..policies.base import Policy
-from ..sim.config import CMPConfig, CoreKind
-from ..sim.grid_replay import grid_replay_enabled
-from ..sim.mix_runner import MixRunner
-from ..runtime.session import (
-    DEFAULT_POLICIES,
-    Session,
-    get_session,
-    record_from_result,
-)
+from ..sim.config import CoreKind
+from ..runtime.session import DEFAULT_POLICIES, Session, get_session
 from ..runtime.spec import PolicySpec, RunRecord, SchemeSpec, SweepResult
-from .common import ExperimentScale, scaled_mix_specs
+from .common import ExperimentScale
 
 __all__ = [
-    "PolicyFactory",
-    "DEFAULT_POLICY_FACTORIES",
     "DEFAULT_POLICIES",
     "RunRecord",
     "SweepResult",
     "run_policy_sweep",
 ]
-
-PolicyFactory = Tuple[str, Callable[[], Policy]]
-
-
-def _legacy_default_factories() -> Tuple[PolicyFactory, ...]:
-    """The historical (name, callable) tuples, built via the registry."""
-    return tuple((p.display, p.build) for p in DEFAULT_POLICIES)
-
-
-#: Backwards-compatible alias of the five paper schemes as factories.
-DEFAULT_POLICY_FACTORIES: Tuple[PolicyFactory, ...] = _legacy_default_factories()
 
 #: Process-local identity memo so repeated calls (and tests asserting
 #: ``again is sweep``) get the same object back without re-reading the
@@ -60,132 +38,30 @@ DEFAULT_POLICY_FACTORIES: Tuple[PolicyFactory, ...] = _legacy_default_factories(
 _CACHE: Dict[Tuple, SweepResult] = {}
 
 
-def _legacy_sweep(
-    scale: ExperimentScale,
-    core_kind: str,
-    factories: Sequence[PolicyFactory],
-    scheme: Optional[SchemeModel],
-    session: Session,
-) -> SweepResult:
-    """In-process sweep over opaque factory callables.
-
-    Kept for callers that pass live callables (which have no content
-    fingerprint).  Baselines still go through the session store, so
-    even this path shares the expensive isolated runs across processes
-    — and the joint replays themselves batch per mix: every policy
-    cell of one mix replays through a single
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` group, which
-    by default advances the whole group through the lockstep SoA engine
-    (``REPRO_GRID_REPLAY=0`` restores the scalar per-cell loop,
-    ``REPRO_LOCKSTEP=0`` the grouped per-cell loop — bit-identically
-    either way).
-    """
-    config = CMPConfig(core_kind=core_kind)
-    runner = MixRunner(
-        config=config,
-        requests=scale.requests,
-        seed=scale.seed,
-        store=session.store,
-    )
-    records: List[RunRecord] = []
-    for spec in scaled_mix_specs(scale):
-        if grid_replay_enabled():
-            results = runner.run_mix_group(
-                spec, [(factory(), scheme) for __, factory in factories]
-            )
-        else:
-            results = [
-                runner.run_mix(spec, factory(), scheme=scheme)
-                for __, factory in factories
-            ]
-        for (name, __), result in zip(factories, results):
-            records.append(
-                record_from_result(
-                    result,
-                    policy_label=name,
-                    lc_name=spec.lc_workload.name,
-                    load_label=spec.load_label,
-                )
-            )
-    return SweepResult(records=records)
-
-
 def run_policy_sweep(
     scale: ExperimentScale,
     core_kind: str = CoreKind.OOO,
-    policy_factories: Optional[Sequence[PolicyFactory]] = None,
-    scheme: Union[SchemeModel, SchemeSpec, str, None] = None,
-    cache_key_extra: str = "",
+    scheme: Union[SchemeSpec, str, None] = None,
     policies: Optional[Sequence[PolicySpec]] = None,
     session: Optional[Session] = None,
 ) -> SweepResult:
     """Run (or fetch) the full mixes x policies sweep.
 
-    Preferred form: pass ``policies`` as
-    :class:`~repro.runtime.spec.PolicySpec` entries (and ``scheme`` as
-    a :class:`~repro.runtime.spec.SchemeSpec` or registry name); the
-    grid then runs on the runtime session — persistent store plus the
-    configured executor.  The historical ``policy_factories`` form is
-    honoured via the in-process legacy path.
+    ``policies`` defaults to the five paper schemes; the grid runs on
+    ``session`` (the process default when omitted) — its store plus its
+    configured executor.
     """
-    if policies is not None and policy_factories is not None:
-        raise ValueError("pass either policies or policy_factories, not both")
     session = session or get_session()
-    if policies is None and (
-        policy_factories is None
-        or policy_factories is DEFAULT_POLICY_FACTORIES
-    ):
-        policies = DEFAULT_POLICIES
-
-    if policies is not None and not isinstance(scheme, SchemeModel):
-        scheme_spec = (
-            SchemeSpec.of(scheme) if isinstance(scheme, str) else scheme
-        )
-        # Key the memo on the store's identity too: a sweep served from
-        # one store must not satisfy a request aimed at another.
-        store_key = session.store.memo_key
-        key = (
-            scale,
-            core_kind,
-            tuple(policies),
-            scheme_spec,
-            cache_key_extra,
-            store_key,
-            "spec",
-        )
-        hit = _CACHE.get(key)
-        if hit is not None:
-            return hit
-        sweep = session.sweep(
-            scale, policies=policies, scheme=scheme_spec, core_kind=core_kind
-        )
-        _CACHE[key] = sweep
-        return sweep
-
-    factories: Sequence[PolicyFactory]
-    if policy_factories is not None:
-        factories = tuple(policy_factories)
-    else:
-        factories = tuple((p.display, p.build) for p in policies or ())
-    scheme_model: Optional[SchemeModel]
-    if isinstance(scheme, SchemeModel) or scheme is None:
-        scheme_model = scheme
-    else:
-        # Honour declarative scheme arguments on the legacy path too.
-        spec = SchemeSpec.of(scheme) if isinstance(scheme, str) else scheme
-        scheme_model = spec.build(CMPConfig(core_kind=core_kind).llc_lines)
-    key = (
-        scale,
-        core_kind,
-        tuple(name for name, __ in factories),
-        scheme_model.name if scheme_model is not None else "ideal",
-        cache_key_extra,
-        session.store.memo_key,
-        "legacy",
-    )
+    policies = tuple(policies) if policies is not None else DEFAULT_POLICIES
+    scheme_spec = SchemeSpec.of(scheme) if isinstance(scheme, str) else scheme
+    # Key the memo on the store's identity too: a sweep served from
+    # one store must not satisfy a request aimed at another.
+    key = (scale, core_kind, policies, scheme_spec, session.store.memo_key)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    sweep = _legacy_sweep(scale, core_kind, factories, scheme_model, session)
+    sweep = session.sweep(
+        scale, policies=policies, scheme=scheme_spec, core_kind=core_kind
+    )
     _CACHE[key] = sweep
     return sweep

@@ -160,12 +160,12 @@ class Session:
         through :meth:`run_sharded`, fanning its per-instance baseline
         work across the executor; otherwise — and for every
         :class:`~repro.runtime.spec.TaskSpec`, which has no shardable
-        phase — the spec evaluates in-process.
+        phase — the spec evaluates in-process as a batch of one.
         """
         shards = shards if shards is not None else self.shards
         if shards not in (None, 1) and isinstance(spec, RunSpec):
             return self.run_sharded([spec], shards=shards)[0]
-        return execute_spec(spec, self.store)
+        return execute_specs([spec], self.store)[0]
 
     def _make_scheduler(
         self,
@@ -350,8 +350,7 @@ class Session:
                 # In-process: share this session's store directly, so
                 # its memory layer (baselines included) accumulates —
                 # and let the batch evaluator route sweep cells into
-                # replay groups (one shared context per group; off via
-                # REPRO_GRID_REPLAY=0, bit-identical either way).
+                # replay groups (one shared context per group).
                 fresh = execute_specs([s for _, s, _ in misses], store=self.store)
             else:
                 worker = functools.partial(

@@ -1,13 +1,14 @@
 """Spec evaluation primitives shared by the session and the scheduler.
 
 Both the :class:`~repro.runtime.session.Session` executor path and the
-:class:`~repro.runtime.scheduler.SpecScheduler` need the same four
+:class:`~repro.runtime.scheduler.SpecScheduler` need the same
 operations on a unit of work — a :class:`~repro.runtime.spec.RunSpec`
 or any :class:`~repro.runtime.spec.TaskSpec`:
 
 * :func:`store_lookup` — fingerprint it and probe the store (a hit
   never occupies a worker),
-* :func:`execute_spec` — evaluate it in-process, store-aware,
+* :func:`execute_specs` — evaluate a batch in-process, store-aware,
+  with the sweep cells of each mix replayed as one replay group,
 * :func:`execute_in_worker` — the picklable process-pool entry point
   (per-process store handles so workers share warmed baselines),
 * :func:`adopt` — adapt a shared result to the requesting spec (two
@@ -19,16 +20,19 @@ work without importing the session (and vice versa).
 Every unit of work the runtime knows — sweep :class:`RunSpec`\\ s,
 scaleout/bandwidth tasks, and the
 :class:`~repro.runtime.sharding.ShardSpec` slices of a sharded run —
-flows through these four functions, which is what makes new spec kinds
+flows through :func:`execute_specs`, which is what makes new spec kinds
 cheap: implement :meth:`TaskSpec.compute` and every executor, the
 scheduler, the store, and the CLI handle it with no further wiring.
+Sweep records always replay on the production engine
+(:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`).
+:func:`execute_spec` is kept as the scalar oracle for one spec.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..sim.grid_replay import grid_replay_enabled, plan_groups
+from ..sim.grid_replay import plan_groups
 from ..sim.mix_runner import MixRunner
 from .spec import RunRecord, RunSpec, TaskSpec
 from .store import ResultStore
@@ -50,9 +54,9 @@ def record_from_result(
     """One sweep :class:`RunRecord` from a :class:`MixResult`.
 
     The single place the record's metrics are derived, shared by the
-    declarative path (:func:`execute_spec`) and the legacy factory
-    path in :mod:`repro.experiments.sweep`, so the two stay
-    record-for-record identical as fields are added.
+    production path (:func:`execute_specs`) and the oracle
+    (:func:`execute_spec`), so the two stay record-for-record
+    identical as fields are added.
     """
     return RunRecord(
         mix_id=result.mix_id,
@@ -69,7 +73,7 @@ def record_from_result(
 
 
 def _execute_run_spec(spec: RunSpec, store: Optional[ResultStore]) -> RunRecord:
-    """Evaluate one sweep spec: rebuild the mix, simulate, persist."""
+    """Evaluate one sweep spec through the scalar ``run_mix`` oracle."""
     fingerprint = spec.fingerprint()
     if store is not None:
         hit = store.get_record(fingerprint)
@@ -99,11 +103,17 @@ def _execute_run_spec(spec: RunSpec, store: Optional[ResultStore]) -> RunRecord:
 
 
 def execute_spec(spec, store: Optional[ResultStore] = None):
-    """Evaluate one spec of any kind (store-aware, deterministic).
+    """Evaluate one spec of any kind through the scalar oracle.
 
     On a store hit the stored result is returned (sweep records
     relabeled to the spec's display label); otherwise the work is
     rebuilt from the spec, computed, and persisted before returning.
+    A :class:`RunSpec` replays through
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix`, the heap-loop
+    oracle; task specs compute as they do everywhere.  No production
+    path calls this: :func:`execute_specs` is the runtime's evaluator,
+    and this function exists so tests and the benchmark's output check
+    can compare its records against production's.
     """
     if isinstance(spec, RunSpec):
         return _execute_run_spec(spec, store)
@@ -140,13 +150,11 @@ def _execute_run_group(specs: Sequence[RunSpec], store: Optional[ResultStore]) -
     in the batch share a fingerprint only the first simulates and
     persists (the second adopts its record relabeled, just as its
     sequential store probe would have) — so store trees stay
-    byte-identical to ungrouped execution.  The only difference is
-    *how* the misses simulate: all through one
+    byte-identical to per-spec execution through :func:`execute_spec`.
+    The misses all simulate through one
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call sharing
-    a single replay-group context — which in turn advances the group
-    through the lockstep SoA engine (:mod:`repro.sim.lockstep`) unless
-    ``REPRO_LOCKSTEP=0`` pins the grouped per-cell loop; both are
-    verified bit-identical to scalar ``run_mix``.
+    a single replay-group context, verified bit-identical to the
+    scalar ``run_mix`` oracle.
     """
     records: List[Optional[RunRecord]] = [None] * len(specs)
     pending: List[Tuple[int, RunSpec, str]] = []
@@ -208,18 +216,12 @@ def execute_specs(specs: Sequence[Any], store: Optional[ResultStore] = None) -> 
 
     Sweep :class:`RunSpec`\\ s are partitioned into replay groups (see
     :func:`_replay_group_key`) and each group executes through one
-    shared :class:`~repro.sim.grid_replay.GroupShared` context; task
-    specs — and everything, when ``REPRO_GRID_REPLAY`` is off —
-    evaluate through plain :func:`execute_spec`.  Results come back in
-    spec order either way, bit-identical to per-spec execution.
+    shared :class:`~repro.sim.grid_replay.GroupShared` context; a lone
+    spec is a group of one.  Task specs compute as they do everywhere.
+    Results come back in spec order, bit-identical to per-spec
+    evaluation through :func:`execute_spec`.
     """
     specs = list(specs)
-    if not grid_replay_enabled():
-        # Zero group-planning overhead when the toggle is off: no
-        # group keys are derived and :func:`plan_groups` is never
-        # called — ``REPRO_GRID_REPLAY=0`` restores plain per-spec
-        # execution, cost included.
-        return [execute_spec(spec, store) for spec in specs]
     results: List[Any] = [None] * len(specs)
     grouped_positions: List[int] = []
     for position, spec in enumerate(specs):
@@ -296,10 +298,11 @@ def execute_in_worker(spec, store_target: Optional[str]):
     every :class:`~repro.sim.mix_runner.MixRunner` the spec evaluation
     builds consults automatically.  Together they make a worker
     evaluate each distinct sub-computation once per process, not once
-    per spec.
+    per spec.  The spec evaluates as a batch of one through
+    :func:`execute_specs`, the same engine the serial path runs.
     """
     store = _WORKER_STORES.get(store_target)
     if store is None:
         store = ResultStore(store_target)
         _WORKER_STORES[store_target] = store
-    return execute_spec(spec, store)
+    return execute_specs([spec], store)[0]

@@ -28,19 +28,14 @@ baseline run (:meth:`MixEngine.isolated`): one instance, no batch
 apps, a fixed partition, its own seed.  The runtime's trace sharding
 (:mod:`repro.runtime.sharding`) exploits exactly that boundary.
 
-The replay *can*, however, be batched **across sweep cells**: grid
-cells that share streams and differ only in policy/scheme parameters
-pass one :class:`~repro.sim.grid_replay.GroupShared` context via the
-``shared`` parameter, hoisting every group-constant sub-computation
-(curve segments, initial rates, stream statistics, first-interval view
-statics) out of the per-cell loops while each cell keeps its own exact
-event timeline — outputs stay bit-identical to the ungrouped run.
-:mod:`repro.sim.lockstep` goes further still: inside a replay group
-the per-cell event loop itself is no longer the unit of execution —
-the lockstep engine advances *all* cells together over the group's
-shared arrival arrays with SoA driver state, falling back to this
-engine's scalar handlers only for cell-divergent events
-(``REPRO_LOCKSTEP=0`` restores the grouped per-cell loop).
+This module's heap loop is the **scalar oracle**.  Production replays
+run through its subclass :class:`~repro.sim.lockstep.LockstepEngine`,
+which reads arrivals from its replay group's shared schedule and shares
+group-constant values (curve segments, initial rates, stream
+statistics) through a :class:`~repro.sim.grid_replay.GroupShared`
+context passed as ``shared``.  The oracle runs without one: plain
+:class:`~repro.sim.fill.FillState` fills and the NumPy service walk.
+The equivalence walls pin the two bit-identical.
 """
 
 from __future__ import annotations
@@ -250,11 +245,6 @@ class MixEngine:
             raise ValueError("umon_noise must be non-negative")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if shared is not None and bandwidth is not None:
-            # Bandwidth contention rescales miss penalties per interval;
-            # the bandwidth study runs outside replay groups, so reject
-            # the combination rather than audit every shared key for it.
-            raise ValueError("grouped replay does not support bandwidth contention")
         self.config = config
         self.policy = policy
         self.scheme = scheme if policy.uses_partitioning else None
@@ -326,8 +316,10 @@ class MixEngine:
         trace sharding fans across workers: isolated instances share no
         state, so any subset can run anywhere and merge exactly.
         Both :meth:`repro.sim.mix_runner.MixRunner.baseline_instance`
-        and the scaleout study's baseline build their engines here so
-        the sharded and serial paths cannot drift apart.
+        and the scaleout study's baseline build their engines here
+        (through :class:`~repro.sim.lockstep.LockstepEngine`, which
+        inherits it) so the sharded and serial paths cannot drift
+        apart.
         """
         from ..policies.fixed import FixedPolicy
 
@@ -360,8 +352,6 @@ class MixEngine:
                 app.measured_curve = app.curve
 
     def _make_views(self) -> List[AppView]:
-        if self.shared is not None and self._first_interval:
-            return self._make_first_interval_views(self.shared)
         duration = max(self.now - self._interval_start, 1.0)
         views: List[AppView] = []
         for app in self.apps:
@@ -405,70 +395,7 @@ class MixEngine:
             views.append(view)
         return views
 
-    def _make_first_interval_views(self, shared: GroupShared) -> List[AppView]:
-        """First-interval views from group-shared statics.
-
-        Until the first reconfiguration every view field except
-        ``recent_latencies`` and the noisy ``measured_curve`` is a pure
-        function of the specs — identical across the cells of a replay
-        group — so the tuple of those fields is computed once per group
-        and reused.  Each entry holds exactly the values the general
-        path below derives on its ``self._first_interval`` branches.
-        """
-        views: List[AppView] = []
-        for app in self.apps:
-            static = shared.view_static.get(app.index)
-            if static is None:
-                rate = self._initial_access_rate(app)
-                if isinstance(app, _LCApp):
-                    static = (
-                        rate,
-                        1.0 - app.spec.load,
-                        app.spec.load
-                        / max(app.spec.workload.mean_service_cycles(self.core), 1.0)
-                        * (1.0 - app.spec.load),
-                        app.mean_req_accesses,
-                        app.tail_req_accesses,
-                        app.spec.workload.target_lines,
-                        app.spec.deadline_cycles,
-                        app.spec.target_tail_cycles,
-                    )
-                else:
-                    static = (rate,)
-                shared.view_static[app.index] = static
-            view = AppView(
-                index=app.index,
-                name=app.name,
-                kind=app.kind,
-                curve=app.measured_curve,
-                apki=app.profile.apki,
-                hit_interval=app.hit_interval,
-                miss_penalty=app.miss_penalty,
-                access_rate=static[0],
-            )
-            if isinstance(app, _LCApp):
-                view.idle_fraction = static[1]
-                view.activation_rate = static[2]
-                view.accesses_per_request = static[3]
-                view.tail_accesses_per_request = static[4]
-                view.target_lines = static[5]
-                view.deadline_cycles = static[6]
-                view.target_tail_cycles = static[7]
-                view.recent_latencies = tuple(app.stats.latencies)
-            views.append(view)
-        return views
-
     def _initial_access_rate(self, app: _App) -> float:
-        shared = self.shared
-        if shared is not None:
-            rate = shared.rates.get(app.index)
-            if rate is None:
-                rate = self._compute_initial_access_rate(app)
-                shared.rates[app.index] = rate
-            return rate
-        return self._compute_initial_access_rate(app)
-
-    def _compute_initial_access_rate(self, app: _App) -> float:
         if isinstance(app, _LCApp):
             target = app.spec.workload.target_lines
             busy_rate = 1.0 / self.core.access_interval(
@@ -647,89 +574,45 @@ class MixEngine:
 
             # Steady state: replay the remaining chunk sequence (the
             # same min/subtract recurrence the scalar loop runs), then
-            # batch the accumulators and crossing checks.  Grouped
-            # replay takes the fused scalar scan instead — one pass,
-            # no array temporaries — evaluating the identical
-            # recurrences (``np.cumsum`` over ``[seed, inc...]`` *is*
-            # the sequential ``+=``) with first-true crossing indices,
-            # so both arms feed the same reconciliation below with the
-            # same k's and the same chunk-boundary times.
+            # batch the accumulators and crossing checks.
             p = fill.miss_ratio()
             k_deboost = None
             k_water = None
-            if self.shared is None:
-                steps: List[float] = []
-                rems: List[float] = []
-                r = remaining
-                while r > _COMPLETION_TOL:
-                    s = min(chunk, r)
-                    steps.append(s)
-                    r -= s
-                    rems.append(r)
-                step_arr = np.asarray(steps)
-                miss_arr = step_arr * p
-                cyc_arr = step_arr * fill.hit_interval + miss_arr * fill.miss_penalty
-                t_seq = np.cumsum(np.concatenate(((t,), cyc_arr)))[1:]
-                limit_mask = t_seq >= limit
-                k_limit = int(np.argmax(limit_mask)) if limit_mask.any() else None
-                if armed:
-                    plan = tracker.plan
-                    if not filled and fill.resident >= plan.boost_lines * (1.0 - 1e-9):
-                        filled = True
-                    proj_arr = np.cumsum(
-                        np.concatenate(((proj,), step_arr * tracker.active_miss_ratio))
-                    )[1:]
-                    act_arr = np.cumsum(np.concatenate(((actual,), miss_arr)))[1:]
-                    deboost_mask = (
-                        proj_arr >= act_arr + plan.guard_fraction * proj_arr
-                    ) & (proj_arr > 0)
-                    if deboost_mask.any():
-                        k_deboost = int(np.argmax(deboost_mask))
-                    if plan.watermark_factor is not None and filled:
-                        water_mask = (
-                            ~deboost_mask
-                            & (proj_arr > 0)
-                            & (act_arr > proj_arr * plan.watermark_factor)
-                        )
-                        if water_mask.any():
-                            k_water = int(np.argmax(water_mask))
-            else:
-                hit_c, mp = fill.hit_interval, fill.miss_penalty
-                if armed:
-                    plan = tracker.plan
-                    if not filled and fill.resident >= plan.boost_lines * (1.0 - 1e-9):
-                        filled = True
-                    amr = tracker.active_miss_ratio
-                    guard_f = plan.guard_fraction
-                    wf = plan.watermark_factor
-                else:
-                    amr, guard_f, wf = 0.0, 0.0, None
-                t_cur, proj_cur, act_cur = t, proj, actual
-                r = remaining
-                k = 0
-                k_limit = None
-                t_seq = []
-                rems = []
-                while r > _COMPLETION_TOL:
-                    s = chunk if chunk < r else r
-                    r -= s
-                    miss = s * p
-                    cyc = s * hit_c + miss * mp
-                    t_cur = t_cur + cyc
-                    t_seq.append(t_cur)
-                    rems.append(r)
-                    if k_limit is None and t_cur >= limit:
-                        k_limit = k
-                    if armed:
-                        proj_cur = proj_cur + s * amr
-                        act_cur = act_cur + miss
-                        db = (proj_cur >= act_cur + guard_f * proj_cur) and proj_cur > 0
-                        if db and k_deboost is None:
-                            k_deboost = k
-                        if (wf is not None and filled and k_water is None and not db
-                                and proj_cur > 0 and act_cur > proj_cur * wf):
-                            k_water = k
-                    k += 1
+            steps: List[float] = []
+            rems: List[float] = []
+            r = remaining
+            while r > _COMPLETION_TOL:
+                s = min(chunk, r)
+                steps.append(s)
+                r -= s
+                rems.append(r)
+            step_arr = np.asarray(steps)
+            miss_arr = step_arr * p
+            cyc_arr = step_arr * fill.hit_interval + miss_arr * fill.miss_penalty
+            t_seq = np.cumsum(np.concatenate(((t,), cyc_arr)))[1:]
+            limit_mask = t_seq >= limit
+            k_limit = int(np.argmax(limit_mask)) if limit_mask.any() else None
+            if armed:
+                plan = tracker.plan
+                if not filled and fill.resident >= plan.boost_lines * (1.0 - 1e-9):
+                    filled = True
+                proj_arr = np.cumsum(
+                    np.concatenate(((proj,), step_arr * tracker.active_miss_ratio))
+                )[1:]
+                act_arr = np.cumsum(np.concatenate(((actual,), miss_arr)))[1:]
+                deboost_mask = (
+                    proj_arr >= act_arr + plan.guard_fraction * proj_arr
+                ) & (proj_arr > 0)
+                if deboost_mask.any():
+                    k_deboost = int(np.argmax(deboost_mask))
+                if plan.watermark_factor is not None and filled:
+                    water_mask = (
+                        ~deboost_mask
+                        & (proj_arr > 0)
+                        & (act_arr > proj_arr * plan.watermark_factor)
+                    )
+                    if water_mask.any():
+                        k_water = int(np.argmax(water_mask))
 
             if armed:
                 # A crossing is only live while the walk is still going

@@ -347,12 +347,13 @@ class FillState:
 class GroupFillState(FillState):
     """A :class:`FillState` wired into a replay group's shared memos.
 
-    The grid-replay engine (:mod:`repro.sim.grid_replay`) advances many
-    sweep cells that share the same miss curves over the same request
-    streams, so their fill states keep asking for the same curve
-    segments.  This subclass performs the *identical float operations
-    in the identical order* as the parent — its results are bit-equal
-    by construction — while removing the redundancy:
+    The production engine (:class:`~repro.sim.lockstep.LockstepEngine`)
+    replays many sweep cells that share the same miss curves over the
+    same request streams (:mod:`repro.sim.grid_replay`), so their fill
+    states keep asking for the same curve segments.  This subclass
+    performs the *identical float operations in the identical order*
+    as the parent — its results are bit-equal by construction — while
+    removing the redundancy:
 
     * the per-instance ``(resident, target)`` segment memo falls back
       to a **group-shared** table keyed by ``(scope, resident, target)``
@@ -382,7 +383,7 @@ class GroupFillState(FillState):
       midpoint can never change again, so ``lo`` is already the value
       the remaining iterations would return.
 
-    ``tests/sim/test_grid_replay_equivalence.py`` pins the bit identity
+    ``tests/sim/test_lockstep_equivalence.py`` pins the bit identity
     against the parent class across policies, loads, and seeds.
     """
 

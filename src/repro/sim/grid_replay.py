@@ -1,29 +1,23 @@
-"""Grouped (structure-of-shared-state) replay of sweep-grid cells.
+"""Replay groups: the sweep cells that replay the same streams.
 
 A policy sweep evaluates many grid *cells* — (mix, policy, scheme)
 triples — whose six-app event loops replay the **same** request streams
 over the **same** miss curves and differ only in the policy/scheme
-parameters steering them.  PR 5's artifact cache removed the redundant
-*derivation* (baselines, streams, workload objects); this module
-removes the redundant group-constant sub-computations from the replay;
-and :mod:`repro.sim.lockstep` takes the last step, advancing the whole
-group's event loops in lockstep over one shared arrival schedule — the
-per-cell event loop is no longer the irreducible unit.
-
-This module batches that replay **across cells**.  Cells that share
-identical streams are routed into one *replay group* and advanced
-through :class:`~repro.sim.engine.MixEngine` with one
-:class:`GroupShared` context: every group-constant sub-computation —
-curve-segment evaluations (the PR-4 per-epoch memos, hoisted from
-per-engine to per-group), initial access rates, stream statistics,
-first-interval view statics — is computed by the first cell that needs
-it and served to every sibling.  Policy decisions stay per-cell (each
-cell keeps its own event loop, RNG, fill states and partition targets),
-which is what preserves bit-identity: the shared layer only memoizes
-*pure* values keyed by the exact inputs they depend on, so a grouped
-cell performs the identical float operations in the identical order as
-the scalar per-cell replay — the oracle
-:meth:`~repro.sim.mix_runner.MixRunner.run_mix` runs without a group.
+parameters steering them.  Cells that share their streams form one
+*replay group*.  The runtime plans the groups (:func:`plan_groups`),
+and :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` runs each
+group's cells one after another on
+:class:`~repro.sim.lockstep.LockstepEngine`, all over one
+:class:`GroupShared` context.  The first cell that needs a
+group-constant value computes it and every sibling reuses it: the
+merged arrival schedule, curve-segment evaluations, initial access
+rates, stream statistics, first-interval view statics, and float
+copies of the streams.  Policy decisions stay per cell (each cell keeps
+its own event loop, RNG, fill states and partition targets).  The
+shared layer only memoizes *pure* values keyed by the exact inputs they
+depend on, so a cell performs the identical float operations in the
+identical order as the scalar oracle
+(:meth:`~repro.sim.mix_runner.MixRunner.run_mix`).
 
 What makes two cells groupable (the *group-planning rules*):
 
@@ -36,37 +30,25 @@ Policy and scheme are deliberately **excluded** — differing decisions
 are exactly what a group exists to compare.  Scheme objects are still
 pinned into every shared key that could observe them (segment scopes
 include ``id(scheme)``), so heterogeneous-scheme cells in one group
-split into disjoint key spaces and stay exact.
-
-``REPRO_GRID_REPLAY=0`` (or ``off``/``false``/``no``) disables grouping
-everywhere; the golden suite pins store trees byte-identical with the
-toggle on and off.
+split into disjoint key spaces and stay exact.  A run outside any sweep
+(a baseline instance, a scaleout or bandwidth point) is a group of one.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
-__all__ = ["GroupShared", "grid_replay_enabled", "plan_groups"]
-
-#: Environment toggle: ``0``/``off``/``false``/``no`` disables grouping.
-_ENV_TOGGLE = "REPRO_GRID_REPLAY"
-
-
-def grid_replay_enabled() -> bool:
-    """Whether the environment enables grouped replay (default on)."""
-    toggle = os.environ.get(_ENV_TOGGLE, "").strip().lower()
-    return toggle not in ("0", "off", "false", "no")
+__all__ = ["GroupShared", "plan_groups"]
 
 
 class GroupShared:
     """Shared memo context for one replay group.
 
     One instance lives for the duration of one group's replays and is
-    handed to every :class:`~repro.sim.engine.MixEngine` in the group.
+    handed to every :class:`~repro.sim.lockstep.LockstepEngine` in the
+    group.
     All tables are **value memos**: keys capture every input the cached
     value depends on, so a hit returns exactly what the missing cell
     would have computed.  Keys that identify unhashable inputs (miss

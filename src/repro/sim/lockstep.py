@@ -1,42 +1,39 @@
-"""Lockstep structure-of-arrays replay of a whole replay group.
+"""The production replay engine: one cell over its group's arrival schedule.
 
-PR 7's grouped replay (:mod:`repro.sim.grid_replay`) removed redundant
-*derivation* across the cells of a replay group but still advanced each
-cell's event loop independently: one heap, one Python event pop at a
-time, per cell.  This module is the next layer: a driver that advances
-**all cells of a replay group in lockstep** over their shared arrival
-schedule, plus an engine subclass whose per-cell hot paths are
-restructured around the group invariants.
+Every partitioned replay the runtime runs goes through
+:class:`LockstepEngine`: sweep cells (one
+:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call per mix),
+isolated baselines, and the scaleout and bandwidth points.  It is a
+:class:`~repro.sim.engine.MixEngine` whose per-cell hot paths are
+restructured around the invariants of a *replay group* — the cells of
+one sweep that replay the same request streams over the same miss
+curves (see :mod:`repro.sim.grid_replay` for the planning rules).  The
+parent's heap loop stays as the scalar oracle
+(:meth:`~repro.sim.mix_runner.MixRunner.run_mix`), and every override
+here either replays the parent's float operations in the parent's order
+or falls back to the parent outright.
 
-Layout — what is structure-of-arrays and what stays scalar:
+What is shared and what stays per cell:
 
-* **Shared arrival schedule** (per group, built once): the three LC
+* **Shared arrival schedule** (per group, built once): the LC
   instances' arrival arrays merged into one ``(time, seq, app, req)``
-  event stream.  A stable argsort of the concatenated arrays reproduces
-  exactly the ``(time, seq)`` order in which the scalar oracle's heap
-  pops its arrival events, because the oracle pushes arrivals app-major
-  before anything else — seq *is* the concatenation position.
-* **SoA scheduling state** (per group, preallocated numpy): the
-  per-cell next-dynamic-event time/seq vectors and the ``[cell, app]``
-  active mask.  Each lockstep step compares the whole group's
-  next-event vectors against the next shared arrival as masked
-  vectorized updates; the active mask routes arrivals to the
-  bookkeeping-only fast path (an arrival to an active app can neither
-  call the policy nor schedule events, so the driver skips the
-  next-event rescan for those cells wholesale).
-* **Scalar fallback** (per cell): everything whose float sequence must
-  match the oracle bit-for-bit — fill/partition state, interval stats,
-  queues, boost/watermark trackers, and every policy callback — stays
-  in the existing :class:`~repro.sim.engine._LCApp` structures and
-  handlers.  Cells in one group run *different policies*; their states
-  diverge immediately, so batching that arithmetic across cells would
-  change summation order and break bit identity.  The lockstep win
-  comes from the shared schedule plus the per-cell fast paths below,
-  not from cross-cell float math.
+  stream.  A stable argsort of the concatenated arrays reproduces
+  exactly the ``(time, seq)`` order in which the oracle's heap pops its
+  arrival events, because the oracle pushes arrivals app-major before
+  anything else — seq *is* the concatenation position.
+* **Group memos** (:class:`~repro.sim.grid_replay.GroupShared`): curve
+  segments behind :class:`~repro.sim.fill.GroupFillState`, initial
+  access rates, stream statistics, first-interval view statics, and the
+  streams as Python float lists.  Each is a pure value memo, so the
+  first cell computes what every sibling would have.
+* **Per cell**: the dynamic events (completions, reconfigurations,
+  de-boosts, watermarks) in the parent's heap, numbered after the
+  arrivals; fill and partition state; interval stats; queues; boost
+  trackers; and every policy callback.  Cells in one group run
+  *different policies*, so their states diverge at once and no float
+  arithmetic is batched across cells.
 
-:class:`LockstepEngine` replaces the per-cell heap with the shared
-schedule and a tiny linear-scan list for dynamic events, and overrides
-the hot handlers with bit-exact restructurings:
+The per-cell fast paths, each bit-exact against the parent:
 
 * first-interval policy contexts reuse one cached view list (only
   ``recent_latencies`` and the post-refresh ``measured_curve`` can
@@ -50,93 +47,61 @@ the hot handlers with bit-exact restructurings:
 * stream indexing reads group-cached Python float lists instead of
   numpy scalars (``tolist`` coercions are exact).
 
-``REPRO_LOCKSTEP=0`` (or ``off``/``false``/``no``) restores the PR-7
-grouped path under :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`;
-``run_mix`` stays the scalar oracle either way.
-``tests/sim/test_lockstep_equivalence.py`` and the golden suite pin the
-results byte-identical across the three execution modes.
+``tests/sim/test_lockstep_equivalence.py`` pins every production path
+— group replays, baselines, bandwidth and scaleout points — bit-identical
+to the oracle, and checks that production never reaches the oracle's
+event loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import os
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from ..policies.base import PolicyContext
-from .engine import _COMPLETION_TOL, _WALK_CHUNKS, MixEngine, _LCApp
+from ..policies.base import AppView, PolicyContext
+from .engine import _COMPLETION_TOL, _WALK_CHUNKS, MixEngine, _App, _LCApp
 from .fill import _EPS
+from .grid_replay import GroupShared
 from .results import MixResult
 
-__all__ = ["LockstepEngine", "lockstep_enabled", "run_lockstep_group"]
-
-#: Environment toggle: ``0``/``off``/``false``/``no`` disables lockstep.
-_ENV_TOGGLE = "REPRO_LOCKSTEP"
-
-#: Cells at which the driver's drain scan switches to vectorized masks.
-#: Below this, numpy's per-op overhead loses to the Python scan; the
-#: comparisons are elementwise either way, so the cut is timing-only.
-_WIDE_GROUP = 12
-
-_INF = float("inf")
-
-
-def lockstep_enabled() -> bool:
-    """Whether the environment enables lockstep replay (default on)."""
-    toggle = os.environ.get(_ENV_TOGGLE, "").strip().lower()
-    return toggle not in ("0", "off", "false", "no")
+__all__ = ["LockstepEngine"]
 
 
 class LockstepEngine(MixEngine):
-    """A :class:`MixEngine` driven from a shared arrival schedule.
+    """A :class:`MixEngine` driven from its group's shared arrival schedule.
 
-    Requires a :class:`~repro.sim.grid_replay.GroupShared` context (the
-    schedule and float-list caches live there).  Produces results
-    bit-identical to the parent: every override either replays the
-    parent's float operations in the parent's order or falls back to
-    the parent outright.
+    Takes the parent's arguments.  ``shared`` is the replay group's
+    :class:`~repro.sim.grid_replay.GroupShared` context; a standalone
+    run (a baseline instance, a scaleout or bandwidth point) passes
+    none and gets a group of its own.  Non-partitioning policies (LRU)
+    run the parent's unmanaged loop unchanged.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.shared is None:
-            raise ValueError("lockstep replay requires a replay-group context")
-        shared = self.shared
-        self._schedule = shared.lockstep_schedule_for(
-            [lc.spec.arrivals for lc in self.lc_apps]
+    def __init__(self, *args, shared: Optional[GroupShared] = None, **kwargs):
+        super().__init__(
+            *args, shared=shared if shared is not None else GroupShared(), **kwargs
         )
-        self._n_arrivals = sum(len(lc.spec.arrivals) for lc in self.lc_apps)
+        shared = self.shared
         for lc in self.lc_apps:
             lc._ls_arrivals = shared.floats_for(lc.spec.arrivals)
             lc._ls_works = shared.floats_for(lc.spec.works)
             lc._ls_req_accesses = shared.floats_for(lc.req_accesses)
             lc._ls_warmup = int(len(lc.spec.arrivals) * self.warmup_fraction)
             lc._ls_scratch_fill = None
-        self._dyn: List[Tuple[float, int, str, int, int]] = []
-        #: Index of the earliest pending dynamic event, set by the
-        #: latest :meth:`ls_next` scan and consumed by
-        #: :meth:`ls_pump_one` (see the contract on that method).
-        self._ls_best = 0
         self._ls_views = None
-        self._ls_lc_views: List[Tuple] = []
-        #: Row of the group's [cell, app] active mask, when driven.
-        self._ls_active_row = None
+        self._ls_lc_views = []
 
-    # ------------------------------------------------------------------
-    # Event plumbing: shared schedule + linear-scan dynamic list
-    # ------------------------------------------------------------------
-    def _push(self, time: float, kind: str, app_idx: int = -1, version: int = 0):
-        self._dyn.append((time, next(self._seq), kind, app_idx, version))
+    def _run_partitioned(self) -> MixResult:
+        """The parent's event loop with arrivals read from the schedule.
 
-    def ls_begin(self) -> None:
-        """The setup phase of :meth:`MixEngine._run_partitioned`.
-
-        The dynamic-event seq counter starts at the arrival count so
-        the initial reconfig — and every later push — receives exactly
-        the seq the oracle's shared :mod:`itertools` counter would have
-        assigned after pushing all arrivals.
+        The set-up is the parent's.  After it, the heap holds only
+        dynamic events, and their seqs start at the arrival count, so
+        every push receives exactly the seq the oracle's shared counter
+        would have assigned after pushing all arrivals.  Each step then
+        takes whichever comes first by ``(time, seq)``: the heap's top
+        or the schedule's next arrival.  An arrival's seq is below
+        every dynamic seq, so it wins a tie in time — as in the oracle.
         """
         self._refresh_measured_curves()
         decision = self.policy.initialize(self._make_context())
@@ -146,129 +111,53 @@ class LockstepEngine(MixEngine):
         for app in self.apps:
             app.fill.resident = app.fill.effective_target
         self._initial_bandwidth_estimate()
-        self._dyn = []
-        self._seq = itertools.count(self._n_arrivals)
+        if self.bandwidth is not None:
+            # Contention moved the penalties the cached views carry.
+            self._ls_views = None
+        arrivals = [lc.spec.arrivals for lc in self.lc_apps]
+        times, __, apps, reqs = self.shared.lockstep_schedule_for(arrivals)
+        events = self._events = []
+        self._seq = itertools.count(sum(len(a) for a in arrivals))
         self._push(self._next_reconfig_time(), "reconfig")
 
-    def ls_next(self) -> Optional[Tuple[float, int]]:
-        """(time, seq) of the earliest pending dynamic event, if any.
-
-        The winning index is remembered in ``_ls_best`` so a directly
-        following :meth:`ls_pump_one` can pop it without rescanning.
-        """
-        dyn = self._dyn
-        if not dyn:
-            return None
-        best = 0
-        bt, bs = dyn[0][0], dyn[0][1]
-        for i in range(1, len(dyn)):
-            ev = dyn[i]
-            t = ev[0]
-            if t < bt or (t == bt and ev[1] < bs):
-                best, bt, bs = i, t, ev[1]
-        self._ls_best = best
-        return bt, bs
-
-    def ls_pump_one(self) -> bool:
-        """Process the earliest dynamic event; True = run finished.
-
-        Contract: must directly follow an :meth:`ls_next` on this
-        engine with no intervening mutation of its dynamic list — the
-        pop reuses that scan's winning index.  Both drivers honour
-        this: every pump is preceded by the ``ls_next`` that published
-        the event's ``(time, seq)``, and the only call between them,
-        :meth:`ls_arrival_busy`, never pushes or pops events (arrivals
-        through :meth:`ls_arrival` are followed by a fresh ``ls_next``).
-
-        Mirrors one iteration of the oracle's event loop for the
-        non-arrival kinds: stale versions are consumed without touching
-        ``now``, an all-exhausted reconfig is dropped without a repush,
-        and a completion that exhausts every LC instance ends the run.
-        """
-        time, __, kind, app_idx, version = self._dyn.pop(self._ls_best)
-        if kind == "complete":
+        lc_apps = self.lc_apps
+        n_arrivals = len(times)
+        k = 0
+        while True:
+            if k < n_arrivals and not (events and events[0][0] < times[k]):
+                self.now = times[k]
+                self._handle_arrival(lc_apps[apps[k]], reqs[k])
+                k += 1
+                continue
+            if not events:
+                break
+            time, __, kind, app_idx, version = heapq.heappop(events)
+            if kind == "reconfig":
+                if all(lc.exhausted for lc in lc_apps):
+                    continue
+                self.now = time
+                self._handle_reconfig()
+                self._push(self._next_reconfig_time(), "reconfig")
+                continue
             lc = self.apps[app_idx]
             if version != lc.version:
-                return False  # stale event
+                continue  # stale event
             self.now = time
-            self._handle_complete(lc)
-            # Still active means a next request started (serving set),
-            # so this LC is not exhausted and the all() scan is False.
-            if not lc.active and all(
-                lc2.exhausted for lc2 in self.lc_apps
-            ):
-                return True
-            return False
-        if kind == "reconfig":
-            if all(lc.exhausted for lc in self.lc_apps):
-                return False
-            self.now = time
-            self._handle_reconfig()
-            self._push(self._next_reconfig_time(), "reconfig")
-            return False
-        lc = self.apps[app_idx]
-        if version != lc.version:
-            return False  # stale event
-        self.now = time
-        if kind == "deboost":
-            self._handle_deboost(lc)
-        elif kind == "watermark":
-            self._handle_watermark(lc)
-        else:  # pragma: no cover
-            raise RuntimeError(f"unknown event {kind}")
-        return False
+            if kind == "complete":
+                self._handle_complete(lc)
+                # Still active means a next request started, so this
+                # LC is not exhausted and the all() scan is False.
+                if not lc.active and all(lc2.exhausted for lc2 in lc_apps):
+                    break
+            elif kind == "deboost":
+                self._handle_deboost(lc)
+            elif kind == "watermark":
+                self._handle_watermark(lc)
+            else:  # pragma: no cover
+                raise RuntimeError(f"unknown event {kind}")
 
-    def ls_arrival(self, time: float, app_pos: int, req_idx: int) -> None:
-        """Deliver one shared-schedule arrival (general path)."""
-        self.now = time
-        self._handle_arrival(self.lc_apps[app_pos], req_idx)
-
-    def ls_arrival_busy(self, time: float, app_pos: int, req_idx: int) -> None:
-        """Arrival to an already-active app: bookkeeping only.
-
-        Exactly the ``lc.active`` branch of
-        :meth:`MixEngine._handle_arrival` — commit, advance the arrival
-        pointer, enqueue.  No policy callback and no event push can
-        happen here, which is what lets the group driver skip the
-        next-event rescan for every cell routed through this path.
-        """
-        lc = self.lc_apps[app_pos]
-        self.now = time
-        self._commit(lc, time)
-        lc.arrival_ptr = max(lc.arrival_ptr, req_idx + 1)
-        lc.queue.append(req_idx)
-
-    def ls_finish(self) -> MixResult:
         self._commit_batch(self.now)
         return self._collect()
-
-    def _run_partitioned(self) -> MixResult:
-        """Standalone single-cell pump over the shared schedule."""
-        self.ls_begin()
-        sched_t, sched_seq, sched_app, sched_req = self._schedule
-        n_ev = len(sched_t)
-        finished = False
-        k = 0
-        while k < n_ev:
-            tk = sched_t[k]
-            sk = sched_seq[k]
-            nxt = self.ls_next()
-            while nxt is not None and (
-                nxt[0] < tk or (nxt[0] == tk and nxt[1] < sk)
-            ):
-                if self.ls_pump_one():
-                    finished = True
-                    break
-                nxt = self.ls_next()
-            if finished:
-                break
-            self.ls_arrival(tk, sched_app[k], sched_req[k])
-            k += 1
-        while not finished and self._dyn:
-            self.ls_next()
-            if self.ls_pump_one():
-                break
-        return self.ls_finish()
 
     # ------------------------------------------------------------------
     # Per-cell fast paths (each bit-exact against the parent)
@@ -278,6 +167,69 @@ class LockstepEngine(MixEngine):
         # (their ``curve`` field is the measured curve by reference).
         self._ls_views = None
         super()._refresh_measured_curves()
+
+    def _initial_access_rate(self, app: _App) -> float:
+        """The parent's estimate, computed once per group and app."""
+        rates = self.shared.rates
+        rate = rates.get(app.index)
+        if rate is None:
+            rate = rates[app.index] = super()._initial_access_rate(app)
+        return rate
+
+    def _make_first_interval_views(self) -> List[AppView]:
+        """First-interval views from group-shared statics.
+
+        Until the first reconfiguration every view field except
+        ``recent_latencies``, the noisy ``measured_curve`` and the miss
+        penalty is a pure function of the specs — identical across the
+        cells of a replay group — so the tuple of those fields is
+        computed once per group and reused.  Each entry holds exactly
+        the values the parent's :meth:`MixEngine._make_views` derives on
+        its first-interval branches.
+        """
+        view_static = self.shared.view_static
+        views: List[AppView] = []
+        for app in self.apps:
+            static = view_static.get(app.index)
+            if static is None:
+                rate = self._initial_access_rate(app)
+                if app.is_lc:
+                    static = (
+                        rate,
+                        1.0 - app.spec.load,
+                        app.spec.load
+                        / max(app.spec.workload.mean_service_cycles(self.core), 1.0)
+                        * (1.0 - app.spec.load),
+                        app.mean_req_accesses,
+                        app.tail_req_accesses,
+                        app.spec.workload.target_lines,
+                        app.spec.deadline_cycles,
+                        app.spec.target_tail_cycles,
+                    )
+                else:
+                    static = (rate,)
+                view_static[app.index] = static
+            view = AppView(
+                index=app.index,
+                name=app.name,
+                kind=app.kind,
+                curve=app.measured_curve,
+                apki=app.profile.apki,
+                hit_interval=app.hit_interval,
+                miss_penalty=app.miss_penalty,
+                access_rate=static[0],
+            )
+            if app.is_lc:
+                view.idle_fraction = static[1]
+                view.activation_rate = static[2]
+                view.accesses_per_request = static[3]
+                view.tail_accesses_per_request = static[4]
+                view.target_lines = static[5]
+                view.deadline_cycles = static[6]
+                view.target_tail_cycles = static[7]
+                view.recent_latencies = tuple(app.stats.latencies)
+            views.append(view)
+        return views
 
     def _make_context(self) -> PolicyContext:
         """First-interval contexts from one cached view list.
@@ -294,7 +246,7 @@ class LockstepEngine(MixEngine):
             return super()._make_context()
         views = self._ls_views
         if views is None:
-            views = self._make_first_interval_views(self.shared)
+            views = self._make_first_interval_views()
             self._ls_views = views
             self._ls_lc_views = [
                 (view, app)
@@ -615,131 +567,8 @@ class LockstepEngine(MixEngine):
             self._start_request(lc, lc.queue.pop(0))
             return
         lc.active = False
-        if self._ls_active_row is not None:
-            self._ls_active_row[lc.index] = False
         if lc.tracker is not None:
             lc.tracker = None
         decision = self.policy.on_lc_idle(self._make_context(), lc.index)
         self._apply_decision(decision)
 
-
-def run_lockstep_group(engines: List[LockstepEngine]) -> List[MixResult]:
-    """Advance a replay group's engines in lockstep; results in order.
-
-    Partitioned cells step together over the shared arrival schedule:
-    each lockstep step drains, per cell, every dynamic event ordered
-    before the next shared arrival (a masked comparison of the SoA
-    next-event vectors), then delivers that arrival to every live cell
-    — through the bookkeeping-only path where the ``[cell, app]``
-    active mask proves no policy callback can happen.  Cells running
-    non-partitioning policies (LRU) use the fluid-model scalar path
-    unchanged; their results slot back in position.
-    """
-    results: List[Optional[MixResult]] = [None] * len(engines)
-    driven: List[Tuple[int, LockstepEngine]] = []
-    for i, engine in enumerate(engines):
-        if engine.policy.uses_partitioning:
-            driven.append((i, engine))
-        else:
-            results[i] = engine.run()
-    if not driven:
-        return results
-
-    cells = [engine for _, engine in driven]
-    n = len(cells)
-    wide = n >= _WIDE_GROUP
-    sched_t, sched_seq, sched_app, sched_req = cells[0]._schedule
-    n_ev = len(sched_t)
-    n_lc = len(cells[0].lc_apps)
-
-    # SoA scheduling state: next dynamic event per cell + active mask.
-    # Wide groups keep the vectors in numpy for the masked drain scan;
-    # narrow groups use plain lists — per-element indexing of a numpy
-    # array pays a boxing cost the Python scan never recoups there.
-    if wide:
-        next_t = np.full(n, _INF, dtype=np.float64)
-        next_s = np.zeros(n, dtype=np.int64)
-        active = np.zeros((n, n_lc), dtype=bool)
-    else:
-        next_t = [_INF] * n
-        next_s = [0] * n
-        active = [[False] * n_lc for _ in range(n)]
-    finished = [False] * n
-
-    rows = [active[c] for c in range(n)]
-    for c, engine in enumerate(cells):
-        engine.ls_begin()
-        engine._ls_active_row = rows[c]
-        nxt = engine.ls_next()
-        if nxt is not None:
-            next_t[c] = nxt[0]
-            next_s[c] = nxt[1]
-
-    def pump(c: int) -> None:
-        engine = cells[c]
-        if engine.ls_pump_one():
-            finished[c] = True
-            next_t[c] = _INF
-            return
-        nxt = engine.ls_next()
-        if nxt is None:
-            next_t[c] = _INF
-        else:
-            next_t[c] = nxt[0]
-            next_s[c] = nxt[1]
-
-    k = 0
-    while True:
-        if k < n_ev:
-            tk = sched_t[k]
-            sk = sched_seq[k]
-        else:
-            tk = _INF
-            sk = -1
-        # Drain every dynamic event ordered before the next arrival.
-        while True:
-            if wide:
-                mask = (next_t < tk) | ((next_t == tk) & (next_s < sk))
-                ready = np.nonzero(mask)[0]
-                if ready.size == 0:
-                    break
-                for c in ready:
-                    pump(int(c))
-            else:
-                pumped = False
-                for c in range(n):
-                    nt = next_t[c]
-                    if nt < tk or (nt == tk and next_s[c] < sk):
-                        pump(c)
-                        pumped = True
-                if not pumped:
-                    break
-        if k >= n_ev:
-            break
-        app_pos = sched_app[k]
-        req_idx = sched_req[k]
-        for c in range(n):
-            if finished[c]:
-                continue
-            if rows[c][app_pos]:
-                cells[c].ls_arrival_busy(tk, app_pos, req_idx)
-            else:
-                cells[c].ls_arrival(tk, app_pos, req_idx)
-                nxt = cells[c].ls_next()
-                if nxt is None:
-                    next_t[c] = _INF
-                else:
-                    next_t[c] = nxt[0]
-                    next_s[c] = nxt[1]
-        if wide:
-            active[:, app_pos] = True
-        else:
-            for row in rows:
-                row[app_pos] = True
-        k += 1
-
-    for position, engine in driven:
-        engine._ls_active_row = None
-    for c, (position, engine) in enumerate(driven):
-        results[position] = engine.ls_finish()
-    return results

@@ -12,6 +12,15 @@ Implements the paper's measurement methodology (Section 6):
   across schemes sample-balanced;
 * batch apps are normalized to their steady-state IPC with a private
   2 MB LLC, giving the weighted-speedup metric.
+
+Every simulation here runs through one engine,
+:class:`~repro.sim.lockstep.LockstepEngine`: a baseline instance alone
+(:meth:`MixRunner.baseline_instance`) and each mix's policy cells as one
+replay group (:meth:`MixRunner.run_mix_group`).  :meth:`MixRunner.run_mix`
+replays a single cell through the heap-loop
+:class:`~repro.sim.engine.MixEngine` instead: it is the scalar oracle
+the equivalence walls compare production against, not a production
+path.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from ..workloads.mixes import MixSpec
 from .config import CMPConfig
 from .engine import LCInstanceSpec, MixEngine
 from .grid_replay import GroupShared
-from .lockstep import LockstepEngine, lockstep_enabled, run_lockstep_group
+from .lockstep import LockstepEngine
 from .results import MixResult
 
 __all__ = ["BaselineResult", "MixRunner"]
@@ -193,7 +202,7 @@ class MixRunner:
             target_tail_cycles=1.0,
             load=load,
         )
-        engine = MixEngine.isolated(
+        engine = LockstepEngine.isolated(
             spec,
             config=self.config,
             target_lines=float(workload.target_lines),
@@ -254,44 +263,49 @@ class MixRunner:
     # Mix execution
     # ------------------------------------------------------------------
     def run_mix(
-        self,
-        spec: MixSpec,
-        policy: Policy,
-        scheme: Optional[SchemeModel] = None,
-        shared: Optional[GroupShared] = None,
+        self, spec: MixSpec, policy: Policy, scheme: Optional[SchemeModel] = None
     ) -> MixResult:
-        """Run one six-app mix under one policy.
+        """Run one six-app mix under one policy through the scalar oracle.
 
-        With ``shared`` unset this is the scalar per-cell replay — the
-        **oracle** every grouped and lockstep execution is measured
-        against: passing a
-        :class:`~repro.sim.grid_replay.GroupShared` (one per replay
-        group, as :meth:`run_mix_group` does) must leave the returned
-        :class:`~repro.sim.results.MixResult` bit-identical.
+        This is the heap-loop :class:`~repro.sim.engine.MixEngine`, the
+        reference every production replay is measured against:
+        :meth:`run_mix_group` must return a bit-identical
+        :class:`~repro.sim.results.MixResult` for the same cell.  Only
+        the equivalence walls, the bench and
+        :func:`~repro.runtime.work.execute_spec` call it.
         """
-        engine = self.mix_engine(spec, policy, scheme=scheme, shared=shared)
-        result = engine.run()
+        result = self.mix_engine(spec, policy, scheme=scheme).run()
         result.baseline_tail_cycles = self.baseline(
             spec.lc_workload, spec.load
         ).tail95_cycles
         return result
 
     def mix_engine(
-        self,
-        spec: MixSpec,
-        policy: Policy,
-        scheme: Optional[SchemeModel] = None,
-        shared: Optional[GroupShared] = None,
+        self, spec: MixSpec, policy: Policy, scheme: Optional[SchemeModel] = None
     ) -> MixEngine:
-        """The fresh engine :meth:`run_mix` replays for one cell.
+        """The fresh oracle engine :meth:`run_mix` replays for one cell.
 
-        Exposed so an oracle can consume a twin of the production
-        engine (``tests/sim/test_unmanaged_equivalence.py`` runs the
-        reference unmanaged loop on it).
+        Exposed so an oracle can consume a twin of the engine
+        (``tests/sim/test_unmanaged_equivalence.py`` runs the reference
+        unmanaged loop on it).
         """
         baseline = self.baseline(spec.lc_workload, spec.load)
-        return MixEngine(
-            lc_specs=self._mix_lc_specs(spec, baseline),
+        return self._engine(
+            MixEngine, spec, self._mix_lc_specs(spec, baseline), policy, scheme
+        )
+
+    def _engine(
+        self,
+        engine_cls,
+        spec: MixSpec,
+        lc_specs: List[LCInstanceSpec],
+        policy: Policy,
+        scheme: Optional[SchemeModel],
+        shared: Optional[GroupShared] = None,
+    ) -> MixEngine:
+        """One cell's engine of class ``engine_cls`` over ``lc_specs``."""
+        return engine_cls(
+            lc_specs=lc_specs,
             batch_workloads=list(spec.batch_apps),
             policy=policy,
             config=self.config,
@@ -327,62 +341,35 @@ class MixRunner:
         self,
         spec: MixSpec,
         cells: List[Tuple[Policy, Optional[SchemeModel]]],
-        lockstep: Optional[bool] = None,
     ) -> List[MixResult]:
         """Replay one mix under many policy/scheme cells as one group.
 
-        All cells share a single
-        :class:`~repro.sim.grid_replay.GroupShared` context, so the
-        group-constant sub-computations (curve segments, rates, stream
-        statistics, first-interval view statics) run once and every
-        later cell rides on them.  By default (``REPRO_LOCKSTEP`` on)
-        the group's partitioned cells advance **in lockstep** through
-        :func:`~repro.sim.lockstep.run_lockstep_group` — one shared
-        arrival schedule driving every cell's engine step by step;
-        ``lockstep=False`` (or ``REPRO_LOCKSTEP=0``) restores the PR-7
-        per-cell loop over the same shared context.  Results come back
-        in ``cells`` order, each bit-identical to the corresponding
-        per-cell :meth:`run_mix` in **both** modes — the equivalence
-        suites pin that contract at group sizes 1 through 8 and wider.
+        Every cell runs through a
+        :class:`~repro.sim.lockstep.LockstepEngine`, and all of them
+        share a single :class:`~repro.sim.grid_replay.GroupShared`
+        context: the group-constant sub-computations (the arrival
+        schedule, curve segments, rates, stream statistics,
+        first-interval view statics) run once and every later cell
+        rides on them.  Results come back in ``cells`` order, each
+        bit-identical to the corresponding :meth:`run_mix` — the
+        equivalence suite pins that contract.
 
         The first cell is counted as a ``replay_group`` miss (it built
         the group state) and each subsequent cell as a hit, surfacing
         the sharing through ``repro cache --stats`` next to the other
         artifact kinds.
         """
-        if lockstep is None:
-            lockstep = lockstep_enabled()
         shared = GroupShared()
         artifacts = get_artifacts()
-        if not lockstep:
-            results = []
-            for position, (policy, scheme) in enumerate(cells):
-                artifacts.count("replay_group", hit=position > 0)
-                results.append(
-                    self.run_mix(spec, policy, scheme=scheme, shared=shared)
-                )
-            return results
         baseline = self.baseline(spec.lc_workload, spec.load)
         lc_specs = self._mix_lc_specs(spec, baseline)
-        engines = []
+        results = []
         for position, (policy, scheme) in enumerate(cells):
             artifacts.count("replay_group", hit=position > 0)
-            engines.append(
-                LockstepEngine(
-                    lc_specs=lc_specs,
-                    batch_workloads=list(spec.batch_apps),
-                    policy=policy,
-                    config=self.config,
-                    scheme=scheme,
-                    seed=self.seed,
-                    umon_noise=self.umon_noise,
-                    warmup_fraction=self.warmup_fraction,
-                    baseline_lines=float(spec.lc_workload.target_lines),
-                    mix_id=spec.mix_id,
-                    shared=shared,
-                )
+            engine = self._engine(
+                LockstepEngine, spec, lc_specs, policy, scheme, shared=shared
             )
-        results = run_lockstep_group(engines)
-        for result in results:
+            result = engine.run()
             result.baseline_tail_cycles = baseline.tail95_cycles
+            results.append(result)
         return results

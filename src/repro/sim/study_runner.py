@@ -1,12 +1,14 @@
 """Engine drivers for the extension studies (scaleout, bandwidth).
 
-The scaleout and bandwidth experiments used to build
-:class:`~repro.sim.engine.MixEngine` instances inline, which kept them
-off the runtime: no result store, no ``--jobs``, no scheduler.  Their
-engine-driving code now lives here, below the runtime, as two plain
-functions taking a declarative spec plus an optional store; the
-experiment modules define the spec types and hand batches to a
-:class:`~repro.runtime.session.Session`.
+The scaleout and bandwidth experiments used to build engines inline,
+which kept them off the runtime: no result store, no ``--jobs``, no
+scheduler.  Their engine-driving code now lives here, below the
+runtime, as two plain functions taking a declarative spec plus an
+optional store; the experiment modules define the spec types and hand
+batches to a :class:`~repro.runtime.session.Session`.  Every point,
+baseline instances included, runs on the production engine
+(:class:`~repro.sim.lockstep.LockstepEngine`) as a one-cell replay
+group.
 
 Both drivers reproduce the historical experiments' streams and seeds
 exactly, so migrating onto the runtime changed no numbers.
@@ -25,8 +27,8 @@ from ..workloads.latency_critical import make_lc_workload
 from ..workloads.mixes import make_mix_specs
 from .bandwidth import BandwidthModel
 from .config import CMPConfig
-from .engine import LCInstanceSpec, MixEngine
-from .grid_replay import GroupShared, grid_replay_enabled
+from .engine import LCInstanceSpec
+from .lockstep import LockstepEngine
 from .mix_runner import MixRunner
 
 __all__ = [
@@ -120,7 +122,7 @@ def scaleout_baseline_instance(
         target_tail_cycles=1.0,
         load=load,
     )
-    engine = MixEngine.isolated(
+    engine = LockstepEngine.isolated(
         spec,
         config=config,
         target_lines=float(workload.target_lines),
@@ -185,13 +187,14 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
     return tail95, p95
 
 
-def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
+def scaleout_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
     """The joint-replay engine of one scaleout point, and its baseline tail.
 
     ``spec`` is a :class:`~repro.experiments.scaleout.ScaleoutSpec`;
     half the cores run LC instances, half batch apps, with the LLC
-    growing proportionally (2 MB per core, as in the baseline).  The
-    engine is fresh; :func:`run_scaleout_point` runs it.
+    growing proportionally (2 MB per core, as in the baseline).  Each
+    point is dispatched alone, so it runs as a one-cell replay group.
+    The engine is fresh; :func:`run_scaleout_point` runs it.
     """
     cores = spec.cores
     workload = make_lc_workload(spec.lc_name)
@@ -227,7 +230,7 @@ def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
         for s in lc_specs
     ]
     policy = spec.policy.build()
-    engine = MixEngine(
+    engine = LockstepEngine(
         lc_specs=lc_specs,
         batch_workloads=batch_apps,
         policy=policy,
@@ -235,11 +238,6 @@ def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
         seed=spec.seed,
         baseline_lines=float(workload.target_lines),
         mix_id=f"scaleout-{cores}",
-        # Scaleout points are dispatched one spec at a time, so each
-        # replay forms a single-cell group: no cross-cell sharing, but
-        # the grouped engine's fused scalar walks still apply (they are
-        # bit-identical to the ungrouped path at any group size).
-        shared=GroupShared() if grid_replay_enabled() else None,
     )
     return engine, tail95
 
@@ -266,7 +264,7 @@ def run_scaleout_point(spec, store=None):
 # ----------------------------------------------------------------------
 # Bandwidth
 # ----------------------------------------------------------------------
-def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
+def bandwidth_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
     """The engine of one bandwidth-contention point, and its baseline tail.
 
     ``spec`` is a
@@ -274,10 +272,9 @@ def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
     isolated baseline goes through :class:`MixRunner` with the store
     attached, so it is computed once and shared with the sweep grids.
 
-    Bandwidth runs stay outside replay groups deliberately: contention
-    rescales miss penalties per interval, and the engine refuses the
-    ``shared``/``bandwidth`` combination rather than audit every
-    group-shared key against that mutation.  The engine is fresh;
+    Contention rescales the miss penalties every interval.  No group
+    memo depends on a penalty, so the point runs on the production
+    engine as a one-cell group.  The engine is fresh;
     :func:`run_bandwidth_point` runs it.
     """
     mix = make_mix_specs(
@@ -302,7 +299,7 @@ def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
                 load=spec.load,
             )
         )
-    engine = MixEngine(
+    engine = LockstepEngine(
         lc_specs=lc_specs,
         batch_workloads=list(mix.batch_apps),
         policy=policy,

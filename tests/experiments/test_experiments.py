@@ -13,8 +13,7 @@ from repro.experiments.fig1b_service_cdf import run_fig1b, service_time_cdf
 from repro.experiments.fig2_reuse import reuse_breakdown
 from repro.experiments.sweep import run_policy_sweep
 from repro.experiments.utilization import run_utilization
-from repro.core.ubik import UbikPolicy
-from repro.policies.static_lc import StaticLCPolicy
+from repro.runtime.spec import PolicySpec
 
 TINY = ExperimentScale(
     requests=60,
@@ -86,18 +85,18 @@ class TestFig2:
 
 class TestSweep:
     def test_sweep_records_and_cache(self):
-        factories = (
-            ("StaticLC", StaticLCPolicy),
-            ("Ubik", lambda: UbikPolicy(slack=0.05)),
+        policies = (
+            PolicySpec.of("static_lc", label="StaticLC"),
+            PolicySpec.of("ubik", label="Ubik", slack=0.05),
         )
-        sweep = run_policy_sweep(TINY, policy_factories=factories)
+        sweep = run_policy_sweep(TINY, policies=policies)
         assert len(sweep.records) == 2  # 1 spec x 2 policies
-        again = run_policy_sweep(TINY, policy_factories=factories)
+        again = run_policy_sweep(TINY, policies=policies)
         assert again is sweep  # memoized
 
     def test_sweep_accessors(self):
-        factories = (("StaticLC", StaticLCPolicy),)
-        sweep = run_policy_sweep(TINY, policy_factories=factories)
+        policies = (PolicySpec.of("static_lc", label="StaticLC"),)
+        sweep = run_policy_sweep(TINY, policies=policies)
         assert sweep.policies() == ["StaticLC"]
         degr = sweep.sorted_degradations("StaticLC", "lo")
         assert degr.size == 1

@@ -1,12 +1,10 @@
-"""Batch execution: grouping toggles and the zero-overhead off path.
+"""Batch execution: sweep specs are planned into replay groups once.
 
-``execute_specs`` groups sweep replays behind ``REPRO_GRID_REPLAY``.
-With the toggle off it must restore per-spec execution *cost
-included*: no group keys derived, ``plan_groups`` never called — the
-escape hatch pays nothing for the machinery it is escaping.
+``execute_specs`` partitions a batch's sweep specs into replay groups
+with one ``plan_groups`` call and replays each group on the production
+engine.  Its records must equal the scalar oracle's — ``execute_spec``
+per spec — in spec order.
 """
-
-import pytest
 
 import repro.runtime.work as work
 from repro.runtime.spec import MixRef, PolicySpec, RunSpec
@@ -25,28 +23,9 @@ SWEEP_SPECS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _clean_toggle(monkeypatch):
-    monkeypatch.delenv("REPRO_GRID_REPLAY", raising=False)
-
-
-def test_toggle_off_never_plans_groups(monkeypatch):
-    """``REPRO_GRID_REPLAY=0`` short-circuits before any group-planning
-    work: neither ``plan_groups`` nor the group-key derivation runs."""
-
-    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("group planning ran with REPRO_GRID_REPLAY=0")
-
-    monkeypatch.setattr(work, "plan_groups", forbidden)
-    monkeypatch.setattr(work, "_replay_group_key", forbidden)
-    monkeypatch.setenv("REPRO_GRID_REPLAY", "0")
-    results = execute_specs(SWEEP_SPECS, store=None)
-    assert results == [execute_spec(spec, None) for spec in SWEEP_SPECS]
-
-
-def test_toggle_on_plans_groups_once(monkeypatch):
-    """The default path derives one key per sweep spec and calls
-    ``plan_groups`` exactly once over them."""
+def test_plans_groups_once(monkeypatch):
+    """A batch derives one key per sweep spec and calls ``plan_groups``
+    exactly once over them; the records equal the oracle's."""
     calls = []
     real = work.plan_groups
 
@@ -58,15 +37,10 @@ def test_toggle_on_plans_groups_once(monkeypatch):
     grouped = execute_specs(SWEEP_SPECS, store=None)
     assert len(calls) == 1
     assert len(calls[0]) == len(SWEEP_SPECS)
-
-    monkeypatch.setenv("REPRO_GRID_REPLAY", "0")
-    scalar = execute_specs(SWEEP_SPECS, store=None)
-    assert grouped == scalar  # the toggle is behavior-free
+    assert grouped == [execute_spec(spec, None) for spec in SWEEP_SPECS]
 
 
-def test_toggle_off_results_match_per_spec_order(monkeypatch):
-    """Mixed batches keep spec order on the off path too."""
-    monkeypatch.setenv("REPRO_GRID_REPLAY", "0")
+def test_results_keep_spec_order():
     results = execute_specs(list(reversed(SWEEP_SPECS)), store=None)
     assert [r.policy for r in results] == [
         spec.policy.display for spec in reversed(SWEEP_SPECS)

@@ -97,33 +97,3 @@ class TestSweep:
             scheme=SchemeSpec.of("waypart_sa16"),
         )
         assert ideal.records != lossy.records
-
-
-class TestLegacyCompat:
-    def test_run_policy_sweep_factories_still_memoized(self):
-        from repro.core.ubik import UbikPolicy
-        from repro.experiments.sweep import run_policy_sweep
-        from repro.policies.static_lc import StaticLCPolicy
-
-        factories = (
-            ("StaticLC", StaticLCPolicy),
-            ("Ubik", lambda: UbikPolicy(slack=0.05)),
-        )
-        sweep = run_policy_sweep(TINY, policy_factories=factories)
-        again = run_policy_sweep(TINY, policy_factories=factories)
-        assert again is sweep
-
-    def test_legacy_and_declarative_paths_agree(self):
-        from repro.core.ubik import UbikPolicy
-        from repro.experiments.sweep import run_policy_sweep
-        from repro.policies.static_lc import StaticLCPolicy
-
-        legacy = run_policy_sweep(
-            TINY,
-            policy_factories=(
-                ("StaticLC", StaticLCPolicy),
-                ("Ubik", lambda: UbikPolicy(slack=0.05)),
-            ),
-        )
-        declarative = _session().sweep(TINY, policies=POLICIES)
-        assert legacy.records == declarative.records

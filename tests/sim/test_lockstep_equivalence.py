@@ -1,33 +1,52 @@
-"""Lockstep SoA replay vs the scalar per-cell oracle: the PR-10 wall.
+"""The production replay engine vs the scalar oracle: the bit-identity wall.
 
-:mod:`repro.sim.lockstep` advances every cell of a replay group in
-lockstep over the group's shared arrival/work arrays.  The contract it
-makes is the same one the grouping layer made in PR 7, one level up:
-any set of policy and scheme cells replayed through the lockstep
-engine leaves every cell's latency pool, utilization counter,
-batch-app progress, and final fill state **bit-identical** (``==`` on
-raw floats, no tolerance) to the scalar ``run_mix`` oracle — at every
-group size (including the wide numpy-masked driver), across all
-registry policies, loads, seeds, heterogeneous-scheme groups, and the
-divergent deboost/watermark paths that force the scalar fallback.
+Every partitioned replay the runtime runs goes through
+:class:`~repro.sim.lockstep.LockstepEngine`: the cells of a sweep as one
+replay group per mix (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`),
+isolated baselines, and the scaleout and bandwidth points.  The
+heap-loop :class:`~repro.sim.engine.MixEngine` (``run_mix``) is the
+oracle.  These tests require every production path to leave each
+cell's latency pool, utilization counters, batch-app progress and final
+fill state **bit-identical** (``==`` on raw floats, no tolerance) to
+the oracle — at every group size, across all registry policies, loads,
+seeds, heterogeneous-scheme groups, and the divergent de-boost and
+watermark paths — and check that production never reaches the oracle's
+event loop.  The group-planning rules and the ``replay_group`` counters
+are pinned here too.
 """
 
 import pytest
 
+import repro.runtime.work as work
+import repro.sim.study_runner as study_runner
+from repro.experiments.bandwidth_study import BandwidthSpec
+from repro.experiments.scaleout import ScaleoutSpec
+from repro.runtime import (
+    MixRef,
+    ResultStore,
+    RunSpec,
+    Session,
+    get_artifacts,
+    reset_artifacts,
+)
 from repro.runtime.spec import PolicySpec, SchemeSpec
+from repro.runtime.work import execute_in_worker, execute_spec
 from repro.sim.config import CMPConfig
-from repro.sim.lockstep import _WIDE_GROUP, lockstep_enabled
-from repro.sim.mix_runner import MixRunner
-from repro.workloads.mixes import make_mix_specs
+from repro.sim.engine import LCInstanceSpec, MixEngine
+from repro.sim.grid_replay import GroupShared, plan_groups
+from repro.sim.lockstep import LockstepEngine
+from repro.sim.mix_runner import LC_INSTANCES, MixRunner
+from repro.workloads.latency_critical import LC_NAMES, make_lc_workload
+from repro.workloads.mixes import HIGH_LOAD, LOW_LOAD, make_mix_specs
 
 LLC_LINES = CMPConfig().llc_lines
 
 #: Every policy in the registry appears, several with schemes attached:
-#: a lockstep group is heterogeneous by construction (differing
-#: decisions over shared state are what a group compares), so the wall
-#: must hold with boost/deboost (ubik), lookahead allocators (ucp,
-#: static_lc), thrash-toggling (onoff), and the no-op baselines (fixed,
-#: lru) advancing *in the same group*.
+#: a replay group is heterogeneous by construction (differing decisions
+#: over shared state are what a group compares), so the wall must hold
+#: with boost/deboost (ubik), lookahead allocators (ucp, static_lc),
+#: thrash-toggling (onoff), and the no-op baselines (fixed, lru)
+#: replaying *in the same group*.
 MIXED_ROSTER = (
     ("ubik", {"slack": 0.05}, "vantage_sa16"),
     ("ucp", {}, None),
@@ -39,8 +58,8 @@ MIXED_ROSTER = (
     ("ucp", {}, "vantage_sa16"),
 )
 
-#: A roster wide enough (>= _WIDE_GROUP cells) to engage the numpy
-#: masked arrival driver rather than the python-list narrow path.
+#: A fourteen-cell roster, repeats included (two sweep cells differing
+#: only in label replay the same policy twice).
 WIDE_ROSTER = (
     ("ubik", {"slack": 0.0}, None),
     ("ubik", {"slack": 0.05}, "vantage_sa16"),
@@ -58,6 +77,9 @@ WIDE_ROSTER = (
     ("ucp", {}, "vantage_sa64"),
 )
 
+#: The two policies the bandwidth and scaleout studies contrast.
+STUDY_POLICIES = (PolicySpec.of("static_lc"), PolicySpec.of("ubik", slack=0.05))
+
 
 def mix_spec(load=0.2, lc_name="masstree"):
     return make_mix_specs(
@@ -67,7 +89,7 @@ def mix_spec(load=0.2, lc_name="masstree"):
 
 def build_cells(roster):
     """Fresh policy/scheme objects — both are stateful controllers, so
-    every arm (oracle, grouped, lockstep) must get its own."""
+    every arm (oracle, engine) must get its own."""
     return [
         (
             PolicySpec.of(name, **kwargs).build(),
@@ -85,49 +107,71 @@ def oracle_grid(runner, spec, roster):
     ]
 
 
-def lockstep_grid(runner, spec, roster):
-    """The same cells advanced in lockstep through one group."""
-    return runner.run_mix_group(spec, build_cells(roster), lockstep=True)
+def group_grid(runner, spec, roster):
+    """The same cells replayed as one group on the production engine."""
+    return runner.run_mix_group(spec, build_cells(roster))
 
 
-def assert_cells_identical(lockstep, oracle):
-    """Bit-identity, field by field, then whole-result equality."""
-    assert len(lockstep) == len(oracle)
-    for got, want in zip(lockstep, oracle):
-        for g_inst, o_inst in zip(got.lc_instances, want.lc_instances):
-            assert g_inst.latencies == o_inst.latencies  # raw float ==
-            assert g_inst.requests_served == o_inst.requests_served
-            assert g_inst.activations == o_inst.activations
-            assert g_inst.deboosts == o_inst.deboosts
-            assert g_inst.watermarks == o_inst.watermarks
-        for g_batch, o_batch in zip(got.batch_apps, want.batch_apps):
-            assert g_batch.instructions == o_batch.instructions
-            assert g_batch.cycles == o_batch.cycles
-        assert got.duration_cycles == want.duration_cycles
-        assert got == want  # every remaining field, exactly
+def assert_identical(got, want):
+    """Bit-identity of one result, field by field, then whole."""
+    assert len(got.lc_instances) == len(want.lc_instances)
+    for g_inst, o_inst in zip(got.lc_instances, want.lc_instances):
+        assert g_inst.latencies == o_inst.latencies  # raw float ==
+        assert g_inst.requests_served == o_inst.requests_served
+        assert g_inst.activations == o_inst.activations
+        assert g_inst.deboosts == o_inst.deboosts
+        assert g_inst.watermarks == o_inst.watermarks
+    for g_batch, o_batch in zip(got.batch_apps, want.batch_apps):
+        assert g_batch.instructions == o_batch.instructions
+        assert g_batch.cycles == o_batch.cycles
+    assert got.duration_cycles == want.duration_cycles
+    assert got == want  # every remaining field, exactly
+
+
+def assert_cells_identical(engine_cells, oracle_cells):
+    assert len(engine_cells) == len(oracle_cells)
+    for got, want in zip(engine_cells, oracle_cells):
+        assert_identical(got, want)
+
+
+def oracle_twin(build, spec):
+    """``build(spec)``'s engine, constructed as the heap-loop oracle."""
+    saved = study_runner.LockstepEngine
+    study_runner.LockstepEngine = MixEngine
+    try:
+        engine, __ = build(spec)
+    finally:
+        study_runner.LockstepEngine = saved
+    assert type(engine) is MixEngine
+    return engine
+
+
+def assert_engines_agree(build, spec):
+    """A study point on the production engine equals its oracle twin."""
+    engine, __ = build(spec)
+    assert isinstance(engine, LockstepEngine)
+    assert_identical(engine.run(), oracle_twin(build, spec).run())
+    return engine
 
 
 class TestGroupSizes:
     @pytest.mark.parametrize("size", [1, 2, 4, 8])
     def test_bit_identical_at_every_group_size(self, size):
-        """A lockstep group of N cells equals N oracle runs — including
-        the degenerate single-cell group."""
+        """A group of N cells equals N oracle runs — including the
+        degenerate single-cell group."""
         runner = MixRunner(requests=40, seed=5)
         spec = mix_spec(load=0.2)
         roster = MIXED_ROSTER[:size]
         assert_cells_identical(
-            lockstep_grid(runner, spec, roster),
+            group_grid(runner, spec, roster),
             oracle_grid(runner, spec, roster),
         )
 
-    def test_wide_group_engages_masked_driver_and_matches(self):
-        """At >= _WIDE_GROUP cells the driver switches to numpy masked
-        arrival fan-out; the wall must hold there too."""
-        assert len(WIDE_ROSTER) >= _WIDE_GROUP
+    def test_wide_group_matches(self):
         runner = MixRunner(requests=40, seed=5)
         spec = mix_spec(load=0.2)
         assert_cells_identical(
-            lockstep_grid(runner, spec, WIDE_ROSTER),
+            group_grid(runner, spec, WIDE_ROSTER),
             oracle_grid(runner, spec, WIDE_ROSTER),
         )
 
@@ -140,7 +184,7 @@ class TestGridAxes:
         spec = mix_spec(load=load)
         roster = MIXED_ROSTER[:4]
         assert_cells_identical(
-            lockstep_grid(runner, spec, roster),
+            group_grid(runner, spec, roster),
             oracle_grid(runner, spec, roster),
         )
 
@@ -150,15 +194,31 @@ class TestGridAxes:
         spec = mix_spec(load=0.6, lc_name=lc_name)
         roster = MIXED_ROSTER[:4]
         assert_cells_identical(
-            lockstep_grid(runner, spec, roster),
+            group_grid(runner, spec, roster),
+            oracle_grid(runner, spec, roster),
+        )
+
+    def test_mixed_scheme_cells_match_exactly(self):
+        """Scheme models stay out of the group key: cells with
+        different (or no) schemes share one group, scoped per
+        (curve, scheme) inside it, and must still match the oracle."""
+        runner = MixRunner(requests=40, seed=5)
+        spec = mix_spec(load=0.2)
+        roster = (
+            ("ubik", {"slack": 0.05}, None),
+            ("ucp", {}, "vantage_sa16"),
+            ("static_lc", {}, "waypart_sa16"),
+            ("onoff", {}, "vantage_sa16"),
+        )
+        assert_cells_identical(
+            group_grid(runner, spec, roster),
             oracle_grid(runner, spec, roster),
         )
 
 
 class TestDivergentEvents:
-    """Deboosts and watermark firings are the genuinely divergent
-    events — the lockstep engine must fall back to the scalar path for
-    them and still match the oracle bit for bit."""
+    """Deboosts and watermark firings are the events where cells of one
+    group diverge most; the engine must still match the oracle."""
 
     def test_watermark_firing_group_matches(self):
         runner = MixRunner(requests=60, seed=11)
@@ -169,11 +229,9 @@ class TestDivergentEvents:
             inst.watermarks for res in results for inst in res.lc_instances
         )
         assert fired > 0  # the config must actually exercise the path
-        assert_cells_identical(lockstep_grid(runner, spec, roster), results)
+        assert_cells_identical(group_grid(runner, spec, roster), results)
 
     def test_deboost_firing_wide_group_matches(self):
-        """Deboosts under the wide masked driver: divergence and the
-        numpy arrival fan-out in the same run."""
         runner = MixRunner(requests=60, seed=4)
         spec = mix_spec(load=0.4, lc_name="shore")
         results = oracle_grid(runner, spec, WIDE_ROSTER)
@@ -181,69 +239,29 @@ class TestDivergentEvents:
             inst.deboosts for res in results for inst in res.lc_instances
         )
         assert deboosts > 0  # the config must actually exercise the path
-        assert_cells_identical(
-            lockstep_grid(runner, spec, WIDE_ROSTER), results
-        )
+        assert_cells_identical(group_grid(runner, spec, WIDE_ROSTER), results)
 
 
 class TestFinalFillState:
-    def _lc_specs(self, runner, spec):
-        from repro.sim.engine import LCInstanceSpec
-
-        baseline = runner.baseline(spec.lc_workload, spec.load)
-        lc_specs = []
-        for instance in range(3):
-            arrivals, works = runner.stream(
-                spec.lc_workload, spec.load, instance
-            )
-            lc_specs.append(
-                LCInstanceSpec(
-                    workload=spec.lc_workload,
-                    arrivals=arrivals,
-                    works=works,
-                    deadline_cycles=baseline.p95_cycles,
-                    target_tail_cycles=baseline.tail95_cycles,
-                    load=spec.load,
-                )
-            )
-        return lc_specs
-
     def test_final_fill_and_partition_state_identical(self):
         """Beyond the result documents: each cell's *final* fill state
         — resident lines, targets, effective targets, miss ratio per
-        app — must agree exactly after a lockstep group run and the
-        scalar oracle run of the same roster."""
-        from repro.sim.engine import MixEngine
-        from repro.sim.grid_replay import GroupShared
-        from repro.sim.lockstep import LockstepEngine, run_lockstep_group
-
+        app — must agree exactly after a group replay on one shared
+        context and the oracle replay of the same roster."""
         spec = mix_spec(load=0.2)
         roster = MIXED_ROSTER[:4]
 
-        def final_fill_states(lockstep):
+        def final_fill_states(engine_cls):
             runner = MixRunner(requests=40, seed=5)
-            lc_specs = self._lc_specs(runner, spec)
-            engine_cls = LockstepEngine if lockstep else MixEngine
-            shared = GroupShared() if lockstep else None
+            baseline = runner.baseline(spec.lc_workload, spec.load)
+            lc_specs = runner._mix_lc_specs(spec, baseline)
+            shared = GroupShared() if engine_cls is LockstepEngine else None
             engines = [
-                engine_cls(
-                    lc_specs=lc_specs,
-                    batch_workloads=list(spec.batch_apps),
-                    policy=policy,
-                    config=runner.config,
-                    scheme=scheme,
-                    seed=runner.seed,
-                    baseline_lines=float(spec.lc_workload.target_lines),
-                    mix_id=spec.mix_id,
-                    shared=shared,
-                )
+                runner._engine(engine_cls, spec, lc_specs, policy, scheme, shared)
                 for policy, scheme in build_cells(roster)
             ]
-            if lockstep:
-                run_lockstep_group(engines)
-            else:
-                for engine in engines:
-                    engine.run()
+            for engine in engines:
+                engine.run()
             return [
                 [
                     (
@@ -257,42 +275,163 @@ class TestFinalFillState:
                 for engine in engines
             ]
 
-        assert final_fill_states(True) == final_fill_states(False)
+        assert final_fill_states(LockstepEngine) == final_fill_states(MixEngine)
 
 
-class TestEnvToggle:
-    def test_lockstep_enabled_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOCKSTEP", raising=False)
-        assert lockstep_enabled()  # default on
-        for off in ("0", "off", "false", "no", " OFF "):
-            monkeypatch.setenv("REPRO_LOCKSTEP", off)
-            assert not lockstep_enabled()
-        monkeypatch.setenv("REPRO_LOCKSTEP", "1")
-        assert lockstep_enabled()
+class TestIsolatedBaselines:
+    """Every baseline instance (5 workloads x 2 loads x 3 seeds x 3
+    instances) on the engine equals the oracle's isolated run."""
 
-    def test_run_mix_group_honors_toggle(self, monkeypatch):
-        """With REPRO_LOCKSTEP=0 a group replays through the grouped
-        per-cell loop — and the results are identical either way, which
-        is what makes the toggle a pure escape hatch."""
-        import repro.sim.mix_runner as mix_runner_module
+    @pytest.mark.parametrize("seed", [2014, 5, 77])
+    @pytest.mark.parametrize("load", [LOW_LOAD, HIGH_LOAD])
+    @pytest.mark.parametrize("lc_name", LC_NAMES)
+    def test_baseline_instances_match_the_oracle(self, lc_name, load, seed):
+        runner = MixRunner(requests=40, seed=seed)
+        workload = make_lc_workload(lc_name)
+        for instance in range(LC_INSTANCES):
+            arrivals, works = runner.stream(workload, load, instance)
+            oracle = MixEngine.isolated(
+                LCInstanceSpec(
+                    workload=workload,
+                    arrivals=arrivals,
+                    works=works,
+                    deadline_cycles=1.0,
+                    target_tail_cycles=1.0,
+                    load=load,
+                ),
+                config=runner.config,
+                target_lines=float(workload.target_lines),
+                seed=seed + instance,
+                warmup_fraction=runner.warmup_fraction,
+                mix_id=f"baseline-{workload.name}",
+            )
+            got = runner.baseline_instance(workload, load, instance)
+            assert got == oracle.run().lc_instances[0]
 
-        calls = []
-        real = mix_runner_module.run_lockstep_group
 
-        def spy(engines):
-            calls.append(len(engines))
-            return real(engines)
+class TestStudyPoints:
+    @pytest.mark.parametrize("seed", [31, 77])
+    @pytest.mark.parametrize("policy", STUDY_POLICIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("peak", [1e9, 160.0, 100.0, 70.0])
+    def test_bandwidth_points_match_the_oracle(self, peak, policy, seed):
+        spec = BandwidthSpec(
+            peak_misses_per_kilocycle=peak, policy=policy, requests=40, seed=seed
+        )
+        engine = assert_engines_agree(study_runner.bandwidth_engine, spec)
+        if peak < 1e9:
+            # The arm is live: contention moved the penalties.
+            assert all(
+                app.miss_penalty > app.base_miss_penalty for app in engine.apps
+            )
 
-        monkeypatch.setattr(mix_runner_module, "run_lockstep_group", spy)
-        spec = mix_spec(load=0.2)
-        roster = MIXED_ROSTER[:2]
+    @pytest.mark.parametrize("seed", [21, 77])
+    @pytest.mark.parametrize("policy", STUDY_POLICIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("cores", [6, 12, 24, 48])
+    def test_scaleout_points_match_the_oracle(self, cores, policy, seed):
+        spec = ScaleoutSpec(cores=cores, policy=policy, requests=40, seed=seed)
+        engine = assert_engines_agree(study_runner.scaleout_engine, spec)
+        assert len(engine.apps) == cores
 
-        monkeypatch.setenv("REPRO_LOCKSTEP", "0")
+
+class TestOnlyTheEngineRunsInProduction:
+    """The oracle's event loop is for the walls and the bench only."""
+
+    SPEC = RunSpec(
+        mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),
+        policy=PolicySpec.of("ubik", slack=0.05),
+        requests=30,
+        seed=17,
+    )
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        """Forbid the oracle loop; count the engine's partitioned runs."""
+        calls = {"engine": 0}
+        oracle_loop = MixEngine._run_partitioned
+        engine_loop = LockstepEngine._run_partitioned
+
+        def guarded(self):
+            if type(self) is MixEngine:
+                raise AssertionError("production reached the oracle loop")
+            return oracle_loop(self)
+
+        def counted(self):
+            calls["engine"] += 1
+            return engine_loop(self)
+
+        monkeypatch.setattr(MixEngine, "_run_partitioned", guarded)
+        monkeypatch.setattr(LockstepEngine, "_run_partitioned", counted)
+        # Nothing may be served from a warm cache or worker store.
+        monkeypatch.setattr(work, "_WORKER_STORES", {})
+        reset_artifacts()
+        yield calls
+        reset_artifacts()
+
+    def _session(self):
+        return Session(store=ResultStore(None), jobs=1)
+
+    def test_production_paths_never_reach_the_oracle(self, loops):
+        runs = []
+
+        def ran():
+            runs.append(loops["engine"])
+            loops["engine"] = 0
+
+        specs = [
+            RunSpec(mix=self.SPEC.mix, policy=policy, requests=30, seed=17)
+            for policy in (PolicySpec.of("static_lc"), PolicySpec.of("ubik"))
+        ]
+        self._session().run_many(specs)
+        ran()
+        self._session().run(self.SPEC)
+        ran()
+        execute_in_worker(self.SPEC, None)
+        ran()
+        self._session().run(
+            ScaleoutSpec(cores=6, policy=PolicySpec.of("ubik"), requests=30)
+        )
+        ran()
+        self._session().run(
+            BandwidthSpec(
+                peak_misses_per_kilocycle=70.0,
+                policy=PolicySpec.of("ubik"),
+                requests=30,
+            )
+        )
+        ran()
+        reset_artifacts()
+        MixRunner(requests=30, seed=17).baseline(make_lc_workload("shore"), 0.2)
+        ran()
+        # Each path simulated on the engine (none was a cache hit).
+        assert all(count > 0 for count in runs), runs
+
+    def test_execute_spec_is_the_oracle(self, loops):
+        with pytest.raises(AssertionError, match="oracle loop"):
+            execute_spec(self.SPEC, None)
+
+
+class TestPlanGroups:
+    def test_plan_groups_splits_unequal_keys(self):
+        """Cells that differ in any group-key field split into distinct
+        groups, first-appearance ordered, positions preserved."""
+        keys = [("a", 1), ("b", 1), ("a", 1), ("a", 2), ("b", 1)]
+        assert plan_groups(keys) == [[0, 2], [1, 4], [3]]
+
+    def test_plan_groups_keeps_equal_keys_together(self):
+        assert plan_groups([("a",)] * 4) == [[0, 1, 2, 3]]
+        assert plan_groups([]) == []
+
+
+class TestReplayGroupCounters:
+    def test_group_counts_one_miss_then_hits(self, monkeypatch):
+        """The first cell of a group builds the shared context (a
+        ``replay_group`` miss); every later cell rides it (a hit) —
+        surfaced through the same stats the CLI renders."""
+        monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
+        reset_artifacts()
         runner = MixRunner(requests=40, seed=5)
-        off_results = runner.run_mix_group(spec, build_cells(roster))
-        assert calls == []  # toggle off: lockstep never entered
-
-        monkeypatch.delenv("REPRO_LOCKSTEP", raising=False)
-        on_results = runner.run_mix_group(spec, build_cells(roster))
-        assert calls == [len(roster)]  # default on: lockstep drove it
-        assert on_results == off_results
+        group_grid(runner, mix_spec(load=0.2), MIXED_ROSTER[:4])
+        kinds = get_artifacts().stats()["kinds"]
+        assert kinds["replay_group"]["misses"] == 1
+        assert kinds["replay_group"]["hits"] == 3
+        reset_artifacts()

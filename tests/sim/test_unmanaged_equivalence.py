@@ -86,12 +86,12 @@ def test_six_app_mixes_match_the_oracle(runners, lc_name, load, seed):
 
 
 def test_lru_cell_of_a_grouped_replay_matches_the_oracle(runners):
-    """Table 3 replays its five policies as one lockstep group; the
-    LRU cell takes the same unmanaged loop as an ungrouped run."""
+    """Table 3 replays its five policies as one replay group; the LRU
+    cell takes the same unmanaged loop as an ungrouped run."""
     runner = runners[2014]
     spec = mix_spec("masstree", LOW_LOAD, 2014)
     cells = [(policy.build(), None) for policy in DEFAULT_POLICIES]
-    results = runner.run_mix_group(spec, cells, lockstep=True)
+    results = runner.run_mix_group(spec, cells)
     lru = [
         result
         for (policy, __), result in zip(cells, results)

@@ -121,12 +121,12 @@ class TestRunBench:
 
     def test_lockstep_replay_refuses_to_time_a_divergence(self, monkeypatch):
         """Same wall for the lockstep kernel: its arm is verified
-        against the grouped loop before timing, through the same
+        against the per-cell oracle before timing, through the same
         equality seam."""
         import repro.bench as bench
 
         monkeypatch.setattr(bench, "_mix_results_identical", lambda a, b: False)
-        with pytest.raises(RuntimeError, match="grouped event loop"):
+        with pytest.raises(RuntimeError, match="per-cell oracle"):
             bench._bench_lockstep_replay(20, 1)
 
 
@@ -190,8 +190,12 @@ class TestWriteBench:
         machine must never break tier-1); only the acceptance floors
         each PR's own document demonstrated are pinned: trace replay
         >=3x on the PR-4 origin, the warm sweep grid >=2x (and replay
-        still >=3x) on the PR-5 document, and the batched joint replay
-        >=2x over the per-cell oracle on the PR-7 document."""
+        still >=3x) on the PR-5 document, the batched joint replay
+        >=2x over the per-cell oracle on the PR-7 document, lockstep
+        >=2x over the grouped loop on the PR-10 document, and, once
+        both replay kernels time the engine against the scalar oracle
+        (BENCH_pr15.json), joint_replay_grid >=2x and lockstep_replay
+        at its re-based floor."""
         import pathlib
 
         perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
@@ -218,6 +222,15 @@ class TestWriteBench:
                 lockstep = payload["kernels"]["lockstep_replay"]
                 assert lockstep["verified_identical"] is True
                 assert lockstep["speedup"] >= 2.0
+            if document.name == "BENCH_pr15.json":
+                assert payload["schema"] == BENCH_SCHEMA
+                for name, floor in (
+                    ("joint_replay_grid", 2.0),
+                    ("lockstep_replay", 4.5),
+                ):
+                    kernel = payload["kernels"][name]
+                    assert kernel["verified_identical"] is True
+                    assert kernel["speedup"] >= floor
 
     def test_legacy_generation_validates_against_its_own_kernels(self):
         """A repro-bench/1 document (BENCH_pr4.json) must stay valid
@@ -334,7 +347,7 @@ class TestCompareBench:
         for row in comparison["kernels"].values():
             assert row["ratio"] == pytest.approx(1.0)
         lockstep = comparison["kernels"]["lockstep_replay"]
-        assert lockstep["floor"] == 2.0
+        assert lockstep["floor"] == 4.5
         assert isinstance(lockstep["floor_met"], bool)
 
     def test_cross_generation_compare(self, quick_payload):
@@ -367,6 +380,7 @@ class TestCompareBench:
         text = format_compare(compare_bench(quick_payload, quick_payload))
         assert "lockstep_replay" in text
         assert "floor 2.0x" in text
+        assert "floor 4.5x" in text
 
 
 def test_format_bench_lists_every_kernel(quick_payload):

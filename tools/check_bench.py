@@ -14,10 +14,10 @@ files, exactly like ``tools/check_docs.py`` wraps the docs gate.
 
 Validation is generation-aware: ``repro-bench/7`` documents (the
 current schema) must carry all ten kernels — including the
-``lockstep_replay`` entry comparing the lockstep SoA replay engine
-against the grouped per-cell event loop (with its
-baseline/speedup/``verified_identical`` fields; the committed PR-10
-floor is a ≥2× speedup on the pinned fixed-allocation grid), the
+``lockstep_replay`` entry comparing the replay engine against the
+per-cell ``run_mix`` oracle on the pinned fixed-allocation grid (with
+its baseline/speedup/``verified_identical`` fields; older documents
+compared it against the since-deleted grouped per-cell loop), the
 ``cluster_roundtrip`` entry timing a real 3-node/R=2 ``cluster://``
 fabric (replicated put, healthy get, and ``degraded_get`` percentiles
 measured with one node's socket closed, so the failover tail is a
