@@ -2,7 +2,7 @@
 
 The ROADMAP's north star is "as fast as the hardware allows", which is
 only meaningful with a *trajectory*: numbers written down, schema-
-stable, and comparable across revisions.  This module times ten
+stable, and comparable across revisions.  This module times eleven
 canonical kernels that cover the stack's hot layers and writes a
 ``BENCH_<revision>.json`` document (under ``benchmarks/perf/`` by
 convention):
@@ -84,6 +84,14 @@ convention):
     path — *and* through the kept scalar oracle
     (:func:`repro.workloads.reference.sample_stream`), verified
     draw-for-draw identical before either time is recorded.
+``repartition_table``
+    Ubik's interval rebuild of the repartitioning table
+    (:class:`~repro.core.repartition.RepartitionTable`, 256 buckets)
+    for the three batch apps of one benchmark-grid mix, at batch-space
+    averages across 55–70% of the LLC — *and* through the kept NumPy
+    walks (:class:`repro.core.reference.NaiveRepartitionTable`),
+    verified row-for-row identical before either time is recorded.
+    The policy-layer kernel; its floor is in :data:`SPEEDUP_FLOORS`.
 
 Timing methodology: each kernel runs ``repeats`` times and records the
 **minimum** (the standard microbenchmark estimator — system noise only
@@ -122,12 +130,14 @@ __all__ = [
     "BENCH_SCHEMA_V4",
     "BENCH_SCHEMA_V5",
     "BENCH_SCHEMA_V6",
+    "BENCH_SCHEMA_V7",
     "KERNEL_NAMES",
     "LEGACY_KERNEL_NAMES",
     "V2_KERNEL_NAMES",
     "V3_KERNEL_NAMES",
     "V5_KERNEL_NAMES",
     "V6_KERNEL_NAMES",
+    "V7_KERNEL_NAMES",
     "SPEEDUP_FLOORS",
     "STORE_BACKEND_NAMES",
     "V4_STORE_BACKEND_NAMES",
@@ -142,11 +152,15 @@ __all__ = [
 
 #: Schema identifier stamped into every document; bump only when the
 #: document layout changes (CI fails on drift against this module).
-BENCH_SCHEMA = "repro-bench/7"
+BENCH_SCHEMA = "repro-bench/8"
 
-#: The previous generation: nine kernels — everything but the
-#: ``lockstep_replay`` kernel, which joined in generation 7.
+#: The previous generation: ten kernels — everything but the
+#: ``repartition_table`` kernel, which joined in generation 8.
 #: Committed trajectory documents written under it stay valid forever.
+BENCH_SCHEMA_V7 = "repro-bench/7"
+
+#: The generation before that: nine kernels — everything in v7 but
+#: the ``lockstep_replay`` kernel.
 BENCH_SCHEMA_V6 = "repro-bench/6"
 
 #: The generation before that: eight kernels — everything in v6 but
@@ -179,6 +193,7 @@ KERNEL_NAMES = (
     "joint_replay_grid",
     "cluster_roundtrip",
     "lockstep_replay",
+    "repartition_table",
 )
 
 #: The kernel set of generation-1 documents (``BENCH_pr4.json``).
@@ -196,6 +211,9 @@ V5_KERNEL_NAMES = KERNEL_NAMES[:8]
 #: The kernel set of generation-6 documents (``BENCH_pr9.json``).
 V6_KERNEL_NAMES = KERNEL_NAMES[:9]
 
+#: The kernel set of generation-7 documents (``BENCH_pr10/pr15.json``).
+V7_KERNEL_NAMES = KERNEL_NAMES[:10]
+
 #: Storage engines the per-backend kernel times, in reporting order.
 STORE_BACKEND_NAMES = ("directory", "sqlite", "memory", "http")
 
@@ -210,6 +228,7 @@ _COMPARED_KERNELS = (
     "stream_synthesis",
     "joint_replay_grid",
     "lockstep_replay",
+    "repartition_table",
 )
 
 #: Committed acceptance floors for recorded ``speedup`` ratios — the
@@ -241,6 +260,8 @@ def _kernel_names_for_schema(schema: Any) -> Tuple[str, ...]:
         return V5_KERNEL_NAMES
     if schema == BENCH_SCHEMA_V6:
         return V6_KERNEL_NAMES
+    if schema == BENCH_SCHEMA_V7:
+        return V7_KERNEL_NAMES
     return KERNEL_NAMES
 
 
@@ -734,6 +755,79 @@ def _bench_stream_synthesis(samples_per_workload: int, repeats: int) -> Dict[str
     )
 
 
+def _bench_repartition_table(averages: int, repeats: int) -> Dict[str, Any]:
+    """Ubik's table rebuild: float walks vs the reference NumPy walks.
+
+    Builds :class:`~repro.core.repartition.RepartitionTable` at 256
+    buckets for the batch trio of one benchmark-grid mix (masstree with
+    the friendly, fitting and streaming ``fts`` combo), as Ubik sees
+    it: the curves carry the engine's default UMON noise, and the
+    weights are the access rates the engine gives the apps in a mix's
+    first interval.  The tables are built at ``averages`` batch-space
+    averages spread over 55–70% of the LLC, where most of Ubik's
+    rebuilds sit on the Fig 13 grid.  The baseline arm builds the same
+    tables through
+    :class:`~repro.core.reference.NaiveRepartitionTable`.  Both arms
+    include the Lookahead baseline they share, so the ratio is the
+    gain of a whole rebuild, not of the walks alone.
+
+    Verified before timing: every row of every table must equal the
+    reference's, else the kernel raises instead of recording a ratio.
+    The acceptance floor for the recorded ``speedup`` is in
+    :data:`SPEEDUP_FLOORS`.
+    """
+    from .core.reference import NaiveRepartitionTable
+    from .core.repartition import RepartitionTable
+    from .cpu import make_core_model
+    from .runtime.spec import MixRef
+    from .sim.config import CMPConfig
+
+    buckets = 256
+    config = CMPConfig()
+    llc_lines = config.llc_lines
+    core = make_core_model(config.core_kind, config.mem_latency_cycles)
+    batch = MixRef(lc_name="masstree", load=0.2, combo="fts").build().batch_apps
+    rng = np.random.default_rng(2014)
+    curves = [app.miss_curve.with_noise(rng, 0.02) for app in batch]
+    share = llc_lines / config.num_cores
+    weights = [
+        1.0 / core.access_interval(app.profile, float(app.miss_curve(share)))
+        for app in batch
+    ]
+    avgs = np.linspace(0.55, 0.70, averages) * llc_lines
+
+    def build(table_cls) -> List[Any]:
+        return [
+            table_cls(curves, weights, llc_lines, float(avg), buckets=buckets)
+            for avg in avgs
+        ]
+
+    for table, oracle in zip(build(RepartitionTable), build(NaiveRepartitionTable)):
+        if any(
+            table.row(level).tolist() != oracle.row(level).tolist()
+            for level in range(buckets + 1)
+        ):
+            raise RuntimeError("repartition table diverged from the reference walks")
+
+    # Alternate the arms sample by sample, so a slow phase of the host
+    # lands on both rather than skewing the ratio.
+    samples: List[float] = []
+    baseline: List[float] = []
+    for _ in range(repeats):
+        samples += _time_repeats(lambda: build(RepartitionTable), 1)
+        baseline += _time_repeats(lambda: build(NaiveRepartitionTable), 1)
+    best, baseline_best = min(samples), min(baseline)
+    return _kernel_entry(
+        samples,
+        units=averages,
+        unit="tables",
+        baseline_seconds=baseline_best,
+        baseline_runs=baseline,
+        speedup=baseline_best / best,
+        verified_identical=True,
+    )
+
+
 def _bench_store_roundtrip(documents: int, repeats: int) -> Dict[str, Any]:
     """Write + cold re-read of result documents on a temp directory."""
     from .runtime.store import ResultStore
@@ -985,6 +1079,10 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
     #: multi-second kernels do.
     lockstep_requests = 60 if quick else 240
     lockstep_repeats = max(repeats, 5)
+    #: Each table build takes about a millisecond, so the table kernel
+    #: builds several per sample and takes extra samples for best-of.
+    table_averages = 4 if quick else 16
+    table_repeats = max(repeats, 7)
     documents = 50 if quick else 200
     stream_samples = 10_000 if quick else 100_000
     kernels = {
@@ -1001,6 +1099,9 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
         "cluster_roundtrip": _bench_cluster_roundtrip(documents, repeats),
         "lockstep_replay": _bench_lockstep_replay(
             lockstep_requests, lockstep_repeats
+        ),
+        "repartition_table": _bench_repartition_table(
+            table_averages, table_repeats
         ),
     }
     return {
@@ -1057,6 +1158,7 @@ def validate_bench(payload: Any) -> List[str]:
     schema = payload.get("schema")
     if schema not in (
         BENCH_SCHEMA,
+        BENCH_SCHEMA_V7,
         BENCH_SCHEMA_V6,
         BENCH_SCHEMA_V5,
         BENCH_SCHEMA_V4,
@@ -1066,6 +1168,7 @@ def validate_bench(payload: Any) -> List[str]:
     ):
         problems.append(
             f"schema must be {BENCH_SCHEMA!r} (or the legacy "
+            f"{BENCH_SCHEMA_V7!r} / "
             f"{BENCH_SCHEMA_V6!r} / {BENCH_SCHEMA_V5!r} / "
             f"{BENCH_SCHEMA_V4!r} / {BENCH_SCHEMA_V3!r} / "
             f"{BENCH_SCHEMA_V2!r} / {BENCH_SCHEMA_V1!r}), got {schema!r}"
@@ -1078,7 +1181,8 @@ def validate_bench(payload: Any) -> List[str]:
     # engine joined in generation 5.
     required_backends = (
         STORE_BACKEND_NAMES
-        if schema in (BENCH_SCHEMA, BENCH_SCHEMA_V6, BENCH_SCHEMA_V5)
+        if schema
+        in (BENCH_SCHEMA, BENCH_SCHEMA_V7, BENCH_SCHEMA_V6, BENCH_SCHEMA_V5)
         else V4_STORE_BACKEND_NAMES
     )
     for key, kinds in (

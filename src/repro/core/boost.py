@@ -21,7 +21,7 @@ options only get more aggressive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..monitor.miss_curve import MissCurve
 from .transient import (
@@ -68,21 +68,18 @@ def _smallest_feasible_boost(
     active_lines: float,
     boost_max: float,
     deadline: float,
-    use_exact_bounds: bool = False,
-) -> Optional[float]:
-    """Smallest boost that repays the transient by the deadline.
+    lost: float,
+    transient_fn: Callable[..., float],
+) -> Optional[Tuple[float, float]]:
+    """Smallest boost that repays ``lost`` cycles by the deadline.
 
-    ``use_exact_bounds`` replaces the paper's conservative closed-form
-    bounds with the exact piecewise integrals — an ablation knob: more
-    aggressive downsizing with a thinner safety margin.
+    Returns ``(boost, transient)``, the transient being
+    ``transient_fn(curve, idle_lines, boost, c, M)``, or ``None`` when
+    no boost up to ``boost_max`` works.  ``transient_fn`` is the
+    paper's conservative bound or, as an ablation, the exact integral.
     """
-    lost_fn = lost_cycles_exact if use_exact_bounds else lost_cycles_bound
-    transient_fn = (
-        transient_length_exact if use_exact_bounds else transient_length_bound
-    )
-    lost = lost_fn(curve, idle_lines, active_lines, M)
     if lost <= 0.0:
-        return active_lines
+        return active_lines, transient_fn(curve, idle_lines, active_lines, c, M)
     boost_max = min(boost_max, curve.max_size)
     if boost_max <= active_lines:
         return None
@@ -97,7 +94,7 @@ def _smallest_feasible_boost(
         if rate <= 0.0:
             continue
         if (deadline - transient) * rate >= lost:
-            return boost
+            return boost, transient
     return None
 
 
@@ -205,18 +202,12 @@ def evaluate_options(
     )
     for k in range(1, num_options + 1):
         idle = active_lines * (num_options - k) / num_options
-        boost = _smallest_feasible_boost(
-            curve,
-            c,
-            M,
-            idle,
-            active_lines,
-            boost_max_lines,
-            deadline_cycles,
-            use_exact_bounds=use_exact_bounds,
-        )
         lost = lost_fn(curve, idle, active_lines, M)
-        if boost is None:
+        found = _smallest_feasible_boost(
+            curve, c, M, idle, active_lines, boost_max_lines, deadline_cycles,
+            lost, transient_fn,
+        )
+        if found is None:
             options.append(
                 SizingOption(
                     idle_lines=idle,
@@ -229,7 +220,7 @@ def evaluate_options(
                 )
             )
             break  # options only get more aggressive from here
-        transient = transient_fn(curve, idle, boost, c, M)
+        boost, transient = found
         benefit = idle_fraction * batch_delta_hit_rate(active_lines - idle)
         boosted_fraction = min(1.0, activation_rate * deadline_cycles)
         cost = boosted_fraction * -batch_delta_hit_rate(-(boost - active_lines))

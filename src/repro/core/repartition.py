@@ -21,6 +21,7 @@ the same argument).
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -32,7 +33,17 @@ __all__ = ["RepartitionTable"]
 
 
 class RepartitionTable:
-    """Bucket-indexed batch allocations around a Lookahead baseline."""
+    """Bucket-indexed batch allocations around a Lookahead baseline.
+
+    The greedy walks run over Python floats with every bit of the
+    NumPy walks they replaced (kept as the oracle
+    :class:`repro.core.reference.NaiveRepartitionTable`): each app's
+    weighted miss table is one ``tolist`` of the same float64 product,
+    a marginal is one float subtraction, and a scan from app 0 with a
+    strict ``<`` (``>`` walking up) picks the first of tied apps, as
+    ``np.argmin`` (``np.argmax``) does.  An app at a bound reads
+    ``inf`` (``-inf``), so it is picked only when every app is.
+    """
 
     def __init__(
         self,
@@ -50,17 +61,19 @@ class RepartitionTable:
             raise ValueError("avg_batch_lines out of range")
         if buckets < 1:
             raise ValueError("need at least one bucket")
-        self.num_apps = len(curves)
+        self.num_apps = num_apps = len(curves)
         self.buckets = buckets
         self.bucket_lines = llc_lines / buckets
 
-        if self.num_apps == 0:
-            self._table = np.zeros((buckets + 1, 0), dtype=int)
+        if num_apps == 0:
+            self._rows: List[List[int]] = [[]] * (buckets + 1)
             return
 
         weight_arr = np.maximum(np.asarray(weights, dtype=float), 1e-12)
         grid = np.arange(buckets + 1) * self.bucket_lines
-        miss_tables = [w * np.asarray(c(grid)) for c, w in zip(curves, weight_arr)]
+        miss_tables = [
+            (w * np.asarray(c(grid))).tolist() for c, w in zip(curves, weight_arr)
+        ]
 
         avg_buckets = int(round(avg_batch_lines / self.bucket_lines))
         avg_buckets = min(max(avg_buckets, 0), buckets)
@@ -68,46 +81,55 @@ class RepartitionTable:
         base_lines = lookahead_partition(
             curves, weight_arr, avg_buckets * self.bucket_lines, buckets=max(avg_buckets, 1)
         )
-        base = np.asarray(
-            [int(round(b / self.bucket_lines)) for b in base_lines], dtype=int
-        )
+        base = [int(round(b / self.bucket_lines)) for b in base_lines]
         # Rounding guard: force the baseline row to sum exactly.
-        drift = avg_buckets - int(base.sum())
-        if drift != 0 and self.num_apps > 0:
-            base[int(np.argmax(base))] += drift
-            base = np.maximum(base, 0)
+        drift = avg_buckets - sum(base)
+        if drift != 0:
+            base[base.index(max(base))] += drift
+            base = [b if b > 0 else 0 for b in base]
 
-        table = np.zeros((self.buckets + 1, self.num_apps), dtype=int)
-        table[avg_buckets] = base
+        rows: List = [None] * (buckets + 1)
+        rows[avg_buckets] = base
+        others = range(1, num_apps)
+        inf = math.inf
 
         # Walk down: shrink batch space one bucket at a time, taking
-        # from the app losing the least utility.
-        row = base.copy()
+        # from the app losing the least utility.  Only the victim's
+        # row entry moves, so only its marginal is recomputed.
+        row = base[:]
+        losses = [t[b - 1] - t[b] if b > 0 else inf for t, b in zip(miss_tables, row)]
         for level in range(avg_buckets - 1, -1, -1):
-            losses = [
-                miss_tables[i][row[i] - 1] - miss_tables[i][row[i]]
-                if row[i] > 0
-                else np.inf
-                for i in range(self.num_apps)
-            ]
-            victim = int(np.argmin(losses))
-            row[victim] -= 1
-            table[level] = row
+            victim = 0
+            least = losses[0]
+            for i in others:
+                if losses[i] < least:
+                    victim = i
+                    least = losses[i]
+            b = row[victim] - 1
+            row[victim] = b
+            t = miss_tables[victim]
+            losses[victim] = t[b - 1] - t[b] if b > 0 else inf
+            rows[level] = row[:]
 
         # Walk up: grow batch space, giving to the app gaining the most.
-        row = base.copy()
-        for level in range(avg_buckets + 1, self.buckets + 1):
-            gains = [
-                miss_tables[i][row[i]] - miss_tables[i][row[i] + 1]
-                if row[i] < self.buckets
-                else -np.inf
-                for i in range(self.num_apps)
-            ]
-            winner = int(np.argmax(gains))
-            row[winner] += 1
-            table[level] = row
+        row = base[:]
+        gains = [
+            t[b] - t[b + 1] if b < buckets else -inf for t, b in zip(miss_tables, row)
+        ]
+        for level in range(avg_buckets + 1, buckets + 1):
+            winner = 0
+            most = gains[0]
+            for i in others:
+                if gains[i] > most:
+                    winner = i
+                    most = gains[i]
+            b = row[winner] + 1
+            row[winner] = b
+            t = miss_tables[winner]
+            gains[winner] = t[b] - t[b + 1] if b < buckets else -inf
+            rows[level] = row[:]
 
-        self._table = table
+        self._rows = rows
 
     # ------------------------------------------------------------------
     # Lookups
@@ -118,12 +140,15 @@ class RepartitionTable:
         return min(max(level, 0), self.buckets)
 
     def allocations_at(self, batch_lines: float) -> List[float]:
-        """Per-app batch allocations (lines) for a given batch space."""
-        row = self._table[self.level_for(batch_lines)]
-        return [float(b * self.bucket_lines) for b in row]
+        """Per-app batch allocations (lines) for a given batch space.
+
+        ``int * float`` rounds exactly as ``int64 * float64`` does.
+        """
+        bucket_lines = self.bucket_lines
+        return [b * bucket_lines for b in self._rows[self.level_for(batch_lines)]]
 
     def row(self, level: int) -> np.ndarray:
         """Raw bucket row (for tests and introspection)."""
         if not 0 <= level <= self.buckets:
             raise ValueError("level out of range")
-        return self._table[level].copy()
+        return np.array(self._rows[level], dtype=int)

@@ -121,7 +121,7 @@ class SlackController:
             raise ValueError("target must be positive")
         if self.slack == 0 or self.miss_slack <= 0 or accesses_per_request <= 0:
             return target_lines
-        allowed_ratio = float(curve(target_lines)) + self.miss_slack / accesses_per_request
+        allowed_ratio = curve.at(target_lines) + self.miss_slack / accesses_per_request
         sizes = curve.sizes
         ratios = curve.miss_ratios
         eligible = sizes[(ratios <= allowed_ratio) & (sizes <= target_lines)]

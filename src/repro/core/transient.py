@@ -14,7 +14,9 @@ Ubik's controller uses the *upper bounds* (safe sizing); the exact sums
 are provided for validation and for quantifying the controller's
 conservatism.  All functions integrate over the piecewise-linear miss
 curve rather than literally summing per line, which is exact in the
-fluid limit and fast.
+fluid limit and fast.  Every curve read is one scalar
+:meth:`~repro.monitor.miss_curve.MissCurve.at`, bit-equal to
+``float(curve(s))`` without ``np.interp``'s per-call overhead.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def transient_length_bound(
     _check_sizes(curve, s1, s2)
     if s2 == s1:
         return 0.0
-    p2 = float(curve(s2))
+    p2 = curve.at(s2)
     if p2 <= _P_FLOOR:
         return float("inf")
     return (s2 - s1) * (c / p2 + M)
@@ -80,7 +82,7 @@ def transient_length_exact(
     grid = _segment_grid(curve, s1, s2)
     total = M * (s2 - s1)
     for sa, sb in zip(grid[:-1], grid[1:]):
-        pa, pb = float(curve(sa)), float(curve(sb))
+        pa, pb = curve.at(sa), curve.at(sb)
         if pa <= _P_FLOOR or pb <= _P_FLOOR:
             return float("inf")
         if abs(pb - pa) < 1e-12 * pa:
@@ -102,7 +104,7 @@ def lost_cycles_bound(
     _check_sizes(curve, s1, s2)
     if s2 == s1:
         return 0.0
-    p1, p2 = float(curve(s1)), float(curve(s2))
+    p1, p2 = curve.at(s1), curve.at(s2)
     if p1 <= _P_FLOOR:
         return 0.0
     return M * (s2 - s1) * max(0.0, 1.0 - p2 / p1)
@@ -115,11 +117,11 @@ def lost_cycles_exact(
     _check_sizes(curve, s1, s2)
     if s2 == s1:
         return 0.0
-    p2 = float(curve(s2))
+    p2 = curve.at(s2)
     grid = _segment_grid(curve, s1, s2)
     total = 0.0
     for sa, sb in zip(grid[:-1], grid[1:]):
-        pa, pb = float(curve(sa)), float(curve(sb))
+        pa, pb = curve.at(sa), curve.at(sb)
         if pa <= _P_FLOOR:
             continue  # no misses here: nothing lost, and no growth either
         if abs(pb - pa) < 1e-12 * pa:
@@ -142,8 +144,8 @@ def gain_rate_per_cycle(
     """
     if s_boost < s_active:
         raise ValueError("boost size must be at least the active size")
-    p_active = float(curve(s_active))
-    p_boost = float(curve(s_boost))
+    p_active = curve.at(s_active)
+    p_boost = curve.at(s_boost)
     denom = c + p_boost * M
     if denom <= 0:
         raise ValueError("non-positive access interval")

@@ -63,7 +63,9 @@ class UbikPolicy(Policy):
         if slack < 0:
             raise ValueError("slack must be non-negative")
         if buckets < 1:
-            raise ValueError("need at least one bucket")
+            raise ValueError(f"buckets must be at least 1, got {buckets}")
+        if num_options < 1:
+            raise ValueError(f"num_options must be at least 1, got {num_options}")
         self.slack = slack
         self.buckets = buckets
         self.num_options = num_options
@@ -99,7 +101,7 @@ class UbikPolicy(Policy):
         for curve, weight, alloc in zip(
             self._batch_curves, self._batch_weights, allocs
         ):
-            total += weight * (1.0 - float(curve(alloc)))
+            total += weight * (1.0 - curve.at(alloc))
         return total
 
     def _rebuild(self, ctx: PolicyContext) -> None:

@@ -14,7 +14,7 @@ UMON curves to 256 points (Section 6).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class MissCurve:
         (LRU) that UMONs model.
     """
 
-    __slots__ = ("_sizes", "_ratios", "_sizes_view", "_ratios_view")
+    __slots__ = ("_sizes", "_ratios", "_sizes_view", "_ratios_view", "_tables")
 
     def __init__(self, sizes: Iterable[float], miss_ratios: Iterable[float]):
         sizes_arr = _as_float_array(sizes)
@@ -72,6 +72,7 @@ class MissCurve:
         ratios_view.flags.writeable = False
         self._sizes_view = sizes_view
         self._ratios_view = ratios_view
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -123,9 +124,35 @@ class MissCurve:
         """Largest sampled allocation; the curve is flat beyond it."""
         return float(self._sizes[-1])
 
+    @property
+    def float_tables(self) -> Tuple[List[float], List[float]]:
+        """``(sizes, miss_ratios)`` as Python float lists, built once.
+
+        ``tolist`` on a float64 array gives exactly the ``float(x)`` of
+        each element, so these are the knots :func:`interp_float` and
+        ``bisect`` read on the scalar hot paths.  Shared by every
+        reader of this curve: treat them as read-only.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = (self._sizes.tolist(), self._ratios.tolist())
+        return tables
+
     def __call__(self, size):
         """Miss ratio at ``size`` lines (clamped to the sampled range)."""
         return np.interp(size, self._sizes, self._ratios)
+
+    def at(self, size: float) -> float:
+        """Miss ratio at one ``size``, bit-equal to ``float(self(size))``.
+
+        :func:`interp_float` over :attr:`float_tables`: the scalar read
+        for hot paths, where ``np.interp``'s per-call overhead dwarfs
+        the one interpolation it performs.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self.float_tables
+        return interp_float(size, tables[0], tables[1])
 
     def lookup_many(self, sizes) -> np.ndarray:
         """Miss ratios at a whole allocation vector, in one call.
@@ -136,10 +163,14 @@ class MissCurve:
         batched lookup used wherever many allocations are evaluated at
         once (:meth:`resample`, :func:`combine_curves`).  Scalar hot
         paths that must not pay ``np.interp``'s per-call overhead use
-        :func:`interp_float` over the curve's float tables instead: the
-        grouped fill states (:class:`repro.sim.fill.GroupFillState`)
-        and the unmanaged shared-LRU epoch loop
-        (:meth:`repro.sim.engine.MixEngine.run` under LRU).
+        :func:`interp_float` over :attr:`float_tables` instead (directly
+        or through :meth:`at`): the grouped fill states
+        (:class:`repro.sim.fill.GroupFillState`), the unmanaged
+        shared-LRU epoch loop (:meth:`repro.sim.engine.MixEngine.run`
+        under LRU), and Ubik's interval decision (the transient bounds
+        of :mod:`repro.core.transient`, the batch hit rates priced by
+        :class:`repro.core.ubik.UbikPolicy`, and
+        :meth:`repro.core.slack.SlackController.active_size`).
         """
         return np.interp(np.asarray(sizes, dtype=float), self._sizes, self._ratios)
 
@@ -209,7 +240,8 @@ class MissCurve:
         return (self._sizes, self._ratios)
 
     def __setstate__(self, state) -> None:
-        """Restore the arrays and rebuild the read-only views."""
+        """Restore the arrays, rebuild the read-only views, and leave
+        the float tables to be rebuilt from these arrays on first use."""
         sizes_arr, ratios_arr = state
         self._sizes = sizes_arr
         self._ratios = ratios_arr
@@ -219,6 +251,7 @@ class MissCurve:
         ratios_view.flags.writeable = False
         self._sizes_view = sizes_view
         self._ratios_view = ratios_view
+        self._tables = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MissCurve):
@@ -243,7 +276,9 @@ def interp_float(x: float, sizes: Sequence[float], ratios: Sequence[float]) -> f
     """``np.interp(x, sizes, ratios)`` for one float, without NumPy.
 
     ``sizes``/``ratios`` are a curve's knots as Python floats
-    (``curve.sizes.tolist()``, ``curve.miss_ratios.tolist()``).  For an
+    (:attr:`MissCurve.float_tables`).  Its scalar users are the grouped
+    fill states, the unmanaged shared-LRU epoch loop, and Ubik's
+    interval decision through :meth:`MissCurve.at`.  For an
     ascending grid ``np.interp`` clamps to the end values outside it,
     returns the knot value on a knot, and otherwise finds the segment
     ``sizes[j] <= x < sizes[j+1]`` and evaluates

@@ -147,7 +147,6 @@ class _App:
                 scheme=scheme,
                 shared_segments=shared.segments,
                 seg_scope=(id(curve), id(scheme)),
-                curve_tables=shared.tables_for(curve),
             )
         self.last_commit = 0.0
         self.stats = _IntervalStats()
@@ -869,8 +868,7 @@ class MixEngine:
         lc_apps = self.lc_apps
         n = len(apps)
         occ = [self.llc_lines / n] * n
-        curve_sizes = [app.curve.sizes.tolist() for app in apps]
-        curve_ratios = [app.curve.miss_ratios.tolist() for app in apps]
+        curve_sizes, curve_ratios = zip(*(app.curve.float_tables for app in apps))
         hit_intervals = [app.hit_interval for app in apps]
         penalties = [app.miss_penalty for app in apps]
         batch = [

@@ -359,7 +359,8 @@ class GroupFillState(FillState):
       to a **group-shared** table keyed by ``(scope, resident, target)``
       where ``scope`` pins the exact curve/scheme objects, so a segment
       computed by one cell is served to every sibling;
-    * segment misses binary-search a pre-converted Python float list
+    * segment misses binary-search the curve's
+      :attr:`~repro.monitor.miss_curve.MissCurve.float_tables`
       (``bisect_right`` equals ``np.searchsorted(side="right")``, and
       the list entries are the same ``float(sizes[i])`` values the
       parent coerced per lookup);
@@ -398,13 +399,12 @@ class GroupFillState(FillState):
         *,
         shared_segments: dict,
         seg_scope: tuple,
-        curve_tables: tuple,
     ):
         # The shared refs must exist before the parent constructor runs
         # (it may touch the segment machinery via ``set_target``).
         self._shared_segments = shared_segments
         self._seg_scope = seg_scope
-        self._curve_tables = curve_tables
+        self._curve_tables = curve.float_tables
         super().__init__(
             curve, hit_interval, miss_penalty,
             scheme=scheme, resident=resident, target=target,

@@ -68,8 +68,6 @@ class GroupShared:
         self.stream_stats: Dict[Tuple, Tuple] = {}
         #: app index -> static first-interval AppView fields.
         self.view_static: Dict[int, Tuple] = {}
-        #: id(curve) -> (sizes as floats, miss ratios as floats).
-        self.curve_tables: Dict[int, Tuple[List[float], List[float]]] = {}
         #: id(array) -> the array as a Python float list (exact).
         self.float_lists: Dict[int, List[float]] = {}
         #: ids of the group's arrival arrays -> merged event schedule.
@@ -79,24 +77,6 @@ class GroupShared:
     def retain(self, *objects: Any) -> None:
         """Pin id-keyed objects alive for the group's lifetime."""
         self._retained.extend(objects)
-
-    def tables_for(self, curve) -> Tuple[List[float], List[float]]:
-        """Python float tables of ``curve`` (for ``bisect``), cached.
-
-        Entries are the same ``float(sizes[i])``/``float(ratios[i])``
-        coercions :meth:`FillState._segment` performs per lookup, so a
-        binary search over them lands on bit-identical breakpoints.
-        """
-        key = id(curve)
-        tables = self.curve_tables.get(key)
-        if tables is None:
-            tables = (
-                [float(x) for x in curve.sizes],
-                [float(x) for x in curve.miss_ratios],
-            )
-            self.curve_tables[key] = tables
-            self._retained.append(curve)
-        return tables
 
     def floats_for(self, array: np.ndarray) -> List[float]:
         """``array`` as a cached Python float list.

@@ -182,5 +182,14 @@ class TestSlackVariant:
     def test_validation(self):
         with pytest.raises(ValueError):
             UbikPolicy(slack=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="buckets"):
             UbikPolicy(buckets=0)
+
+    @pytest.mark.parametrize("num_options", [0, -3])
+    def test_rejects_bad_num_options_when_built(self, num_options):
+        """A bad option count fails where the policy is made, not in
+        the first interval's sizing mid-simulation."""
+        from repro.runtime.registry import make_policy
+
+        with pytest.raises(ValueError, match="num_options"):
+            make_policy("ubik", num_options=num_options)

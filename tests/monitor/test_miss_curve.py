@@ -199,7 +199,7 @@ def test_property_interpolation_bounded_and_monotone(ratios, query):
 )
 def test_property_interp_float_is_np_interp(gaps, ratios, query, on_knot):
     """Bit for bit equal to ``float(curve(x))`` inside the grid, on its
-    knots, and clamped outside it."""
+    knots, and clamped outside it — directly and through ``at``."""
     sizes = np.concatenate(([0.0], np.cumsum(gaps)))
     curve = MissCurve(sizes, ratios[: len(sizes)])
     sizes_l, ratios_l = curve.sizes.tolist(), curve.miss_ratios.tolist()
@@ -207,14 +207,47 @@ def test_property_interp_float_is_np_interp(gaps, ratios, query, on_knot):
         x = sizes_l[int(query % 1.0 * len(sizes_l)) % len(sizes_l)]
     else:
         x = query * curve.max_size
-    assert interp_float(x, sizes_l, ratios_l).hex() == float(curve(x)).hex()
+    want = float(curve(x)).hex()
+    assert interp_float(x, sizes_l, ratios_l).hex() == want
+    assert curve.at(x).hex() == want
+    assert curve.at(np.float64(x)).hex() == want
+    assert curve.float_tables == (sizes_l, ratios_l)
 
 
 def test_interp_float_passes_nan_through():
     curve = simple_curve()
     sizes_l, ratios_l = curve.sizes.tolist(), curve.miss_ratios.tolist()
     assert np.isnan(interp_float(float("nan"), sizes_l, ratios_l))
+    assert np.isnan(curve.at(float("nan")))
     assert np.isnan(curve(float("nan")))
+
+
+def assert_at_reads_own_knots(curve):
+    """``at`` agrees with ``np.interp`` on this curve's own knots."""
+    assert curve.float_tables == (
+        curve.sizes.tolist(),
+        curve.miss_ratios.tolist(),
+    )
+    top = curve.max_size
+    for x in (-1.0, 0.0, 0.3 * top, 0.5 * top, 0.77 * top, top, 2.0 * top):
+        assert curve.at(x).hex() == float(curve(x)).hex()
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda c: c.with_noise(np.random.default_rng(3), 0.2),
+        lambda c: c.scaled(0.5),
+        lambda c: c.resample(33, max_size=300.0),
+    ],
+    ids=["with_noise", "scaled", "resample"],
+)
+def test_at_on_derived_curves_reads_their_own_knots(derive):
+    curve = simple_curve()
+    curve.at(150.0)  # build the parent's float tables first
+    derived = derive(curve)
+    assert_at_reads_own_knots(derived)
+    assert_at_reads_own_knots(curve)
 
 
 @settings(max_examples=50, deadline=None)
@@ -246,3 +279,19 @@ class TestPickling:
         # The views alias the backing arrays, not detached copies.
         assert loaded.sizes.base is loaded._sizes
         assert loaded.miss_ratios.base is loaded._ratios
+
+    def test_round_trip_rebuilds_float_tables(self):
+        """The float tables never travel: a loaded curve builds its own
+        from its arrays, and restoring a state over a curve drops the
+        tables of the knots it had before."""
+        import pickle
+
+        curve = MissCurve([0.0, 10.0, 20.0], [1.0, 0.5, 0.2])
+        curve.at(5.0)
+        loaded = pickle.loads(pickle.dumps(curve))
+        assert_at_reads_own_knots(loaded)
+        assert loaded.float_tables is not curve.float_tables
+        other = MissCurve([0.0, 40.0], [0.9, 0.3])
+        curve.__setstate__(other.__getstate__())
+        assert_at_reads_own_knots(curve)
+        assert curve.at(5.0) == other.at(5.0)

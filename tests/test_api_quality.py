@@ -54,6 +54,7 @@ MODULES = [
     "repro.core.deboost",
     "repro.core.slack",
     "repro.core.ubik",
+    "repro.core.reference",
     "repro.runtime",
     "repro.runtime.artifacts",
     "repro.runtime.registry",

@@ -12,8 +12,11 @@ the CI bench smoke job is immune to machine noise.  The actual rules
 live in :func:`repro.bench.validate_bench`; this wrapper just feeds it
 files, exactly like ``tools/check_docs.py`` wraps the docs gate.
 
-Validation is generation-aware: ``repro-bench/7`` documents (the
-current schema) must carry all ten kernels — including the
+Validation is generation-aware: ``repro-bench/8`` documents (the
+current schema) must carry all eleven kernels — including the
+``repartition_table`` entry comparing Ubik's float table walks against
+the NumPy walks of ``repro.core.reference`` (with its
+baseline/speedup/``verified_identical`` fields), the
 ``lockstep_replay`` entry comparing the replay engine against the
 per-cell ``run_mix`` oracle on the pinned fixed-allocation grid (with
 its baseline/speedup/``verified_identical`` fields; older documents
@@ -27,7 +30,8 @@ sweep-level ``warm_sweep_grid``/``stream_synthesis`` comparison
 entries, and the per-backend ``store_backend_roundtrip`` entry with
 p50/p90/p99 put/get percentiles for every storage engine, http
 included (timed against a live served store, so the number prices the
-network hop) — while committed ``repro-bench/6`` (nine-kernel,
+network hop) — while committed ``repro-bench/7`` (ten-kernel,
+pre-repartition-table), ``repro-bench/6`` (nine-kernel,
 pre-lockstep), ``repro-bench/5`` (eight-kernel, pre-cluster),
 ``repro-bench/4`` (three-backend store kernel, pre-http),
 ``repro-bench/3`` (seven-kernel), ``repro-bench/2`` (six-kernel) and
