@@ -30,8 +30,8 @@ Packages:
   repartitioning table, de-boost circuit, slack controller.
 * :mod:`repro.policies` — LRU / UCP / StaticLC / OnOff baselines.
 * :mod:`repro.runtime` — registries, run specs, executors, the batched
-  scheduler, intra-run trace sharding, the persistent result store,
-  and the :class:`Session` facade.
+  scheduler, the persistent result store, and the :class:`Session`
+  facade.
 * :mod:`repro.sim` — the event-driven mix engine and runners.
 * :mod:`repro.workloads` — the five LC workload models and SPEC-like
   batch classes; mix construction.
@@ -60,7 +60,6 @@ from .runtime import (
     RunSpec,
     SchemeSpec,
     Session,
-    ShardSpec,
     list_policies,
     list_schemes,
     make_policy,
@@ -105,7 +104,6 @@ __all__ = [
     "MixRef",
     "PolicySpec",
     "SchemeSpec",
-    "ShardSpec",
     "ResultStore",
     "make_policy",
     "list_policies",

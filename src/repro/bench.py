@@ -2,7 +2,7 @@
 
 The ROADMAP's north star is "as fast as the hardware allows", which is
 only meaningful with a *trajectory*: numbers written down, schema-
-stable, and comparable across revisions.  This module times eleven
+stable, and comparable across revisions.  This module times ten
 canonical kernels that cover the stack's hot layers and writes a
 ``BENCH_<revision>.json`` document (under ``benchmarks/perf/`` by
 convention):
@@ -13,8 +13,8 @@ convention):
     :func:`repro.runtime.work.execute_spec`.  The sim-layer kernel.
 ``isolated_baseline``
     A single LC instance simulated alone at its target partition
-    (:meth:`~repro.sim.mix_runner.MixRunner.baseline_instance`) — the
-    unit trace sharding fans out.
+    (:meth:`~repro.sim.mix_runner.MixRunner.baseline_instance`), the
+    unit a baseline repeats once per instance.
 ``trace_replay``
     One million line addresses through
     :meth:`~repro.cache.set_assoc.SetAssociativeCache.access_many`
@@ -29,22 +29,11 @@ convention):
     :class:`~repro.runtime.store.ResultStore` on a temporary directory.
 ``store_backend_roundtrip``
     Per-operation put/get latency through the façade for **each**
-    registered storage engine — directory, sqlite, memory, and http
-    (against a live in-process served store, so the number includes
-    the real network hop) — with p50/p90/p99 nanoseconds per operation
-    recorded per backend (diskcache-style percentile reporting: a
-    cache's tail latency is what callers actually feel).  The
-    acceptance floor for the sqlite engine is sub-millisecond median
-    get and put.
-``cluster_roundtrip``
-    Put/get latency through a live 3-node/R=2 ``cluster://`` fabric
-    (three in-process served stores, loopback TCP), plus a
-    **degraded-mode read** pass: one node's service is closed and a
-    fresh client — no pooled connections to hide behind — re-reads the
-    corpus, so ``degraded_get`` prices real failover (connection
-    refused, then the circuit breaker sidelining the dead node) rather
-    than a warm keep-alive fiction.  p50/p90/p99 nanoseconds per
-    operation for ``put``, ``get``, and ``degraded_get``.
+    registered storage engine — directory, sqlite and memory — with
+    p50/p90/p99 nanoseconds per operation recorded per backend
+    (diskcache-style percentile reporting: a cache's tail latency is
+    what callers actually feel).  The acceptance floor for the sqlite
+    engine is sub-millisecond median get and put.
 ``warm_sweep_grid``
     The shared-state derivation of a 3-policy × 2-load sweep grid —
     per cell: workload objects, the three-instance isolated baseline,
@@ -116,7 +105,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -124,23 +113,10 @@ from ._version import __version__
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BENCH_SCHEMA_V1",
-    "BENCH_SCHEMA_V2",
-    "BENCH_SCHEMA_V3",
-    "BENCH_SCHEMA_V4",
-    "BENCH_SCHEMA_V5",
-    "BENCH_SCHEMA_V6",
-    "BENCH_SCHEMA_V7",
+    "ARCHIVED_SCHEMAS",
     "KERNEL_NAMES",
-    "LEGACY_KERNEL_NAMES",
-    "V2_KERNEL_NAMES",
-    "V3_KERNEL_NAMES",
-    "V5_KERNEL_NAMES",
-    "V6_KERNEL_NAMES",
-    "V7_KERNEL_NAMES",
     "SPEEDUP_FLOORS",
     "STORE_BACKEND_NAMES",
-    "V4_STORE_BACKEND_NAMES",
     "run_bench",
     "write_bench",
     "default_bench_path",
@@ -152,34 +128,12 @@ __all__ = [
 
 #: Schema identifier stamped into every document; bump only when the
 #: document layout changes (CI fails on drift against this module).
-BENCH_SCHEMA = "repro-bench/8"
+BENCH_SCHEMA = "repro-bench/9"
 
-#: The previous generation: ten kernels — everything but the
-#: ``repartition_table`` kernel, which joined in generation 8.
-#: Committed trajectory documents written under it stay valid forever.
-BENCH_SCHEMA_V7 = "repro-bench/7"
-
-#: The generation before that: nine kernels — everything in v7 but
-#: the ``lockstep_replay`` kernel.
-BENCH_SCHEMA_V6 = "repro-bench/6"
-
-#: The generation before that: eight kernels — everything in v6 but
-#: the ``cluster_roundtrip`` fabric kernel.
-BENCH_SCHEMA_V5 = "repro-bench/5"
-
-#: The generation before that: same eight kernels as v5, but its
-#: per-backend store kernel predates the http engine (three backends,
-#: not four).
-BENCH_SCHEMA_V4 = "repro-bench/4"
-
-#: The generation before that: seven kernels, no grouped-replay kernel.
-BENCH_SCHEMA_V3 = "repro-bench/3"
-
-#: The second generation: six kernels, no per-backend store kernel.
-BENCH_SCHEMA_V2 = "repro-bench/2"
-
-#: The first generation: four kernels, no sweep-level entries.
-BENCH_SCHEMA_V1 = "repro-bench/1"
+#: Earlier generations.  Committed documents under these tags are an
+#: archive: :func:`validate_bench` holds them to the common core that
+#: the trajectory floors and ``--compare`` read, never to a kernel set.
+ARCHIVED_SCHEMAS = tuple(f"repro-bench/{generation}" for generation in range(1, 9))
 
 #: The canonical kernels, in reporting order.
 KERNEL_NAMES = (
@@ -191,34 +145,12 @@ KERNEL_NAMES = (
     "stream_synthesis",
     "store_backend_roundtrip",
     "joint_replay_grid",
-    "cluster_roundtrip",
     "lockstep_replay",
     "repartition_table",
 )
 
-#: The kernel set of generation-1 documents (``BENCH_pr4.json``).
-LEGACY_KERNEL_NAMES = KERNEL_NAMES[:4]
-
-#: The kernel set of generation-2 documents (``BENCH_pr5.json``).
-V2_KERNEL_NAMES = KERNEL_NAMES[:6]
-
-#: The kernel set of generation-3 documents (``BENCH_pr6.json``).
-V3_KERNEL_NAMES = KERNEL_NAMES[:7]
-
-#: The kernel set of generation-4/5 documents (``BENCH_pr7/pr8.json``).
-V5_KERNEL_NAMES = KERNEL_NAMES[:8]
-
-#: The kernel set of generation-6 documents (``BENCH_pr9.json``).
-V6_KERNEL_NAMES = KERNEL_NAMES[:9]
-
-#: The kernel set of generation-7 documents (``BENCH_pr10/pr15.json``).
-V7_KERNEL_NAMES = KERNEL_NAMES[:10]
-
 #: Storage engines the per-backend kernel times, in reporting order.
-STORE_BACKEND_NAMES = ("directory", "sqlite", "memory", "http")
-
-#: The backend set of generation-3/4 documents (pre-http engine).
-V4_STORE_BACKEND_NAMES = ("directory", "sqlite", "memory")
+STORE_BACKEND_NAMES = ("directory", "sqlite", "memory")
 
 #: Kernels that time an in-file baseline alongside the optimized path
 #: and must record the comparison (see :func:`validate_bench`).
@@ -248,21 +180,11 @@ SPEEDUP_FLOORS = {
 _KERNEL_KEYS = ("seconds", "runs", "units", "unit", "ns_per_unit")
 
 
-def _kernel_names_for_schema(schema: Any) -> Tuple[str, ...]:
-    """The kernel set a document of generation ``schema`` must carry."""
-    if schema == BENCH_SCHEMA_V1:
-        return LEGACY_KERNEL_NAMES
-    if schema == BENCH_SCHEMA_V2:
-        return V2_KERNEL_NAMES
-    if schema == BENCH_SCHEMA_V3:
-        return V3_KERNEL_NAMES
-    if schema in (BENCH_SCHEMA_V4, BENCH_SCHEMA_V5):
-        return V5_KERNEL_NAMES
-    if schema == BENCH_SCHEMA_V6:
-        return V6_KERNEL_NAMES
-    if schema == BENCH_SCHEMA_V7:
-        return V7_KERNEL_NAMES
-    return KERNEL_NAMES
+def _report_order(names) -> List[str]:
+    """Kernel names in reporting order: the current kernels first, in
+    :data:`KERNEL_NAMES` order, then any retired ones by name."""
+    rank = {name: index for index, name in enumerate(KERNEL_NAMES)}
+    return sorted(names, key=lambda name: (rank.get(name, len(rank)), name))
 
 
 def bench_revision() -> str:
@@ -348,10 +270,10 @@ def _bench_mix_run(requests: int, repeats: int) -> Dict[str, Any]:
 
 
 def _bench_isolated_baseline(requests: int, repeats: int) -> Dict[str, Any]:
-    """One LC instance alone at its target partition (the shard unit).
+    """One LC instance alone at its target partition.
 
     Artifact-cold per repeat, like ``mix_run``: the sample is the
-    shard-unit cost a worker pays the first time, not a warm replay.
+    per-instance cost a worker pays the first time, not a warm replay.
     """
     from .runtime.artifacts import get_artifacts
     from .sim.mix_runner import MixRunner
@@ -873,17 +795,10 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
     p50/p90/p99 per backend per operation — percentile reporting in
     the python-diskcache tradition, because a store's *tail* is what a
     worker pool's stragglers feel, and a min-of-repeats total would
-    hide it.  Connection setup (sqlite's open + schema check, the http
-    client's first TCP connect) is paid outside the timed region via
-    one warm-up miss, matching how the runtime holds one handle per
-    process.  The http engine's numbers come from a live in-process
-    served store (sqlite-backed, loopback TCP), so they price the real
-    network hop: serialization, the wire, and the served engine behind
-    it.
+    hide it.  Connection setup (sqlite's open + schema check) is paid
+    outside the timed region via one warm-up miss, matching how the
+    runtime holds one handle per process.
     """
-    import threading
-
-    from .runtime.backends import serve_store
     from .runtime.store import ResultStore
 
     payload = {
@@ -897,51 +812,40 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
     samples: List[float] = []
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as root:
-            server = serve_store(f"sqlite://{root}/served.db")
-            server_thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            server_thread.start()
             targets = {
                 "directory": str(Path(root) / "tree"),
                 "sqlite": f"sqlite://{root}/store.db",
                 "memory": None,
-                "http": server.url,
             }
             repeat_started = time.perf_counter()
-            try:
-                for name in STORE_BACKEND_NAMES:
-                    writer = ResultStore(targets[name])
-                    writer.get("f" * 64)  # open handles outside the timing
-                    puts = op_times[name]["put"]
-                    for fingerprint in fingerprints:
-                        doc = dict(payload)
-                        started = time.perf_counter_ns()
-                        writer.put(fingerprint, doc)
-                        puts.append(time.perf_counter_ns() - started)
-                    # A second handle's memory layer is empty, so gets
-                    # hit the engine.  The memory engine has no second
-                    # handle (a fresh ``memory://`` is empty): share
-                    # the backend, drop the façade's parsed layer.
-                    reader = ResultStore(
-                        writer.backend if name == "memory" else targets[name]
-                    )
-                    reader.get("f" * 64)
-                    gets = op_times[name]["get"]
-                    for fingerprint in fingerprints:
-                        started = time.perf_counter_ns()
-                        if reader.get(fingerprint) is None:
-                            raise RuntimeError(
-                                f"{name} backend lost a document mid-bench"
-                            )
-                        gets.append(time.perf_counter_ns() - started)
-                    writer.close()
-                    reader.close()
-                samples.append(time.perf_counter() - repeat_started)
-            finally:
-                server.shutdown()
-                server.server_close()
-                server_thread.join(timeout=10)
+            for name in STORE_BACKEND_NAMES:
+                writer = ResultStore(targets[name])
+                writer.get("f" * 64)  # open handles outside the timing
+                puts = op_times[name]["put"]
+                for fingerprint in fingerprints:
+                    doc = dict(payload)
+                    started = time.perf_counter_ns()
+                    writer.put(fingerprint, doc)
+                    puts.append(time.perf_counter_ns() - started)
+                # A second handle's memory layer is empty, so gets
+                # hit the engine.  The memory engine has no second
+                # handle (a fresh ``memory://`` is empty): share the
+                # backend, drop the façade's parsed layer.
+                reader = ResultStore(
+                    writer.backend if name == "memory" else targets[name]
+                )
+                reader.get("f" * 64)
+                gets = op_times[name]["get"]
+                for fingerprint in fingerprints:
+                    started = time.perf_counter_ns()
+                    if reader.get(fingerprint) is None:
+                        raise RuntimeError(
+                            f"{name} backend lost a document mid-bench"
+                        )
+                    gets.append(time.perf_counter_ns() - started)
+                writer.close()
+                reader.close()
+            samples.append(time.perf_counter() - repeat_started)
     backends = {
         name: {
             "put": _percentiles_ns(op_times[name]["put"]),
@@ -954,110 +858,6 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
         units=documents * len(STORE_BACKEND_NAMES),
         unit="round-trips",
         backends=backends,
-    )
-
-
-def _bench_cluster_roundtrip(
-    documents: int, repeats: int, nodes: int = 3, replicas: int = 2
-) -> Dict[str, Any]:
-    """Fabric put/get plus the degraded read after a node dies.
-
-    Every repeat serves ``nodes`` fresh in-process stores (memory
-    engines over loopback TCP), opens a ``cluster://`` fabric with
-    replication ``replicas`` over them, and times each façade put and
-    cold get individually — each put is ``replicas`` wire writes, so
-    this prices what replication actually costs over the single-node
-    ``http`` row of ``store_backend_roundtrip``.
-
-    Then node 0's service is closed and the corpus is re-read through a
-    **fresh** fabric client: a fresh client holds no pooled keep-alive
-    connections, so reads whose preferred replica died pay the real
-    failover (connection refused, retry, the next replica) until the
-    circuit breaker sidelines the dead node — the ``degraded_get``
-    percentiles are the tail a sweep feels while a node is down.
-    """
-    import threading
-
-    from .runtime.backends import serve_store
-    from .runtime.backends.cluster import ClusterBackend
-    from .runtime.store import ResultStore
-
-    payload = {
-        "kind": "bench",
-        "result": {"metric": 1.0, "values": list(range(32))},
-    }
-    fingerprints = [f"{index:064x}" for index in range(documents)]
-    client_options = {"timeout": 10.0, "retries": 2, "backoff": 0.002}
-    op_times: Dict[str, List[int]] = {"put": [], "get": [], "degraded_get": []}
-    samples: List[float] = []
-    for _ in range(repeats):
-        servers = []
-        threads = []
-        for _node in range(nodes):
-            server = serve_store("memory://")
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            servers.append(server)
-            threads.append(thread)
-        spec = f"replicas={replicas};" + ";".join(s.url for s in servers)
-        repeat_started = time.perf_counter()
-        try:
-            writer = ResultStore(
-                ClusterBackend(spec, client_options=client_options)
-            )
-            writer.get("f" * 64)  # open handles outside the timing
-            for fingerprint in fingerprints:
-                doc = dict(payload)
-                started = time.perf_counter_ns()
-                writer.put(fingerprint, doc)
-                op_times["put"].append(time.perf_counter_ns() - started)
-            reader = ResultStore(
-                ClusterBackend(spec, client_options=client_options)
-            )
-            reader.get("f" * 64)
-            for fingerprint in fingerprints:
-                started = time.perf_counter_ns()
-                if reader.get(fingerprint) is None:
-                    raise RuntimeError("cluster fabric lost a document mid-bench")
-                op_times["get"].append(time.perf_counter_ns() - started)
-            # Kill node 0 for real (its listening socket closes) and
-            # read through a fresh client so no pooled connection can
-            # keep talking to the corpse.
-            servers[0].shutdown()
-            servers[0].server_close()
-            threads[0].join(timeout=10)
-            degraded = ResultStore(
-                ClusterBackend(
-                    spec, probe_base=0.05, client_options=client_options
-                )
-            )
-            for fingerprint in fingerprints:
-                started = time.perf_counter_ns()
-                if degraded.get(fingerprint) is None:
-                    raise RuntimeError(
-                        "cluster fabric lost a document after node death"
-                    )
-                op_times["degraded_get"].append(
-                    time.perf_counter_ns() - started
-                )
-            samples.append(time.perf_counter() - repeat_started)
-            writer.close()
-            reader.close()
-            degraded.close()
-        finally:
-            for server, thread in zip(servers[1:], threads[1:]):
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=10)
-    return _kernel_entry(
-        samples,
-        units=documents * 3,  # put + get + degraded get per document
-        unit="round-trips",
-        nodes=nodes,
-        replicas=replicas,
-        put=_percentiles_ns(op_times["put"]),
-        get=_percentiles_ns(op_times["get"]),
-        degraded_get=_percentiles_ns(op_times["degraded_get"]),
     )
 
 
@@ -1096,7 +896,6 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
             documents, repeats
         ),
         "joint_replay_grid": _bench_joint_replay_grid(requests, repeats),
-        "cluster_roundtrip": _bench_cluster_roundtrip(documents, repeats),
         "lockstep_replay": _bench_lockstep_replay(
             lockstep_requests, lockstep_repeats
         ),
@@ -1151,40 +950,26 @@ def validate_bench(payload: Any) -> List[str]:
     Validates structure and types only — never timing values — so CI
     can gate on drift without flaking on machine noise.  Used by
     ``tools/check_bench.py`` and the tier-1 bench test.
+
+    A :data:`BENCH_SCHEMA` document must carry every kernel of
+    :data:`KERNEL_NAMES` and a percentile row for every engine of
+    :data:`STORE_BACKEND_NAMES`.  A document of an
+    :data:`ARCHIVED_SCHEMAS` generation is held to the common core
+    only: the top-level fields, the per-kernel keys of each kernel it
+    carries, and the comparison fields of each compared kernel it
+    carries.
     """
     problems: List[str] = []
     if not isinstance(payload, dict):
         return [f"document must be an object, got {type(payload).__name__}"]
     schema = payload.get("schema")
-    if schema not in (
-        BENCH_SCHEMA,
-        BENCH_SCHEMA_V7,
-        BENCH_SCHEMA_V6,
-        BENCH_SCHEMA_V5,
-        BENCH_SCHEMA_V4,
-        BENCH_SCHEMA_V3,
-        BENCH_SCHEMA_V2,
-        BENCH_SCHEMA_V1,
-    ):
+    archived = schema in ARCHIVED_SCHEMAS
+    if schema != BENCH_SCHEMA and not archived:
         problems.append(
-            f"schema must be {BENCH_SCHEMA!r} (or the legacy "
-            f"{BENCH_SCHEMA_V7!r} / "
-            f"{BENCH_SCHEMA_V6!r} / {BENCH_SCHEMA_V5!r} / "
-            f"{BENCH_SCHEMA_V4!r} / {BENCH_SCHEMA_V3!r} / "
-            f"{BENCH_SCHEMA_V2!r} / {BENCH_SCHEMA_V1!r}), got {schema!r}"
+            f"schema must be {BENCH_SCHEMA!r} (or an archived "
+            f"{ARCHIVED_SCHEMAS[0]!r} to {ARCHIVED_SCHEMAS[-1]!r}), "
+            f"got {schema!r}"
         )
-    # Older documents predate later kernels; each is validated against
-    # the kernel set of its own generation so the committed trajectory
-    # never rots.
-    required_kernels = _kernel_names_for_schema(schema)
-    # Likewise for the per-backend store kernel's engine set: the http
-    # engine joined in generation 5.
-    required_backends = (
-        STORE_BACKEND_NAMES
-        if schema
-        in (BENCH_SCHEMA, BENCH_SCHEMA_V7, BENCH_SCHEMA_V6, BENCH_SCHEMA_V5)
-        else V4_STORE_BACKEND_NAMES
-    )
     for key, kinds in (
         ("revision", str),
         ("quick", bool),
@@ -1201,10 +986,13 @@ def validate_bench(payload: Any) -> List[str]:
     kernels = payload.get("kernels")
     if not isinstance(kernels, dict):
         return problems
-    for name in required_kernels:
-        entry = kernels.get(name)
+    if not archived:
+        for name in KERNEL_NAMES:
+            if name not in kernels:
+                problems.append(f"missing kernel {name!r}")
+    for name, entry in kernels.items():
         if not isinstance(entry, dict):
-            problems.append(f"missing kernel {name!r}")
+            problems.append(f"kernel {name!r} must be an object")
             continue
         for key in _KERNEL_KEYS:
             if key not in entry:
@@ -1216,57 +1004,40 @@ def validate_bench(payload: Any) -> List[str]:
             and all(isinstance(x, (int, float)) for x in runs)
         ):
             problems.append(f"kernel {name!r} runs must be a non-empty number list")
-    for name in _COMPARED_KERNELS:
-        if name not in required_kernels:
-            continue
-        entry = kernels.get(name)
-        if not isinstance(entry, dict):
-            continue  # already reported as a missing kernel above
-        for key in ("baseline_seconds", "baseline_runs", "speedup", "verified_identical"):
-            if key not in entry:
-                problems.append(f"kernel {name!r} missing {key!r}")
-    if "store_backend_roundtrip" in required_kernels:
-        entry = kernels.get("store_backend_roundtrip")
-        if isinstance(entry, dict):
-            backends = entry.get("backends")
-            if not isinstance(backends, dict):
-                problems.append(
-                    "kernel 'store_backend_roundtrip' missing 'backends'"
-                )
-            else:
-                for backend in required_backends:
-                    per = backends.get(backend)
-                    if not isinstance(per, dict):
-                        problems.append(
-                            f"store_backend_roundtrip missing backend {backend!r}"
-                        )
-                        continue
-                    for op in ("put", "get"):
-                        stats = per.get(op)
-                        if not isinstance(stats, dict) or not all(
-                            isinstance(stats.get(k), (int, float))
-                            for k in ("p50_ns", "p90_ns", "p99_ns")
-                        ):
-                            problems.append(
-                                f"store_backend_roundtrip {backend}.{op} must "
-                                "carry p50/p90/p99 nanosecond percentiles"
-                            )
-    if "cluster_roundtrip" in required_kernels:
-        entry = kernels.get("cluster_roundtrip")
-        if isinstance(entry, dict):
-            for key in ("nodes", "replicas"):
-                if not isinstance(entry.get(key), int):
-                    problems.append(f"cluster_roundtrip missing {key!r}")
-            for op in ("put", "get", "degraded_get"):
-                stats = entry.get(op)
-                if not isinstance(stats, dict) or not all(
-                    isinstance(stats.get(k), (int, float))
-                    for k in ("p50_ns", "p90_ns", "p99_ns")
-                ):
+        if name in _COMPARED_KERNELS:
+            for key in (
+                "baseline_seconds",
+                "baseline_runs",
+                "speedup",
+                "verified_identical",
+            ):
+                if key not in entry:
+                    problems.append(f"kernel {name!r} missing {key!r}")
+    if archived:
+        return problems
+    entry = kernels.get("store_backend_roundtrip")
+    if isinstance(entry, dict):
+        backends = entry.get("backends")
+        if not isinstance(backends, dict):
+            problems.append("kernel 'store_backend_roundtrip' missing 'backends'")
+        else:
+            for backend in STORE_BACKEND_NAMES:
+                per = backends.get(backend)
+                if not isinstance(per, dict):
                     problems.append(
-                        f"cluster_roundtrip {op} must carry p50/p90/p99 "
-                        "nanosecond percentiles"
+                        f"store_backend_roundtrip missing backend {backend!r}"
                     )
+                    continue
+                for op in ("put", "get"):
+                    stats = per.get(op)
+                    if not isinstance(stats, dict) or not all(
+                        isinstance(stats.get(k), (int, float))
+                        for k in ("p50_ns", "p90_ns", "p99_ns")
+                    ):
+                        problems.append(
+                            f"store_backend_roundtrip {backend}.{op} must "
+                            "carry p50/p90/p99 nanosecond percentiles"
+                        )
     return problems
 
 
@@ -1285,11 +1056,11 @@ def compare_bench(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
     """Per-kernel p50 comparison of two validated bench documents.
 
     Both documents are :func:`validate_bench`-checked first (a
-    ``ValueError`` names the offender), then compared over the
-    intersection of their generations' kernel sets — a v6 document
-    against a v7 one compares the nine shared kernels and reports
-    ``lockstep_replay`` under ``only_new`` instead of failing, so the
-    committed trajectory stays comparable across schema bumps.
+    ``ValueError`` names the offender), then compared over the kernels
+    both documents carry — an older document without
+    ``lockstep_replay`` reports it under ``only_new`` instead of
+    failing, so the committed trajectory stays comparable across
+    schema bumps.
 
     Per shared kernel: old/new p50 seconds, the ``ratio``
     (new p50 / old p50 — below 1.0 means the new document is faster),
@@ -1306,9 +1077,9 @@ def compare_bench(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
                 f"{label} document is not a valid bench document: "
                 + "; ".join(problems)
             )
-    old_names = _kernel_names_for_schema(old["schema"])
-    new_names = _kernel_names_for_schema(new["schema"])
-    shared = [name for name in KERNEL_NAMES if name in old_names and name in new_names]
+    old_names = _report_order(old["kernels"])
+    new_names = _report_order(new["kernels"])
+    shared = [name for name in new_names if name in old["kernels"]]
     kernels: Dict[str, Any] = {}
     for name in shared:
         old_entry, new_entry = old["kernels"][name], new["kernels"][name]
@@ -1332,8 +1103,8 @@ def compare_bench(old: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
         "old_schema": old["schema"],
         "new_schema": new["schema"],
         "kernels": kernels,
-        "only_old": [name for name in old_names if name not in new_names],
-        "only_new": [name for name in new_names if name not in old_names],
+        "only_old": [name for name in old_names if name not in new["kernels"]],
+        "only_new": [name for name in new_names if name not in old["kernels"]],
     }
 
 
@@ -1388,7 +1159,7 @@ def format_bench(payload: Dict[str, Any]) -> str:
     from .experiments.common import format_table
 
     rows: List[List[str]] = []
-    for name in _kernel_names_for_schema(payload.get("schema")):
+    for name in _report_order(payload["kernels"]):
         entry = payload["kernels"][name]
         note = ""
         if "speedup" in entry:
@@ -1406,19 +1177,6 @@ def format_bench(payload: Dict[str, Any]) -> str:
             note = (
                 f"sqlite p50 put {sqlite['put']['p50_ns'] / 1e3:,.0f}us"
                 f" / get {sqlite['get']['p50_ns'] / 1e3:,.0f}us"
-            )
-            if "http" in entry["backends"]:
-                http_stats = entry["backends"]["http"]
-                note += (
-                    f"; http p50 put {http_stats['put']['p50_ns'] / 1e3:,.0f}us"
-                    f" / get {http_stats['get']['p50_ns'] / 1e3:,.0f}us"
-                )
-        elif "degraded_get" in entry:
-            note = (
-                f"{entry['nodes']} nodes R={entry['replicas']}: p50 put "
-                f"{entry['put']['p50_ns'] / 1e3:,.0f}us / get "
-                f"{entry['get']['p50_ns'] / 1e3:,.0f}us / degraded get "
-                f"{entry['degraded_get']['p50_ns'] / 1e3:,.0f}us"
             )
         rows.append(
             [

@@ -9,7 +9,7 @@ Usage::
     python -m repro table3 --jobs 4
     python -m repro table3 --scheduler async --jobs 4
     python -m repro fig12
-    python -m repro run --lc masstree --load 0.2 --policy ubik --shards 4
+    python -m repro run --lc masstree --load 0.2 --policy ubik
     python -m repro scaleout --cores 6,12
     python -m repro cache
     python -m repro cache --prune
@@ -18,8 +18,6 @@ Usage::
     python -m repro table3 --store sqlite:///tmp/corpus/store.db
     python -m repro cache --migrate ~/.cache/repro-ubik sqlite:///tmp/store.db
     python -m repro cache --export /tmp/corpus-export
-    python -m repro store-serve --store sqlite:///tmp/store.db --port 8377
-    python -m repro table3 --store http://127.0.0.1:8377
     python -m repro bench --quick
 
 ``bench`` times the hot-path kernels (mix run, isolated baseline,
@@ -44,16 +42,9 @@ The store itself is pluggable (:mod:`repro.runtime.backends`):
 ``memory://`` for no persistence.  ``repro cache --migrate SRC DST``
 moves a corpus between backends byte-faithfully, and ``--export DIR``
 writes the canonical directory-layout tree any backend's corpus
-reduces to.  ``store-serve`` fronts any of those engines with the
-stdlib HTTP shard service; other processes (or machines) then select
-the served corpus with ``--store http://host:port``.
+reduces to.
 
-``run`` evaluates a single (mix, policy) spec; ``--shards N`` (or
-``auto``) additionally parallelizes *inside* the run by fanning its
-per-instance baseline simulations across the workers
-(:mod:`repro.runtime.sharding`) — the stored result is byte-identical
-at any shard count.  ``--shards`` applies to the sweep commands too,
-where ``auto`` shards only when the grid is narrower than ``--jobs``.
+``run`` evaluates a single (mix, policy) spec.
 """
 
 from __future__ import annotations
@@ -103,8 +94,6 @@ COMMANDS = (
     "scaleout",
     "bandwidth",
     "cache",
-    "store-serve",
-    "cluster-status",
     "bench",
 )
 
@@ -123,22 +112,6 @@ def _scale_from_args(args) -> ExperimentScale:
     )
 
 
-def _shards_arg(value: str):
-    """argparse type for ``--shards``: a positive integer or ``auto``."""
-    text = value.strip().lower()
-    if text == "auto":
-        return text
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--shards must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("--shards must be at least 1")
-    return count
-
-
 def _progress_ticker(stream=None):
     """A live one-line progress ticker consuming scheduler events."""
     stream = stream if stream is not None else sys.stderr
@@ -155,21 +128,19 @@ def _progress_ticker(stream=None):
 def _session_from_args(args) -> Session:
     store = getattr(args, "store", None)
     scheduler = getattr(args, "scheduler", "auto")
-    shards = getattr(args, "shards", None)
     if scheduler == "auto":
-        return Session(store=store, jobs=args.jobs, shards=shards)
+        return Session(store=store, jobs=args.jobs)
     return Session(
         store=store,
         jobs=args.jobs,
         scheduler=scheduler,
-        shards=shards,
         progress=_progress_ticker() if scheduler == "async" else None,
     )
 
 
 def _cmd_list(args) -> None:
     rows = [
-        ["run", "one (mix, policy) spec; --shards parallelizes inside it"],
+        ["run", "one (mix, policy) spec"],
         ["fig1a", "load-latency curves (Figure 1a)"],
         ["fig1b", "service-time CDFs (Figure 1b)"],
         ["fig2", "cross-request reuse breakdown (Figure 2)"],
@@ -183,10 +154,6 @@ def _cmd_list(args) -> None:
         ["bandwidth", "memory-bandwidth contention extension"],
         ["cache", "inspect (--clear/--prune) the store (--store selects a "
          "backend); --migrate/--export move corpora; --stats: artifact cache"],
-        ["store-serve", "serve a store over HTTP (--store picks the engine; "
-         "clients connect with --store http://host:port)"],
-        ["cluster-status", "per-node health/circuit/repair view of a "
-         "cluster:// fabric (--repair replays queued write-behinds)"],
         ["bench", "time the hot-path kernels, write BENCH_<rev>.json"],
     ]
     print(format_table(["Command", "Regenerates"], rows))
@@ -215,21 +182,6 @@ def _cmd_run(args) -> None:
     session = _session_from_args(args)
     record = session.run(spec)
     doc = session.store.document_path(spec.fingerprint())
-    # Report what actually happened: the session default (REPRO_SHARDS)
-    # applies when the flag is absent, "auto" resolves against the
-    # worker budget, and requests beyond the instance count are
-    # clamped.
-    from .runtime.sharding import resolve_shards
-
-    requested = session.shards
-    effective = resolve_shards(
-        requested, jobs=getattr(session.executor, "jobs", 1), grid_size=1
-    )
-    shards_text = (
-        str(effective)
-        if str(requested) == str(effective)
-        else f"{effective} (requested {requested})"
-    )
     rows = [
         ["mix", record.mix_id],
         ["policy", record.policy],
@@ -237,7 +189,6 @@ def _cmd_run(args) -> None:
         ["weighted speedup", f"{record.weighted_speedup:.6f}"],
         ["deboosts", record.deboosts],
         ["watermarks", record.watermarks],
-        ["shards", shards_text],
         ["fingerprint", spec.fingerprint()],
         [
             "store document",
@@ -503,91 +454,6 @@ def _print_store_stats(store) -> None:
     print(format_table(["Store", "Value"], rows, title="Result store"))
 
 
-def _cmd_store_serve(args) -> None:
-    """Front a local engine with the HTTP shard service, until killed."""
-    from .runtime.backends import serve_store
-    from .runtime.store import default_store_url
-
-    from .runtime.backends import install_graceful_shutdown
-
-    target = getattr(args, "store", None)
-    if target is None:
-        target = default_store_url()
-    server = serve_store(target, host=args.host, port=args.port)
-    # SIGTERM/SIGINT stop the accept loop and mark the server draining;
-    # in-flight requests then finish with complete responses before the
-    # process exits, so a retrying fleet never sees teardown as faults.
-    restore = install_graceful_shutdown(server)
-    print(f"serving {server.engine.url} at {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.draining = True
-    finally:
-        restore()
-        drained = server.drain(timeout=10.0)
-        server.server_close()
-        if not drained:  # pragma: no cover - pathological slow request
-            print("warning: exited with requests still in flight", flush=True)
-        else:
-            print("drained; store service closed", flush=True)
-
-
-def _cmd_cluster_status(args) -> None:
-    """Render per-node health for a cluster:// fabric."""
-    from .runtime.backends import make_backend
-    from .runtime.backends.cluster import ClusterBackend
-    from .runtime.store import default_store_url
-
-    target = getattr(args, "store", None)
-    if target is None:
-        target = default_store_url()
-    backend = make_backend(target)
-    if not isinstance(backend, ClusterBackend):
-        raise SystemExit(
-            f"cluster-status needs a cluster:// store, got {backend.url!r} "
-            "(pass --store cluster://… or set REPRO_STORE/REPRO_STORE_CLUSTER)"
-        )
-    if args.repair:
-        outcome = backend.repair()
-        print(
-            f"repair: replayed {outcome['drained']} queued write(s), "
-            f"{outcome['pending']} still pending"
-        )
-    status = backend.status()
-    rows = []
-    for node in status["nodes"]:
-        rows.append(
-            [
-                node["url"],
-                "up" if node["healthy"] else "DOWN",
-                node["circuit"],
-                "-" if node["documents"] is None else node["documents"],
-                "-" if node["blobs"] is None else node["blobs"],
-                node["pending_repairs"],
-            ]
-        )
-    print(
-        format_table(
-            ["Node", "Health", "Circuit", "Docs", "Blobs", "Repairs"],
-            rows,
-            title=(
-                f"Cluster fabric: {len(status['nodes'])} node(s), "
-                f"R={status['replicas']}, write quorum {status['quorum']}"
-            ),
-        )
-    )
-    counters = status["counters"]
-    print(
-        f"counters: {counters['write_acks']} write ack(s), "
-        f"{counters['write_stragglers']} straggler(s) queued, "
-        f"{counters['read_failovers']} read failover(s), "
-        f"{counters['read_repairs']} read repair(s), "
-        f"{counters['repairs_drained']} repair(s) drained"
-    )
-    backend.close()
-
-
 def _cmd_bench(args) -> None:
     from .bench import format_bench, run_bench, write_bench
 
@@ -622,8 +488,6 @@ _HANDLERS = {
     "scaleout": _cmd_scaleout,
     "bandwidth": _cmd_bandwidth,
     "cache": _cmd_cache,
-    "store-serve": _cmd_store_serve,
-    "cluster-status": _cmd_cluster_status,
     "bench": _cmd_bench,
 }
 
@@ -654,15 +518,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "progress ticker)",
     )
     parser.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=None,
-        help="intra-run trace sharding: split each run's per-instance "
-        "baseline streams into N shards fanned across the workers "
-        "(auto = shard only when the grid leaves workers idle; "
-        "results are byte-identical at any value)",
-    )
-    parser.add_argument(
         "--load", type=float, default=0.2, help="run: LC offered load"
     )
     parser.add_argument(
@@ -687,23 +542,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--store",
         default=None,
         help="result-store location: a backend URL "
-        "(sqlite:///path/store.db, directory:///path, memory://, "
-        "http://host:port for a served store, "
-        "cluster://replicas=R;http://a;http://b for a replicated "
-        "fabric) or a bare directory path "
+        "(sqlite:///path/store.db, directory:///path, memory://) "
+        "or a bare directory path "
         "(default: REPRO_STORE, then REPRO_CACHE_DIR, then "
         "~/.cache/repro-ubik)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="with the store-serve command: interface to bind",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8377,
-        help="with the store-serve command: TCP port (0 = ephemeral)",
     )
     parser.add_argument(
         "--migrate",
@@ -741,13 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "reused in-process; with --jobs > 1 the reuse happens inside "
         "the worker processes, so run serially to inspect it "
         "(REPRO_ARTIFACTS=0 disables the layer)",
-    )
-    parser.add_argument(
-        "--repair",
-        action="store_true",
-        help="with the cluster-status command: replay every queued "
-        "write-behind repair (forcing probes on open circuits) before "
-        "reporting",
     )
     parser.add_argument(
         "--quick",

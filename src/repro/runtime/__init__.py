@@ -15,10 +15,6 @@ memoization, experiments describe work declaratively and hand it to a
 * :mod:`~repro.runtime.scheduler` — the asyncio executor and the
   batched :class:`SpecScheduler`: bounded-pool streaming with
   store-hit short-circuiting, in-flight dedup, and progress events.
-* :mod:`~repro.runtime.sharding` — intra-run trace sharding: one run's
-  independent per-instance baseline streams split into
-  :class:`ShardSpec` slices that ride any executor and merge back
-  bit-identically (``--shards`` / ``Session(shards=...)``).
 * :mod:`~repro.runtime.store` — a persistent fingerprint-keyed result
   store shared across processes, a façade over the pluggable engines
   of :mod:`~repro.runtime.backends` (``REPRO_STORE`` URLs like
@@ -76,15 +72,6 @@ from .session import (
     execute_spec,
     get_session,
     reset_session,
-)
-from .sharding import (
-    MergedBaseline,
-    ShardSpec,
-    interleave_shards,
-    merge_shard_results,
-    plan_shards,
-    resolve_shards,
-    shard_instances,
 )
 from .spec import (
     BaselineSpec,
@@ -149,13 +136,6 @@ __all__ = [
     "default_jobs",
     "resolve_jobs",
     "make_executor",
-    "ShardSpec",
-    "MergedBaseline",
-    "shard_instances",
-    "plan_shards",
-    "merge_shard_results",
-    "interleave_shards",
-    "resolve_shards",
     "ResultStore",
     "default_store_root",
     "default_store_url",

@@ -58,8 +58,8 @@ every stream and re-simulates every baseline at least once.
 ``REPRO_ARTIFACTS_TIER2`` adds a persistent tier below it, backed by
 the *blob side* of any store backend (``1``/``on`` places it next to
 the default result store; any path or ``sqlite://``/``directory://``
-URL names a location explicitly — a fleet can point every machine at
-one shared corpus).  Only the expensive, exactly-serializable kinds
+URL names a location explicitly, so a process pool can share one
+corpus).  Only the expensive, exactly-serializable kinds
 persist — ``stream`` (NumPy ``savez`` round-trip, bit-exact float64)
 and ``baseline`` (canonical JSON) — keyed by the content fingerprint
 of their tier-1 key.  Reads promote into tier 1; writes go straight

@@ -15,20 +15,10 @@ instead.  Three engines ship, registered by name:
 ``memory``
     Two dicts (:mod:`.memory`): the "disk layer off" mode, now a
     first-class engine.
-``http``
-    The network hop (:mod:`.http`): a retrying keep-alive client for a
-    store served by ``repro store-serve`` — one corpus shared by a
-    fleet of machines.
-``cluster``
-    The replicated fabric (:mod:`.cluster`): rendezvous-hash sharding
-    of documents and blobs across N child stores with replication
-    factor R, quorum-acked writes, failover + read-repair reads, and
-    per-node circuit breakers — a corpus that survives node loss.
 
 Selection is URL-style — ``sqlite:///path/store.db``,
-``directory:///path``, ``memory://``, ``http://host:port``,
-``cluster://replicas=2;http://a:8377;http://b:8377`` — via
-``REPRO_STORE``, the CLI's ``--store``, or ``Session(store=...)``;
+``directory:///path``, ``memory://`` — via ``REPRO_STORE``, the CLI's
+``--store``, or ``Session(store=...)``;
 bare paths (and the historical ``REPRO_STORE=0`` toggle plus
 ``REPRO_CACHE_DIR``) keep meaning what they always meant:
 
@@ -54,14 +44,7 @@ import os
 from typing import Dict, Optional, Tuple, Type, Union
 
 from .base import StoreBackend
-from .cluster import ClusterBackend
 from .directory import DirectoryBackend
-from .http import (
-    HttpBackend,
-    StoreHTTPServer,
-    install_graceful_shutdown,
-    serve_store,
-)
 from .memory import MemoryBackend
 from .sqlite import SqliteBackend
 
@@ -70,11 +53,6 @@ __all__ = [
     "DirectoryBackend",
     "SqliteBackend",
     "MemoryBackend",
-    "HttpBackend",
-    "ClusterBackend",
-    "StoreHTTPServer",
-    "serve_store",
-    "install_graceful_shutdown",
     "BACKENDS",
     "parse_store_url",
     "make_backend",
@@ -85,8 +63,6 @@ BACKENDS: Dict[str, Type[StoreBackend]] = {
     DirectoryBackend.name: DirectoryBackend,
     SqliteBackend.name: SqliteBackend,
     MemoryBackend.name: MemoryBackend,
-    HttpBackend.name: HttpBackend,
-    ClusterBackend.name: ClusterBackend,
 }
 
 #: Historical ``REPRO_STORE`` values meaning "no persistent store".
@@ -121,12 +97,7 @@ def parse_store_url(target: str) -> Tuple[str, Optional[str]]:
             f"(known: {', '.join(sorted(BACKENDS))})"
         )
     location = rest.strip() or None
-    if (
-        name not in (MemoryBackend.name, ClusterBackend.name)
-        and location is None
-    ):
-        # A bare ``cluster://`` is legal: the topology then comes from
-        # REPRO_STORE_CLUSTER (parsed when the backend is built).
+    if name != MemoryBackend.name and location is None:
         raise ValueError(f"store URL {target!r} is missing its path")
     return name, location
 

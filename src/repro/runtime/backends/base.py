@@ -40,10 +40,8 @@ class StoreBackend(abc.ABC):
         ``memory``).
     ``persistent``
         Whether another process that opens the backend's :attr:`url`
-        sees this one's writes.  The session uses this to decide if
-        merged shard baselines can reach pool workers, and the façade
-        refuses to hand non-persistent stores across process
-        boundaries.
+        sees this one's writes.  The façade refuses to hand
+        non-persistent stores across process boundaries.
     """
 
     #: Registry key / URL scheme; concrete classes override.

@@ -24,16 +24,27 @@ touch from the async scheduler's event loop and executor threads
 UPSERTs with a generous busy timeout, so concurrent workers storing
 *different* fingerprints (the only write pattern the runtime has —
 keys are content fingerprints, so racing writers write identical
-bytes) interleave without application-level retries.
+bytes) interleave without application-level retries.  Opening a
+connection (the WAL switch and the schema) is serialized across
+threads and processes by an exclusive ``flock`` on the database's
+directory: SQLite refuses one of two connections converting a fresh
+file to WAL at once with "database is locked" instead of waiting, so
+pool workers opening a new store together would otherwise fail.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 import threading
 from pathlib import Path
 from typing import Iterator, Optional
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts open unserialized
+    fcntl = None
 
 from .base import StoreBackend
 
@@ -48,6 +59,29 @@ _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS blobs ("
     " key TEXT PRIMARY KEY, payload BLOB NOT NULL)",
 )
+
+
+@contextlib.contextmanager
+def _setup_lock(directory: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``directory`` for the block.
+
+    A lock on the directory, not the database file: closing any
+    descriptor of the database would drop the POSIX locks SQLite holds
+    on it.  Every open of the lock is its own open file description,
+    so threads of one process exclude each other too.  A child forked
+    while the lock is held would keep it until it exits; the runtime
+    forks its pools from the thread that opens stores, never inside
+    this block.
+    """
+    if fcntl is None:  # pragma: no cover
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
 
 
 class SqliteBackend(StoreBackend):
@@ -86,10 +120,11 @@ class SqliteBackend(StoreBackend):
             isolation_level=None,  # autocommit: each UPSERT is one txn
             check_same_thread=False,
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        for statement in _SCHEMA:
-            conn.execute(statement)
+        with _setup_lock(self.path.parent):
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            for statement in _SCHEMA:
+                conn.execute(statement)
         self._conn = conn
         self._pid = os.getpid()
         return conn

@@ -18,10 +18,8 @@ sequence of items and return the results *in input order*.
 Because ``map`` preserves order and each simulation seeds its own RNGs
 from the spec, serial, parallel, and async execution are bit-identical.
 
-The items an executor maps over are opaque to it: sweep runs, task
-specs, and the :class:`~repro.runtime.sharding.ShardSpec` slices of a
-sharded run all fan out through the same two-method contract — which
-is why trace sharding needed no executor changes at all.
+The items an executor maps over are opaque to it: sweep runs and
+task specs fan out through the same two-method contract.
 """
 
 from __future__ import annotations

@@ -25,19 +25,12 @@ Determinism is untouched: every simulation seeds its RNGs from the
 spec alone, so serial, parallel, and async execution of the same batch
 produce byte-identical store records at any worker count.
 
-The scheduler is agnostic to *what* a spec is — sweep runs, task
-specs, and the trace shards of :mod:`repro.runtime.sharding` all queue
-the same way.  Workers the scheduler dispatches to warm their
-process-wide artifact cache (:mod:`repro.runtime.artifacts`) across
-the whole batch: the longer a batch streams, the fewer streams,
+The scheduler is agnostic to *what* a spec is — sweep runs and task
+specs queue the same way.  Workers the scheduler dispatches to warm
+their process-wide artifact cache (:mod:`repro.runtime.artifacts`)
+across the whole batch: the longer a batch streams, the fewer streams,
 baselines, and workload objects each worker re-derives, with no
-scheduler-level bookkeeping required.  When the session shards a batch, it interleaves shard
-specs from different runs round-robin *before* handing them here
-(:func:`repro.runtime.sharding.interleave_shards`), so the bounded
-submission window always holds shards of many runs at once: intra-run
-parallelism fills idle workers without starving the rest of the grid,
-and the in-flight fingerprint dedup collapses identical shards the
-moment two specs share a baseline.
+scheduler-level bookkeeping required.
 """
 
 from __future__ import annotations

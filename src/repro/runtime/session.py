@@ -25,12 +25,6 @@ one blocking ``map``::
 
     >>> records = session.run_many(specs, scheduler="async")  # doctest: +SKIP
 
-and single runs (or narrow grids) can parallelize *inside* each run by
-sharding the per-instance baseline streams
-(:mod:`repro.runtime.sharding`)::
-
-    >>> record = Session(jobs=4, shards="auto").run(spec)  # doctest: +SKIP
-
 Results are bit-identical across executors and across processes: every
 simulation is seeded from its spec alone, and the store is keyed by the
 spec's content fingerprint.
@@ -45,14 +39,6 @@ from ..sim.config import CoreKind
 from ..sim.mix_runner import BaselineResult, MixRunner
 from .executors import Executor, SerialExecutor, make_executor
 from .scheduler import ProgressEvent, SpecScheduler
-from .sharding import (
-    ShardCount,
-    default_shards,
-    interleave_shards,
-    merge_shard_results,
-    plan_shards,
-    resolve_shards,
-)
 from .spec import (
     PolicySpec,
     RunRecord,
@@ -109,16 +95,6 @@ class Session:
     executor's blocking ``map``; ``"async"`` streams batches through a
     :class:`~repro.runtime.scheduler.SpecScheduler` (bounded pool,
     store-hit short-circuiting, progress events to ``progress``).
-
-    ``shards`` enables intra-run trace sharding
-    (:mod:`repro.runtime.sharding`): each sweep run's independent
-    per-instance baseline simulations are fanned across the executor as
-    :class:`~repro.runtime.sharding.ShardSpec` batches before the joint
-    mix replays execute.  ``1`` is unsharded, an integer pins the
-    shard count, ``"auto"`` shards only when the grid leaves workers
-    idle, and ``None`` defers to the ``REPRO_SHARDS`` environment
-    default (unsharded when unset).  Results are bit-identical at any
-    setting.
     """
 
     def __init__(
@@ -128,7 +104,6 @@ class Session:
         jobs: Optional[int] = None,
         scheduler: SchedulerLike = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
-        shards: ShardCount = None,
     ):
         # ``store`` takes anything the store itself does — a live
         # ResultStore, a backend URL (``sqlite:///path/store.db``), a
@@ -140,9 +115,6 @@ class Session:
             store = ResultStore(store)
         self.store = store
         self.progress = progress
-        # None defers to the REPRO_SHARDS environment default (1 when
-        # unset); anything explicit wins over the environment.
-        self.shards = shards if shards is not None else default_shards()
         self._default_scheduler = scheduler
         if executor is None:
             kind = scheduler if isinstance(scheduler, str) else "auto"
@@ -152,19 +124,8 @@ class Session:
     # ------------------------------------------------------------------
     # Spec evaluation
     # ------------------------------------------------------------------
-    def run(self, spec, shards: ShardCount = None) -> Any:
-        """Evaluate one spec (store-aware).
-
-        With sharding requested (the ``shards`` argument, else the
-        session default) a :class:`~repro.runtime.spec.RunSpec` routes
-        through :meth:`run_sharded`, fanning its per-instance baseline
-        work across the executor; otherwise — and for every
-        :class:`~repro.runtime.spec.TaskSpec`, which has no shardable
-        phase — the spec evaluates in-process as a batch of one.
-        """
-        shards = shards if shards is not None else self.shards
-        if shards not in (None, 1) and isinstance(spec, RunSpec):
-            return self.run_sharded([spec], shards=shards)[0]
+    def run(self, spec) -> Any:
+        """Evaluate one spec in-process as a batch of one (store-aware)."""
         return execute_specs([spec], self.store)[0]
 
     def _make_scheduler(
@@ -197,138 +158,19 @@ class Session:
         specs: Sequence[Any],
         scheduler: SchedulerLike = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
-        shards: ShardCount = None,
     ) -> List[Any]:
         """Evaluate a batch of specs (sweep runs and tasks alike).
 
         With a scheduler (an instance, ``"async"``, or the session
         default) the batch streams through the bounded async engine;
         otherwise store hits are served inline and the misses fan out
-        through the executor's ``map``.  When sharding is requested
-        (the ``shards`` argument, else the session default) the batch
-        routes through :meth:`run_sharded` first.  Results always come
-        back in spec order, byte-identical at any scheduler, worker
-        count, or shard count.
+        through the executor's ``map``.  Results always come back in
+        spec order, byte-identical at any scheduler or worker count.
         """
-        shards = shards if shards is not None else self.shards
-        if shards not in (None, 1):
-            return self.run_sharded(
-                specs, shards=shards, scheduler=scheduler, progress=progress
-            )
-        return self._run_batch(specs, scheduler, progress)
-
-    def _run_batch(
-        self,
-        specs: Sequence[Any],
-        scheduler: SchedulerLike,
-        progress: Optional[Callable[[ProgressEvent], None]],
-    ) -> List[Any]:
-        """One unsharded batch through the scheduler or executor path."""
         engine = self._make_scheduler(scheduler, progress)
         if engine is not None:
             return engine.run(specs)
         return self.run_specs(specs)
-
-    def run_sharded(
-        self,
-        specs: Sequence[Any],
-        shards: ShardCount = "auto",
-        scheduler: SchedulerLike = None,
-        progress: Optional[Callable[[ProgressEvent], None]] = None,
-    ) -> List[Any]:
-        """Evaluate a batch with intra-run trace sharding.
-
-        Two phases, both riding the session's normal batch machinery
-        (so serial, parallel, and async execution all work):
-
-        1. **Shard phase** — for every :class:`RunSpec` whose record
-           *and* baseline are still unknown, the per-instance baseline
-           streams are split into
-           :class:`~repro.runtime.sharding.ShardSpec` slices.  Shards
-           from different specs are interleaved round-robin so one
-           run's shards never starve the rest of the grid, then the
-           whole shard queue executes as one batch.  Each baseline's
-           shards are merged deterministically (fixed instance order)
-           and the merged result is stored under the **unsharded**
-           baseline fingerprint.
-        2. **Replay phase** — the original specs execute unchanged;
-           every mix replay now finds its baseline in the store, so a
-           worker spends its slot on the joint simulation only.
-
-        Because the merged baselines are bit-identical to the serial
-        computation and the logical fingerprints never see the shard
-        topology, the records (and their store documents) are byte-for-
-        byte the same as an unsharded run.  Task specs pass through
-        untouched.
-
-        Two economies: the ``"auto"`` budget counts only the specs that
-        actually *miss* the store (cached entries neither shard nor
-        replay, so they should not dilute the idle-worker budget), and
-        the shard phase is skipped entirely when the merged baselines
-        could not reach the replay workers anyway (memory-only store
-        with an out-of-process path — sharding there would make every
-        worker recompute its baselines from scratch).
-        """
-        specs = list(specs)
-        # The sweep runs that will actually simulate: store hits serve
-        # inline, so only the misses compete for workers.
-        miss_runs = [
-            spec
-            for spec in specs
-            if isinstance(spec, RunSpec)
-            and store_lookup(spec, self.store)[1] is None
-        ]
-        count = resolve_shards(
-            shards,
-            jobs=getattr(self.executor, "jobs", 1),
-            grid_size=max(1, len(miss_runs)),
-        )
-        if count > 1 and not self._baselines_reach_workers(scheduler, progress):
-            count = 1
-        if count > 1:
-            plans = []
-            planned = set()
-            for spec in miss_runs:
-                base_fp = spec.baseline_spec().fingerprint()
-                if base_fp in planned:
-                    continue  # another spec already shards this baseline
-                if self.store.get_baseline(base_fp) is not None:
-                    continue  # baseline known: only the replay remains
-                planned.add(base_fp)
-                plans.append(plan_shards(spec, count))
-            shard_queue = interleave_shards(plans)
-            if shard_queue:
-                shard_results = self._run_batch(shard_queue, scheduler, progress)
-                grouped: dict = {}
-                for shard, result in zip(shard_queue, shard_results):
-                    key = shard.base_spec().fingerprint()
-                    grouped.setdefault(key, []).append(result)
-                for base_fp, results in grouped.items():
-                    merged = merge_shard_results(results)
-                    self.store.put_baseline(base_fp, merged.baseline)
-                # The merged baselines supersede their shard documents;
-                # reclaim them so sharding leaves no duplicate latency
-                # pools behind.  (Mid-phase, the documents still serve
-                # crash resume and cross-spec dedup.)
-                for shard in shard_queue:
-                    self.store.discard(shard.fingerprint())
-        return self._run_batch(specs, scheduler, progress)
-
-    def _baselines_reach_workers(
-        self,
-        scheduler: SchedulerLike,
-        progress: Optional[Callable[[ProgressEvent], None]],
-    ) -> bool:
-        """Whether baselines merged by this process are visible to the
-        processes that will run the replay phase.  True with a
-        persistent store (workers reopen the same URL) or a fully
-        in-process path; false for a memory-only store feeding a
-        process pool, where sharding would only add work."""
-        if self.store.persistent:
-            return True
-        return self._make_scheduler(scheduler, progress) is None and isinstance(
-            self.executor, SerialExecutor
-        )
 
     def run_specs(self, specs: Sequence[Any]) -> List[Any]:
         """Evaluate a batch: serve store hits, fan out the misses.

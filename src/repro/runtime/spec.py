@@ -352,13 +352,6 @@ class TaskSpec:
     persistence are inherited, so any task spec rides executors, the
     :class:`~repro.runtime.scheduler.SpecScheduler`, and the persistent
     store exactly like a sweep spec.
-
-    Besides the scaleout/bandwidth studies, this is also how intra-run
-    trace sharding stays wiring-free: a
-    :class:`~repro.runtime.sharding.ShardSpec` — one slice of a run's
-    per-instance baseline work — is just another task spec, so shards
-    queue, deduplicate, persist, and parallelize through the exact
-    machinery described here.
     """
 
     #: Store document kind; subclasses must override.

@@ -156,8 +156,7 @@ class ResultStore:
         """Where a fingerprint's document lives as its own file
         (``None`` unless the backend keeps per-document files — only
         the directory engine does).  The file need not exist yet; the
-        path is deterministic, which is what ``repro run`` prints and
-        what byte-identity tests compare across shard counts."""
+        path is deterministic, which is what ``repro run`` prints."""
         return self.backend.document_path(fingerprint)
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
@@ -198,18 +197,6 @@ class ResultStore:
         payload = self._stamp(payload)
         self._mem[fingerprint] = payload
         self.backend.put_doc(fingerprint, canonical_json(payload))
-
-    def discard(self, fingerprint: str) -> None:
-        """Drop one entry from both layers (a no-op when absent).
-
-        Used to reclaim documents a later write supersedes — e.g. the
-        per-shard documents of a sharded baseline once their merged
-        result is persisted, which would otherwise duplicate every
-        latency pool on disk indefinitely.
-        """
-        self._mem.pop(fingerprint, None)
-        self._baseline_parse.pop(fingerprint, None)
-        self.backend.delete_doc(fingerprint)
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.get(fingerprint) is not None

@@ -17,12 +17,11 @@ or any :class:`~repro.runtime.spec.TaskSpec`:
 Keeping them here, below the session facade, lets the scheduler stream
 work without importing the session (and vice versa).
 
-Every unit of work the runtime knows — sweep :class:`RunSpec`\\ s,
-scaleout/bandwidth tasks, and the
-:class:`~repro.runtime.sharding.ShardSpec` slices of a sharded run —
-flows through :func:`execute_specs`, which is what makes new spec kinds
-cheap: implement :meth:`TaskSpec.compute` and every executor, the
-scheduler, the store, and the CLI handle it with no further wiring.
+Every unit of work the runtime knows — sweep :class:`RunSpec`\\ s and
+scaleout/bandwidth tasks — flows through :func:`execute_specs`, which
+is what makes new spec kinds cheap: implement :meth:`TaskSpec.compute`
+and every executor, the scheduler, the store, and the CLI handle it
+with no further wiring.
 Sweep records always replay on the production engine
 (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`).
 :func:`execute_spec` is kept as the scalar oracle for one spec.

@@ -19,14 +19,12 @@ The policy only sees monitor data (noisy UMON curves, counters), never
 engine-internal state, so policy decisions carry hardware-realistic
 information error.
 
-Parallelism note (see ``docs/ARCHITECTURE.md``, "Trace sharding"):
-one engine run is a single sequential event timeline — the six apps
+One engine run is a single sequential event timeline: the six apps
 are coupled through policy decisions, the shared batch-space integral,
 and one RNG, so a *joint* mix replay cannot be split without changing
-its semantics.  What *is* independent is each LC instance's isolated
-baseline run (:meth:`MixEngine.isolated`): one instance, no batch
-apps, a fixed partition, its own seed.  The runtime's trace sharding
-(:mod:`repro.runtime.sharding`) exploits exactly that boundary.
+its semantics.  Each LC instance's isolated baseline run
+(:meth:`MixEngine.isolated`) is its own engine: one instance, no batch
+apps, a fixed partition, its own seed.
 
 This module's heap loop is the **scalar oracle**.  Production replays
 run through its subclass :class:`~repro.sim.lockstep.LockstepEngine`,
@@ -311,14 +309,11 @@ class MixEngine:
 
         This is the paper's private-LLC baseline configuration (noise
         off, no batch apps, a :class:`~repro.policies.fixed.FixedPolicy`
-        pinned at ``target_lines``) — and the unit of work the runtime's
-        trace sharding fans across workers: isolated instances share no
-        state, so any subset can run anywhere and merge exactly.
-        Both :meth:`repro.sim.mix_runner.MixRunner.baseline_instance`
-        and the scaleout study's baseline build their engines here
-        (through :class:`~repro.sim.lockstep.LockstepEngine`, which
-        inherits it) so the sharded and serial paths cannot drift
-        apart.
+        pinned at ``target_lines``).  Both
+        :meth:`repro.sim.mix_runner.MixRunner.baseline_instance` and the
+        scaleout study's baseline build their engines here (through
+        :class:`~repro.sim.lockstep.LockstepEngine`, which inherits
+        it).
         """
         from ..policies.fixed import FixedPolicy
 

@@ -184,14 +184,9 @@ class MixRunner:
 
         Returns the instance's
         :class:`~repro.sim.results.LCInstanceResult` (post-warmup
-        latency pool plus served/activation counters).  This is the
-        *shardable unit* of a baseline: instances share no state — each
-        draws its own request stream (:meth:`stream`) and its own
-        engine seed (``seed + instance``) — so any subset of instances
-        can be simulated in any process and merged in instance order
-        to reproduce :meth:`baseline` exactly.
-        :class:`repro.runtime.sharding.ShardSpec` calls this for the
-        instances its shard covers.
+        latency pool plus served/activation counters).  Instances share
+        no state: each draws its own request stream (:meth:`stream`)
+        and its own engine seed (``seed + instance``).
         """
         arrivals, works = self.stream(workload, load, instance)
         spec = LCInstanceSpec(
@@ -225,9 +220,7 @@ class MixRunner:
         enabled holds the exact same documents as one populated with it
         off.  The simulation itself is :meth:`baseline_instance`
         applied to instances ``0..LC_INSTANCES-1`` with the pools
-        concatenated in instance order — the exact merge rule trace
-        sharding replays, which is why a sharded baseline is
-        bit-identical to this serial one.
+        concatenated in instance order.
         """
         fingerprint = self._baseline_fingerprint(workload, load)
         hit = self._baseline_cache.get(fingerprint)

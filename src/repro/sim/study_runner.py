@@ -51,7 +51,7 @@ def _scaleout_stream(
     The scaleout study predates :meth:`MixRunner.stream` and seeds
     differently — ``default_rng((seed, instance))``, service time from
     the default core — so its streams are derived here, once, for both
-    the baseline shards and the joint replay.
+    the baseline instances and the joint replay.
     """
     rng = np.random.default_rng((seed, instance))
     works = np.asarray([workload.work.sample(rng) for _ in range(requests)])
@@ -102,12 +102,10 @@ def scaleout_baseline_instance(
 ):
     """Run one scaleout LC instance alone on the ``cores``-core machine.
 
-    This is the compute body of
-    :class:`~repro.runtime.sharding.ScaleoutShardSpec`: the stream and
-    engine seeding reproduce the study's historical serial loop exactly
+    The stream and engine seeding are the study's historical ones
     (stream RNG ``(seed, instance)``, engine seed ``seed`` shared by
-    all instances), so shard merges are bit-identical to it.  Returns
-    the instance's :class:`~repro.sim.results.LCInstanceResult`.
+    all instances).  Returns the instance's
+    :class:`~repro.sim.results.LCInstanceResult`.
     """
     workload = make_lc_workload(lc_name)
     config = _scaleout_config(cores)
@@ -136,17 +134,12 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
     """Pooled tail of the study's streams run alone at the target size.
 
     Using the identical fixed-work streams keeps the comparison
-    sample-balanced (the paper's methodology).  The per-instance work
-    rides :class:`~repro.runtime.sharding.ScaleoutShardSpec` — one
-    shard per instance, each deduplicated and crash-resumable through
-    the store — and the slices merge through
-    :func:`~repro.runtime.sharding.merge_shard_results`, the same
-    fixed-instance-order reassembly the sweep baselines use, so the
-    result is bit-identical to the historical serial loop.  The merged
-    summary is stored under the same policy-independent
-    ``scaleout_baseline`` fingerprint as before (every policy point
-    reuses one computation) and the shard documents are reclaimed once
-    it is persisted.
+    sample-balanced (the paper's methodology).  The ``cores // 2`` LC
+    instances run one after another in index order, their latencies
+    pool in that order, and the tail metrics are computed once over the
+    pool.  The summary is stored under a policy-independent
+    ``scaleout_baseline`` fingerprint, so every policy point reuses one
+    computation.
     """
     fingerprint = None
     if store is not None:
@@ -158,20 +151,19 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
         doc = store.get(fingerprint)
         if doc is not None and doc.get("kind") == "scaleout_baseline":
             return doc["tail95_cycles"], doc["p95_cycles"]
-    from ..runtime.sharding import merge_shard_results, plan_scaleout_shards
-
-    instance_count = identity["cores"] // 2
-    shards = plan_scaleout_shards(
-        lc_name=identity["lc_name"],
-        load=identity["load"],
-        requests=identity["requests"],
-        seed=identity["seed"],
-        cores=identity["cores"],
-        shards=instance_count,
-    )
-    merged = merge_shard_results([shard.execute(store) for shard in shards])
-    tail95 = merged.baseline.tail95_cycles
-    p95 = merged.baseline.p95_cycles
+    pooled: List[float] = []
+    for instance in range(identity["cores"] // 2):
+        result = scaleout_baseline_instance(
+            lc_name=identity["lc_name"],
+            load=identity["load"],
+            requests=identity["requests"],
+            seed=identity["seed"],
+            cores=identity["cores"],
+            instance=instance,
+        )
+        pooled.extend(float(x) for x in result.latencies)
+    tail95 = tail_mean(pooled, 95.0)
+    p95 = percentile_latency(pooled, 95.0)
     if store is not None:
         store.put(
             fingerprint,
@@ -181,9 +173,6 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
                 "p95_cycles": p95,
             },
         )
-        # The merged summary supersedes the per-shard latency pools.
-        for shard in shards:
-            store.discard(shard.fingerprint())
     return tail95, p95
 
 

@@ -75,6 +75,29 @@ class TestScaleOutModule:
         with pytest.raises(ValueError):
             run_scaleout(core_counts=(7,), requests=60)
 
+    @pytest.mark.parametrize(
+        "cores, tail95, p95",
+        [
+            (4, "0x1.b67eb8c8b9c20p+23", "0x1.401500d06f7d6p+23"),
+            (6, "0x1.8d67bc6e19b05p+23", "0x1.3905d64bd27c3p+23"),
+        ],
+        ids=["4-cores", "6-cores"],
+    )
+    def test_baseline_pool_is_pinned(self, cores, tail95, p95):
+        """Every LC instance runs alone, in index order, into one pool:
+        the pooled tail and p95 are pinned bit for bit."""
+        from repro.sim.study_runner import _scaleout_baseline
+
+        identity = {
+            "cores": cores,
+            "lc_name": "shore",
+            "load": 0.2,
+            "requests": 20,
+            "seed": 21,
+        }
+        pooled = _scaleout_baseline(None, identity)
+        assert tuple(float.hex(value) for value in pooled) == (tail95, p95)
+
     def test_rides_the_result_store(self, tmp_path):
         from repro.runtime import ResultStore, Session
 
@@ -87,10 +110,103 @@ class TestScaleOutModule:
         stats = store.stats()
         assert stats["by_kind"]["scaleout"] == 2
         assert stats["by_kind"]["scaleout_baseline"] == 1
+        assert set(stats["by_kind"]) == {"scaleout", "scaleout_baseline"}
         again = run_scaleout(
             core_counts=(6,), requests=60, session=Session(store=store)
         )
         assert again == first
+
+
+def _baseline_identity(cores, seed=21):
+    return {
+        "cores": cores,
+        "lc_name": "shore",
+        "load": 0.2,
+        "requests": 20,
+        "seed": seed,
+    }
+
+
+def _instance_latencies(cores, instance, seed=21):
+    from repro.sim.study_runner import scaleout_baseline_instance
+
+    result = scaleout_baseline_instance(
+        lc_name="shore",
+        load=0.2,
+        requests=20,
+        seed=seed,
+        cores=cores,
+        instance=instance,
+    )
+    return [float(x) for x in result.latencies]
+
+
+class TestScaleoutBaseline:
+    """The scaleout baseline is one loop over the LC instances, run
+    alone and pooled in index order, stored once per machine size."""
+
+    @pytest.mark.parametrize("cores", [4, 6])
+    def test_pool_is_the_instance_loop(self, cores):
+        from repro.server.latency import percentile_latency, tail_mean
+        from repro.sim.study_runner import _scaleout_baseline
+
+        pooled = []
+        for instance in range(cores // 2):
+            pooled.extend(_instance_latencies(cores, instance))
+        expected = (tail_mean(pooled, 95.0), percentile_latency(pooled, 95.0))
+        assert _scaleout_baseline(None, _baseline_identity(cores)) == expected
+
+    def test_instances_do_not_depend_on_call_order(self):
+        forward = [_instance_latencies(6, instance) for instance in range(3)]
+        backward = [_instance_latencies(6, instance) for instance in (2, 1, 0)]
+        assert backward[::-1] == forward
+
+    def test_each_instance_replays_its_own_stream(self):
+        streams = [tuple(_instance_latencies(6, instance)) for instance in range(3)]
+        assert len(set(streams)) == 3
+
+    @pytest.mark.parametrize("engine", ["directory", "sqlite", "memory"])
+    def test_stored_summary_serves_without_simulating(
+        self, engine, tmp_path, monkeypatch
+    ):
+        from repro.runtime import ResultStore
+        from repro.sim import study_runner
+
+        target = {
+            "directory": str(tmp_path / "tree"),
+            "sqlite": f"sqlite://{tmp_path}/store.db",
+            "memory": None,
+        }[engine]
+        store = ResultStore(target)
+        identity = _baseline_identity(4)
+        first = study_runner._scaleout_baseline(store, identity)
+        assert tuple(float.hex(value) for value in first) == (
+            "0x1.b67eb8c8b9c20p+23",
+            "0x1.401500d06f7d6p+23",
+        )
+
+        def refuse(**_):
+            raise AssertionError("a stored baseline was simulated again")
+
+        monkeypatch.setattr(study_runner, "scaleout_baseline_instance", refuse)
+        fresh = ResultStore(store.backend)
+        assert study_runner._scaleout_baseline(fresh, identity) == first
+        assert fresh.stats()["by_kind"] == {"scaleout_baseline": 1}
+        store.close()
+
+    def test_one_summary_per_machine_size_and_seed(self):
+        from repro.runtime import ResultStore
+        from repro.sim.study_runner import _scaleout_baseline
+
+        store = ResultStore(None)
+        for identity in (
+            _baseline_identity(4),
+            _baseline_identity(6),
+            _baseline_identity(4, seed=22),
+            _baseline_identity(4),
+        ):
+            _scaleout_baseline(store, identity)
+        assert store.stats()["by_kind"] == {"scaleout_baseline": 3}
 
 
 class TestBandwidthModule:

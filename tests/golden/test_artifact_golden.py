@@ -1,9 +1,8 @@
 """Artifact-cache-on vs -off determinism on a golden-suite grid.
 
-The acceptance bar for the artifact cache is the same as for trace
-sharding: *byte identity*.  Serving streams, baselines, and workload
-objects from the per-process cache must change nothing about what
-lands in the store — not a float, not a byte, not a file.  This runs a
+The acceptance bar for the artifact cache is *byte identity*.  Serving
+streams, baselines, and workload objects from the per-process cache
+must change nothing about what lands in the store — not a float, not a byte, not a file.  This runs a
 two-policy sweep (the Ubik and LRU cells of the pinned ``tests/golden``
 grid) into fresh store roots with the cache enabled and disabled and
 compares the resulting store *trees* — every file, every byte.
@@ -22,8 +21,8 @@ from repro.runtime import (
 )
 
 #: A 2-policy sweep over the golden grid's (masstree, low-load, nft)
-#: mix — the same mix test_sharding_golden pins, now across policies so
-#: the run shares a baseline and streams the way a real sweep does.
+#: mix, across policies so the run shares a baseline and streams the
+#: way a real sweep does.
 GOLDEN_SPECS = [
     RunSpec(
         mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),

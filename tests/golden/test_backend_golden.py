@@ -2,28 +2,17 @@
 
 The acceptance bar for the pluggable storage layer is *byte identity*:
 the same sweep run against any engine — directory tree, sqlite file,
-in-memory, or a store served over HTTP — must produce a logical store
-whose canonical export is byte-for-byte identical to the directory
-backend's own tree.  This runs the pinned 2-policy sweep (the Ubik and
-LRU cells of the ``tests/golden`` grid) against all four backends,
-with the artifact cache both on and off, exports every corpus, and
-compares the trees — every file, every byte.  Migration hops
-(directory → sqlite → directory, and sqlite ↔ http) must preserve
-those bytes too, and — the wall the network hop is held to — the same
-sweep pushed through a server dropping, erroring, and truncating at
-least 20% of requests on a seeded schedule must still export the very
-same bytes.
+or in-memory — must produce a logical store whose canonical export is
+byte-for-byte identical to the directory backend's own tree.  This
+runs the pinned 2-policy sweep (the Ubik and LRU cells of the
+``tests/golden`` grid) against all three backends, with the artifact
+cache both on and off, exports every corpus, and compares the trees —
+every file, every byte.  Migration hops (directory → sqlite →
+directory, and sqlite → sqlite → sqlite) must preserve those bytes
+too.
 """
 
-import contextlib
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "runtime"))
-
-from fault_injection import FaultSchedule, live_server  # noqa: E402
 
 from repro.runtime import (
     MixRef,
@@ -50,24 +39,15 @@ GOLDEN_SPECS = [
     )
 ]
 
-BACKEND_NAMES = ("directory", "sqlite", "memory", "http")
+BACKEND_NAMES = ("directory", "sqlite", "memory")
 
 
-def make_store(name, tmp_path, stack=None):
-    """A fresh ResultStore on the named engine under tmp_path.
-
-    The http engine needs a live served store: ``stack`` (an
-    ``ExitStack``) owns the server's lifetime.
-    """
+def make_store(name, tmp_path):
+    """A fresh ResultStore on the named engine under tmp_path."""
     if name == "directory":
         return ResultStore(str(tmp_path / "tree"))
     if name == "sqlite":
         return ResultStore(f"sqlite://{tmp_path}/store.db")
-    if name == "http":
-        server = stack.enter_context(
-            live_server(f"sqlite://{tmp_path}/served.db")
-        )
-        return ResultStore(server.url)
     return ResultStore(None)
 
 
@@ -96,28 +76,25 @@ def _fresh_artifacts(monkeypatch):
 def test_canonical_exports_byte_identical_across_backends(cache_arm, tmp_path):
     exports = {}
     records = {}
-    with contextlib.ExitStack() as stack:
-        for name in BACKEND_NAMES:
-            reset_artifacts()
-            store = make_store(name, tmp_path / name, stack)
-            session = Session(store=store)
-            if cache_arm == "cache-off":
-                with get_artifacts().disabled():
-                    records[name] = session.run_many(GOLDEN_SPECS)
-            else:
+    for name in BACKEND_NAMES:
+        reset_artifacts()
+        store = make_store(name, tmp_path / name)
+        session = Session(store=store)
+        if cache_arm == "cache-off":
+            with get_artifacts().disabled():
                 records[name] = session.run_many(GOLDEN_SPECS)
-            exports[name] = export_tree(store, tmp_path / f"export-{name}")
-            store.close()
+        else:
+            records[name] = session.run_many(GOLDEN_SPECS)
+        exports[name] = export_tree(store, tmp_path / f"export-{name}")
+        store.close()
 
     assert records["sqlite"] == records["directory"]
     assert records["memory"] == records["directory"]
-    assert records["http"] == records["directory"]
     reference = exports["directory"]
     # Run record per policy plus the shared baseline document.
     assert len(reference) == 3
     assert exports["sqlite"] == reference
     assert exports["memory"] == reference
-    assert exports["http"] == reference  # the network hop changes no bytes
     # And the directory backend's export reproduces its own tree.
     tree = {
         p.relative_to(tmp_path / "directory" / "tree").as_posix(): p.read_bytes()
@@ -159,55 +136,23 @@ def test_migrated_corpus_serves_a_rerun_without_computing(tmp_path):
     assert len(migrated) == before
 
 
-def test_migration_round_trips_sqlite_and_http_verbatim(tmp_path):
-    """``repro cache --migrate`` across the network hop: a golden
-    corpus pushed into a served store and pulled back out again is
-    verbatim — same documents, same canonical bytes at every stop."""
+def test_migration_round_trips_sqlite_verbatim(tmp_path):
+    """``repro cache --migrate`` between sqlite files: a golden corpus
+    pushed into a second store and pulled back out again is verbatim —
+    same documents, same canonical bytes at every stop."""
     sqlite_url = f"sqlite://{tmp_path}/origin.db"
     origin = ResultStore(sqlite_url)
     Session(store=origin).run_many(GOLDEN_SPECS)
     origin_tree = export_tree(origin, tmp_path / "export-origin")
     origin.close()
 
-    with live_server(f"sqlite://{tmp_path}/served.db") as server:
-        up = migrate_store(sqlite_url, server.url)
-        assert up == {"documents": 3, "blobs": 0}
-        served_tree = export_tree(
-            ResultStore(server.url), tmp_path / "export-served"
-        )
-        back_url = f"sqlite://{tmp_path}/back.db"
-        down = migrate_store(server.url, back_url)
-        assert down["documents"] == 3
+    hop_url = f"sqlite://{tmp_path}/hop.db"
+    up = migrate_store(sqlite_url, hop_url)
+    assert up == {"documents": 3, "blobs": 0}
+    hop_tree = export_tree(ResultStore(hop_url), tmp_path / "export-hop")
+    back_url = f"sqlite://{tmp_path}/back.db"
+    down = migrate_store(hop_url, back_url)
+    assert down["documents"] == 3
     back_tree = export_tree(ResultStore(back_url), tmp_path / "export-back")
-    assert served_tree == origin_tree
+    assert hop_tree == origin_tree
     assert back_tree == origin_tree
-
-
-def test_faulty_network_sweep_stays_byte_identical(tmp_path, monkeypatch):
-    """The acceptance wall: with the injector failing well over 20% of
-    requests on a seeded schedule, the 2-policy sweep through the http
-    engine completes, and its canonical export is byte-identical to
-    the same sweep on the directory engine."""
-    reference = make_store("directory", tmp_path / "ref")
-    ref_records = Session(store=reference).run_many(GOLDEN_SPECS)
-    ref_tree = export_tree(reference, tmp_path / "export-ref")
-    reference.close()
-
-    reset_artifacts()
-    monkeypatch.setenv("REPRO_HTTP_RETRIES", "8")
-    monkeypatch.setenv("REPRO_HTTP_BACKOFF", "0.002")
-    schedule = FaultSchedule(2014, drop=0.15, error=0.15, truncate=0.06)
-    with live_server(
-        f"sqlite://{tmp_path}/served.db", injector=schedule
-    ) as server:
-        store = ResultStore(server.url)
-        records = Session(store=store).run_many(GOLDEN_SPECS)
-        tree = export_tree(store, tmp_path / "export-http")
-        store.close()
-
-    assert records == ref_records
-    assert tree == ref_tree  # diff -r clean, byte for byte
-    # The wall actually pushed: a meaningful fraction of requests were
-    # dropped, errored, or truncated.
-    assert schedule.total >= 10
-    assert schedule.failure_fraction >= 0.2

@@ -1,16 +1,12 @@
 """Tests for the pluggable storage backends and their shared contract."""
 
-import contextlib
 import json
-import os
 
 import pytest
 
-from fault_injection import live_server
 from repro.runtime.backends import (
     BACKENDS,
     DirectoryBackend,
-    HttpBackend,
     MemoryBackend,
     SqliteBackend,
     StoreBackend,
@@ -23,14 +19,21 @@ from repro.runtime.store import (
     migrate_store,
 )
 
-BACKEND_NAMES = ("directory", "sqlite", "memory", "http", "cluster")
+BACKEND_NAMES = ("directory", "sqlite", "memory")
 
-#: The engines with their own media (http serves one of these).
-LOCAL_BACKEND_NAMES = ("directory", "sqlite", "memory")
+#: What a store URL naming no engine is refused with.
+UNKNOWN_ENGINE = r"unknown store backend .*\(known: directory, memory, sqlite\)"
+
+#: Store URLs of engines that no longer exist, plus one that never did.
+RETIRED_URLS = [
+    "redis://localhost/0",
+    "http://127.0.0.1:8377",
+    "cluster://replicas=2;http://a:1;http://b:2",
+]
 
 
 def make_target(name: str, tmp_path):
-    """A store target string (or None) for one local backend."""
+    """A store target string (or None) for one backend."""
     if name == "directory":
         return str(tmp_path / "tree")
     if name == "sqlite":
@@ -40,34 +43,17 @@ def make_target(name: str, tmp_path):
 
 @pytest.fixture
 def target_factory(tmp_path):
-    """``factory(name, label)`` → a store target for any engine.
+    """``factory(name, label)`` → a store target under ``tmp_path/<label>``."""
 
-    For the http engine this starts a real in-process served store
-    (sqlite-backed, under ``tmp_path/<label>``) and returns its URL;
-    servers are shut down when the test ends.
-    """
-    with contextlib.ExitStack() as stack:
+    def factory(name: str, label: str = "t"):
+        return make_target(name, tmp_path / label)
 
-        def factory(name: str, label: str = "t"):
-            if name == "http":
-                served = f"sqlite://{tmp_path}/{label}-served.db"
-                return stack.enter_context(live_server(served)).url
-            if name == "cluster":
-                return (
-                    "cluster://replicas=2;"
-                    f"sqlite://{tmp_path}/{label}-n0.db;"
-                    f"sqlite://{tmp_path}/{label}-n1.db"
-                )
-            return make_target(name, tmp_path / label)
-
-        yield factory
+    return factory
 
 
 @pytest.fixture(params=BACKEND_NAMES)
 def backend(request, target_factory):
     instance = make_backend(target_factory(request.param))
-    if isinstance(instance, HttpBackend):
-        instance.backoff = 0.001  # keep test-suite retries snappy
     yield instance
     instance.close()
 
@@ -95,34 +81,43 @@ class TestParseStoreUrl:
     def test_empty_is_memory(self):
         assert parse_store_url("") == ("memory", None)
 
-    def test_http_url(self):
-        assert parse_store_url("http://127.0.0.1:8377") == (
-            "http",
-            "127.0.0.1:8377",
-        )
-
-    def test_cluster_url(self):
-        assert parse_store_url("cluster://replicas=2;http://a:1;http://b:2") == (
-            "cluster",
-            "replicas=2;http://a:1;http://b:2",
-        )
-
-    def test_bare_cluster_url_defers_to_env(self):
-        # Topology may come from REPRO_STORE_CLUSTER at construction
-        # time, so the parse itself must accept an empty location.
-        assert parse_store_url("cluster://") == ("cluster", None)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            parse_store_url("redis://localhost/0")
+    @pytest.mark.parametrize("url", RETIRED_URLS)
+    def test_unknown_scheme_rejected(self, url):
+        with pytest.raises(ValueError, match=UNKNOWN_ENGINE):
+            parse_store_url(url)
 
     def test_schemed_url_requires_path(self):
         with pytest.raises(ValueError, match="missing its path"):
             parse_store_url("sqlite://")
 
-    def test_http_url_requires_host(self):
-        with pytest.raises(ValueError, match="missing its path"):
-            parse_store_url("http://")
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("SQLITE:///tmp/x/store.db", ("sqlite", "/tmp/x/store.db")),
+            ("  directory:///tmp/x  ", ("directory", "/tmp/x")),
+            ("Memory://", ("memory", None)),
+            ("  /tmp/corpus ", ("directory", "/tmp/corpus")),
+        ],
+    )
+    def test_scheme_case_and_outer_space_ignored(self, text, expected):
+        assert parse_store_url(text) == expected
+
+
+class TestHomeRelativeTargets:
+    @pytest.mark.parametrize(
+        "target, path",
+        [
+            ("directory://~/corpus", "corpus"),
+            ("sqlite://~/corpus/store.db", "corpus/store.db"),
+        ],
+    )
+    def test_tilde_expands_to_home(self, target, path, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        backend = make_backend(target)
+        backend.put_doc("ab" * 32, "doc")
+        assert backend.url == target.replace("~", str(tmp_path))
+        assert (tmp_path / path).exists()
+        backend.close()
 
 
 class TestMakeBackend:
@@ -150,15 +145,6 @@ class TestMakeBackend:
             second = make_backend(first.url)
             assert second.name == first.name
             assert second.url == first.url
-
-    def test_http_url_round_trips_without_connecting(self):
-        # Construction must never touch the network: port 9 (discard)
-        # would hang or refuse if it did.
-        client = make_backend("http://127.0.0.1:9")
-        assert client.name == "http"
-        assert client.persistent
-        assert client.url == "http://127.0.0.1:9"
-        assert make_backend(client.url).url == client.url
 
 
 class TestBackendContract:
@@ -224,9 +210,148 @@ class TestBackendContract:
         else:
             assert backend.disk_bytes() == 0
 
+    def test_missing_keys_read_as_none(self, backend):
+        assert backend.get_doc("ab" * 32) is None
+        assert backend.get_blob("ab" * 32) is None
+        assert backend.doc_count() == 0
+        assert backend.blob_count() == 0
+        assert list(backend.iter_docs()) == []
+        assert list(backend.iter_blobs()) == []
+
+    def test_many_documents_listed_once_each(self, backend):
+        fingerprints = [f"{index:064x}" for index in range(40)]
+        for fp in fingerprints:
+            backend.put_doc(fp, json.dumps({"i": fp}))
+        listed = list(backend.iter_docs())
+        assert len(listed) == len(set(listed)) == 40
+        assert sorted(listed) == fingerprints
+        assert backend.doc_count() == 40
+        assert all(backend.get_doc(fp) == json.dumps({"i": fp}) for fp in fingerprints)
+
+    def test_document_text_stored_verbatim(self, backend):
+        # Engines never parse or re-serialize: whitespace, key order and
+        # even non-JSON text come back byte for byte.
+        texts = {
+            "ab" * 32: '{ "z" : 1,\n  "a":[1.0, 2e-3] }',
+            "cd" * 32: '{"a":1,"z":0.30000000000000004}',
+            "ef" * 32: "not json at all {",
+        }
+        for fp, text in texts.items():
+            backend.put_doc(fp, text)
+        assert {fp: backend.get_doc(fp) for fp in texts} == texts
+
+    def test_empty_and_large_blobs_round_trip(self, backend):
+        large = bytes(range(256)) * 4096  # 1 MiB, every byte value
+        backend.put_blob("ab" * 32, b"")
+        backend.put_blob("cd" * 32, large)
+        assert backend.get_blob("ab" * 32) == b""
+        assert backend.get_blob("cd" * 32) == large
+        assert backend.blob_count() == 2
+
+    def test_blob_overwrite_replaces_payload(self, backend):
+        key = "56" * 32
+        backend.put_blob(key, b"first payload, longer")
+        backend.put_blob(key, b"second")
+        assert backend.get_blob(key) == b"second"
+        assert backend.blob_count() == 1
+        assert list(backend.iter_blobs()) == [key]
+
+    def test_delete_blob_is_idempotent_and_leaves_documents(self, backend):
+        key = "78" * 32
+        backend.put_doc(key, "doc")
+        backend.put_blob(key, b"blob")
+        backend.delete_blob(key)
+        backend.delete_blob(key)
+        assert backend.get_blob(key) is None
+        assert backend.blob_count() == 0
+        assert backend.get_doc(key) == "doc"
+
+    def test_clear_blobs_leaves_documents(self, backend):
+        for index in range(3):
+            backend.put_doc(f"{index:064x}", "doc")
+            backend.put_blob(f"{index + 8:064x}", b"blob")
+        assert backend.clear_blobs() == 3
+        assert backend.blob_count() == 0
+        assert backend.doc_count() == 3
+
+    def test_clear_on_empty_store_returns_zero(self, backend):
+        assert backend.clear_documents() == 0
+        assert backend.clear_blobs() == 0
+        backend.put_doc("ab" * 32, "doc")
+        assert backend.clear_documents() == 1
+        assert backend.clear_documents() == 0
+
+    def test_delete_one_document_keeps_the_rest(self, backend):
+        keep, drop = "ab" * 32, "ac" + "ab" * 31  # same two-char prefix
+        backend.put_doc(keep, "keep")
+        backend.put_doc(drop, "drop")
+        backend.delete_doc(drop)
+        assert backend.get_doc(keep) == "keep"
+        assert list(backend.iter_docs()) == [keep]
+
+    def test_len_and_iter_follow_documents_only(self, backend):
+        backend.put_doc("ab" * 32, "doc")
+        backend.put_blob("cd" * 32, b"blob")
+        backend.put_blob("ef" * 32, b"blob")
+        assert len(backend) == 1
+        assert list(backend) == ["ab" * 32]
+
+    def test_handle_stays_usable_after_close(self, backend):
+        backend.put_doc("ab" * 32, "doc")
+        backend.close()
+        backend.close()  # idempotent
+        backend.put_doc("cd" * 32, "later")
+        assert backend.get_doc("cd" * 32) == "later"
+        assert backend.doc_count() == 2
+
+    def test_url_reopens_the_corpus_only_when_persistent(self, backend):
+        backend.put_doc("ab" * 32, "doc")
+        backend.put_blob("cd" * 32, b"blob")
+        reopened = make_backend(backend.url)
+        assert type(reopened) is type(backend)
+        if backend.persistent:
+            assert reopened.get_doc("ab" * 32) == "doc"
+            assert reopened.get_blob("cd" * 32) == b"blob"
+        else:
+            assert reopened.doc_count() == 0
+            assert reopened.blob_count() == 0
+        reopened.close()
+
+    def test_export_writes_the_directory_layout(self, backend, tmp_path):
+        texts = {f"{index:02x}" * 32: f'{{"i":{index}}}' for index in (1, 2, 3)}
+        for fp, text in texts.items():
+            backend.put_doc(fp, text)
+        backend.put_blob("ff" * 32, b"blob")
+        destination = tmp_path / "exported"
+        assert backend.export_canonical(destination) == 3
+        files = sorted(p for p in destination.rglob("*") if p.is_file())
+        assert [p.relative_to(destination).as_posix() for p in files] == [
+            f"{fp[:2]}/{fp}.json" for fp in sorted(texts)
+        ]
+        assert {p.stem: p.read_text() for p in files} == texts
+
+    def test_document_path_only_on_the_directory_engine(self, backend):
+        fp = "ab" * 32
+        backend.put_doc(fp, "doc")
+        path = backend.document_path(fp)
+        if backend.name == "directory":
+            assert path == backend.root / fp[:2] / f"{fp}.json"
+            assert path.read_text() == "doc"
+        else:
+            assert path is None
+
+    def test_disk_bytes_grow_with_the_corpus(self, backend):
+        backend.put_doc("ab" * 32, "x")
+        small = backend.disk_bytes()
+        backend.put_blob("cd" * 32, b"\x00" * 65536)
+        if backend.persistent:
+            assert backend.disk_bytes() >= small + 65536
+        else:
+            assert backend.disk_bytes() == small == 0
+
 
 class TestPersistence:
-    @pytest.mark.parametrize("name", ["directory", "sqlite", "http"])
+    @pytest.mark.parametrize("name", ["directory", "sqlite"])
     def test_second_handle_sees_the_corpus(self, name, target_factory):
         target = target_factory(name)
         writer = make_backend(target)
@@ -237,6 +362,35 @@ class TestPersistence:
         assert reader.get_doc("ab" * 32) == "doc"
         assert reader.get_blob("cd" * 32) == b"blob"
         reader.close()
+
+    @pytest.mark.parametrize("name", ["directory", "sqlite"])
+    def test_open_handles_see_each_others_overwrites_and_deletes(
+        self, name, target_factory
+    ):
+        target = target_factory(name)
+        first, second = make_backend(target), make_backend(target)
+        first.put_doc("ab" * 32, "v1")
+        first.put_doc("cd" * 32, "doomed")
+        assert second.get_doc("ab" * 32) == "v1"
+        second.put_doc("ab" * 32, "v2")
+        second.delete_doc("cd" * 32)
+        assert first.get_doc("ab" * 32) == "v2"
+        assert first.get_doc("cd" * 32) is None
+        assert sorted(first.iter_docs()) == sorted(second.iter_docs()) == ["ab" * 32]
+        first.close()
+        second.close()
+
+    @pytest.mark.parametrize("name", ["directory", "sqlite"])
+    def test_clear_through_one_handle_empties_the_other(self, name, target_factory):
+        target = target_factory(name)
+        first, second = make_backend(target), make_backend(target)
+        first.put_doc("ab" * 32, "doc")
+        first.put_blob("cd" * 32, b"blob")
+        assert second.clear_documents() == 1
+        assert first.doc_count() == 0
+        assert first.get_blob("cd" * 32) == b"blob"
+        first.close()
+        second.close()
 
     def test_memory_handles_share_nothing(self, tmp_path):
         writer = make_backend(None)
@@ -311,8 +465,6 @@ class TestCanonicalExport:
             backend.close()
         assert exports["sqlite"] == exports["directory"]
         assert exports["memory"] == exports["directory"]
-        assert exports["http"] == exports["directory"]  # the network hop
-        assert exports["cluster"] == exports["directory"]  # the fabric
         # And the export reproduces the directory backend's own layout.
         assert exports["directory"] == _tree_bytes(
             tmp_path / "directory" / "tree"
@@ -351,6 +503,34 @@ class TestMigrate:
         src.close()
         dst.close()
 
+    @pytest.mark.parametrize(
+        "src_name,dst_name",
+        [
+            (src, dst)
+            for src in BACKEND_NAMES
+            for dst in BACKEND_NAMES
+            if not src == dst == "memory"
+        ],
+    )
+    def test_migrate_overwrites_same_keys_and_keeps_the_rest(
+        self, src_name, dst_name, target_factory
+    ):
+        src = make_backend(target_factory(src_name, "src"))
+        src.put_doc("ab" * 32, '{"kind":"run","x":2}')
+        src.put_blob("ef" * 32, b"new-bytes")
+        dst = make_backend(target_factory(dst_name, "dst"))
+        dst.put_doc("ab" * 32, '{"kind":"run","x":1}')
+        dst.put_doc("cd" * 32, '{"kind":"run","only":"dst"}')
+        dst.put_blob("ef" * 32, b"old-bytes")
+        assert migrate_store(src, dst) == {"documents": 1, "blobs": 1}
+        assert dst.get_doc("ab" * 32) == '{"kind":"run","x":2}'
+        assert dst.get_doc("cd" * 32) == '{"kind":"run","only":"dst"}'
+        assert dst.get_blob("ef" * 32) == b"new-bytes"
+        # The source is read, never written.
+        assert src.doc_count() == 1 and src.blob_count() == 1
+        src.close()
+        dst.close()
+
     def test_round_trip_restores_the_original_corpus(self, tmp_path):
         origin = ResultStore(str(tmp_path / "origin"))
         origin.put("ab" * 32, {"kind": "run", "value": 1.25})
@@ -384,9 +564,10 @@ class TestDefaultStoreUrl:
         monkeypatch.setenv("REPRO_STORE", "memory://")
         assert default_store_url() is None
 
-    def test_invalid_env_url_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "redis://localhost/0")
-        with pytest.raises(ValueError, match="unknown store backend"):
+    @pytest.mark.parametrize("url", ["redis://localhost/0", "http://127.0.0.1:8377"])
+    def test_invalid_env_url_raises(self, monkeypatch, url):
+        monkeypatch.setenv("REPRO_STORE", url)
+        with pytest.raises(ValueError, match=UNKNOWN_ENGINE):
             default_store_url()
 
     def test_falls_back_to_legacy_rules(self, monkeypatch, tmp_path):
@@ -428,21 +609,3 @@ class TestFacadeIdentity:
         reopened = ResultStore(parent.share_target())
         parent.put("ab" * 32, {"kind": "run", "x": 1})
         assert reopened.get("ab" * 32)["x"] == 1
-
-    def test_http_store_exposes_share_target(self, target_factory):
-        url = target_factory("http")
-        store = ResultStore(url)
-        assert store.persistent
-        assert store.share_target() == url
-        assert store.memo_key == url
-        assert store.root is None
-
-    def test_http_share_target_reopens_the_served_corpus(self, target_factory):
-        # The pool-worker handoff: a second façade built from
-        # share_target() must see the parent's writes over the wire.
-        parent = ResultStore(target_factory("http"))
-        parent.put("ab" * 32, {"kind": "run", "x": 1})
-        reopened = ResultStore(parent.share_target())
-        assert reopened.get("ab" * 32)["x"] == 1
-        parent.close()
-        reopened.close()

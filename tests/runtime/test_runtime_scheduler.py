@@ -216,32 +216,18 @@ class TestDeterminismMatrix:
         assert records == ref_records
         assert _store_bytes(tmp_path) == ref_bytes
 
-    @pytest.mark.parametrize(
-        "backend_name", ["directory", "sqlite", "memory", "http"]
-    )
+    @pytest.mark.parametrize("backend_name", ["directory", "sqlite", "memory"])
     def test_every_backend_matches_serial_reference(
         self, reference, backend_name, tmp_path
     ):
         """Same batch through each storage engine: identical records,
         and identical canonical exports (the cross-backend byte-parity
         contract, exercised by a real scheduler run)."""
-        import contextlib
-
-        from fault_injection import live_server
-
         ref_records, ref_bytes = reference
-        stack = contextlib.ExitStack()
         if backend_name == "directory":
             store = ResultStore(str(tmp_path / "tree"))
         elif backend_name == "sqlite":
             store = ResultStore(f"sqlite://{tmp_path}/store.db")
-        elif backend_name == "http":
-            # Workers in other processes reach the parent's served
-            # store over TCP via share_target().
-            server = stack.enter_context(
-                live_server(f"sqlite://{tmp_path}/served.db")
-            )
-            store = ResultStore(server.url)
         else:
             store = ResultStore(None)
         if store.persistent:
@@ -260,7 +246,6 @@ class TestDeterminismMatrix:
         store.export_canonical(export)
         assert _store_bytes(export) == ref_bytes
         store.close()
-        stack.close()
 
 
 class TestSessionSchedulerWiring:

@@ -194,14 +194,6 @@ class TestEveryBackend:
         any_store.put_baseline("cd" * 32, baseline)
         assert any_store.get_baseline("cd" * 32) == baseline
 
-    def test_discard_forgets_everywhere(self, any_store):
-        any_store.put("ab" * 32, {"kind": "run", "x": 1})
-        any_store.discard("ab" * 32)
-        assert any_store.get("ab" * 32) is None
-        assert "ab" * 32 not in any_store
-        if any_store.persistent:
-            assert ResultStore(any_store.share_target()).get("ab" * 32) is None
-
     def test_prune_counts(self, any_store):
         any_store.put_record("ab" * 32, _record())
         # A document written by a previous schema generation, planted
@@ -239,6 +231,89 @@ class TestEveryBackend:
         exported = destination / "ab" / ("ab" * 32 + ".json")
         written = tmp_path / "reference" / "ab" / ("ab" * 32 + ".json")
         assert exported.read_bytes() == written.read_bytes()
+
+    # A second façade over the same engine instance starts with an empty
+    # memory layer, so it reads what the engine really holds — for the
+    # memory engine too, which no URL can reopen.
+
+    def test_corrupt_document_reads_as_miss(self, any_store):
+        any_store.put_record("ab" * 32, _record())
+        any_store.backend.put_doc("ab" * 32, "{not json")
+        fresh = ResultStore(any_store.backend)
+        assert fresh.get_record("ab" * 32) is None
+        assert "ab" * 32 not in fresh
+        assert fresh.stats()["by_kind"] == {"corrupt": 1}
+
+    def test_kind_mismatch_reads_as_miss(self, any_store):
+        baseline = BaselineResult(tail95_cycles=2.0, p95_cycles=1.5, latencies=(1.5,))
+        any_store.put_record("ab" * 32, _record())
+        any_store.put_baseline("cd" * 32, baseline)
+        fresh = ResultStore(any_store.backend)
+        assert fresh.get_baseline("ab" * 32) is None
+        assert fresh.get_record("cd" * 32) is None
+        assert fresh.get_record("ab" * 32) == _record()
+        assert fresh.get_baseline("cd" * 32) == baseline
+
+    def test_floats_round_trip_exactly(self, any_store):
+        awkward = (0.1 + 0.2, 1e-300, 2.0**53 + 2, 123456.789e10, 5e-324)
+        record = RunRecord(**dict(_record().to_dict(), tail_degradation=awkward[0]))
+        baseline = BaselineResult(
+            tail95_cycles=awkward[3], p95_cycles=awkward[2], latencies=awkward
+        )
+        any_store.put_record("ab" * 32, record)
+        any_store.put_baseline("cd" * 32, baseline)
+        fresh = ResultStore(any_store.backend)
+        assert fresh.get_record("ab" * 32).tail_degradation.hex() == awkward[0].hex()
+        reread = fresh.get_baseline("cd" * 32)
+        assert [x.hex() for x in reread.latencies] == [x.hex() for x in awkward]
+        assert reread.tail95_cycles.hex() == awkward[3].hex()
+
+    def test_engine_holds_stamped_canonical_json(self, any_store):
+        import repro
+        from repro.runtime.spec import SPEC_SCHEMA_VERSION, canonical_json
+
+        any_store.put_record("ab" * 32, _record())
+        text = any_store.backend.get_doc("ab" * 32)
+        payload = json.loads(text)
+        assert text == canonical_json(payload)
+        assert payload["schema"] == SPEC_SCHEMA_VERSION
+        assert payload["repro"] == repro.__version__
+        assert RunRecord.from_dict(payload["record"]) == _record()
+
+    def test_clear_drops_both_layers_and_keeps_blobs(self, any_store):
+        any_store.put_record("ab" * 32, _record())
+        any_store.put("cd" * 32, {"kind": "run"})
+        any_store.backend.put_blob("ef" * 32, b"artifact")
+        assert any_store.clear() == 2
+        assert any_store.get_record("ab" * 32) is None
+        assert len(any_store) == 0
+        assert any_store.stats()["memory_entries"] == 0
+        assert any_store.backend.get_blob("ef" * 32) == b"artifact"
+
+    def test_prune_drops_stale_unstamped_and_corrupt(self, any_store):
+        any_store.put_record("dd" * 32, _record())
+        backend = any_store.backend
+        backend.put_doc("ab" * 32, json.dumps({"kind": "run", "schema": 0}))
+        backend.put_doc("cd" * 32, json.dumps({"kind": "run", "record": {}}))
+        backend.put_doc("ef" * 32, "{not json")
+        assert any_store.prune() == {"kept": 1, "pruned": 3}
+        assert sorted(backend.iter_docs()) == ["dd" * 32]
+        assert ResultStore(backend).get_record("dd" * 32) == _record()
+
+    def test_cache_record_warms_memory_only(self, any_store):
+        any_store.cache_record("ab" * 32, _record())
+        assert any_store.get_record("ab" * 32) == _record()
+        assert any_store.backend.get_doc("ab" * 32) is None
+        assert len(any_store) == 0
+        assert ResultStore(any_store.backend).get_record("ab" * 32) is None
+
+    def test_second_facade_reads_through_to_the_engine(self, any_store):
+        fresh = ResultStore(any_store.backend)
+        assert "ab" * 32 not in fresh
+        any_store.put_record("ab" * 32, _record())
+        assert "ab" * 32 in fresh
+        assert fresh.get_record("ab" * 32) == _record()
+        assert fresh.stats()["memory_entries"] == 1
 
 
 class TestDefaultRoot:

@@ -62,9 +62,13 @@ MODULES = [
     "repro.runtime.store",
     "repro.runtime.executors",
     "repro.runtime.scheduler",
-    "repro.runtime.sharding",
     "repro.runtime.work",
     "repro.runtime.session",
+    "repro.runtime.backends",
+    "repro.runtime.backends.base",
+    "repro.runtime.backends.directory",
+    "repro.runtime.backends.sqlite",
+    "repro.runtime.backends.memory",
     "repro.sim",
     "repro.sim.config",
     "repro.sim.fill",
@@ -75,6 +79,8 @@ MODULES = [
     "repro.sim.bandwidth",
     "repro.sim.study_runner",
     "repro.sim.reference",
+    "repro.sim.lockstep",
+    "repro.sim.grid_replay",
     "repro.experiments",
     "repro.analysis",
     "repro.analysis.stats",
@@ -183,3 +189,28 @@ def test_all_subpackages_reachable():
         except Exception as exc:  # pragma: no cover - diagnostic
             failures.append((info.name, exc))
     assert not failures, failures
+
+
+def test_runtime_modules_are_all_listed():
+    """Every module under ``repro.runtime`` is held to the runtime
+    docstring bar above, and no module exists outside that list."""
+    import repro.runtime
+
+    found = {
+        info.name
+        for info in pkgutil.walk_packages(
+            repro.runtime.__path__, prefix="repro.runtime."
+        )
+    }
+    assert found == set(RUNTIME_MODULES) - {"repro.runtime"}
+
+
+def test_session_runs_take_no_split_argument():
+    """A run is one unit of work: neither the session nor its batch
+    entry points accept a way to split it, and the store keeps no
+    per-split reclaim hook."""
+    from repro.runtime import ResultStore, Session
+
+    for function in (Session.__init__, Session.run, Session.run_many):
+        assert "shards" not in inspect.signature(function).parameters
+    assert not hasattr(ResultStore, "discard")

@@ -8,11 +8,9 @@ import re
 import pytest
 
 from repro.bench import (
+    ARCHIVED_SCHEMAS,
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
-    BENCH_SCHEMA_V4,
     KERNEL_NAMES,
-    LEGACY_KERNEL_NAMES,
     SPEEDUP_FLOORS,
     STORE_BACKEND_NAMES,
     default_bench_path,
@@ -75,7 +73,7 @@ class TestRunBench:
     def test_document_shape(self, quick_payload):
         assert quick_payload["schema"] == BENCH_SCHEMA
         assert quick_payload["quick"] is True
-        assert set(KERNEL_NAMES) <= set(quick_payload["kernels"])
+        assert set(quick_payload["kernels"]) == set(KERNEL_NAMES)
         for name in KERNEL_NAMES:
             entry = quick_payload["kernels"][name]
             assert entry["seconds"] > 0
@@ -116,13 +114,12 @@ class TestRunBench:
     def test_store_kernel_times_every_engine_with_percentiles(
         self, quick_payload
     ):
-        """The v5 generation's per-backend kernel covers all four
-        engines — including http against a live served store — with
-        tail percentiles per operation."""
+        """The per-backend kernel covers the three engines, with tail
+        percentiles per operation."""
         backends = quick_payload["kernels"]["store_backend_roundtrip"][
             "backends"
         ]
-        assert set(STORE_BACKEND_NAMES) <= set(backends)
+        assert set(backends) == set(STORE_BACKEND_NAMES)
         for name in STORE_BACKEND_NAMES:
             for op in ("put", "get"):
                 stats = backends[name][op]
@@ -132,24 +129,6 @@ class TestRunBench:
                     <= stats["p90_ns"]
                     <= stats["p99_ns"]
                 )
-
-    def test_format_bench_reports_http_tail(self, quick_payload):
-        assert "http p50 put" in format_bench(quick_payload)
-
-    def test_cluster_kernel_times_degraded_reads(self, quick_payload):
-        """The v6 generation's kernel runs a real 3-node/R=2 fabric —
-        replicated writes, healthy reads, then reads with one node's
-        socket closed, so the degraded tail is a measured number."""
-        entry = quick_payload["kernels"]["cluster_roundtrip"]
-        assert entry["nodes"] == 3
-        assert entry["replicas"] == 2
-        for op in ("put", "get", "degraded_get"):
-            stats = entry[op]
-            assert 0 < stats["p50_ns"] <= stats["p90_ns"] <= stats["p99_ns"]
-
-    def test_format_bench_reports_cluster_tail(self, quick_payload):
-        text = format_bench(quick_payload)
-        assert "degraded get" in text
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
@@ -281,130 +260,28 @@ class TestWriteBench:
         for kernel, floor in SPEEDUP_FLOORS.items():
             assert current[kernel] == floor
 
-    def test_legacy_generation_validates_against_its_own_kernels(self):
-        """A repro-bench/1 document (BENCH_pr4.json) must stay valid
-        without the sweep-level kernels, and must NOT validate as the
-        current generation if its tag were rewritten."""
-        import pathlib
-
-        perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-        payload = json.loads((perf / "BENCH_pr4.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V1
+    @pytest.mark.parametrize(
+        "document", committed_documents(), ids=lambda path: path.name
+    )
+    def test_committed_document_reads_under_its_rules(self, document):
+        """Each committed document validates: the current generation in
+        full, an archived one by the common core.  Retagged as the
+        current generation, it is flagged for exactly the current
+        kernels it lacks.  An archived document that drops a compared
+        kernel's comparison field is flagged for it."""
+        payload = json.loads(document.read_text())
+        assert payload["schema"] in (BENCH_SCHEMA,) + ARCHIVED_SCHEMAS
         assert validate_bench(payload) == []
         retagged = dict(payload, schema=BENCH_SCHEMA)
-        missing = set(KERNEL_NAMES) - set(LEGACY_KERNEL_NAMES)
-        problems = validate_bench(retagged)
-        for name in missing:
-            assert any(name in p for p in problems)
-
-    def test_v3_generation_validates_against_its_own_kernels(self):
-        """A repro-bench/3 document (BENCH_pr6.json) predates the
-        grouped-replay kernel: it must stay valid as-is, and retagging
-        it as the current generation must flag the missing
-        joint_replay_grid entry."""
-        import pathlib
-
-        from repro.bench import BENCH_SCHEMA_V3, V3_KERNEL_NAMES
-
-        perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-        payload = json.loads((perf / "BENCH_pr6.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V3
-        assert validate_bench(payload) == []
-        retagged = dict(payload, schema=BENCH_SCHEMA)
-        missing = set(KERNEL_NAMES) - set(V3_KERNEL_NAMES)
-        assert missing == {
-            "joint_replay_grid",
-            "cluster_roundtrip",
-            "lockstep_replay",
-            "repartition_table",
-        }
-        problems = validate_bench(retagged)
-        for name in missing:
-            assert any(name in p for p in problems)
-
-    def test_v4_generation_validates_against_its_own_backends(self):
-        """A repro-bench/4 document (BENCH_pr7.json) predates the http
-        store engine: it must stay valid as-is with three backends, and
-        retagging it as the current generation must flag the missing
-        http arm of the store kernel."""
-        import pathlib
-
-        from repro.bench import V4_STORE_BACKEND_NAMES
-
-        perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-        payload = json.loads((perf / "BENCH_pr7.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V4
-        assert validate_bench(payload) == []
-        backends = payload["kernels"]["store_backend_roundtrip"]["backends"]
-        assert set(backends) == set(V4_STORE_BACKEND_NAMES)
-        retagged = dict(payload, schema=BENCH_SCHEMA)
-        problems = validate_bench(retagged)
-        assert any("http" in p for p in problems)
-
-
-    def test_v5_generation_validates_against_its_own_kernels(self):
-        """A repro-bench/5 document (BENCH_pr8.json) predates the
-        cluster fabric: it must stay valid as-is, and retagging it as
-        the current generation must flag the missing cluster_roundtrip
-        entry."""
-        import pathlib
-
-        from repro.bench import BENCH_SCHEMA_V5, V5_KERNEL_NAMES
-
-        perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-        payload = json.loads((perf / "BENCH_pr8.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V5
-        assert validate_bench(payload) == []
-        # The v5 store kernel already timed all four engines.
-        backends = payload["kernels"]["store_backend_roundtrip"]["backends"]
-        assert set(STORE_BACKEND_NAMES) <= set(backends)
-        retagged = dict(payload, schema=BENCH_SCHEMA)
-        missing = set(KERNEL_NAMES) - set(V5_KERNEL_NAMES)
-        assert missing == {
-            "cluster_roundtrip",
-            "lockstep_replay",
-            "repartition_table",
-        }
-        problems = validate_bench(retagged)
-        for name in missing:
-            assert any(name in p for p in problems)
-
-
-    def test_v6_generation_validates_against_its_own_kernels(self):
-        """A repro-bench/6 document (BENCH_pr9.json) predates the
-        lockstep kernel: it must stay valid as-is, and retagging it as
-        the current generation must flag the missing lockstep_replay
-        entry."""
-        import pathlib
-
-        from repro.bench import BENCH_SCHEMA_V6, V6_KERNEL_NAMES
-
-        perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-        payload = json.loads((perf / "BENCH_pr9.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V6
-        assert validate_bench(payload) == []
-        retagged = dict(payload, schema=BENCH_SCHEMA)
-        missing = set(KERNEL_NAMES) - set(V6_KERNEL_NAMES)
-        assert missing == {"lockstep_replay", "repartition_table"}
-        problems = validate_bench(retagged)
-        for name in missing:
-            assert any(name in p for p in problems)
-
-    def test_v7_generation_validates_against_its_own_kernels(self):
-        """A repro-bench/7 document (BENCH_pr15.json) predates the
-        repartition-table kernel: it must stay valid as-is, and
-        retagging it as the current generation must flag the missing
-        repartition_table entry."""
-        from repro.bench import BENCH_SCHEMA_V7, V7_KERNEL_NAMES
-
-        payload = json.loads((PERF_DIR / "BENCH_pr15.json").read_text())
-        assert payload["schema"] == BENCH_SCHEMA_V7
-        assert validate_bench(payload) == []
-        retagged = dict(payload, schema=BENCH_SCHEMA)
-        missing = set(KERNEL_NAMES) - set(V7_KERNEL_NAMES)
-        assert missing == {"repartition_table"}
-        problems = validate_bench(retagged)
-        assert any("repartition_table" in p for p in problems)
+        lacking = [name for name in KERNEL_NAMES if name not in payload["kernels"]]
+        assert validate_bench(retagged) == [
+            f"missing kernel {name!r}" for name in lacking
+        ]
+        broken = json.loads(json.dumps(payload))
+        del broken["kernels"]["trace_replay"]["speedup"]
+        assert validate_bench(broken) == [
+            "kernel 'trace_replay' missing 'speedup'"
+        ]
 
 
 class TestCompareBench:
@@ -431,6 +308,7 @@ class TestCompareBench:
         old = json.loads((perf / "BENCH_pr9.json").read_text())
         comparison = compare_bench(old, quick_payload)
         assert comparison["only_new"] == ["lockstep_replay", "repartition_table"]
+        assert comparison["only_old"] == ["cluster_roundtrip"]
         assert "lockstep_replay" not in comparison["kernels"]
         assert "joint_replay_grid" in comparison["kernels"]
         floor_row = comparison["kernels"]["joint_replay_grid"]

@@ -1,13 +1,8 @@
 """Tests for the repro CLI."""
 
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parent / "runtime"))
-
-from fault_injection import live_server  # noqa: E402
 
 from repro.cli import main
 
@@ -85,42 +80,9 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table3", "--scheduler", "warp"])
 
-    def test_run_command_sharded_matches_unsharded(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        args = [
-            "run", "--lc", "masstree", "--load", "0.2", "--combo", "nft",
-            "--policy", "ubik", "--slack", "0.05", "--requests", "24",
-        ]
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sharded"))
-        assert main(args + ["--shards", "4", "--jobs", "2"]) == 0
-        sharded_out = capsys.readouterr().out
-        assert "fingerprint" in sharded_out
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plain"))
-        assert main(args + ["--shards", "1"]) == 0
-        plain_out = capsys.readouterr().out
-        # Same record, same fingerprint; only the shards line and the
-        # store path differ between the two reports.
-        def field(text, name):
-            return [l for l in text.splitlines() if l.startswith(name)][0].split()[-1]
-
-        assert field(sharded_out, "fingerprint") == field(plain_out, "fingerprint")
-        sharded_doc = field(sharded_out, "store document")
-        plain_doc = field(plain_out, "store document")
-        from pathlib import Path
-
-        assert Path(sharded_doc).read_bytes() == Path(plain_doc).read_bytes()
-
-    def test_run_rejects_bad_shards(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--shards", "warp"])
-        with pytest.raises(SystemExit):
-            main(["run", "--shards", "0"])
-
     def test_list_mentions_run(self, capsys):
         assert main(["list"]) == 0
-        assert "--shards" in capsys.readouterr().out
+        assert "one (mix, policy) spec" in capsys.readouterr().out
 
     def test_cache_prune(self, capsys, monkeypatch, tmp_path):
         import json
@@ -264,164 +226,20 @@ class TestStorageCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "--store" in out
-        assert "store-serve" in out
 
-
-class TestStoreServeCLI:
-    """``repro store-serve`` and the cache command over the hop."""
-
-    RUN_ARGS = TestStorageCLI.RUN_ARGS
-
-    def test_store_serve_prints_urls_and_exits(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.runtime.backends.http import StoreHTTPServer
-
-        monkeypatch.setattr(StoreHTTPServer, "serve_forever", lambda self: None)
-        url = f"sqlite://{tmp_path}/served.db"
-        assert main(["store-serve", "--store", url, "--port", "0"]) == 0
-        out = capsys.readouterr().out
-        assert f"serving {url} at http://127.0.0.1:" in out
-
-    def test_store_serve_refuses_fronting_http(self, monkeypatch):
-        with pytest.raises(ValueError, match="refusing to front"):
-            main(["store-serve", "--store", "http://127.0.0.1:9", "--port", "0"])
-
-    def test_run_and_cache_stats_over_http(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        with live_server(f"sqlite://{tmp_path}/served.db") as server:
-            assert main(self.RUN_ARGS + ["--store", server.url]) == 0
-            capsys.readouterr()
-            assert main(["cache", "--store", server.url, "--stats"]) == 0
-            out = capsys.readouterr().out
-            assert "http" in out
-            assert server.url in out
-            assert "kind: run" in out
-
-    def test_env_url_reaches_served_store(self, capsys, monkeypatch, tmp_path):
-        with live_server(f"sqlite://{tmp_path}/served.db") as server:
-            monkeypatch.setenv("REPRO_STORE", server.url)
-            assert main(self.RUN_ARGS) == 0
-            capsys.readouterr()
-            assert main(["cache"]) == 0
-            out = capsys.readouterr().out
-            assert "http" in out
-
-    def test_cache_migrate_round_trip_through_http(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        origin = f"sqlite://{tmp_path}/origin.db"
-        assert main(self.RUN_ARGS + ["--store", origin]) == 0
-        capsys.readouterr()
-        with live_server(f"sqlite://{tmp_path}/served.db") as server:
-            assert main(["cache", "--migrate", origin, server.url]) == 0
-            assert "migrated" in capsys.readouterr().out
-            back = f"sqlite://{tmp_path}/back.db"
-            assert main(["cache", "--migrate", server.url, back]) == 0
-            capsys.readouterr()
-            for target, label in (
-                (origin, "origin"),
-                (server.url, "served"),
-                (back, "back"),
-            ):
-                assert (
-                    main(
-                        [
-                            "cache",
-                            "--store",
-                            target,
-                            "--export",
-                            str(tmp_path / f"export-{label}"),
-                        ]
-                    )
-                    == 0
-                )
-        capsys.readouterr()
-
-        def docs(label):
-            return {
-                p.name: p.read_bytes()
-                for p in (tmp_path / f"export-{label}").rglob("*.json")
-            }
-
-        assert docs("origin")
-        assert docs("served") == docs("origin")
-        assert docs("back") == docs("origin")
-
-
-class TestClusterCLI:
-    """``repro cluster-status`` and runs over the ``cluster://`` fabric."""
-
-    RUN_ARGS = TestStorageCLI.RUN_ARGS
-
-    @staticmethod
-    def cluster_url(tmp_path):
-        return (
-            "cluster://replicas=2;"
-            f"sqlite://{tmp_path}/n0.db;sqlite://{tmp_path}/n1.db"
-        )
-
-    def test_list_mentions_cluster_status(self, capsys):
-        assert main(["list"]) == 0
-        assert "cluster-status" in capsys.readouterr().out
-
-    def test_run_against_the_fabric(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        url = self.cluster_url(tmp_path)
-        assert main(self.RUN_ARGS + ["--store", url]) == 0
-        out = capsys.readouterr().out
-        assert "cluster://" in out
-        # R=2 over 2 nodes: both sqlite files hold the corpus.
-        assert (tmp_path / "n0.db").exists()
-        assert (tmp_path / "n1.db").exists()
-
-    def test_status_renders_the_node_table(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        url = self.cluster_url(tmp_path)
-        assert main(self.RUN_ARGS + ["--store", url]) == 0
-        capsys.readouterr()
-        assert main(["cluster-status", "--store", url]) == 0
-        out = capsys.readouterr().out
-        assert "2 node(s), R=2, write quorum 1" in out
-        assert "n0.db" in out
-        assert "n1.db" in out
-        assert out.count("up") >= 2
-        assert "closed" in out  # circuits
-        assert "write ack(s)" in out  # counters line
-
-    def test_status_repair_flag(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        url = self.cluster_url(tmp_path)
-        assert main(["cluster-status", "--store", url, "--repair"]) == 0
-        out = capsys.readouterr().out
-        assert "replayed 0 queued write(s)" in out
-        assert "0 still pending" in out
-
-    def test_status_refuses_non_cluster_store(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        with pytest.raises(SystemExit, match="needs a cluster:// store"):
-            main(
-                ["cluster-status", "--store", f"sqlite://{tmp_path}/solo.db"]
-            )
-
-    def test_env_topology_selects_the_fabric(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_STORE", "cluster://")
-        monkeypatch.setenv(
-            "REPRO_STORE_CLUSTER",
-            "replicas=2;"
-            f"sqlite://{tmp_path}/e0.db;sqlite://{tmp_path}/e1.db",
-        )
-        assert main(self.RUN_ARGS) == 0
-        capsys.readouterr()
-        assert main(["cluster-status"]) == 0
-        out = capsys.readouterr().out
-        assert "e0.db" in out
-        assert "e1.db" in out
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_retired_store_url_fails_by_name(self, monkeypatch, via):
+        """A stale network store URL fails when the session is built,
+        naming the engines that exist, before anything simulates."""
+        url = "http://127.0.0.1:8377"
+        args = list(self.RUN_ARGS)
+        if via == "flag":
+            monkeypatch.delenv("REPRO_STORE", raising=False)
+            args += ["--store", url]
+        else:
+            monkeypatch.setenv("REPRO_STORE", url)
+        with pytest.raises(ValueError, match="known: directory, memory, sqlite"):
+            main(args)
 
 
 class TestBenchCompareCLI:
@@ -462,3 +280,90 @@ class TestBenchCompareCLI:
     def test_list_mentions_bench(self, capsys):
         assert main(["list"]) == 0
         assert "bench" in capsys.readouterr().out
+
+
+#: Every command that evaluates specs through the result store, with
+#: the arguments that keep it small.
+STORE_BACKED = {
+    "run": ["run", "--lc", "masstree", "--requests", "20", "--policy", "lru"],
+    "table3": ["table3"],
+    "fig12": ["fig12"],
+    "fig13": ["fig13"],
+    "ablations": ["ablations"],
+    "fig9": ["fig9"],
+    "utilization": ["utilization"],
+    "scaleout": ["scaleout", "--cores", "4"],
+    "bandwidth": ["bandwidth"],
+}
+
+
+class TestStoreBackedCommands:
+    """Each store-backed command prints the same bytes on every engine,
+    and a rerun against a filled store is served, not simulated."""
+
+    @pytest.fixture(autouse=True)
+    def _small(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("REPRO_LC", "masstree")
+        monkeypatch.setenv("REPRO_REQUESTS", "20")
+        monkeypatch.setenv("REPRO_LOADS", "0.2")
+
+    @staticmethod
+    def _url(engine, tmp_path):
+        if engine == "directory":
+            return f"directory://{tmp_path}/tree"
+        if engine == "sqlite":
+            return f"sqlite://{tmp_path}/store.db"
+        return "memory://"
+
+    @pytest.mark.parametrize(
+        "command", [name for name in STORE_BACKED if name != "run"]
+    )
+    def test_output_identical_on_every_engine(self, command, capsys, tmp_path):
+        # ``run`` is left out: it prints the store location itself.
+        outputs = {}
+        for engine in ("directory", "sqlite", "memory"):
+            args = STORE_BACKED[command] + ["--store", self._url(engine, tmp_path)]
+            assert main(args) == 0
+            outputs[engine] = capsys.readouterr().out
+        assert outputs["directory"]
+        assert outputs["sqlite"] == outputs["directory"]
+        assert outputs["memory"] == outputs["directory"]
+
+    @pytest.mark.parametrize("engine", ["directory", "sqlite"])
+    @pytest.mark.parametrize("command", list(STORE_BACKED))
+    def test_rerun_is_served_byte_identical(
+        self, command, engine, capsys, monkeypatch, tmp_path
+    ):
+        from repro.runtime import ResultStore, reset_artifacts
+        from repro.sim.engine import MixEngine
+
+        url = self._url(engine, tmp_path)
+        args = STORE_BACKED[command] + ["--store", url]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        documents = len(ResultStore(url))
+        assert documents > 0
+
+        def refuse(self):
+            raise AssertionError("a stored result was simulated again")
+
+        # Every simulation, isolated baselines included, runs a MixEngine;
+        # an empty artifact cache makes the store the only source.
+        monkeypatch.setattr(MixEngine, "run", refuse)
+        reset_artifacts()
+        assert main(args) == 0
+        assert capsys.readouterr().out == cold
+        assert len(ResultStore(url)) == documents
+
+
+class TestCommandList:
+    def test_list_rows_are_the_command_choices(self, capsys):
+        """``repro list`` documents exactly the commands the parser
+        accepts (besides ``list`` itself), in the same order."""
+        from repro.cli import COMMANDS
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in lines[2:] if line.strip()]
+        assert listed == [name for name in COMMANDS if name != "list"]

@@ -51,10 +51,10 @@ class TestCheckerCatchesRot:
         assert "fake-heading" in problems[0][1]
 
     def test_valid_anchor_and_external_links_pass(self, tmp_path):
-        (tmp_path / "other.md").write_text("## Trace sharding: *inside* one run\n")
+        (tmp_path / "other.md").write_text("## Replay groups: *one* context per mix\n")
         page = self.make(
             tmp_path,
-            "[a](other.md#trace-sharding-inside-one-run) "
+            "[a](other.md#replay-groups-one-context-per-mix) "
             "[b](https://example.com/x) [c](other.md)\n",
         )
         assert check_docs.check_links(page) == []

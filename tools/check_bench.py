@@ -12,33 +12,13 @@ the CI bench smoke job is immune to machine noise.  The actual rules
 live in :func:`repro.bench.validate_bench`; this wrapper just feeds it
 files, exactly like ``tools/check_docs.py`` wraps the docs gate.
 
-Validation is generation-aware: ``repro-bench/8`` documents (the
-current schema) must carry all eleven kernels — including the
-``repartition_table`` entry comparing Ubik's float table walks against
-the NumPy walks of ``repro.core.reference`` (with its
-baseline/speedup/``verified_identical`` fields), the
-``lockstep_replay`` entry comparing the replay engine against the
-per-cell ``run_mix`` oracle on the pinned fixed-allocation grid (with
-its baseline/speedup/``verified_identical`` fields; older documents
-compared it against the since-deleted grouped per-cell loop), the
-``cluster_roundtrip`` entry timing a real 3-node/R=2 ``cluster://``
-fabric (replicated put, healthy get, and ``degraded_get`` percentiles
-measured with one node's socket closed, so the failover tail is a
-tracked number), the ``joint_replay_grid`` entry comparing the
-batched replay-group path against the per-cell oracle, the
-sweep-level ``warm_sweep_grid``/``stream_synthesis`` comparison
-entries, and the per-backend ``store_backend_roundtrip`` entry with
-p50/p90/p99 put/get percentiles for every storage engine, http
-included (timed against a live served store, so the number prices the
-network hop) — while committed ``repro-bench/7`` (ten-kernel,
-pre-repartition-table), ``repro-bench/6`` (nine-kernel,
-pre-lockstep), ``repro-bench/5`` (eight-kernel, pre-cluster),
-``repro-bench/4`` (three-backend store kernel, pre-http),
-``repro-bench/3`` (seven-kernel), ``repro-bench/2`` (six-kernel) and
-``repro-bench/1`` (four-kernel) documents are held to their own
-generations — the trajectory's history never rots out of CI.
-Quick-mode documents (``repro bench --quick``) carry the identical
-schema, so the CI smoke validates the new kernels on every push.
+Two rules.  A ``repro-bench/9`` document (the current schema) must
+carry every current kernel, the comparison fields of each compared
+kernel, and p50/p90/p99 put/get percentiles for the directory, sqlite
+and memory engines.  A document tagged ``repro-bench/1`` to ``/8`` is
+an archive: it is held only to the top-level fields, the per-kernel
+keys of each kernel it carries, and the comparison fields of each
+compared kernel it carries.
 """
 
 from __future__ import annotations

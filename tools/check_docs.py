@@ -55,8 +55,8 @@ def doc_files() -> List[Path]:
 def github_slug(heading: str) -> str:
     """GitHub's anchor slug for a heading (lowercase, hyphenated).
 
-    >>> github_slug("Trace sharding: parallelism *inside* one run")
-    'trace-sharding-parallelism-inside-one-run'
+    >>> github_slug("Replay groups: *one* context per mix")
+    'replay-groups-one-context-per-mix'
     """
     text = re.sub(r"[`*_~]", "", heading.strip()).lower()
     text = re.sub(r"[^\w\- ]", "", text)
