@@ -17,12 +17,15 @@ Quick tour — the declarative runtime API
 
 Whole sweep grids run the same way (``session.sweep(scale)``), fanned
 across cores with ``Session(jobs=N)`` and served from the on-disk
-result store on repeat runs.  The imperative API remains::
+result store on repeat runs.  The imperative API remains: a mix's
+policy cells replay as one group on the production engine::
 
->>> from repro import make_mix_specs, MixRunner, UbikPolicy
+>>> from repro import make_mix_specs, MixRunner, UbikPolicy, UCPPolicy
 >>> spec = make_mix_specs(lc_names=["shore"], loads=[0.2], mixes_per_combo=1)[0]
 >>> runner = MixRunner(requests=100)
->>> result = runner.run_mix(spec, UbikPolicy(slack=0.05))    # doctest: +SKIP
+>>> ubik, ucp = runner.run_mix_group(                          # doctest: +SKIP
+...     spec, [(UbikPolicy(slack=0.05), None), (UCPPolicy(), None)]
+... )
 
 Packages:
 

@@ -10,7 +10,8 @@ convention):
 ``mix_run``
     One full cold (mix, policy) evaluation — isolated baselines plus
     the joint six-app Ubik replay — through
-    :func:`repro.runtime.work.execute_spec`.  The sim-layer kernel.
+    :func:`repro.runtime.work.execute_specs`, the runtime's evaluator.
+    The sim-layer kernel.
 ``isolated_baseline``
     A single LC instance simulated alone at its target partition
     (:meth:`~repro.sim.mix_runner.MixRunner.baseline_instance`), the
@@ -59,9 +60,9 @@ convention):
     The joint six-app replays of one mix's eight-cell fixed-allocation
     sensitivity sweep (LC partitions at 0.25×–2× the working-set
     target), run through ``run_mix_group`` (the
-    :class:`~repro.sim.lockstep.LockstepEngine` over one shared
-    context) versus the same cells through the scalar per-cell
-    ``run_mix`` oracle.  The two grids are asserted result-for-result
+    :class:`~repro.sim.engine.MixEngine` over one shared context)
+    versus the same cells through the scalar per-cell ``run_mix``
+    oracle.  The two grids are asserted result-for-result
     identical before either time is recorded.  Where
     ``joint_replay_grid`` prices the production engine on policy-heavy
     cells, this kernel prices it on an event-loop-bound grid; its
@@ -252,7 +253,7 @@ def _bench_mix_run(requests: int, repeats: int) -> Dict[str, Any]:
     """
     from .runtime.artifacts import get_artifacts
     from .runtime.spec import MixRef, PolicySpec, RunSpec
-    from .runtime.work import execute_spec
+    from .runtime.work import execute_specs
 
     spec = RunSpec(
         mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),
@@ -262,7 +263,7 @@ def _bench_mix_run(requests: int, repeats: int) -> Dict[str, Any]:
 
     def run() -> None:
         get_artifacts().clear()
-        execute_spec(spec, None)
+        execute_specs([spec], None)
 
     samples = _time_repeats(run, repeats)
     get_artifacts().clear()
@@ -545,8 +546,8 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
     than policy work both arms would pay identically.  The engine arm
     runs the eight cells through
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` (the
-    :class:`~repro.sim.lockstep.LockstepEngine` over one shared
-    context); the baseline arm runs the same cells through the scalar
+    :class:`~repro.sim.engine.MixEngine` over one shared context); the
+    baseline arm runs the same cells through the scalar
     per-cell :meth:`~repro.sim.mix_runner.MixRunner.run_mix` oracle.
 
     The policies carry explicit per-app target dicts, which are not

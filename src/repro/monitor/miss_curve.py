@@ -164,8 +164,8 @@ class MissCurve:
         once (:meth:`resample`, :func:`combine_curves`).  Scalar hot
         paths that must not pay ``np.interp``'s per-call overhead use
         :func:`interp_float` over :attr:`float_tables` instead (directly
-        or through :meth:`at`): the grouped fill states
-        (:class:`repro.sim.fill.GroupFillState`), the unmanaged
+        or through :meth:`at`): the engine's fill states
+        (:class:`repro.sim.fill.FillState`), the unmanaged
         shared-LRU epoch loop (:meth:`repro.sim.engine.MixEngine.run`
         under LRU), and Ubik's interval decision (the transient bounds
         of :mod:`repro.core.transient`, the batch hit rates priced by

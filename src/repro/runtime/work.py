@@ -108,8 +108,9 @@ def execute_spec(spec, store: Optional[ResultStore] = None):
     relabeled to the spec's display label); otherwise the work is
     rebuilt from the spec, computed, and persisted before returning.
     A :class:`RunSpec` replays through
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix`, the heap-loop
-    oracle; task specs compute as they do everywhere.  No production
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix` on the heap-loop
+    oracle :class:`~repro.sim.reference.NaiveMixEngine`; task specs
+    compute as they do everywhere.  No production
     path calls this: :func:`execute_specs` is the runtime's evaluator,
     and this function exists so tests and the benchmark's output check
     can compare its records against production's.

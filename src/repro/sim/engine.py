@@ -26,14 +26,28 @@ its semantics.  Each LC instance's isolated baseline run
 (:meth:`MixEngine.isolated`) is its own engine: one instance, no batch
 apps, a fixed partition, its own seed.
 
-This module's heap loop is the **scalar oracle**.  Production replays
-run through its subclass :class:`~repro.sim.lockstep.LockstepEngine`,
-which reads arrivals from its replay group's shared schedule and shares
-group-constant values (curve segments, initial rates, stream
-statistics) through a :class:`~repro.sim.grid_replay.GroupShared`
-context passed as ``shared``.  The oracle runs without one: plain
-:class:`~repro.sim.fill.FillState` fills and the NumPy service walk.
-The equivalence walls pin the two bit-identical.
+An engine belongs to a *replay group* (:mod:`repro.sim.grid_replay`):
+the sweep cells that replay the same streams over the same curves pass
+one :class:`~repro.sim.grid_replay.GroupShared` as ``shared``, and a
+run outside any sweep gets a group of its own.  The group holds pure
+value memos — the merged arrival schedule, curve segments, initial
+access rates, stream statistics, first-interval view statics and the
+streams as Python float lists — so the first cell computes what every
+sibling would have.  Per cell, the hot paths perform the oracle's float
+operations in the oracle's order:
+
+* the event loop merges the group's arrival schedule with a heap of the
+  cell's own dynamic events;
+* first-interval policy contexts reuse one cached view list;
+* steady-state commits inline the closing branch of
+  :meth:`FillState.advance_cycles`;
+* the service walk reuses a per-app scratch fill, and its steady-state
+  chunk scan stops at the first crossing.
+
+The scalar oracle is :class:`repro.sim.reference.NaiveMixEngine`: the
+heap loop that pushes every arrival, the NumPy service walk and the
+plain fill integrators.  ``tests/sim/test_engine_equivalence.py`` holds
+every production path to it bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ from ..policies.base import AppView, BoostPlan, Decision, Policy, PolicyContext
 from ..workloads.batch import BatchWorkload
 from ..workloads.latency_critical import LCWorkload
 from .config import CMPConfig
-from .fill import FillState, GroupFillState
+from .fill import _EPS, FillState
 from .grid_replay import GroupShared
 from .results import BatchAppResult, LCInstanceResult, MixResult
 
@@ -72,7 +86,12 @@ _COMPLETION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LCInstanceSpec:
-    """One LC instance: its workload model and pre-drawn request stream."""
+    """One LC instance: its workload model and pre-drawn request stream.
+
+    The engine replays the stream in arrival order, so ``arrivals``
+    must be finite and non-decreasing and ``works`` finite and
+    non-negative.
+    """
 
     workload: LCWorkload
     arrivals: np.ndarray  # visible arrival times, cycles, sorted
@@ -86,6 +105,16 @@ class LCInstanceSpec:
             raise ValueError("arrivals and works must have equal length")
         if len(self.arrivals) == 0:
             raise ValueError("need at least one request")
+        arrivals = np.asarray(self.arrivals, dtype=float)
+        works = np.asarray(self.works, dtype=float)
+        if not np.isfinite(arrivals).all():
+            raise ValueError("arrivals must be finite")
+        if (np.diff(arrivals) < 0).any():
+            raise ValueError("arrivals must be non-decreasing")
+        if not np.isfinite(works).all():
+            raise ValueError("works must be finite")
+        if (works < 0).any():
+            raise ValueError("works must be non-negative")
 
 
 @dataclass
@@ -118,75 +147,56 @@ class _App:
         profile,
         core: CoreModel,
         scheme: Optional[SchemeModel],
-        shared: Optional[GroupShared] = None,
+        shared: GroupShared,
     ):
         self.index = index
         self.name = name
         self.kind = kind
+        self.is_lc = kind == "lc"
         self.curve = curve
         self.profile = profile
         self.hit_interval = core.hit_interval(profile)
         self.miss_penalty = core.miss_penalty(profile)
         self.base_miss_penalty = self.miss_penalty  # before contention
         self.base_cpi = core.base_cpi(profile)
-        if shared is None:
-            self.fill = FillState(
-                curve, self.hit_interval, self.miss_penalty, scheme=scheme
-            )
-        else:
-            # Segment scope pins the exact (curve, scheme) pair, so
-            # cells with different schemes never alias each other's
-            # segments; retaining both keeps the ids stable.
-            shared.retain(curve, scheme)
-            self.fill = GroupFillState(
-                curve,
-                self.hit_interval,
-                self.miss_penalty,
-                scheme=scheme,
-                shared_segments=shared.segments,
-                seg_scope=(id(curve), id(scheme)),
-            )
+        self.fill = FillState(
+            curve, self.hit_interval, self.miss_penalty, scheme=scheme
+        )
+        self.fill.segments = shared.segments_for(curve, scheme)
         self.last_commit = 0.0
         self.stats = _IntervalStats()
         self.total_accesses = 0.0
         self.total_misses = 0.0
         self.measured_curve = curve  # refreshed with noise each interval
 
-    @property
-    def is_lc(self) -> bool:
-        return self.kind == "lc"
-
 
 class _LCApp(_App):
-    def __init__(self, index, name, spec: LCInstanceSpec, core, scheme, shared=None):
+    def __init__(self, index, name, spec: LCInstanceSpec, core, scheme, shared,
+                 warmup_fraction: float):
         super().__init__(
             index, name, "lc", spec.workload.miss_curve, spec.workload.profile,
             core, scheme, shared,
         )
         self.spec = spec
+        # Stream-constant statistics, computed once per stream and
+        # served to every cell of the group.
         apki = spec.workload.profile.apki
-        # Stream-constant statistics, computed once per stream: within
-        # a replay group every cell replays the same frozen work array,
-        # so the group context serves these to all siblings (the first
-        # cell computes the same expressions the ungrouped path runs).
-        stats = (
-            shared.stream_stats.get((id(spec.works), apki))
-            if shared is not None
-            else None
-        )
-        if stats is not None:
-            self.req_accesses, self.mean_req_accesses, self.tail_req_accesses = stats
-        else:
-            self.req_accesses = spec.works * apki / 1000.0
-            self.mean_req_accesses = float(np.mean(self.req_accesses))
-            self.tail_req_accesses = float(np.percentile(self.req_accesses, 95))
-            if shared is not None:
-                shared.retain(spec.works)
-                shared.stream_stats[(id(spec.works), apki)] = (
-                    self.req_accesses,
-                    self.mean_req_accesses,
-                    self.tail_req_accesses,
-                )
+        key = (id(spec.works), apki)
+        stats = shared.stream_stats.get(key)
+        if stats is None:
+            req_accesses = spec.works * apki / 1000.0
+            stats = shared.stream_stats[key] = (
+                req_accesses,
+                float(np.mean(req_accesses)),
+                float(np.percentile(req_accesses, 95)),
+            )
+            shared.retain(spec.works)
+        self.req_accesses, self.mean_req_accesses, self.tail_req_accesses = stats
+        # The streams as Python floats, read once per event.
+        self.arrival_list = shared.floats_for(spec.arrivals)
+        self.work_list = shared.floats_for(spec.works)
+        self.access_list = shared.floats_for(self.req_accesses)
+        self.warmup = int(len(spec.arrivals) * warmup_fraction)
         self.arrival_ptr = 0
         self.queue: List[int] = []
         self.serving: Optional[int] = None
@@ -197,6 +207,7 @@ class _LCApp(_App):
         self.result = LCInstanceResult(name=name)
         self.requests_done = 0
         self._fixed_end = float("inf")  # completion time of zero-access requests
+        self.scratch_fill: Optional[FillState] = None  # the walk's fill
 
     @property
     def exhausted(self) -> bool:
@@ -209,7 +220,7 @@ class _LCApp(_App):
 
 class _BatchApp(_App):
     def __init__(self, index, workload: BatchWorkload, core, scheme, baseline_ipc,
-                 shared=None):
+                 shared):
         super().__init__(
             index, workload.name, "batch", workload.miss_curve,
             workload.profile, core, scheme, shared,
@@ -218,7 +229,12 @@ class _BatchApp(_App):
 
 
 class MixEngine:
-    """Runs one mix under one policy; see module docstring."""
+    """Runs one mix under one policy; see module docstring.
+
+    ``shared`` is the replay group's
+    :class:`~repro.sim.grid_replay.GroupShared`; without one the engine
+    forms a group of its own.
+    """
 
     def __init__(
         self,
@@ -250,7 +266,7 @@ class MixEngine:
         self.warmup_fraction = warmup_fraction
         self.mix_id = mix_id
         self.bandwidth = bandwidth
-        self.shared = shared
+        self.shared = shared = shared if shared is not None else GroupShared()
         self.llc_lines = config.llc_lines
         core = make_core_model(config.core_kind, config.mem_latency_cycles)
         self.core = core
@@ -266,7 +282,7 @@ class MixEngine:
         for i, spec in enumerate(lc_specs):
             app = _LCApp(
                 len(self.apps), f"{spec.workload.name}#{i}", spec, core,
-                self.scheme, shared,
+                self.scheme, shared, warmup_fraction,
             )
             self.apps.append(app)
             self.lc_apps.append(app)
@@ -288,6 +304,8 @@ class MixEngine:
         self._batch_space_last_t = 0.0
         self._avg_batch_lines = self._batch_space_now()
         self._first_interval = True
+        self._first_views: Optional[List[AppView]] = None
+        self._first_lc_views: List[Tuple[AppView, _LCApp]] = []
         #: Optional (time, target, resident) samples per app index,
         #: recorded at every commit — the raw data of paper Figs 4/6.
         self.trace_partitions = trace_partitions
@@ -311,9 +329,7 @@ class MixEngine:
         off, no batch apps, a :class:`~repro.policies.fixed.FixedPolicy`
         pinned at ``target_lines``).  Both
         :meth:`repro.sim.mix_runner.MixRunner.baseline_instance` and the
-        scaleout study's baseline build their engines here (through
-        :class:`~repro.sim.lockstep.LockstepEngine`, which inherits
-        it).
+        scaleout study's baseline build their engines here.
         """
         from ..policies.fixed import FixedPolicy
 
@@ -339,6 +355,9 @@ class MixEngine:
     # Policy interfacing
     # ------------------------------------------------------------------
     def _refresh_measured_curves(self) -> None:
+        # New noise draws invalidate the cached first-interval views
+        # (their ``curve`` field is the measured curve by reference).
+        self._first_views = None
         for app in self.apps:
             if self.umon_noise > 0:
                 app.measured_curve = app.curve.with_noise(self.rng, self.umon_noise)
@@ -346,13 +365,22 @@ class MixEngine:
                 app.measured_curve = app.curve
 
     def _make_views(self) -> List[AppView]:
+        """What the policy sees of each app: curves and counters.
+
+        Rates, idle fractions and per-request accesses are measured
+        over the interval so far; before the first reconfiguration
+        they are estimates from the specs (:meth:`_first_interval_views`).
+        """
+        if self._first_interval:
+            views = self._first_views
+            if views is None:
+                return self._first_interval_views()
+            for view, app in self._first_lc_views:
+                view.recent_latencies = tuple(app.stats.latencies)
+            return views
         duration = max(self.now - self._interval_start, 1.0)
         views: List[AppView] = []
         for app in self.apps:
-            if self._first_interval:
-                access_rate = self._initial_access_rate(app)
-            else:
-                access_rate = app.stats.accesses / duration
             view = AppView(
                 index=app.index,
                 name=app.name,
@@ -361,43 +389,107 @@ class MixEngine:
                 apki=app.profile.apki,
                 hit_interval=app.hit_interval,
                 miss_penalty=app.miss_penalty,
-                access_rate=access_rate,
+                access_rate=app.stats.accesses / duration,
             )
-            if isinstance(app, _LCApp):
+            if app.is_lc:
                 view.target_lines = app.spec.workload.target_lines
                 view.deadline_cycles = app.spec.deadline_cycles
                 view.target_tail_cycles = app.spec.target_tail_cycles
-                view.idle_fraction = (
-                    1.0 - app.spec.load
-                    if self._first_interval
-                    else min(1.0, app.stats.idle_time / duration)
-                )
-                view.activation_rate = (
-                    app.spec.load / max(app.spec.workload.mean_service_cycles(self.core), 1.0)
-                    * (1.0 - app.spec.load)
-                    if self._first_interval
-                    else app.stats.activations / duration
-                )
+                view.idle_fraction = min(1.0, app.stats.idle_time / duration)
+                view.activation_rate = app.stats.activations / duration
                 view.recent_latencies = tuple(app.stats.latencies)
-                served = max(app.requests_done, 1)
-                view.accesses_per_request = (
-                    app.mean_req_accesses
-                    if self._first_interval
-                    else app.total_accesses / served
+                view.accesses_per_request = app.total_accesses / max(
+                    app.requests_done, 1
                 )
                 view.tail_accesses_per_request = app.tail_req_accesses
             views.append(view)
         return views
 
-    def _initial_access_rate(self, app: _App) -> float:
-        if isinstance(app, _LCApp):
-            target = app.spec.workload.target_lines
-            busy_rate = 1.0 / self.core.access_interval(
-                app.profile, float(app.curve(target))
+    def _first_interval_views(self) -> List[AppView]:
+        """Build the first-interval views that :meth:`_make_views` reuses.
+
+        Until the first reconfiguration every view field except
+        ``recent_latencies`` is constant: the measured curves refresh
+        only at initialize/reconfig, and the penalties move only in
+        the initial bandwidth estimate, and both drop this cache.  So
+        the views are built once and only the latency tuples are
+        rewritten per call.  The spec-derived fields are the same for
+        every cell of a replay group, so the group computes them once.
+        Policies treat views as read-only inputs — the equivalence
+        wall would catch a mutation as a divergence from the oracle.
+        """
+        view_static = self.shared.view_static
+        views = []
+        for app in self.apps:
+            static = view_static.get(app.index)
+            if static is None:
+                rate = self._initial_access_rate(app)
+                if app.is_lc:
+                    load = app.spec.load
+                    static = (
+                        rate,
+                        1.0 - load,
+                        load
+                        / max(app.spec.workload.mean_service_cycles(self.core), 1.0)
+                        * (1.0 - load),
+                        app.mean_req_accesses,
+                        app.tail_req_accesses,
+                        app.spec.workload.target_lines,
+                        app.spec.deadline_cycles,
+                        app.spec.target_tail_cycles,
+                    )
+                else:
+                    static = (rate,)
+                view_static[app.index] = static
+            view = AppView(
+                index=app.index,
+                name=app.name,
+                kind=app.kind,
+                curve=app.measured_curve,
+                apki=app.profile.apki,
+                hit_interval=app.hit_interval,
+                miss_penalty=app.miss_penalty,
+                access_rate=static[0],
             )
-            return app.spec.load * busy_rate
-        share = self.llc_lines / max(1, len(self.apps))
-        return 1.0 / self.core.access_interval(app.profile, float(app.curve(share)))
+            if app.is_lc:
+                view.idle_fraction = static[1]
+                view.activation_rate = static[2]
+                view.accesses_per_request = static[3]
+                view.tail_accesses_per_request = static[4]
+                view.target_lines = static[5]
+                view.deadline_cycles = static[6]
+                view.target_tail_cycles = static[7]
+                view.recent_latencies = tuple(app.stats.latencies)
+            views.append(view)
+        self._first_views = views
+        self._first_lc_views = [
+            (view, app) for view, app in zip(views, self.apps) if app.is_lc
+        ]
+        return views
+
+    def _initial_access_rate(self, app: _App) -> float:
+        """An app's access rate before any interval is measured.
+
+        LC apps run at their offered load at the target allocation,
+        batch apps at an even share of the LLC.  Computed once per
+        replay group and app.
+        """
+        rates = self.shared.rates
+        rate = rates.get(app.index)
+        if rate is None:
+            if app.is_lc:
+                target = app.spec.workload.target_lines
+                busy_rate = 1.0 / self.core.access_interval(
+                    app.profile, float(app.curve(target))
+                )
+                rate = app.spec.load * busy_rate
+            else:
+                share = self.llc_lines / max(1, len(self.apps))
+                rate = 1.0 / self.core.access_interval(
+                    app.profile, float(app.curve(share))
+                )
+            rates[app.index] = rate
+        return rate
 
     def _make_context(self) -> PolicyContext:
         return PolicyContext(
@@ -418,42 +510,65 @@ class MixEngine:
     # Committing progress
     # ------------------------------------------------------------------
     def _commit(self, app: _App, upto: float) -> None:
+        """Advance ``app``'s execution from its last commit to ``upto``.
+
+        Once a partition sits at its target the advance reduces to the
+        closing branch of :meth:`FillState.advance_cycles` — one miss
+        ratio, one division — which is inlined here with the same
+        expressions in the same order; a transient takes the
+        closed-form integration.
+        """
         dt = upto - app.last_commit
         if dt < -1e-6:
             raise RuntimeError("time went backwards in commit")
         if dt <= 0:
             app.last_commit = upto
             return
-        if isinstance(app, _BatchApp):
-            adv = app.fill.advance_cycles(dt)
-            instr = adv.accesses * app.profile.instructions_per_access
-            app.result.instructions += instr
-            app.result.cycles += dt
-            app.stats.accesses += adv.accesses
-            app.stats.misses += adv.misses
-        else:
-            lc = app  # type: _LCApp
-            if lc.serving is not None and lc.remaining > 0:
-                adv = lc.fill.advance_cycles(dt)
-                done = min(adv.accesses, lc.remaining)
-                lc.remaining -= done
-                self._note_lc_progress(lc, adv.accesses, adv.misses)
-                if lc.tracker is not None and not lc.tracker.fired:
-                    lc.tracker.accumulate(adv.accesses, adv.misses, lc.fill.resident)
-            elif lc.serving is None:
-                lc.stats.idle_time += dt
+        fill = app.fill
+        if app.is_lc and not (app.serving is not None and app.remaining > 0):
+            if app.serving is None:
+                app.stats.idle_time += dt
             # Serving with zero LLC accesses: busy but cache-silent.
+        else:
+            r = fill.resident
+            if r < fill._eff_target - _EPS:  # filling
+                adv = fill.advance_cycles(dt)
+                accesses, misses = adv.accesses, adv.misses
+            elif dt > _EPS:
+                # fill.miss_ratio() with the memo check inlined.
+                base = fill._p_val if fill._p_key == r else fill.base_miss_ratio()
+                p = base * fill._miss_multiplier
+                if p > 1.0:
+                    p = 1.0
+                per_access = fill.hit_interval + p * fill.miss_penalty
+                if per_access <= 0:
+                    raise RuntimeError("app makes no progress: zero access interval")
+                accesses = dt / per_access
+                misses = accesses * p
+            else:
+                accesses = misses = 0.0
+            stats = app.stats
+            stats.accesses += accesses
+            stats.misses += misses
+            if app.is_lc:
+                app.remaining -= (
+                    accesses if accesses <= app.remaining else app.remaining
+                )
+                app.total_accesses += accesses
+                app.total_misses += misses
+                tracker = app.tracker
+                if tracker is not None and not tracker.fired:
+                    tracker.accumulate(accesses, misses, fill.resident)
+            else:
+                app.result.instructions += (
+                    accesses * app.profile.instructions_per_access
+                )
+                app.result.cycles += dt
         app.last_commit = upto
         if self.trace_partitions:
             self.partition_trace[app.index].append(
-                (upto, app.fill.target, app.fill.resident)
+                (upto, fill.target, fill.resident)
             )
-
-    def _note_lc_progress(self, lc: _LCApp, accesses: float, misses: float):
-        lc.stats.accesses += accesses
-        lc.stats.misses += misses
-        lc.total_accesses += accesses
-        lc.total_misses += misses
 
     def _commit_batch(self, upto: float) -> None:
         for app in self.batch_apps:
@@ -502,23 +617,21 @@ class MixEngine:
     def _schedule_service(self, lc: _LCApp) -> None:
         """Walk the in-flight request and schedule its future events.
 
-        The walk advances a detached fill clone through the request in
-        ``_WALK_CHUNKS`` chunks, checking the de-boost and watermark
-        crossings after each.  Chunks inside a fill transient integrate
-        one at a time (residency, and hence the miss ratio, moves every
-        chunk); once the partition sits at its target the miss ratio is
-        constant, so all remaining chunks are evaluated **in one numpy
-        batch**: the per-chunk cycle/projection/actual accumulators
-        become seeded prefix sums (``np.cumsum`` over ``[seed, inc...]``
-        is exactly the sequential ``+=`` recurrence, element for
-        element) and the crossing checks become boolean masks.  The
-        first triggered index reproduces the scalar loop's break
-        behaviour, so event times are bit-identical to the chunked
-        walk the golden suite pinned.
+        The walk advances a detached copy of the fill through the
+        request in ``_WALK_CHUNKS`` chunks, checking the de-boost and
+        watermark crossings after each.  Chunks inside a fill transient
+        integrate one at a time (residency, and hence the miss ratio,
+        moves every chunk); once the partition sits at its target the
+        miss ratio is constant and one scan covers the remaining
+        chunks.  The scan stops at the *first* chunk where a de-boost,
+        a watermark or the reconfig limit triggers: every earlier chunk
+        triggered nothing, so that chunk is the earliest crossing the
+        oracle's batched walk reconciles to (a watermark needs no
+        de-boost at its own chunk, and a tie with the limit goes to the
+        crossing).
         """
         if lc.serving is None:
             return
-        fill = lc.fill.clone()
         remaining = lc.remaining
         t = self.now
         tracker = lc.tracker
@@ -532,11 +645,23 @@ class MixEngine:
             self._push(t, "complete", lc.index, lc.version)
             return
 
+        fill = lc.fill
+        if armed or fill.resident < fill._eff_target - _EPS:
+            # Only an armed walk (de-boost may retarget) or a transient
+            # (advance moves the resident count) mutates the fill; the
+            # unarmed steady walk reads the committed state directly.
+            scratch = lc.scratch_fill
+            if scratch is None:
+                scratch = lc.scratch_fill = fill.clone()
+            else:
+                scratch.copy_from(fill)
+            fill = scratch
+
         chunk = max(remaining / _WALK_CHUNKS, 1.0)
         deboost_at: Optional[float] = None
         watermark_at: Optional[float] = None
         while remaining > _COMPLETION_TOL:
-            if fill.filling:
+            if fill.resident < fill._eff_target - _EPS:  # filling
                 # Transient: exact closed-form integration, one chunk
                 # at a time (each chunk moves the resident count).
                 step = min(chunk, remaining)
@@ -566,82 +691,75 @@ class MixEngine:
                     break
                 continue
 
-            # Steady state: replay the remaining chunk sequence (the
-            # same min/subtract recurrence the scalar loop runs), then
-            # batch the accumulators and crossing checks.
-            p = fill.miss_ratio()
-            k_deboost = None
-            k_water = None
-            steps: List[float] = []
-            rems: List[float] = []
+            # Steady state: fill.miss_ratio(), memo check inlined.
+            r0 = fill.resident
+            p = (
+                fill._p_val if fill._p_key == r0 else fill.base_miss_ratio()
+            ) * fill._miss_multiplier
+            if p > 1.0:
+                p = 1.0
+            hit_c, mp = fill.hit_interval, fill.miss_penalty
+            t_cur = t
             r = remaining
-            while r > _COMPLETION_TOL:
-                s = min(chunk, r)
-                steps.append(s)
-                r -= s
-                rems.append(r)
-            step_arr = np.asarray(steps)
-            miss_arr = step_arr * p
-            cyc_arr = step_arr * fill.hit_interval + miss_arr * fill.miss_penalty
-            t_seq = np.cumsum(np.concatenate(((t,), cyc_arr)))[1:]
-            limit_mask = t_seq >= limit
-            k_limit = int(np.argmax(limit_mask)) if limit_mask.any() else None
-            if armed:
-                plan = tracker.plan
-                if not filled and fill.resident >= plan.boost_lines * (1.0 - 1e-9):
-                    filled = True
-                proj_arr = np.cumsum(
-                    np.concatenate(((proj,), step_arr * tracker.active_miss_ratio))
-                )[1:]
-                act_arr = np.cumsum(np.concatenate(((actual,), miss_arr)))[1:]
-                deboost_mask = (
-                    proj_arr >= act_arr + plan.guard_fraction * proj_arr
-                ) & (proj_arr > 0)
-                if deboost_mask.any():
-                    k_deboost = int(np.argmax(deboost_mask))
-                if plan.watermark_factor is not None and filled:
-                    water_mask = (
-                        ~deboost_mask
-                        & (proj_arr > 0)
-                        & (act_arr > proj_arr * plan.watermark_factor)
-                    )
-                    if water_mask.any():
-                        k_water = int(np.argmax(water_mask))
-
-            if armed:
-                # A crossing is only live while the walk is still going
-                # and still armed: a watermark (or the reconfig limit)
-                # at an earlier chunk ends/disarms the walk first.
-                if k_water is not None and k_deboost is not None:
-                    if k_water < k_deboost:
-                        k_deboost = None
+            if not armed:
+                # The only possible crossing is the reconfig limit, and
+                # every full chunk adds the same ``s * hit_c + (s * p) *
+                # mp`` — identical operands, identical bits — so the
+                # increment is hoisted.
+                full_cost = chunk * hit_c + (chunk * p) * mp
+                while r > _COMPLETION_TOL:
+                    if chunk < r:
+                        r -= chunk
+                        t_cur = t_cur + full_cost
                     else:
-                        k_water = None
-                if k_deboost is not None and k_limit is not None and k_limit < k_deboost:
-                    k_deboost = None
-                if k_water is not None and k_limit is not None and k_limit < k_water:
-                    k_water = None
-
-            if k_deboost is not None:
-                deboost_at = float(t_seq[k_deboost])
-                fill.set_target(tracker.plan.active_lines)
+                        s = r
+                        r -= s
+                        t_cur = t_cur + (s * hit_c + (s * p) * mp)
+                    if t_cur >= limit:
+                        break
+                t = t_cur
+                remaining = r
+                break  # limit or completion
+            plan = tracker.plan
+            if not filled and fill.resident >= plan.boost_lines * (1.0 - 1e-9):
+                filled = True
+            amr = tracker.active_miss_ratio
+            guard_f = plan.guard_fraction
+            wf = plan.watermark_factor
+            crossing = None
+            at_limit = False
+            proj_cur, act_cur = proj, actual
+            while r > _COMPLETION_TOL:
+                s = chunk if chunk < r else r
+                r -= s
+                miss = s * p
+                t_cur = t_cur + (s * hit_c + miss * mp)
+                at_limit = t_cur >= limit
+                proj_cur = proj_cur + s * amr
+                act_cur = act_cur + miss
+                if (proj_cur >= act_cur + guard_f * proj_cur) and proj_cur > 0:
+                    crossing = "deboost"
+                    break
+                if (wf is not None and filled
+                        and proj_cur > 0 and act_cur > proj_cur * wf):
+                    crossing = "watermark"
+                    break
+                if at_limit:
+                    break
+            t = t_cur
+            remaining = r
+            if crossing == "deboost":
+                deboost_at = t_cur
+                fill.set_target(plan.active_lines)
                 armed = False
-                t = float(t_seq[k_deboost])
-                remaining = rems[k_deboost]
-                if k_limit is not None and k_limit == k_deboost:
+                if at_limit:
                     break
                 # Re-enter: the de-boost may have moved the target (and
-                # the miss ratio), so later chunks need a fresh batch.
+                # the miss ratio), so later chunks need a fresh scan.
                 continue
-            if k_water is not None:
-                watermark_at = float(t_seq[k_water])
-                break
-            if k_limit is not None:
-                t = float(t_seq[k_limit])
-                remaining = rems[k_limit]
-                break
-            t = float(t_seq[-1])
-            remaining = rems[-1]
+            if crossing == "watermark":
+                watermark_at = t_cur
+            break  # watermark, limit, or completion
 
         if deboost_at is not None:
             self._push(deboost_at, "deboost", lc.index, lc.version)
@@ -662,10 +780,10 @@ class MixEngine:
     # ------------------------------------------------------------------
     def _start_request(self, lc: _LCApp, req_idx: int) -> None:
         lc.serving = req_idx
-        lc.remaining = float(lc.req_accesses[req_idx])
+        lc.remaining = lc.access_list[req_idx]
         if lc.remaining <= 0:
             # App with negligible LLC traffic: fixed-duration service.
-            duration = float(lc.spec.works[req_idx]) * lc.base_cpi
+            duration = lc.work_list[req_idx] * lc.base_cpi
             lc.version += 1
             self._push(self.now + duration, "complete", lc.index, lc.version)
             return
@@ -692,11 +810,9 @@ class MixEngine:
         lc.remaining = 0.0
         req_idx = lc.serving
         lc.serving = None
-        arrival = float(lc.spec.arrivals[req_idx])
-        latency = self.now - arrival
+        latency = self.now - lc.arrival_list[req_idx]
         lc.requests_done += 1
-        warmup = int(len(lc.spec.arrivals) * self.warmup_fraction)
-        if req_idx >= warmup:
+        if req_idx >= lc.warmup:
             lc.result.latencies.append(latency)
             lc.stats.latencies.append(latency)
         lc.result.requests_served += 1
@@ -793,8 +909,11 @@ class MixEngine:
         for app in self.apps:
             app.miss_penalty = app.base_miss_penalty * multiplier
             app.fill.miss_penalty = app.miss_penalty
+        # Contention moved the penalties the cached views carry.
+        self._first_views = None
 
-    def _run_partitioned(self) -> MixResult:
+    def _start_partitioned(self) -> None:
+        """Initial decision and warm start, before the first event."""
         self._refresh_measured_curves()
         decision = self.policy.initialize(self._make_context())
         self._apply_decision(decision)
@@ -803,24 +922,43 @@ class MixEngine:
         for app in self.apps:
             app.fill.resident = app.fill.effective_target
         self._initial_bandwidth_estimate()
-        for lc in self.lc_apps:
-            for req_idx, t in enumerate(lc.spec.arrivals):
-                self._push(float(t), "arrival", lc.index, req_idx)
+
+    def _run_partitioned(self) -> MixResult:
+        """The partitioned event loop over the group's arrival schedule.
+
+        The group merges the LC instances' arrival arrays into one
+        ``(time, seq)``-sorted schedule, where ``seq`` is the position
+        in their app-major concatenation: exactly the seqs and order in
+        which a heap that pushed every arrival first would pop them.
+        The heap holds only dynamic events, whose seqs continue after
+        the arrivals', so each step takes whichever comes first by
+        ``(time, seq)`` — an arrival wins a tie in time.
+        """
+        self._start_partitioned()
+        arrivals = [lc.spec.arrivals for lc in self.lc_apps]
+        times, __, apps, reqs = self.shared.arrival_schedule_for(arrivals)
+        events = self._events = []
+        self._seq = itertools.count(sum(len(a) for a in arrivals))
         self._push(self._next_reconfig_time(), "reconfig")
 
-        while self._events:
-            time, __, kind, app_idx, version = heapq.heappop(self._events)
+        lc_apps = self.lc_apps
+        n_arrivals = len(times)
+        k = 0
+        while True:
+            if k < n_arrivals and not (events and events[0][0] < times[k]):
+                self.now = times[k]
+                self._handle_arrival(lc_apps[apps[k]], reqs[k])
+                k += 1
+                continue
+            if not events:
+                break
+            time, __, kind, app_idx, version = heapq.heappop(events)
             if kind == "reconfig":
-                if all(lc.exhausted for lc in self.lc_apps):
+                if all(lc.exhausted for lc in lc_apps):
                     continue
                 self.now = time
                 self._handle_reconfig()
                 self._push(self._next_reconfig_time(), "reconfig")
-                continue
-            if kind == "arrival":
-                self.now = time
-                lc = self.apps[app_idx]
-                self._handle_arrival(lc, version)  # version slot = req idx
                 continue
             lc = self.apps[app_idx]
             if version != lc.version:
@@ -828,14 +966,16 @@ class MixEngine:
             self.now = time
             if kind == "complete":
                 self._handle_complete(lc)
+                # Still active means a next request started, so this
+                # LC is not exhausted and the all() scan is False.
+                if not lc.active and all(lc2.exhausted for lc2 in lc_apps):
+                    break
             elif kind == "deboost":
                 self._handle_deboost(lc)
             elif kind == "watermark":
                 self._handle_watermark(lc)
             else:  # pragma: no cover
                 raise RuntimeError(f"unknown event {kind}")
-            if kind == "complete" and all(lc2.exhausted for lc2 in self.lc_apps):
-                break
 
         self._commit_batch(self.now)
         return self._collect()
@@ -870,10 +1010,9 @@ class MixEngine:
             (app.index, app.result, app.profile.instructions_per_access)
             for app in self.batch_apps
         ]
-        # Per-LC streams as plain floats, materialized once: the
-        # request index is the list position.
-        arrival_times = [lc.spec.arrivals.tolist() for lc in lc_apps]
-        req_accesses = [lc.req_accesses.tolist() for lc in lc_apps]
+        # The request index is the list position.
+        arrival_times = [lc.arrival_list for lc in lc_apps]
+        req_accesses = [lc.access_list for lc in lc_apps]
         counts = [len(times) for times in arrival_times]
         ptrs = [0] * len(lc_apps)
         lc_range = range(len(lc_apps))
@@ -991,9 +1130,9 @@ class MixEngine:
 
     def _start_unmanaged(self, lc: _LCApp, req_idx: int) -> None:
         lc.serving = req_idx
-        lc.remaining = float(lc.req_accesses[req_idx])
+        lc.remaining = lc.access_list[req_idx]
         if lc.remaining <= 0:
-            duration = float(lc.spec.works[req_idx]) * lc.base_cpi
+            duration = lc.work_list[req_idx] * lc.base_cpi
             lc._fixed_end = self.now + duration
         else:
             lc._fixed_end = float("inf")
@@ -1002,11 +1141,9 @@ class MixEngine:
         req_idx = lc.serving
         lc.serving = None
         lc.remaining = 0.0
-        arrival = float(lc.spec.arrivals[req_idx])
-        latency = self.now - arrival
+        latency = self.now - lc.arrival_list[req_idx]
         lc.requests_done += 1
-        warmup = int(len(lc.spec.arrivals) * self.warmup_fraction)
-        if req_idx >= warmup:
+        if req_idx >= lc.warmup:
             lc.result.latencies.append(latency)
         lc.result.requests_served += 1
         if lc.queue:

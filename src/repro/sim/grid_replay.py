@@ -7,7 +7,7 @@ parameters steering them.  Cells that share their streams form one
 *replay group*.  The runtime plans the groups (:func:`plan_groups`),
 and :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` runs each
 group's cells one after another on
-:class:`~repro.sim.lockstep.LockstepEngine`, all over one
+:class:`~repro.sim.engine.MixEngine`, all over one
 :class:`GroupShared` context.  The first cell that needs a
 group-constant value computes it and every sibling reuses it: the
 merged arrival schedule, curve-segment evaluations, initial access
@@ -17,7 +17,8 @@ its own event loop, RNG, fill states and partition targets).  The
 shared layer only memoizes *pure* values keyed by the exact inputs they
 depend on, so a cell performs the identical float operations in the
 identical order as the scalar oracle
-(:meth:`~repro.sim.mix_runner.MixRunner.run_mix`).
+(:class:`~repro.sim.reference.NaiveMixEngine`, behind
+:meth:`~repro.sim.mix_runner.MixRunner.run_mix`).
 
 What makes two cells groupable (the *group-planning rules*):
 
@@ -28,10 +29,11 @@ What makes two cells groupable (the *group-planning rules*):
 
 Policy and scheme are deliberately **excluded** — differing decisions
 are exactly what a group exists to compare.  Scheme objects are still
-pinned into every shared key that could observe them (segment scopes
-include ``id(scheme)``), so heterogeneous-scheme cells in one group
-split into disjoint key spaces and stay exact.  A run outside any sweep
-(a baseline instance, a scaleout or bandwidth point) is a group of one.
+pinned into every shared key that could observe them (each
+``(curve, scheme)`` pair has its own segment table), so
+heterogeneous-scheme cells in one group split into disjoint key spaces
+and stay exact.  A run outside any sweep (a baseline instance, a
+scaleout or bandwidth point) is a group of one.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class GroupShared:
     """Shared memo context for one replay group.
 
     One instance lives for the duration of one group's replays and is
-    handed to every :class:`~repro.sim.lockstep.LockstepEngine` in the
-    group.
+    handed to every :class:`~repro.sim.engine.MixEngine` in the group;
+    an engine built without one makes its own.
     All tables are **value memos**: keys capture every input the cached
     value depends on, so a hit returns exactly what the missing cell
     would have computed.  Keys that identify unhashable inputs (miss
@@ -60,8 +62,8 @@ class GroupShared:
     """
 
     def __init__(self) -> None:
-        #: ((id(curve), id(scheme)), resident, target) -> (p0, b, dr).
-        self.segments: Dict[Tuple, Tuple[float, float, float]] = {}
+        #: (id(curve), id(scheme)) -> that pair's segment table.
+        self.segments: Dict[Tuple[int, int], dict] = {}
         #: app index -> initial access rate (group cells share apps).
         self.rates: Dict[int, float] = {}
         #: (id(works), apki) -> (req_accesses, mean, tail) per stream.
@@ -71,12 +73,26 @@ class GroupShared:
         #: id(array) -> the array as a Python float list (exact).
         self.float_lists: Dict[int, List[float]] = {}
         #: ids of the group's arrival arrays -> merged event schedule.
-        self.lockstep_schedules: Dict[Tuple, Tuple] = {}
+        self.arrival_schedules: Dict[Tuple, Tuple] = {}
         self._retained: List[Any] = []
 
     def retain(self, *objects: Any) -> None:
         """Pin id-keyed objects alive for the group's lifetime."""
         self._retained.extend(objects)
+
+    def segments_for(self, curve: Any, scheme: Any) -> dict:
+        """The curve-segment table of every fill over ``curve`` and ``scheme``.
+
+        A segment depends on the curve, the scheme (through the
+        effective target) and the fill's ``(resident, target)``, which
+        key the table, so one table per pair is exact.
+        """
+        key = (id(curve), id(scheme))
+        table = self.segments.get(key)
+        if table is None:
+            table = self.segments[key] = {}
+            self.retain(curve, scheme)
+        return table
 
     def floats_for(self, array: np.ndarray) -> List[float]:
         """``array`` as a cached Python float list.
@@ -94,7 +110,7 @@ class GroupShared:
             self._retained.append(array)
         return hit
 
-    def lockstep_schedule_for(self, arrival_arrays: List[np.ndarray]) -> Tuple:
+    def arrival_schedule_for(self, arrival_arrays: List[np.ndarray]) -> Tuple:
         """The group's merged arrival schedule, built once.
 
         Returns ``(times, seqs, app_positions, req_indices)`` as Python
@@ -106,7 +122,7 @@ class GroupShared:
         concatenated times *is* the oracle's arrival ordering.
         """
         key = tuple(id(array) for array in arrival_arrays)
-        hit = self.lockstep_schedules.get(key)
+        hit = self.arrival_schedules.get(key)
         if hit is None:
             times = np.concatenate(arrival_arrays)
             order = np.argsort(times, kind="stable")
@@ -119,7 +135,7 @@ class GroupShared:
                 apps[order].tolist(),
                 reqs[order].tolist(),
             )
-            self.lockstep_schedules[key] = hit
+            self.arrival_schedules[key] = hit
             self._retained.extend(arrival_arrays)
         return hit
 

@@ -13,12 +13,11 @@ Implements the paper's measurement methodology (Section 6):
 * batch apps are normalized to their steady-state IPC with a private
   2 MB LLC, giving the weighted-speedup metric.
 
-Every simulation here runs through one engine,
-:class:`~repro.sim.lockstep.LockstepEngine`: a baseline instance alone
-(:meth:`MixRunner.baseline_instance`) and each mix's policy cells as one
-replay group (:meth:`MixRunner.run_mix_group`).  :meth:`MixRunner.run_mix`
-replays a single cell through the heap-loop
-:class:`~repro.sim.engine.MixEngine` instead: it is the scalar oracle
+Every simulation here runs on :class:`~repro.sim.engine.MixEngine`: a
+baseline instance alone (:meth:`MixRunner.baseline_instance`) and each
+mix's policy cells as one replay group (:meth:`MixRunner.run_mix_group`).
+:meth:`MixRunner.run_mix` replays a single cell through the scalar
+oracle :class:`~repro.sim.reference.NaiveMixEngine` instead: it is what
 the equivalence walls compare production against, not a production
 path.
 """
@@ -42,7 +41,6 @@ from ..workloads.mixes import MixSpec
 from .config import CMPConfig
 from .engine import LCInstanceSpec, MixEngine
 from .grid_replay import GroupShared
-from .lockstep import LockstepEngine
 from .results import MixResult
 
 __all__ = ["BaselineResult", "MixRunner"]
@@ -197,7 +195,7 @@ class MixRunner:
             target_tail_cycles=1.0,
             load=load,
         )
-        engine = LockstepEngine.isolated(
+        engine = MixEngine.isolated(
             spec,
             config=self.config,
             target_lines=float(workload.target_lines),
@@ -260,7 +258,7 @@ class MixRunner:
     ) -> MixResult:
         """Run one six-app mix under one policy through the scalar oracle.
 
-        This is the heap-loop :class:`~repro.sim.engine.MixEngine`, the
+        This is :class:`~repro.sim.reference.NaiveMixEngine`, the
         reference every production replay is measured against:
         :meth:`run_mix_group` must return a bit-identical
         :class:`~repro.sim.results.MixResult` for the same cell.  Only
@@ -282,9 +280,11 @@ class MixRunner:
         (``tests/sim/test_unmanaged_equivalence.py`` runs the reference
         unmanaged loop on it).
         """
+        from .reference import NaiveMixEngine
+
         baseline = self.baseline(spec.lc_workload, spec.load)
         return self._engine(
-            MixEngine, spec, self._mix_lc_specs(spec, baseline), policy, scheme
+            NaiveMixEngine, spec, self._mix_lc_specs(spec, baseline), policy, scheme
         )
 
     def _engine(
@@ -337,9 +337,9 @@ class MixRunner:
     ) -> List[MixResult]:
         """Replay one mix under many policy/scheme cells as one group.
 
-        Every cell runs through a
-        :class:`~repro.sim.lockstep.LockstepEngine`, and all of them
-        share a single :class:`~repro.sim.grid_replay.GroupShared`
+        Every cell runs through a :class:`~repro.sim.engine.MixEngine`,
+        and all of them share a single
+        :class:`~repro.sim.grid_replay.GroupShared`
         context: the group-constant sub-computations (the arrival
         schedule, curve segments, rates, stream statistics,
         first-interval view statics) run once and every later cell
@@ -360,7 +360,7 @@ class MixRunner:
         for position, (policy, scheme) in enumerate(cells):
             artifacts.count("replay_group", hit=position > 0)
             engine = self._engine(
-                LockstepEngine, spec, lc_specs, policy, scheme, shared=shared
+                MixEngine, spec, lc_specs, policy, scheme, shared=shared
             )
             result = engine.run()
             result.baseline_tail_cycles = baseline.tail95_cycles

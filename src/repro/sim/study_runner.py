@@ -7,8 +7,7 @@ runtime, as two plain functions taking a declarative spec plus an
 optional store; the experiment modules define the spec types and hand
 batches to a :class:`~repro.runtime.session.Session`.  Every point,
 baseline instances included, runs on the production engine
-(:class:`~repro.sim.lockstep.LockstepEngine`) as a one-cell replay
-group.
+(:class:`~repro.sim.engine.MixEngine`) as a one-cell replay group.
 
 Both drivers reproduce the historical experiments' streams and seeds
 exactly, so migrating onto the runtime changed no numbers.
@@ -27,8 +26,7 @@ from ..workloads.latency_critical import make_lc_workload
 from ..workloads.mixes import make_mix_specs
 from .bandwidth import BandwidthModel
 from .config import CMPConfig
-from .engine import LCInstanceSpec
-from .lockstep import LockstepEngine
+from .engine import LCInstanceSpec, MixEngine
 from .mix_runner import MixRunner
 
 __all__ = [
@@ -120,7 +118,7 @@ def scaleout_baseline_instance(
         target_tail_cycles=1.0,
         load=load,
     )
-    engine = LockstepEngine.isolated(
+    engine = MixEngine.isolated(
         spec,
         config=config,
         target_lines=float(workload.target_lines),
@@ -176,7 +174,7 @@ def _scaleout_baseline(store, identity: dict) -> Tuple[float, float]:
     return tail95, p95
 
 
-def scaleout_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
+def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
     """The joint-replay engine of one scaleout point, and its baseline tail.
 
     ``spec`` is a :class:`~repro.experiments.scaleout.ScaleoutSpec`;
@@ -219,7 +217,7 @@ def scaleout_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
         for s in lc_specs
     ]
     policy = spec.policy.build()
-    engine = LockstepEngine(
+    engine = MixEngine(
         lc_specs=lc_specs,
         batch_workloads=batch_apps,
         policy=policy,
@@ -253,7 +251,7 @@ def run_scaleout_point(spec, store=None):
 # ----------------------------------------------------------------------
 # Bandwidth
 # ----------------------------------------------------------------------
-def bandwidth_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
+def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
     """The engine of one bandwidth-contention point, and its baseline tail.
 
     ``spec`` is a
@@ -288,7 +286,7 @@ def bandwidth_engine(spec, store=None) -> Tuple[LockstepEngine, float]:
                 load=spec.load,
             )
         )
-    engine = LockstepEngine(
+    engine = MixEngine(
         lc_specs=lc_specs,
         batch_workloads=list(mix.batch_apps),
         policy=policy,

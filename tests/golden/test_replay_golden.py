@@ -4,7 +4,7 @@ The acceptance bar for the replay engine is the one every fast path in
 this repo meets: *byte identity*.  This runs the pinned 2-policy sweep
 (the Ubik and LRU cells of the ``tests/golden`` grid) into a fresh
 store through a serial ``Session`` — the production path, one replay
-group on :class:`~repro.sim.lockstep.LockstepEngine` — and the same
+group on :class:`~repro.sim.engine.MixEngine` — and the same
 specs one by one through ``execute_spec``, the scalar ``run_mix``
 oracle, into another.  The stores must match: raw trees on the
 directory backend, canonical exports on sqlite (whose raw file bytes

@@ -79,6 +79,60 @@ class TestBasicRuns:
             make_engine(StaticLCPolicy(), warmup_fraction=1.0)
 
 
+class TestStreamValidation:
+    """A stream the engine cannot replay fails when its spec is built,
+    naming the field, instead of serving part of it, raising deep in a
+    commit, or never returning."""
+
+    @staticmethod
+    def respec(arrivals=None, works=None):
+        spec = make_spec(requests=40)
+        return LCInstanceSpec(
+            workload=spec.workload,
+            arrivals=spec.arrivals if arrivals is None else arrivals,
+            works=spec.works if works is None else works,
+            deadline_cycles=spec.deadline_cycles,
+            target_tail_cycles=spec.target_tail_cycles,
+            load=spec.load,
+        )
+
+    def test_reversed_arrivals_rejected(self):
+        arrivals = make_spec(requests=40).arrivals[::-1]
+        with pytest.raises(ValueError, match="arrivals"):
+            self.respec(arrivals=arrivals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrivals_rejected(self, bad):
+        arrivals = make_spec(requests=40).arrivals.copy()
+        arrivals[-1] = bad
+        with pytest.raises(ValueError, match="arrivals"):
+            self.respec(arrivals=arrivals)
+
+    def test_negative_work_rejected(self):
+        works = make_spec(requests=40).works.copy()
+        works[7] = -works[7]
+        with pytest.raises(ValueError, match="works"):
+            self.respec(works=works)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_work_rejected(self, bad):
+        works = make_spec(requests=40).works.copy()
+        works[7] = bad
+        with pytest.raises(ValueError, match="works"):
+            self.respec(works=works)
+
+    def test_ties_and_zero_work_accepted(self):
+        spec = make_spec(requests=40)
+        arrivals = spec.arrivals.copy()
+        arrivals[1] = arrivals[0]
+        works = spec.works.copy()
+        works[3] = 0.0
+        engine = make_engine(
+            StaticLCPolicy(), lc_specs=[self.respec(arrivals=arrivals, works=works)]
+        )
+        assert engine.run().lc_instances[0].requests_served == 40
+
+
 class TestPolicyInteraction:
     def test_fixed_policy_latencies_match_queueing_model(self):
         """With a constant warm partition, the engine must reproduce

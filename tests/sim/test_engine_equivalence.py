@@ -1,17 +1,16 @@
 """The production replay engine vs the scalar oracle: the bit-identity wall.
 
 Every partitioned replay the runtime runs goes through
-:class:`~repro.sim.lockstep.LockstepEngine`: the cells of a sweep as one
+:class:`~repro.sim.engine.MixEngine`: the cells of a sweep as one
 replay group per mix (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`),
 isolated baselines, and the scaleout and bandwidth points.  The
-heap-loop :class:`~repro.sim.engine.MixEngine` (``run_mix``) is the
-oracle.  These tests require every production path to leave each
+heap-loop :class:`~repro.sim.reference.NaiveMixEngine` (``run_mix``) is
+the oracle.  These tests require every production path to leave each
 cell's latency pool, utilization counters, batch-app progress and final
 fill state **bit-identical** (``==`` on raw floats, no tolerance) to
 the oracle — at every group size, across all registry policies, loads,
 seeds, heterogeneous-scheme groups, and the divergent de-boost and
-watermark paths — and check that production never reaches the oracle's
-event loop.  The group-planning rules and the ``replay_group`` counters
+watermark paths — and check that production never builds the oracle.  The group-planning rules and the ``replay_group`` counters
 are pinned here too.
 """
 
@@ -34,8 +33,8 @@ from repro.runtime.work import execute_in_worker, execute_spec
 from repro.sim.config import CMPConfig
 from repro.sim.engine import LCInstanceSpec, MixEngine
 from repro.sim.grid_replay import GroupShared, plan_groups
-from repro.sim.lockstep import LockstepEngine
 from repro.sim.mix_runner import LC_INSTANCES, MixRunner
+from repro.sim.reference import NaiveMixEngine
 from repro.workloads.latency_critical import LC_NAMES, make_lc_workload
 from repro.workloads.mixes import HIGH_LOAD, LOW_LOAD, make_mix_specs
 
@@ -136,20 +135,20 @@ def assert_cells_identical(engine_cells, oracle_cells):
 
 def oracle_twin(build, spec):
     """``build(spec)``'s engine, constructed as the heap-loop oracle."""
-    saved = study_runner.LockstepEngine
-    study_runner.LockstepEngine = MixEngine
+    saved = study_runner.MixEngine
+    study_runner.MixEngine = NaiveMixEngine
     try:
         engine, __ = build(spec)
     finally:
-        study_runner.LockstepEngine = saved
-    assert type(engine) is MixEngine
+        study_runner.MixEngine = saved
+    assert type(engine) is NaiveMixEngine
     return engine
 
 
 def assert_engines_agree(build, spec):
     """A study point on the production engine equals its oracle twin."""
     engine, __ = build(spec)
-    assert isinstance(engine, LockstepEngine)
+    assert type(engine) is MixEngine
     assert_identical(engine.run(), oracle_twin(build, spec).run())
     return engine
 
@@ -255,7 +254,7 @@ class TestFinalFillState:
             runner = MixRunner(requests=40, seed=5)
             baseline = runner.baseline(spec.lc_workload, spec.load)
             lc_specs = runner._mix_lc_specs(spec, baseline)
-            shared = GroupShared() if engine_cls is LockstepEngine else None
+            shared = GroupShared() if engine_cls is MixEngine else None
             engines = [
                 runner._engine(engine_cls, spec, lc_specs, policy, scheme, shared)
                 for policy, scheme in build_cells(roster)
@@ -275,7 +274,7 @@ class TestFinalFillState:
                 for engine in engines
             ]
 
-        assert final_fill_states(LockstepEngine) == final_fill_states(MixEngine)
+        assert final_fill_states(MixEngine) == final_fill_states(NaiveMixEngine)
 
 
 class TestIsolatedBaselines:
@@ -290,7 +289,7 @@ class TestIsolatedBaselines:
         workload = make_lc_workload(lc_name)
         for instance in range(LC_INSTANCES):
             arrivals, works = runner.stream(workload, load, instance)
-            oracle = MixEngine.isolated(
+            oracle = NaiveMixEngine.isolated(
                 LCInstanceSpec(
                     workload=workload,
                     arrivals=arrivals,
@@ -334,7 +333,7 @@ class TestStudyPoints:
 
 
 class TestOnlyTheEngineRunsInProduction:
-    """The oracle's event loop is for the walls and the bench only."""
+    """The oracle engine is for the walls and the bench only."""
 
     SPEC = RunSpec(
         mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),
@@ -345,22 +344,19 @@ class TestOnlyTheEngineRunsInProduction:
 
     @pytest.fixture
     def loops(self, monkeypatch):
-        """Forbid the oracle loop; count the engine's partitioned runs."""
+        """Forbid building the oracle; count the engine's partitioned runs."""
         calls = {"engine": 0}
-        oracle_loop = MixEngine._run_partitioned
-        engine_loop = LockstepEngine._run_partitioned
+        engine_loop = MixEngine._run_partitioned
 
-        def guarded(self):
-            if type(self) is MixEngine:
-                raise AssertionError("production reached the oracle loop")
-            return oracle_loop(self)
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("production built the oracle engine")
 
         def counted(self):
             calls["engine"] += 1
             return engine_loop(self)
 
-        monkeypatch.setattr(MixEngine, "_run_partitioned", guarded)
-        monkeypatch.setattr(LockstepEngine, "_run_partitioned", counted)
+        monkeypatch.setattr(NaiveMixEngine, "__init__", forbidden)
+        monkeypatch.setattr(MixEngine, "_run_partitioned", counted)
         # Nothing may be served from a warm cache or worker store.
         monkeypatch.setattr(work, "_WORKER_STORES", {})
         reset_artifacts()
@@ -406,7 +402,7 @@ class TestOnlyTheEngineRunsInProduction:
         assert all(count > 0 for count in runs), runs
 
     def test_execute_spec_is_the_oracle(self, loops):
-        with pytest.raises(AssertionError, match="oracle loop"):
+        with pytest.raises(AssertionError, match="oracle engine"):
             execute_spec(self.SPEC, None)
 
 

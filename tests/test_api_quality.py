@@ -79,7 +79,6 @@ MODULES = [
     "repro.sim.bandwidth",
     "repro.sim.study_runner",
     "repro.sim.reference",
-    "repro.sim.lockstep",
     "repro.sim.grid_replay",
     "repro.experiments",
     "repro.analysis",
