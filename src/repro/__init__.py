@@ -5,7 +5,7 @@ Quick tour — the declarative runtime API
 ----------------------------------------
 
 >>> from repro import Session, RunSpec, MixRef, PolicySpec
->>> session = Session()                 # persistent store + executor
+>>> session = Session()                 # persistent store, REPRO_JOBS workers
 >>> spec = RunSpec(
 ...     mix=MixRef(lc_name="shore", load=0.2, combo="nft"),
 ...     policy=PolicySpec.of("ubik", slack=0.05),
@@ -32,9 +32,8 @@ Packages:
 * :mod:`repro.core` — Ubik itself: transient bounds, boost sizing,
   repartitioning table, de-boost circuit, slack controller.
 * :mod:`repro.policies` — LRU / UCP / StaticLC / OnOff baselines.
-* :mod:`repro.runtime` — registries, run specs, executors, the batched
-  scheduler, the persistent result store, and the :class:`Session`
-  facade.
+* :mod:`repro.runtime` — registries, run specs, the persistent result
+  store, and the :class:`Session` facade with its one batch path.
 * :mod:`repro.sim` — the event-driven mix engine and runners.
 * :mod:`repro.workloads` — the five LC workload models and SPEC-like
   batch classes; mix construction.

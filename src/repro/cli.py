@@ -7,7 +7,7 @@ Usage::
     python -m repro fig2
     python -m repro fig9 --requests 100 --lc shore,specjbb
     python -m repro table3 --jobs 4
-    python -m repro table3 --scheduler async --jobs 4
+    python -m repro table3 --seed 7
     python -m repro fig12
     python -m repro run --lc masstree --load 0.2 --policy ubik
     python -m repro scaleout --cores 6,12
@@ -29,9 +29,8 @@ p50 deltas plus acceptance-floor status) without running any kernel.
 
 Each command prints the same report its pytest benchmark writes to
 ``benchmarks/results/``.  ``--jobs N`` fans sweep grids over N worker
-processes and ``--scheduler async`` streams them through the batched
-asyncio engine with a live progress ticker on stderr (results are
-bit-identical to ``--jobs 1`` either way); completed runs persist in
+processes (results are bit-identical to ``--jobs 1``), and ``--seed``
+picks the sweep grid's seed (default 2014); completed runs persist in
 the result store (``repro cache`` inspects, ``--prune`` garbage-collects
 stale schema generations), so repeat invocations are served from disk.
 
@@ -72,8 +71,6 @@ from .experiments import (
     run_utilization,
 )
 from .experiments.table3_speedups import format_table3
-from .runtime.executors import EXECUTOR_KINDS
-from .runtime.scheduler import ProgressEvent
 from .runtime.session import Session
 from .workloads.latency_critical import LC_NAMES
 
@@ -109,33 +106,12 @@ def _scale_from_args(args) -> ExperimentScale:
         loads=base.loads,
         combos=base.combos,
         mixes_per_combo=base.mixes_per_combo,
+        seed=args.seed,
     )
-
-
-def _progress_ticker(stream=None):
-    """A live one-line progress ticker consuming scheduler events."""
-    stream = stream if stream is not None else sys.stderr
-
-    def tick(event: ProgressEvent) -> None:
-        stream.write(f"\r[repro] {event}\x1b[K")
-        if event.phase in ("done", "cancelled"):
-            stream.write("\n")
-        stream.flush()
-
-    return tick
 
 
 def _session_from_args(args) -> Session:
-    store = getattr(args, "store", None)
-    scheduler = getattr(args, "scheduler", "auto")
-    if scheduler == "auto":
-        return Session(store=store, jobs=args.jobs)
-    return Session(
-        store=store,
-        jobs=args.jobs,
-        scheduler=scheduler,
-        progress=_progress_ticker() if scheduler == "async" else None,
-    )
+    return Session(store=getattr(args, "store", None), jobs=args.jobs)
 
 
 def _cmd_list(args) -> None:
@@ -510,14 +486,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "0 = all cores)",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=EXECUTOR_KINDS,
-        default="auto",
-        help="batch engine: auto (serial/parallel by --jobs), serial, "
-        "parallel, or async (bounded streaming pool with a live "
-        "progress ticker)",
-    )
-    parser.add_argument(
         "--load", type=float, default=0.2, help="run: LC offered load"
     )
     parser.add_argument(
@@ -536,7 +504,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--scheme", default=None, help="run: partitioning-scheme registry name"
     )
     parser.add_argument(
-        "--seed", type=int, default=2014, help="run: spec seed"
+        "--seed",
+        type=int,
+        default=2014,
+        help="spec seed for run, fig9, table3, fig12, fig13, ablations "
+        "and utilization (scaleout, bandwidth, fig1a and fig2 keep "
+        "their own fixed seeds)",
     )
     parser.add_argument(
         "--store",

@@ -12,8 +12,8 @@ arrives through a resource neither manages — demonstrating why the
 paper calls for pairing Ubik with bandwidth partitioning.
 
 Each (channel capacity, policy) point is a declarative
-:class:`BandwidthSpec` evaluated by the runtime session — store,
-``--jobs``, and scheduler included; the engine driving lives in
+:class:`BandwidthSpec` evaluated by the runtime session — store
+and ``--jobs`` included; the engine driving lives in
 :func:`repro.sim.study_runner.run_bandwidth_point`.
 """
 

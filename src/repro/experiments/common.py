@@ -10,8 +10,11 @@ let users dial the scale up toward the paper's:
 * ``REPRO_MIXES``     — batch mixes per type combination (default uses
   a representative subset of combos; set >0 for the full 20-combo grid)
 * ``REPRO_LC``        — comma-separated LC workload subset
-* ``REPRO_LOADS``     — comma-separated LC loads, e.g. ``0.2,0.6``
-  (default: the paper's low/high operating points)
+* ``REPRO_LOADS``     — comma-separated LC loads in (0, 1), e.g.
+  ``0.2,0.6`` (default: the paper's low/high operating points)
+
+A malformed value fails in :func:`default_scale` with a ``ValueError``
+naming the variable and the value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..workloads.latency_critical import LC_NAMES
 from ..workloads.mixes import HIGH_LOAD, LOW_LOAD, MixSpec, make_mix_specs
@@ -54,22 +57,45 @@ class ExperimentScale:
         unknown = set(self.lc_names) - set(LC_NAMES)
         if unknown:
             raise ValueError(f"unknown LC workloads: {sorted(unknown)}")
+        # NaN fails both comparisons, so it is rejected too.
+        if not all(0.0 < load < 1.0 for load in self.loads):
+            raise ValueError(f"loads must be in (0, 1), got {self.loads!r}")
+
+
+def _env_int(name: str, default: str) -> int:
+    """An integer environment knob; a bad value names the variable."""
+    raw = os.environ.get(name, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _env_loads() -> Optional[Tuple[float, ...]]:
+    """``REPRO_LOADS`` as a tuple of loads in (0, 1), ``None`` if unset."""
+    raw = os.environ.get("REPRO_LOADS", "")
+    try:
+        loads = tuple(float(x) for x in raw.split(",") if x.strip())
+        valid = all(0.0 < load < 1.0 for load in loads)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"REPRO_LOADS must be comma-separated loads in (0, 1), got {raw!r}"
+        )
+    return loads or None
 
 
 def default_scale() -> ExperimentScale:
     """Scale from environment variables (see module docstring)."""
-    requests = int(os.environ.get("REPRO_REQUESTS", "120"))
+    requests = _env_int("REPRO_REQUESTS", "120")
     lc_env = os.environ.get("REPRO_LC", "")
     lc_names = (
         tuple(name.strip() for name in lc_env.split(",") if name.strip())
         or LC_NAMES
     )
-    loads_env = os.environ.get("REPRO_LOADS", "")
-    loads = (
-        tuple(float(x) for x in loads_env.split(",") if x.strip())
-        or (LOW_LOAD, HIGH_LOAD)
-    )
-    mixes_env = int(os.environ.get("REPRO_MIXES", "0"))
+    loads = _env_loads() or (LOW_LOAD, HIGH_LOAD)
+    mixes_env = _env_int("REPRO_MIXES", "0")
     if mixes_env > 0:
         # Full 20-combo grid, paper style.
         combos = tuple(

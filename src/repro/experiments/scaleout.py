@@ -10,8 +10,8 @@ baseline while batch throughput keeps its gains.
 
 Each (machine size, policy) point is a declarative
 :class:`ScaleoutSpec` evaluated by the runtime session, so the study
-rides the persistent store, ``--jobs``, and the async scheduler like
-every sweep; the engine driving lives in
+rides the persistent store and ``--jobs`` like every sweep; the
+engine driving lives in
 :func:`repro.sim.study_runner.run_scaleout_point`.
 """
 

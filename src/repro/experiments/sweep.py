@@ -4,7 +4,7 @@ A sweep runs every scaled mix under every scheme and records the two
 paper metrics per run: tail-latency degradation and weighted speedup.
 Sweeps execute on the :mod:`repro.runtime` session — declarative
 :class:`~repro.runtime.spec.RunSpec` grids served from the persistent
-result store and fanned across cores by the session's executor — so
+result store and fanned across the session's ``jobs`` workers — so
 the several benchmarks reading the same data (Fig 9, Fig 10, Table 3)
 trigger a single computation *across processes*, not just within one.
 A serial session replays the policy cells of each mix as one replay
@@ -49,7 +49,7 @@ def run_policy_sweep(
 
     ``policies`` defaults to the five paper schemes; the grid runs on
     ``session`` (the process default when omitted) — its store plus its
-    configured executor.
+    worker count.
     """
     session = session or get_session()
     policies = tuple(policies) if policies is not None else DEFAULT_POLICIES

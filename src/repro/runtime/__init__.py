@@ -1,4 +1,4 @@
-"""Unified experiment runtime: registries, specs, executors, store.
+"""Unified experiment runtime: registries, specs, store, session.
 
 This package is the execution backbone of the reproduction.  Instead
 of ad-hoc loops over hard-coded factory tuples with process-local
@@ -10,11 +10,9 @@ memoization, experiments describe work declaratively and hand it to a
   slack=0.05)``).
 * :mod:`~repro.runtime.spec` — frozen, JSON-serializable
   :class:`RunSpec` descriptions with canonical content fingerprints.
-* :mod:`~repro.runtime.executors` — serial and process-pool executors
-  with bit-identical results (``REPRO_JOBS`` / ``--jobs``).
-* :mod:`~repro.runtime.scheduler` — the asyncio executor and the
-  batched :class:`SpecScheduler`: bounded-pool streaming with
-  store-hit short-circuiting, in-flight dedup, and progress events.
+* :mod:`~repro.runtime.work` — the evaluation primitives: store
+  lookup, in-process batch evaluation, and the process-pool worker
+  entry point.
 * :mod:`~repro.runtime.store` — a persistent fingerprint-keyed result
   store shared across processes, a façade over the pluggable engines
   of :mod:`~repro.runtime.backends` (``REPRO_STORE`` URLs like
@@ -24,7 +22,9 @@ memoization, experiments describe work declaratively and hand it to a
   and core-model objects) that makes a sweep evaluate each distinct
   sub-computation once per process (``REPRO_ARTIFACTS=0`` disables).
 * :mod:`~repro.runtime.session` — the :class:`Session` facade tying
-  them together.
+  them together; :meth:`Session.run_many` is the one batch path, in
+  process or over ``jobs`` pool workers with bit-identical results
+  (``REPRO_JOBS`` / ``--jobs``).
 """
 
 from .artifacts import (
@@ -33,21 +33,6 @@ from .artifacts import (
     artifacts_tier2_target,
     get_artifacts,
     reset_artifacts,
-)
-from .executors import (
-    EXECUTOR_KINDS,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    default_jobs,
-    make_executor,
-    resolve_jobs,
-)
-from .scheduler import (
-    AsyncExecutor,
-    ProgressEvent,
-    SchedulerCancelled,
-    SpecScheduler,
 )
 from .registry import (
     BATCH_WORKLOADS,
@@ -72,6 +57,7 @@ from .session import (
     execute_spec,
     get_session,
     reset_session,
+    resolve_jobs,
 )
 from .spec import (
     BaselineSpec,
@@ -125,17 +111,7 @@ __all__ = [
     "RunRecord",
     "SweepResult",
     "mix_refs",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "AsyncExecutor",
-    "SpecScheduler",
-    "ProgressEvent",
-    "SchedulerCancelled",
-    "EXECUTOR_KINDS",
-    "default_jobs",
     "resolve_jobs",
-    "make_executor",
     "ResultStore",
     "default_store_root",
     "default_store_url",

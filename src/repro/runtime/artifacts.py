@@ -41,7 +41,7 @@ What is cached, and how it is keyed (the full map also lives in
     safe by construction.
 
 Process-lifetime rules: the cache is a module-level singleton
-(:func:`get_artifacts`) that lives for the process — executor workers
+(:func:`get_artifacts`) that lives for the process — pool workers
 warm it across every spec they evaluate in a batch
 (:func:`~repro.runtime.work.execute_in_worker` relies on this).  Keys
 are pure content signatures derived from spec data, never object

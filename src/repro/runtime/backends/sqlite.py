@@ -18,9 +18,8 @@ Why SQLite for a result corpus that was happily a directory tree:
 Concurrency/fork discipline (the diskcache idiom): the connection is
 opened lazily, per process — :meth:`_connection` re-opens after a
 ``fork()`` rather than sharing a connection across processes, and a
-process-local lock serializes statements so the handle is safe to
-touch from the async scheduler's event loop and executor threads
-(``check_same_thread=False``).  Writes are single autocommitted
+process-local lock serializes statements so threads sharing one
+handle are safe (``check_same_thread=False``).  Writes are single autocommitted
 UPSERTs with a generous busy timeout, so concurrent workers storing
 *different* fingerprints (the only write pattern the runtime has —
 keys are content fingerprints, so racing writers write identical

@@ -4,12 +4,12 @@ A :class:`Session` ties the runtime's pieces together:
 
 * it owns a :class:`~repro.runtime.store.ResultStore` (persistent by
   default; see ``REPRO_CACHE_DIR`` / ``REPRO_STORE``),
-* it owns an :class:`~repro.runtime.executors.Executor` (serial by
-  default; ``jobs``/``REPRO_JOBS`` selects the process-pool fan-out,
-  ``scheduler="async"`` the asyncio engine),
+* it holds a worker count (``jobs``, default ``REPRO_JOBS`` or 1),
 * and it evaluates :class:`~repro.runtime.spec.RunSpec` /
-  :class:`~repro.runtime.spec.TaskSpec` batches by serving store hits
-  in-process and dispatching only the misses.
+  :class:`~repro.runtime.spec.TaskSpec` batches through
+  :meth:`Session.run_many`, the runtime's one batch path: store hits
+  are served in-process and only the misses are evaluated, in-process
+  or over a process pool.
 
 Typical use::
 
@@ -20,12 +20,7 @@ Typical use::
     ...     lc_names=("masstree",), loads=(0.2,), combos=("nft",)))
     ...                                            # doctest: +SKIP
 
-Large batches can stream through the batched async engine instead of
-one blocking ``map``::
-
-    >>> records = session.run_many(specs, scheduler="async")  # doctest: +SKIP
-
-Results are bit-identical across executors and across processes: every
+Results are bit-identical at any ``jobs`` and across processes: every
 simulation is seeded from its spec alone, and the store is keyed by the
 spec's content fingerprint.
 """
@@ -33,15 +28,13 @@ spec's content fingerprint.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+import os
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..sim.config import CoreKind
 from ..sim.mix_runner import BaselineResult, MixRunner
-from .executors import Executor, SerialExecutor, make_executor
-from .scheduler import ProgressEvent, SpecScheduler
 from .spec import (
     PolicySpec,
-    RunRecord,
     RunSpec,
     SchemeSpec,
     SweepResult,
@@ -49,7 +42,6 @@ from .spec import (
 )
 from .store import ResultStore, StoreLocation, default_store_url
 from .work import (
-    adopt,
     cache_result,
     execute_in_worker,
     execute_spec,
@@ -63,6 +55,7 @@ __all__ = [
     "Session",
     "execute_spec",
     "record_from_result",
+    "resolve_jobs",
     "get_session",
     "reset_session",
 ]
@@ -78,7 +71,26 @@ DEFAULT_POLICIES: Tuple[PolicySpec, ...] = (
 
 SchemeLike = Union[SchemeSpec, str, None]
 
-SchedulerLike = Union[SpecScheduler, str, None]
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Validate and resolve a worker count.
+
+    ``None`` reads ``REPRO_JOBS`` (default 1); ``0`` means all cores.
+    Negative or non-integer counts are rejected, naming their source.
+    """
+    if jobs is None:
+        raw = os.environ.get("REPRO_JOBS", "1").strip()
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(f"REPRO_JOBS must be an integer, got {raw!r}") from None
+        if jobs < 0:
+            raise ValueError("REPRO_JOBS must be non-negative")
+    elif isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
+    elif jobs < 0:
+        raise ValueError("jobs must be non-negative")
+    return jobs or os.cpu_count() or 1
 
 
 def _as_scheme_spec(scheme: SchemeLike) -> Optional[SchemeSpec]:
@@ -89,21 +101,16 @@ def _as_scheme_spec(scheme: SchemeLike) -> Optional[SchemeSpec]:
 
 
 class Session:
-    """Facade running declarative specs through a store and executor.
+    """Facade running declarative specs through a store.
 
-    ``scheduler`` picks the default batch engine: ``None`` keeps the
-    executor's blocking ``map``; ``"async"`` streams batches through a
-    :class:`~repro.runtime.scheduler.SpecScheduler` (bounded pool,
-    store-hit short-circuiting, progress events to ``progress``).
+    ``jobs`` is the worker count for batches (``None`` reads
+    ``REPRO_JOBS``; ``0`` means all cores).
     """
 
     def __init__(
         self,
         store: Union[ResultStore, StoreLocation] = None,
-        executor: Optional[Executor] = None,
         jobs: Optional[int] = None,
-        scheduler: SchedulerLike = None,
-        progress: Optional[Callable[[ProgressEvent], None]] = None,
     ):
         # ``store`` takes anything the store itself does — a live
         # ResultStore, a backend URL (``sqlite:///path/store.db``), a
@@ -114,12 +121,7 @@ class Session:
         elif not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        self.progress = progress
-        self._default_scheduler = scheduler
-        if executor is None:
-            kind = scheduler if isinstance(scheduler, str) else "auto"
-            executor = make_executor(jobs, kind=kind)
-        self.executor = executor
+        self.jobs = resolve_jobs(jobs)
 
     # ------------------------------------------------------------------
     # Spec evaluation
@@ -128,58 +130,20 @@ class Session:
         """Evaluate one spec in-process as a batch of one (store-aware)."""
         return execute_specs([spec], self.store)[0]
 
-    def _make_scheduler(
-        self,
-        scheduler: SchedulerLike,
-        progress: Optional[Callable[[ProgressEvent], None]],
-    ) -> Optional[SpecScheduler]:
-        """Resolve a scheduler argument against the session defaults."""
-        if scheduler is None:
-            scheduler = self._default_scheduler
-        if scheduler is None:
-            return None
-        if isinstance(scheduler, SpecScheduler):
-            return scheduler
-        if scheduler in ("serial", "parallel", "auto"):
-            # Explicit non-async names mean: use the executor path.
-            return None
-        if scheduler != "async":
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (known: serial, parallel, async)"
-            )
-        return SpecScheduler(
-            store=self.store,
-            jobs=getattr(self.executor, "jobs", 1),
-            progress=progress if progress is not None else self.progress,
-        )
-
-    def run_many(
-        self,
-        specs: Sequence[Any],
-        scheduler: SchedulerLike = None,
-        progress: Optional[Callable[[ProgressEvent], None]] = None,
-    ) -> List[Any]:
+    def run_many(self, specs: Sequence[Any]) -> List[Any]:
         """Evaluate a batch of specs (sweep runs and tasks alike).
 
-        With a scheduler (an instance, ``"async"``, or the session
-        default) the batch streams through the bounded async engine;
-        otherwise store hits are served inline and the misses fan out
-        through the executor's ``map``.  Results always come back in
-        spec order, byte-identical at any scheduler or worker count.
-        """
-        engine = self._make_scheduler(scheduler, progress)
-        if engine is not None:
-            return engine.run(specs)
-        return self.run_specs(specs)
-
-    def run_specs(self, specs: Sequence[Any]) -> List[Any]:
-        """Evaluate a batch: serve store hits, fan out the misses.
-
-        Results are returned in spec order regardless of executor, so
-        downstream reports are byte-identical at any ``--jobs``.
+        Store hits are served inline.  The misses are evaluated
+        in-process through :func:`~repro.runtime.work.execute_specs`
+        (which replays the sweep cells of a mix as one group) when
+        ``jobs`` is 1, when only one spec misses, or when the store is
+        memory-only and so cannot reach another process.  Otherwise
+        each miss runs in a process-pool worker that persists it to the
+        shared store, and the parent keeps it in its memory layer.
+        Results come back in spec order, byte-identical at any ``jobs``.
         """
         specs = list(specs)
-        results: List[Optional[Any]] = [None] * len(specs)
+        results: List[Any] = [None] * len(specs)
         misses: List[Tuple[int, Any, str]] = []
         for index, spec in enumerate(specs):
             fingerprint, hit = store_lookup(spec, self.store)
@@ -187,27 +151,23 @@ class Session:
                 results[index] = hit
             else:
                 misses.append((index, spec, fingerprint))
-        if misses:
-            if isinstance(self.executor, SerialExecutor):
-                # In-process: share this session's store directly, so
-                # its memory layer (baselines included) accumulates —
-                # and let the batch evaluator route sweep cells into
-                # replay groups (one shared context per group).
-                fresh = execute_specs([s for _, s, _ in misses], store=self.store)
-            else:
-                worker = functools.partial(
-                    execute_in_worker,
-                    store_target=self.store.share_target(),
-                )
-                fresh = self.executor.map(worker, [s for _, s, _ in misses])
-            for (index, spec, fingerprint), result in zip(misses, fresh):
-                results[index] = adopt(spec, result)
-                if not isinstance(self.executor, SerialExecutor):
-                    # Workers already persisted to disk; keep the
-                    # parent's in-memory layer warm without a second
-                    # disk write.
-                    cache_result(spec, self.store, fingerprint, result)
-        return [r for r in results if r is not None]
+        pending = [spec for _, spec, _ in misses]
+        target = self.store.share_target()
+        if self.jobs > 1 and len(misses) > 1 and target is not None:
+            # Imported here so that a store-served run never loads the
+            # pool machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
+            worker = functools.partial(execute_in_worker, store_target=target)
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(misses))) as pool:
+                fresh = list(pool.map(worker, pending))
+            for (_, spec, fingerprint), result in zip(misses, fresh):
+                cache_result(spec, self.store, fingerprint, result)
+        else:
+            fresh = execute_specs(pending, self.store)
+        for (index, _, _), result in zip(misses, fresh):
+            results[index] = result
+        return results
 
     # ------------------------------------------------------------------
     # Sweeps

@@ -349,9 +349,9 @@ class TaskSpec:
       (``None`` means the result is already a JSON-ready dict) —
 
     and implement :meth:`compute`.  Fingerprinting, store lookup, and
-    persistence are inherited, so any task spec rides executors, the
-    :class:`~repro.runtime.scheduler.SpecScheduler`, and the persistent
-    store exactly like a sweep spec.
+    persistence are inherited, so any task spec rides
+    :meth:`~repro.runtime.session.Session.run_many` at any ``jobs`` and
+    the persistent store exactly like a sweep spec.
     """
 
     #: Store document kind; subclasses must override.

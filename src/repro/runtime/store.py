@@ -226,7 +226,7 @@ class ResultStore:
         """Warm the in-memory layer only (no backend write).
 
         Used when another process is known to have persisted the entry
-        already — e.g. executor workers write to the shared backend,
+        already — e.g. pool workers write to the shared backend,
         and the parent only needs fast in-process lookups.
         """
         self._mem[fingerprint] = self._stamp(payload)

@@ -1,9 +1,9 @@
-"""Spec evaluation primitives shared by the session and the scheduler.
+"""Spec evaluation primitives below the session facade.
 
-Both the :class:`~repro.runtime.session.Session` executor path and the
-:class:`~repro.runtime.scheduler.SpecScheduler` need the same
-operations on a unit of work — a :class:`~repro.runtime.spec.RunSpec`
-or any :class:`~repro.runtime.spec.TaskSpec`:
+:meth:`~repro.runtime.session.Session.run_many` evaluates every batch
+from these operations on a unit of work — a
+:class:`~repro.runtime.spec.RunSpec` or any
+:class:`~repro.runtime.spec.TaskSpec`:
 
 * :func:`store_lookup` — fingerprint it and probe the store (a hit
   never occupies a worker),
@@ -11,16 +11,16 @@ or any :class:`~repro.runtime.spec.TaskSpec`:
   with the sweep cells of each mix replayed as one replay group,
 * :func:`execute_in_worker` — the picklable process-pool entry point
   (per-process store handles so workers share warmed baselines),
-* :func:`adopt` — adapt a shared result to the requesting spec (two
-  specs differing only in display label share one computation).
+* :func:`cache_result` — warm the parent's memory layer with a result
+  a worker persisted.
 
-Keeping them here, below the session facade, lets the scheduler stream
-work without importing the session (and vice versa).
+Both evaluators label every record for its own spec, so a batch's
+results line up with its specs whichever path ran them.
 
 Every unit of work the runtime knows — sweep :class:`RunSpec`\\ s and
 scaleout/bandwidth tasks — flows through :func:`execute_specs`, which
 is what makes new spec kinds cheap: implement :meth:`TaskSpec.compute`
-and every executor, the scheduler, the store, and the CLI handle it
+and the session, the store, and the CLI handle it at any ``--jobs``
 with no further wiring.
 Sweep records always replay on the production engine
 (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`).
@@ -42,7 +42,6 @@ __all__ = [
     "execute_specs",
     "execute_in_worker",
     "store_lookup",
-    "adopt",
     "cache_result",
 ]
 
@@ -252,18 +251,6 @@ def store_lookup(spec, store: Optional[ResultStore]) -> Tuple[str, Optional[Any]
     if isinstance(spec, TaskSpec):
         return spec.fingerprint(), spec.lookup(store)
     raise TypeError(f"cannot look up {type(spec).__name__}: not a spec")
-
-
-def adopt(spec, result):
-    """Adapt a result computed for a fingerprint-equal spec.
-
-    Sweep records carry a display label that is excluded from the
-    fingerprint, so a deduplicated computation must be relabeled for
-    each requesting spec; task results are shared as-is.
-    """
-    if isinstance(spec, RunSpec) and isinstance(result, RunRecord):
-        return result.relabeled(spec.policy.display)
-    return result
 
 
 def cache_result(spec, store: ResultStore, fingerprint: str, result) -> None:

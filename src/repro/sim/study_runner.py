@@ -1,8 +1,8 @@
 """Engine drivers for the extension studies (scaleout, bandwidth).
 
 The scaleout and bandwidth experiments used to build engines inline,
-which kept them off the runtime: no result store, no ``--jobs``, no
-scheduler.  Their engine-driving code now lives here, below the
+which kept them off the runtime: no result store and no ``--jobs``.
+Their engine-driving code now lives here, below the
 runtime, as two plain functions taking a declarative spec plus an
 optional store; the experiment modules define the spec types and hand
 batches to a :class:`~repro.runtime.session.Session`.  Every point,

@@ -22,3 +22,31 @@ def _isolated_result_store(tmp_path_factory):
         yield
     finally:
         os.environ.pop("REPRO_CACHE_DIR", None)
+
+
+@pytest.fixture
+def forbid_evaluation(monkeypatch):
+    """A switch that makes evaluating any spec fail the test.
+
+    Once called, an in-process batch holding a spec and any process-pool
+    construction both raise, so a batch can only be served from its
+    store.
+    """
+    import concurrent.futures
+
+    from repro.runtime import session
+
+    def refuse_batch(specs, *args, **kwargs):
+        specs = list(specs)
+        if specs:
+            raise AssertionError(f"{len(specs)} spec(s) were evaluated")
+        return []
+
+    def refuse_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    def forbid():
+        monkeypatch.setattr(session, "execute_specs", refuse_batch)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_pool)
+
+    return forbid

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import default_scale
+from repro.experiments.common import ExperimentScale, default_scale
 from repro.workloads.latency_critical import LC_NAMES
 
 
@@ -47,3 +47,30 @@ class TestDefaultScale:
         scale = default_scale()
         assert scale.loads == (0.3, 0.7)
         assert len(scale.combos) == 20
+
+
+class TestBadKnobs:
+    """A malformed knob fails in default_scale, naming itself and the
+    value, instead of deep in the engine or the store."""
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("REPRO_REQUESTS", "abc"),
+            ("REPRO_MIXES", "two"),
+            ("REPRO_LOADS", "0.2,high"),
+            ("REPRO_LOADS", "1.5"),
+            ("REPRO_LOADS", "0"),
+            ("REPRO_LOADS", "nan"),
+            ("REPRO_LOADS", "0.2,inf"),
+        ],
+    )
+    def test_bad_value_named(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name} .*'{raw}'"):
+            default_scale()
+
+    @pytest.mark.parametrize("load", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_scale_rejects_loads_outside_the_unit_interval(self, load):
+        with pytest.raises(ValueError, match=r"loads must be in \(0, 1\)"):
+            ExperimentScale(loads=(0.2, load))

@@ -18,13 +18,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from test_golden import BUILDERS, FIXTURES  # noqa: E402
 
-from repro.runtime import ResultStore, SerialExecutor, Session  # noqa: E402
+from repro.runtime import ResultStore, Session  # noqa: E402
 from repro.runtime.spec import canonical_json  # noqa: E402
 
 
 def main() -> int:
     FIXTURES.mkdir(parents=True, exist_ok=True)
-    session = Session(store=ResultStore(None), executor=SerialExecutor())
+    session = Session(store=ResultStore(None), jobs=1)
     for name, builder in sorted(BUILDERS.items()):
         payload = json.loads(canonical_json(builder(session)))
         path = FIXTURES / f"{name}.json"

@@ -20,7 +20,7 @@ from repro.experiments.common import ExperimentScale
 from repro.experiments.fig12_slack import run_fig12
 from repro.experiments.fig13_schemes import run_fig13
 from repro.experiments.table3_speedups import run_table3
-from repro.runtime import ResultStore, SerialExecutor, Session
+from repro.runtime import ResultStore, Session
 from repro.runtime.spec import canonical_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,7 +63,7 @@ BUILDERS = {
 def session():
     """One memory-only serial session for the whole suite, so the
     isolated baselines are computed once and shared."""
-    return Session(store=ResultStore(None), executor=SerialExecutor())
+    return Session(store=ResultStore(None), jobs=1)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

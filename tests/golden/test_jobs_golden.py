@@ -1,9 +1,9 @@
-"""Executor-by-engine byte identity on a golden-suite batch.
+"""Worker-count-by-engine byte identity on a golden-suite batch.
 
 How a batch is fanned out must change nothing about what lands in the
 store: not a float, not a byte.  This evaluates a three-policy batch of
 the pinned ``tests/golden`` grid (one shared baseline, three run
-records) under each executor and against each local engine, and
+records) at 1, 2 and 4 workers against each local engine, and
 compares the canonical export of every resulting corpus with the
 serial directory-store reference, file for file.  A rerun against the
 filled store must then be served without evaluating anything.
@@ -12,13 +12,11 @@ filled store must then be served without evaluating anything.
 import pytest
 
 from repro.runtime import (
-    Executor,
     MixRef,
     PolicySpec,
     ResultStore,
     RunSpec,
     Session,
-    make_executor,
     reset_artifacts,
 )
 
@@ -37,7 +35,7 @@ GOLDEN_SPECS = [
     )
 ]
 
-EXECUTORS = ("serial", "parallel", "async")
+JOBS = (1, 2, 4)
 ENGINES = ("directory", "sqlite", "memory")
 
 
@@ -65,16 +63,6 @@ def tree_of(store, destination):
     return tree(destination)
 
 
-class NoWorkExecutor(Executor):
-    """An executor that fails the test if anything reaches it."""
-
-    def map(self, fn, items):
-        items = list(items)
-        if items:
-            raise AssertionError(f"{len(items)} specs were evaluated")
-        return []
-
-
 @pytest.fixture(autouse=True)
 def _fresh_artifacts(monkeypatch):
     """Empty artifact cache per test, tier 2 off: every arm computes."""
@@ -89,26 +77,22 @@ def reference(tmp_path_factory):
     """The serial directory-store ground truth every cell reproduces."""
     root = tmp_path_factory.mktemp("reference")
     reset_artifacts()
-    records = Session(
-        store=ResultStore(str(root)), executor=make_executor(1, kind="serial")
-    ).run_many(GOLDEN_SPECS)
+    records = Session(store=ResultStore(str(root)), jobs=1).run_many(GOLDEN_SPECS)
     documents = tree(root)
     assert len(documents) == len(GOLDEN_SPECS) + 1  # one shared baseline
     return records, documents
 
 
-@pytest.mark.parametrize("engine", ("directory", "sqlite"))
-@pytest.mark.parametrize("kind", EXECUTORS)
-def test_store_documents_byte_identical(kind, engine, tmp_path, reference):
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("jobs", JOBS)
+def test_store_documents_byte_identical(jobs, engine, tmp_path, reference):
     ref_records, ref_documents = reference
     store = make_store(engine, tmp_path)
-    records = Session(store=store, executor=make_executor(2, kind=kind)).run_many(
-        GOLDEN_SPECS
-    )
+    records = Session(store=store, jobs=jobs).run_many(GOLDEN_SPECS)
     assert records == ref_records
     exported = tmp_path / "export"
     assert store.export_canonical(exported) == len(ref_documents)
-    assert tree(exported) == ref_documents, f"corpus drifted at {kind}/{engine}"
+    assert tree(exported) == ref_documents, f"corpus drifted at {jobs}/{engine}"
     if engine == "directory":
         # Nothing else left behind in the live tree: no temp files.
         assert tree(tmp_path / "tree") == ref_documents
@@ -116,17 +100,18 @@ def test_store_documents_byte_identical(kind, engine, tmp_path, reference):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("kind", EXECUTORS)
-def test_rerun_is_served_without_evaluating(kind, engine, tmp_path, reference):
+@pytest.mark.parametrize("jobs", JOBS)
+def test_rerun_is_served_without_evaluating(
+    jobs, engine, tmp_path, reference, forbid_evaluation
+):
     ref_records, _ = reference
     store = make_store(engine, tmp_path)
-    first = Session(store=store, executor=make_executor(2, kind=kind))
-    assert first.run_many(GOLDEN_SPECS) == ref_records
+    assert Session(store=store, jobs=jobs).run_many(GOLDEN_SPECS) == ref_records
     # Persistent engines serve a brand-new handle; a memory store can
     # only serve the handle that filled it.
     reread = ResultStore(store.share_target()) if store.persistent else store
-    rerun = Session(store=reread, executor=NoWorkExecutor())
-    assert rerun.run_many(GOLDEN_SPECS) == ref_records
+    forbid_evaluation()
+    assert Session(store=reread, jobs=jobs).run_many(GOLDEN_SPECS) == ref_records
     store.close()
 
 

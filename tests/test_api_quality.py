@@ -60,8 +60,6 @@ MODULES = [
     "repro.runtime.registry",
     "repro.runtime.spec",
     "repro.runtime.store",
-    "repro.runtime.executors",
-    "repro.runtime.scheduler",
     "repro.runtime.work",
     "repro.runtime.session",
     "repro.runtime.backends",
@@ -213,3 +211,25 @@ def test_session_runs_take_no_split_argument():
     for function in (Session.__init__, Session.run, Session.run_many):
         assert "shards" not in inspect.signature(function).parameters
     assert not hasattr(ResultStore, "discard")
+
+
+def test_one_batch_path(capsys):
+    """A session is a store plus a worker count, every batch runs
+    through ``run_many(specs)``, and the retired batch engines, their
+    options and the CLI's engine flag stay gone."""
+    import repro.runtime
+    from repro.cli import main
+    from repro.runtime import Session
+
+    assert list(inspect.signature(Session.__init__).parameters) == [
+        "self",
+        "store",
+        "jobs",
+    ]
+    assert list(inspect.signature(Session.run_many).parameters) == ["self", "specs"]
+    assert not hasattr(Session, "run_specs")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = capsys.readouterr().out
+    retired = ("SpecScheduler", "AsyncExecutor", "ProgressEvent", "SchedulerCancelled", "EXECUTOR_KINDS", "make_executor", "SerialExecutor", "ParallelExecutor", "default_jobs", "--scheduler")
+    assert [n for n in retired if hasattr(repro.runtime, n) or n in help_text] == []

@@ -7,6 +7,16 @@ import pytest
 from repro.cli import main
 
 
+@pytest.fixture
+def tiny_sweep(monkeypatch, tmp_path):
+    """A one-workload, one-load sweep scale over a fresh directory store."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_LC", "masstree")
+    monkeypatch.setenv("REPRO_REQUESTS", "40")
+    monkeypatch.setenv("REPRO_LOADS", "0.2")
+
+
 class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -48,37 +58,60 @@ class TestCLI:
         assert main(["cache", "--clear"]) == 0
         assert "cleared 0" in capsys.readouterr().out
 
-    def test_jobs_flag_accepted(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_LC", "masstree")
-        monkeypatch.setenv("REPRO_REQUESTS", "40")
-        monkeypatch.setenv("REPRO_LOADS", "0.2")
+    def test_jobs_flag_accepted(self, capsys, tiny_sweep):
         assert main(["utilization", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "Utilization" in out
 
-    def test_async_scheduler_matches_serial_and_ticks(
-        self, capsys, monkeypatch, tmp_path
+    def test_parallel_matches_serial_and_is_served(
+        self, capsys, tiny_sweep, forbid_evaluation
     ):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_LC", "masstree")
-        monkeypatch.setenv("REPRO_REQUESTS", "40")
-        monkeypatch.setenv("REPRO_LOADS", "0.2")
-        assert main(["table3", "--scheduler", "async", "--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        async_out = captured.out
-        assert "Table 3" in async_out
-        # The live ticker writes progress events to stderr.
-        assert "done" in captured.err
+        assert main(["table3", "--jobs", "2"]) == 0
+        parallel_out = capsys.readouterr().out
+        assert "Table 3" in parallel_out
         # A serial re-run is byte-identical and served from the store.
+        forbid_evaluation()
         assert main(["table3", "--jobs", "1"]) == 0
-        assert capsys.readouterr().out == async_out
+        assert capsys.readouterr().out == parallel_out
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table3", "--scheduler", "warp"])
+    def test_seed_reaches_the_sweep(self, capsys, tiny_sweep):
+        from repro.experiments import ExperimentScale, run_table3
+        from repro.experiments.table3_speedups import format_table3
+        from repro.runtime import Session
+
+        assert main(["table3", "--seed", "7"]) == 0
+        seeded = capsys.readouterr().out
+        scale = ExperimentScale(
+            requests=40, lc_names=("masstree",), loads=(0.2,), seed=7
+        )
+        expected = format_table3(
+            run_table3(scale, session=Session(store="memory://", jobs=1))
+        )
+        assert seeded == expected + "\n"
+        assert main(["table3"]) == 0
+        assert capsys.readouterr().out != seeded
+
+    @pytest.mark.parametrize(
+        "command", ["fig9", "table3", "fig12", "fig13", "ablations", "utilization"]
+    )
+    def test_seed_flag_reaches_every_sweep_command(self, command, monkeypatch):
+        import repro.cli as cli
+
+        seeds = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(scale, session):
+            seeds.append(scale.seed)
+            raise Stop
+
+        monkeypatch.setattr(cli, f"run_{command}", capture)
+        with pytest.raises(Stop):
+            main([command, "--seed", "7"])
+        with pytest.raises(Stop):
+            main([command])
+        assert seeds == [7, 2014]
 
     def test_list_mentions_run(self, capsys):
         assert main(["list"]) == 0
@@ -367,3 +400,33 @@ class TestCommandList:
         lines = capsys.readouterr().out.splitlines()
         listed = [line.split()[0] for line in lines[2:] if line.strip()]
         assert listed == [name for name in COMMANDS if name != "list"]
+
+
+def test_cli_import_loads_no_pool_machinery():
+    """A store-served run never pays for the process pool: importing
+    the CLI in a fresh interpreter loads no asyncio, concurrent.futures
+    or multiprocessing module."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('asyncio', 'concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
