@@ -44,39 +44,46 @@ Packages:
 * :mod:`repro.experiments` — one module per paper table/figure.
 """
 
-from ._version import __version__
-from .core import UbikPolicy
-from .monitor import MissCurve
-from .policies import (
-    FixedPolicy,
-    LRUPolicy,
-    OnOffPolicy,
-    StaticLCPolicy,
-    UCPPolicy,
-)
-from .runtime import (
-    MixRef,
-    PolicySpec,
-    ResultStore,
-    RunRecord,
-    RunSpec,
-    SchemeSpec,
-    Session,
-    list_policies,
-    list_schemes,
-    make_policy,
-    make_scheme,
-)
-from .sim import CMPConfig, CoreKind, MixRunner, MixResult, westmere_config
-from .workloads import (
-    HIGH_LOAD,
-    LC_NAMES,
-    LOW_LOAD,
-    LCWorkload,
-    MixSpec,
-    all_lc_workloads,
-    make_lc_workload,
-    make_mix_specs,
+from ._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "_version": ("__version__",),
+        "core": ("UbikPolicy",),
+        "monitor": ("MissCurve",),
+        "policies": (
+            "FixedPolicy",
+            "LRUPolicy",
+            "OnOffPolicy",
+            "StaticLCPolicy",
+            "UCPPolicy",
+        ),
+        "runtime": (
+            "MixRef",
+            "PolicySpec",
+            "ResultStore",
+            "RunRecord",
+            "RunSpec",
+            "SchemeSpec",
+            "Session",
+            "list_policies",
+            "list_schemes",
+            "make_policy",
+            "make_scheme",
+        ),
+        "sim": ("CMPConfig", "CoreKind", "MixRunner", "MixResult", "westmere_config"),
+        "workloads": (
+            "HIGH_LOAD",
+            "LC_NAMES",
+            "LOW_LOAD",
+            "LCWorkload",
+            "MixSpec",
+            "all_lc_workloads",
+            "make_lc_workload",
+            "make_mix_specs",
+        ),
+    },
 )
 
 __all__ = [

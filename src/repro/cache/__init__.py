@@ -1,17 +1,24 @@
 """Cache substrates: trace-driven arrays, partitioning schemes, sharing models."""
 
-from .schemes import (
-    FIG13_SCHEMES,
-    SchemeModel,
-    vantage_setassoc,
-    vantage_zcache,
-    way_partitioning,
+from .._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "schemes": (
+            "FIG13_SCHEMES",
+            "SchemeModel",
+            "vantage_setassoc",
+            "vantage_zcache",
+            "way_partitioning",
+        ),
+        "set_assoc": ("AccessResult", "SetAssociativeCache"),
+        "sharing": ("SharedOccupancyModel",),
+        "vantage": ("VantageCache",),
+        "way_partition": ("WayPartitionedCache",),
+        "zcache": ("ZCache",),
+    },
 )
-from .set_assoc import AccessResult, SetAssociativeCache
-from .sharing import SharedOccupancyModel
-from .vantage import VantageCache
-from .way_partition import WayPartitionedCache
-from .zcache import ZCache
 
 __all__ = [
     "AccessResult",

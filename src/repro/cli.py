@@ -53,26 +53,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis.ascii_plot import distribution_plot
-from .experiments import (
-    ExperimentScale,
-    default_scale,
-    format_table,
-    run_ablations,
-    run_bandwidth_study,
-    run_fig1a,
-    run_fig1b,
-    run_fig2,
-    run_fig9,
-    run_fig12,
-    run_fig13,
-    run_scaleout,
-    run_table3,
-    run_utilization,
-)
-from .experiments.table3_speedups import format_table3
+from .experiments.common import ExperimentScale, default_scale, format_table
 from .runtime.session import Session
-from .workloads.latency_critical import LC_NAMES
+from .workloads.names import LC_NAMES
 
 __all__ = ["main"]
 
@@ -92,6 +75,22 @@ COMMANDS = (
     "bandwidth",
     "cache",
     "bench",
+)
+
+
+#: Commands whose runs go through ``MixRunner`` or ``RunSpec``, which
+#: take at least 20 requests per LC instance for their tail metrics;
+#: the others take any positive count.
+TAIL_COMMANDS = (
+    "run",
+    "fig1a",
+    "fig9",
+    "table3",
+    "fig12",
+    "fig13",
+    "ablations",
+    "utilization",
+    "bandwidth",
 )
 
 
@@ -181,6 +180,8 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_fig1a(args) -> None:
+    from .experiments.fig1_load_latency import run_fig1a
+
     names = args.lc.split(",") if args.lc else list(LC_NAMES)
     curves = run_fig1a(names, requests=args.requests or 120)
     rows = [
@@ -192,6 +193,8 @@ def _cmd_fig1a(args) -> None:
 
 
 def _cmd_fig1b(args) -> None:
+    from .experiments.fig1b_service_cdf import run_fig1b
+
     names = args.lc.split(",") if args.lc else list(LC_NAMES)
     cdfs = run_fig1b(names)
     rows = [
@@ -202,6 +205,8 @@ def _cmd_fig1b(args) -> None:
 
 
 def _cmd_fig2(args) -> None:
+    from .experiments.fig2_reuse import run_fig2
+
     names = args.lc.split(",") if args.lc else list(LC_NAMES)
     breakdowns = run_fig2(names)
     rows = [
@@ -219,6 +224,9 @@ def _cmd_fig2(args) -> None:
 
 
 def _cmd_fig9(args) -> None:
+    from .analysis.ascii_plot import distribution_plot
+    from .experiments.fig9_distributions import run_fig9
+
     data = run_fig9(_scale_from_args(args), session=_session_from_args(args))
     seen = {r.load_label for r in data.sweep.records}
     for load in ("lo", "hi"):
@@ -235,6 +243,8 @@ def _cmd_fig9(args) -> None:
 
 
 def _cmd_table3(args) -> None:
+    from .experiments.table3_speedups import format_table3, run_table3
+
     print(
         format_table3(
             run_table3(_scale_from_args(args), session=_session_from_args(args))
@@ -243,6 +253,8 @@ def _cmd_table3(args) -> None:
 
 
 def _cmd_fig12(args) -> None:
+    from .experiments.fig12_slack import run_fig12
+
     entries = run_fig12(_scale_from_args(args), session=_session_from_args(args))
     rows = [
         [
@@ -257,6 +269,8 @@ def _cmd_fig12(args) -> None:
 
 
 def _cmd_fig13(args) -> None:
+    from .experiments.fig13_schemes import run_fig13
+
     entries = run_fig13(_scale_from_args(args), session=_session_from_args(args))
     rows = [
         [e.scheme, e.load_label, f"{e.worst_degradation:.3f}", f"{e.average_speedup_pct:.1f}%"]
@@ -266,6 +280,8 @@ def _cmd_fig13(args) -> None:
 
 
 def _cmd_ablations(args) -> None:
+    from .experiments.ablations import run_ablations
+
     entries = run_ablations(
         _scale_from_args(args), session=_session_from_args(args)
     )
@@ -277,6 +293,8 @@ def _cmd_ablations(args) -> None:
 
 
 def _cmd_utilization(args) -> None:
+    from .experiments.utilization import run_utilization
+
     estimates = run_utilization(
         _scale_from_args(args), session=_session_from_args(args)
     )
@@ -288,6 +306,8 @@ def _cmd_utilization(args) -> None:
 
 
 def _cmd_scaleout(args) -> None:
+    from .experiments.scaleout import run_scaleout
+
     cores = tuple(int(c) for c in (args.cores or "6,12").split(","))
     results = run_scaleout(
         core_counts=cores,
@@ -302,6 +322,8 @@ def _cmd_scaleout(args) -> None:
 
 
 def _cmd_bandwidth(args) -> None:
+    from .experiments.bandwidth_study import run_bandwidth_study
+
     points = run_bandwidth_study(
         requests=args.requests or 100, session=_session_from_args(args)
     )
@@ -578,6 +600,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "kernels; schema-generation aware)",
     )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 0:
+        parser.error(
+            f"argument --jobs: must be at least 0 (0 = all cores), got {args.jobs}"
+        )
+    if args.requests is not None:
+        least = 20 if args.command in TAIL_COMMANDS else 1
+        if args.requests < least:
+            parser.error(
+                f"argument --requests: {args.command} needs at least "
+                f"{least}, got {args.requests}"
+            )
     _HANDLERS[args.command](args)
     if args.stats and args.command != "cache":
         # Report what this process actually reused while the command

@@ -20,31 +20,38 @@ Sec 7.1     utilization                       utilization estimate
 ==========  ================================  ==============================
 """
 
-from .ablations import AblationEntry, run_ablations
-from .bandwidth_study import BandwidthPoint, run_bandwidth_study
-from .common import (
-    REPRESENTATIVE_COMBOS,
-    ExperimentScale,
-    default_scale,
-    format_table,
-    scaled_mix_specs,
+from .._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ablations": ("AblationEntry", "run_ablations"),
+        "bandwidth_study": ("BandwidthPoint", "run_bandwidth_study"),
+        "common": (
+            "REPRESENTATIVE_COMBOS",
+            "ExperimentScale",
+            "default_scale",
+            "format_table",
+            "scaled_mix_specs",
+        ),
+        "scaleout": ("ScaleOutResult", "run_scaleout"),
+        "fig1_load_latency": ("LoadLatencyPoint", "load_latency_curve", "run_fig1a"),
+        "fig1b_service_cdf": ("ServiceCDF", "run_fig1b", "service_time_cdf"),
+        "fig2_reuse": ("ReuseBreakdown", "reuse_breakdown", "run_fig2"),
+        "fig9_distributions": ("Fig9Data", "run_fig9"),
+        "fig10_per_app": ("PerAppEntry", "run_fig10", "run_fig11"),
+        "fig12_slack": ("DEFAULT_SLACKS", "run_fig12"),
+        "fig13_schemes": ("SchemeEntry", "run_fig13"),
+        "sweep": (
+            "DEFAULT_POLICIES",
+            "RunRecord",
+            "SweepResult",
+            "run_policy_sweep",
+        ),
+        "table3_speedups": ("PAPER_TABLE3", "format_table3", "run_table3"),
+        "utilization": ("UtilizationEstimate", "run_utilization"),
+    },
 )
-from .scaleout import ScaleOutResult, run_scaleout
-from .fig1_load_latency import LoadLatencyPoint, load_latency_curve, run_fig1a
-from .fig1b_service_cdf import ServiceCDF, run_fig1b, service_time_cdf
-from .fig2_reuse import ReuseBreakdown, reuse_breakdown, run_fig2
-from .fig9_distributions import Fig9Data, run_fig9
-from .fig10_per_app import PerAppEntry, run_fig10, run_fig11
-from .fig12_slack import DEFAULT_SLACKS, run_fig12
-from .fig13_schemes import SchemeEntry, run_fig13
-from .sweep import (
-    DEFAULT_POLICIES,
-    RunRecord,
-    SweepResult,
-    run_policy_sweep,
-)
-from .table3_speedups import PAPER_TABLE3, format_table3, run_table3
-from .utilization import UtilizationEstimate, run_utilization
 
 __all__ = [
     "ExperimentScale",

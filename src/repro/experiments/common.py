@@ -6,9 +6,11 @@ configurable scaled grid that preserves the methodology: same mix
 construction, same metrics, same normalization.  Environment variables
 let users dial the scale up toward the paper's:
 
-* ``REPRO_REQUESTS``  — requests per LC instance (default 120)
-* ``REPRO_MIXES``     — batch mixes per type combination (default uses
-  a representative subset of combos; set >0 for the full 20-combo grid)
+* ``REPRO_REQUESTS``  — requests per LC instance (default 120, at
+  least 20 for the tail metrics)
+* ``REPRO_MIXES``     — batch mixes per type combination (default 0
+  uses a representative subset of combos; set >0 for the full 20-combo
+  grid)
 * ``REPRO_LC``        — comma-separated LC workload subset
 * ``REPRO_LOADS``     — comma-separated LC loads in (0, 1), e.g.
   ``0.2,0.6`` (default: the paper's low/high operating points)
@@ -19,13 +21,14 @@ naming the variable and the value.
 
 from __future__ import annotations
 
-import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..workloads.latency_critical import LC_NAMES
-from ..workloads.mixes import HIGH_LOAD, LOW_LOAD, MixSpec, make_mix_specs
+from ..workloads.names import HIGH_LOAD, LC_NAMES, LOW_LOAD, batch_type_combos
+
+if TYPE_CHECKING:
+    from ..workloads.mixes import MixSpec
 
 __all__ = [
     "ExperimentScale",
@@ -62,13 +65,17 @@ class ExperimentScale:
             raise ValueError(f"loads must be in (0, 1), got {self.loads!r}")
 
 
-def _env_int(name: str, default: str) -> int:
-    """An integer environment knob; a bad value names the variable."""
+def _env_int(name: str, default: str, minimum: int) -> int:
+    """An integer environment knob of at least ``minimum``; a bad value
+    names the variable."""
     raw = os.environ.get(name, default)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {raw!r}")
+    return value
 
 
 def _env_loads() -> Optional[Tuple[float, ...]]:
@@ -88,20 +95,17 @@ def _env_loads() -> Optional[Tuple[float, ...]]:
 
 def default_scale() -> ExperimentScale:
     """Scale from environment variables (see module docstring)."""
-    requests = _env_int("REPRO_REQUESTS", "120")
+    requests = _env_int("REPRO_REQUESTS", "120", minimum=20)
     lc_env = os.environ.get("REPRO_LC", "")
     lc_names = (
         tuple(name.strip() for name in lc_env.split(",") if name.strip())
         or LC_NAMES
     )
     loads = _env_loads() or (LOW_LOAD, HIGH_LOAD)
-    mixes_env = _env_int("REPRO_MIXES", "0")
+    mixes_env = _env_int("REPRO_MIXES", "0", minimum=0)
     if mixes_env > 0:
         # Full 20-combo grid, paper style.
-        combos = tuple(
-            "".join(c)
-            for c in itertools.combinations_with_replacement("nfts", 3)
-        )
+        combos = tuple("".join(c) for c in batch_type_combos())
         return ExperimentScale(
             requests=requests,
             lc_names=lc_names,
@@ -114,6 +118,8 @@ def default_scale() -> ExperimentScale:
 
 def scaled_mix_specs(scale: ExperimentScale) -> List[MixSpec]:
     """Mix specs for a scale, filtered to its combo subset."""
+    from ..workloads.mixes import make_mix_specs
+
     specs = make_mix_specs(
         lc_names=scale.lc_names,
         loads=scale.loads,

@@ -27,63 +27,70 @@ memoization, experiments describe work declaratively and hand it to a
   (``REPRO_JOBS`` / ``--jobs``).
 """
 
-from .artifacts import (
-    ArtifactCache,
-    artifacts_enabled,
-    artifacts_tier2_target,
-    get_artifacts,
-    reset_artifacts,
-)
-from .registry import (
-    BATCH_WORKLOADS,
-    LC_WORKLOADS,
-    POLICIES,
-    SCHEMES,
-    Registry,
-    list_batch_classes,
-    list_lc_workloads,
-    list_policies,
-    list_schemes,
-    make_batch_workload_named,
-    make_lc_workload_named,
-    make_policy,
-    make_scheme,
-    register_policy,
-    register_scheme,
-)
-from .session import (
-    DEFAULT_POLICIES,
-    Session,
-    execute_spec,
-    get_session,
-    reset_session,
-    resolve_jobs,
-)
-from .spec import (
-    BaselineSpec,
-    MixRef,
-    PolicySpec,
-    RunRecord,
-    RunSpec,
-    SchemeSpec,
-    SweepResult,
-    TaskSpec,
-    mix_refs,
-)
-from .backends import (
-    BACKENDS,
-    DirectoryBackend,
-    MemoryBackend,
-    SqliteBackend,
-    StoreBackend,
-    make_backend,
-    parse_store_url,
-)
-from .store import (
-    ResultStore,
-    default_store_root,
-    default_store_url,
-    migrate_store,
+from .._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "artifacts": (
+            "ArtifactCache",
+            "artifacts_enabled",
+            "artifacts_tier2_target",
+            "get_artifacts",
+            "reset_artifacts",
+        ),
+        "registry": (
+            "BATCH_WORKLOADS",
+            "LC_WORKLOADS",
+            "POLICIES",
+            "SCHEMES",
+            "Registry",
+            "list_batch_classes",
+            "list_lc_workloads",
+            "list_policies",
+            "list_schemes",
+            "make_batch_workload_named",
+            "make_lc_workload_named",
+            "make_policy",
+            "make_scheme",
+            "register_policy",
+            "register_scheme",
+        ),
+        "session": (
+            "DEFAULT_POLICIES",
+            "Session",
+            "execute_spec",
+            "get_session",
+            "reset_session",
+            "resolve_jobs",
+        ),
+        "spec": (
+            "BaselineSpec",
+            "MixRef",
+            "PolicySpec",
+            "RunRecord",
+            "RunSpec",
+            "SchemeSpec",
+            "SweepResult",
+            "TaskSpec",
+            "mix_refs",
+        ),
+        "backends": (
+            "BACKENDS",
+            "DirectoryBackend",
+            "MemoryBackend",
+            "SqliteBackend",
+            "StoreBackend",
+            "make_backend",
+            "parse_store_url",
+        ),
+        "store": (
+            "ResultStore",
+            "default_store_root",
+            "default_store_url",
+            "migrate_store",
+        ),
+    },
 )
 
 __all__ = [

@@ -15,12 +15,18 @@ worker process::
 
 Unknown names raise :class:`KeyError` with the full key table and the
 closest match, so a typo in a spec fails loudly and helpfully.
+
+Each built-in registry fills itself the first time it is read, so
+importing this module loads no policy, scheme or workload model, and
+reading one registry loads only the modules behind its own entries.
 """
 
 from __future__ import annotations
 
 import difflib
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from ..workloads.names import BATCH_CLASSES, LC_NAMES
 
 __all__ = [
     "Registry",
@@ -52,6 +58,16 @@ class Registry:
     def __init__(self, kind: str):
         self.kind = kind
         self._factories: Dict[str, Callable[..., Any]] = {}
+        #: Registers the shipped entries of a built-in registry; run
+        #: once, before the table is first read or extended.
+        self._builtins: Optional[Callable[["Registry"], None]] = None
+
+    def _table(self) -> Dict[str, Callable[..., Any]]:
+        """The factory table, with the built-in entries registered."""
+        if self._builtins is not None:
+            builtins, self._builtins = self._builtins, None
+            builtins(self)
+        return self._factories
 
     def register(
         self, name: str, factory: Optional[Callable[..., Any]] = None
@@ -60,9 +76,10 @@ class Registry:
 
         def _add(fn: Callable[..., Any]) -> Callable[..., Any]:
             key = name.lower()
-            if key in self._factories:
+            table = self._table()
+            if key in table:
                 raise ValueError(f"{self.kind} {name!r} already registered")
-            self._factories[key] = fn
+            table[key] = fn
             return fn
 
         if factory is not None:
@@ -72,11 +89,12 @@ class Registry:
     def get(self, name: str) -> Callable[..., Any]:
         """The factory for ``name``; raises a descriptive KeyError."""
         key = name.lower()
+        table = self._table()
         try:
-            return self._factories[key]
+            return table[key]
         except KeyError:
-            known = ", ".join(sorted(self._factories))
-            close = difflib.get_close_matches(key, self._factories, n=1)
+            known = ", ".join(sorted(table))
+            close = difflib.get_close_matches(key, table, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise KeyError(
                 f"unknown {self.kind} {name!r} (known: {known}){hint}"
@@ -88,29 +106,90 @@ class Registry:
 
     def names(self) -> List[str]:
         """All registered keys, sorted."""
-        return sorted(self._factories)
+        return sorted(self._table())
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._factories
+        return name.lower() in self._table()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
-        return len(self._factories)
+        return len(self._table())
+
+
+def _builtin_policies(registry: Registry) -> None:
+    from ..core.ubik import UbikPolicy
+    from ..policies.fixed import FixedPolicy
+    from ..policies.lru import LRUPolicy
+    from ..policies.onoff import OnOffPolicy
+    from ..policies.static_lc import StaticLCPolicy
+    from ..policies.ucp import UCPPolicy
+
+    registry.register("lru", LRUPolicy)
+    registry.register("ucp", UCPPolicy)
+    registry.register("onoff", OnOffPolicy)
+    registry.register("static_lc", StaticLCPolicy)
+    registry.register("fixed", FixedPolicy)
+    registry.register("ubik", UbikPolicy)
+
+
+def _builtin_schemes(registry: Registry) -> None:
+    from ..cache.schemes import vantage_setassoc, vantage_zcache, way_partitioning
+
+    registry.register("vantage_zcache", vantage_zcache)
+    registry.register(
+        "vantage_sa16", lambda llc_lines: vantage_setassoc(llc_lines, 16)
+    )
+    registry.register(
+        "vantage_sa64", lambda llc_lines: vantage_setassoc(llc_lines, 64)
+    )
+    registry.register(
+        "waypart_sa16", lambda llc_lines: way_partitioning(llc_lines, 16)
+    )
+    registry.register(
+        "waypart_sa64", lambda llc_lines: way_partitioning(llc_lines, 64)
+    )
+
+
+def _builtin_lc_workloads(registry: Registry) -> None:
+    from ..workloads.latency_critical import make_lc_workload
+
+    for lc_name in LC_NAMES:
+        registry.register(
+            lc_name,
+            lambda name=lc_name, **kw: make_lc_workload(name, **kw),
+        )
+
+
+def _builtin_batch_workloads(registry: Registry) -> None:
+    from ..workloads.batch import make_batch_workload
+
+    for cls in BATCH_CLASSES:
+        registry.register(
+            cls,
+            lambda batch_class=cls, **kw: make_batch_workload(batch_class, **kw),
+        )
+
+
+def _builtin_registry(kind: str, builtins: Callable[[Registry], None]) -> Registry:
+    """A registry that ``builtins`` fills when it is first used."""
+    registry = Registry(kind)
+    registry._builtins = builtins
+    return registry
 
 
 #: Partitioning policies: ``make_policy("ubik", slack=0.05)``.
-POLICIES = Registry("policy")
+POLICIES = _builtin_registry("policy", _builtin_policies)
 
 #: Partitioning-scheme models; factories take ``llc_lines``.
-SCHEMES = Registry("scheme")
+SCHEMES = _builtin_registry("scheme", _builtin_schemes)
 
 #: Latency-critical workload models, keyed by paper name.
-LC_WORKLOADS = Registry("LC workload")
+LC_WORKLOADS = _builtin_registry("LC workload", _builtin_lc_workloads)
 
 #: Batch workload classes (n/f/t/s), as in paper Section 6.
-BATCH_WORKLOADS = Registry("batch workload class")
+BATCH_WORKLOADS = _builtin_registry("batch workload class", _builtin_batch_workloads)
 
 
 def register_policy(name: str, factory: Optional[Callable[..., Any]] = None):
@@ -161,51 +240,3 @@ def make_batch_workload_named(name: str, **kwargs: Any):
 def list_batch_classes() -> List[str]:
     """Sorted keys of all registered batch workload classes."""
     return BATCH_WORKLOADS.names()
-
-
-def _register_builtins() -> None:
-    """Populate the registries with everything the repo ships."""
-    from ..cache import schemes as _schemes
-    from ..core.ubik import UbikPolicy
-    from ..policies.fixed import FixedPolicy
-    from ..policies.lru import LRUPolicy
-    from ..policies.onoff import OnOffPolicy
-    from ..policies.static_lc import StaticLCPolicy
-    from ..policies.ucp import UCPPolicy
-    from ..workloads.batch import BATCH_CLASSES, make_batch_workload
-    from ..workloads.latency_critical import LC_NAMES, make_lc_workload
-
-    POLICIES.register("lru", LRUPolicy)
-    POLICIES.register("ucp", UCPPolicy)
-    POLICIES.register("onoff", OnOffPolicy)
-    POLICIES.register("static_lc", StaticLCPolicy)
-    POLICIES.register("fixed", FixedPolicy)
-    POLICIES.register("ubik", UbikPolicy)
-
-    SCHEMES.register("vantage_zcache", _schemes.vantage_zcache)
-    SCHEMES.register(
-        "vantage_sa16", lambda llc_lines: _schemes.vantage_setassoc(llc_lines, 16)
-    )
-    SCHEMES.register(
-        "vantage_sa64", lambda llc_lines: _schemes.vantage_setassoc(llc_lines, 64)
-    )
-    SCHEMES.register(
-        "waypart_sa16", lambda llc_lines: _schemes.way_partitioning(llc_lines, 16)
-    )
-    SCHEMES.register(
-        "waypart_sa64", lambda llc_lines: _schemes.way_partitioning(llc_lines, 64)
-    )
-
-    for lc_name in LC_NAMES:
-        LC_WORKLOADS.register(
-            lc_name,
-            lambda name=lc_name, **kw: make_lc_workload(name, **kw),
-        )
-    for cls in BATCH_CLASSES:
-        BATCH_WORKLOADS.register(
-            cls,
-            lambda batch_class=cls, **kw: make_batch_workload(batch_class, **kw),
-        )
-
-
-_register_builtins()

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 from ..sim.config import CoreKind
-from ..sim.mix_runner import BaselineResult, MixRunner
 from .spec import (
     PolicySpec,
     RunSpec,
@@ -49,6 +48,9 @@ from .work import (
     record_from_result,
     store_lookup,
 )
+
+if TYPE_CHECKING:
+    from ..sim.mix_runner import BaselineResult
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -240,6 +242,7 @@ class Session:
     ) -> BaselineResult:
         """Isolated 2 MB-private baseline for one (app, load) point."""
         from ..sim.config import CMPConfig
+        from ..sim.mix_runner import MixRunner
         from ..workloads.latency_critical import make_lc_workload
 
         runner = MixRunner(

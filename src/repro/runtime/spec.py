@@ -27,6 +27,7 @@ from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..workloads.names import batch_type_combos, load_label
 from .registry import LC_WORKLOADS, POLICIES, SCHEMES
 
 __all__ = [
@@ -157,8 +158,6 @@ class MixRef:
     @property
     def load_label(self) -> str:
         """``lo``/``hi``, matching :class:`MixSpec.load_label`."""
-        from ..workloads.mixes import load_label
-
         return load_label(self.load)
 
     @property
@@ -175,7 +174,7 @@ class MixRef:
         sweep shares one instance across every spec that names the same
         inputs instead of rebuilding curves and profiles per cell.
         """
-        from ..workloads.mixes import MixSpec, batch_type_combos, make_batch_mix
+        from ..workloads.mixes import MixSpec, make_batch_mix
         from .artifacts import get_artifacts
 
         combo_labels = ["".join(c) for c in batch_type_combos()]
@@ -512,8 +511,6 @@ def mix_refs(
     order :func:`repro.experiments.common.scaled_mix_specs` produces,
     so sweep records line up with the legacy path record for record.
     """
-    from ..workloads.mixes import batch_type_combos
-
     keep = set(combos)
     refs: List[MixRef] = []
     for lc_name in lc_names:

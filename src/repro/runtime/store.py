@@ -34,12 +34,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
 from .._version import __version__
-from ..sim.mix_runner import BaselineResult
 from .backends import StoreBackend, make_backend, parse_store_url
 from .spec import SPEC_SCHEMA_VERSION, RunRecord, canonical_json
+
+if TYPE_CHECKING:
+    from ..sim.mix_runner import BaselineResult
 
 __all__ = [
     "ResultStore",
@@ -254,6 +256,8 @@ class ResultStore:
         doc = self.get(fingerprint)
         if doc is None or doc.get("kind") != "baseline":
             return None
+        from ..sim.mix_runner import BaselineResult
+
         baseline = BaselineResult(
             tail95_cycles=doc["tail95_cycles"],
             p95_cycles=doc["p95_cycles"],

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..sim.grid_replay import plan_groups
-from ..sim.mix_runner import MixRunner
 from .spec import RunRecord, RunSpec, TaskSpec
 from .store import ResultStore
 
@@ -77,6 +76,8 @@ def _execute_run_spec(spec: RunSpec, store: Optional[ResultStore]) -> RunRecord:
         hit = store.get_record(fingerprint)
         if hit is not None:
             return hit.relabeled(spec.policy.display)
+    from ..sim.mix_runner import MixRunner
+
     config = spec.config()
     runner = MixRunner(
         config=config,
@@ -172,6 +173,8 @@ def _execute_run_group(specs: Sequence[RunSpec], store: Optional[ResultStore]) -
         pending.append((position, spec, fingerprint))
         pending_fingerprints.add(fingerprint)
     if pending:
+        from ..sim.mix_runner import MixRunner
+
         first = pending[0][1]
         config = first.config()
         runner = MixRunner(

@@ -1,17 +1,24 @@
 """Simulation engine: CMP config, fill transients, the mix engine, runners."""
 
-from .config import CMPConfig, CacheLevelConfig, CoreKind, westmere_config
-from .engine import LCInstanceSpec, MixEngine
-from .fill import Advance, FillState
-from .mix_runner import BaselineResult, MixRunner
-from .results import BatchAppResult, LCInstanceResult, MixResult
-from .study_runner import run_bandwidth_point, run_scaleout_point
-from .trace_sim import (
-    PhasedGenerator,
-    ScanGenerator,
-    TraceApp,
-    TraceDrivenSimulator,
-    ZipfWorkingSetGenerator,
+from .._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("CMPConfig", "CacheLevelConfig", "CoreKind", "westmere_config"),
+        "engine": ("LCInstanceSpec", "MixEngine"),
+        "fill": ("Advance", "FillState"),
+        "mix_runner": ("BaselineResult", "MixRunner"),
+        "results": ("BatchAppResult", "LCInstanceResult", "MixResult"),
+        "study_runner": ("run_bandwidth_point", "run_scaleout_point"),
+        "trace_sim": (
+            "PhasedGenerator",
+            "ScanGenerator",
+            "TraceApp",
+            "TraceDrivenSimulator",
+            "ZipfWorkingSetGenerator",
+        ),
+    },
 )
 
 __all__ = [

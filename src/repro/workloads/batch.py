@@ -21,6 +21,7 @@ from ..cpu import AppProfile
 from ..monitor.miss_curve import MissCurve
 from ..units import mb_to_lines
 from .curve_shapes import exponential_curve, flat_curve, knee_curve
+from .names import BATCH_CLASSES
 
 __all__ = [
     "BATCH_CLASSES",
@@ -29,9 +30,6 @@ __all__ = [
     "make_batch_workload",
     "random_batch_workload",
 ]
-
-#: The four cache-behaviour classes: insensitive, friendly, fitting, streaming.
-BATCH_CLASSES: Tuple[str, ...] = ("n", "f", "t", "s")
 
 BATCH_CLASS_NAMES: Dict[str, str] = {
     "n": "insensitive",

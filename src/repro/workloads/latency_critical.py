@@ -18,7 +18,7 @@ time at the paper's baseline — running alone on an OOO core with a warm
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from ..cpu import AppProfile, OutOfOrderCore
 from ..monitor.miss_curve import MissCurve
@@ -27,6 +27,7 @@ from .curve_shapes import (
     exponential_curve,
     plateau_then_decline_curve,
 )
+from .names import LC_NAMES
 from .service_time import (
     LognormalWork,
     MixtureWork,
@@ -236,8 +237,6 @@ _SPECS: Dict[str, Callable[[], _LCSpec]] = {
     "shore": _shore_spec,
     "specjbb": _specjbb_spec,
 }
-
-LC_NAMES: Tuple[str, ...] = tuple(_SPECS)
 
 
 def make_lc_workload(

@@ -12,13 +12,13 @@ apps, pinned to cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .batch import BATCH_CLASSES, BatchWorkload, random_batch_workload
-from .latency_critical import LC_NAMES, LCWorkload, make_lc_workload
+from .batch import BatchWorkload, random_batch_workload
+from .latency_critical import LCWorkload, make_lc_workload
+from .names import HIGH_LOAD, LC_NAMES, LOW_LOAD, batch_type_combos, load_label
 
 __all__ = [
     "LOW_LOAD",
@@ -31,18 +31,9 @@ __all__ = [
     "make_mix_specs",
 ]
 
-#: The paper's two operating points for LC apps (Section 6).
-LOW_LOAD = 0.2
-HIGH_LOAD = 0.6
-
 #: LC instances and batch apps per six-core mix.
 LC_INSTANCES = 3
 BATCH_APPS = 3
-
-
-def load_label(load: float) -> str:
-    """``"lo"``/``"hi"`` bucket for an LC load (midpoint threshold)."""
-    return "lo" if load <= (LOW_LOAD + HIGH_LOAD) / 2 else "hi"
 
 
 @dataclass(frozen=True)
@@ -64,11 +55,6 @@ class MixSpec:
     @property
     def load_label(self) -> str:
         return load_label(self.load)
-
-
-def batch_type_combos() -> List[Tuple[str, str, str]]:
-    """The 20 multisets of three batch types (nnn, nnf, ..., sss)."""
-    return list(combinations_with_replacement(BATCH_CLASSES, 3))
 
 
 def make_batch_mix(

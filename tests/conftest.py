@@ -8,6 +8,9 @@ chose one (the CI workflow does, to exercise cross-process reuse).
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +53,42 @@ def forbid_evaluation(monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_pool)
 
     return forbid
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """Run ``python -X importtime ARGS`` in a new interpreter.
+
+    The child finds ``repro`` on its path and inherits the environment
+    plus ``env``.  Returns its stdout and, sorted, every module it
+    imported that is one of the names in ``watch`` or sits under one,
+    read from the import-time log on its stderr.
+    """
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(*args, watch, env=None):
+        child_env = dict(os.environ, **(env or {}))
+        child_env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, child_env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            env=child_env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return done.stdout, sorted(
+            m
+            for m in imported
+            if any(m == w or m.startswith(w + ".") for w in watch)
+        )
+
+    return run

@@ -57,7 +57,10 @@ class TestBadKnobs:
         "name, raw",
         [
             ("REPRO_REQUESTS", "abc"),
+            ("REPRO_REQUESTS", "10"),
+            ("REPRO_REQUESTS", "19"),
             ("REPRO_MIXES", "two"),
+            ("REPRO_MIXES", "-3"),
             ("REPRO_LOADS", "0.2,high"),
             ("REPRO_LOADS", "1.5"),
             ("REPRO_LOADS", "0"),
@@ -69,6 +72,13 @@ class TestBadKnobs:
         monkeypatch.setenv(name, raw)
         with pytest.raises(ValueError, match=f"{name} .*'{raw}'"):
             default_scale()
+
+    def test_lowest_accepted_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_REQUESTS", "20")
+        monkeypatch.setenv("REPRO_MIXES", "0")
+        scale = default_scale()
+        assert scale.requests == 20
+        assert len(scale.combos) == 6
 
     @pytest.mark.parametrize("load", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_scale_rejects_loads_outside_the_unit_interval(self, load):

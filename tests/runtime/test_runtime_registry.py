@@ -13,6 +13,7 @@ from repro.runtime import (
     make_policy,
     make_scheme,
 )
+from repro.runtime.registry import _builtin_registry
 from repro.workloads.latency_critical import LC_NAMES
 
 
@@ -86,3 +87,35 @@ class TestRegistryMechanics:
         assert reg.make("b") == "b!"
         assert "b" in reg
         assert len(reg) == 1
+
+    def test_builtins_fill_once_on_first_read(self):
+        calls = []
+
+        def builtins(registry):
+            calls.append(registry)
+            registry.register("a", lambda: 1)
+
+        reg = _builtin_registry("thing", builtins)
+        assert calls == []
+        assert reg.names() == ["a"]
+        assert reg.make("a") == 1 and "a" in reg and len(reg) == 1
+        assert calls == [reg]
+
+    def test_builtins_fill_before_a_registration(self):
+        reg = _builtin_registry(
+            "thing", lambda registry: registry.register("a", lambda: 1)
+        )
+        with pytest.raises(ValueError, match="thing 'a' already registered"):
+            reg.register("a", lambda: 2)
+        reg.register("b", lambda: 2)
+        assert reg.names() == ["a", "b"]
+
+    def test_unknown_name_error_lists_the_builtins(self):
+        reg = _builtin_registry(
+            "thing", lambda registry: registry.register("alpha", int)
+        )
+        with pytest.raises(KeyError) as excinfo:
+            reg.get("alpah")
+        assert excinfo.value.args[0] == (
+            "unknown thing 'alpah' (known: alpha); did you mean 'alpha'?"
+        )

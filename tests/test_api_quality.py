@@ -33,6 +33,7 @@ MODULES = [
     "repro.workloads.latency_critical",
     "repro.workloads.batch",
     "repro.workloads.mixes",
+    "repro.workloads.names",
     "repro.workloads.trace",
     "repro.workloads.curve_shapes",
     "repro.server",

@@ -7,6 +7,29 @@ import pytest
 from repro.cli import main
 
 
+#: Each sweep command and the experiment module that runs it.
+SWEEP_MODULES = {
+    "fig9": "fig9_distributions",
+    "table3": "table3_speedups",
+    "fig12": "fig12_slack",
+    "fig13": "fig13_schemes",
+    "ablations": "ablations",
+    "utilization": "utilization",
+}
+
+#: Modules only a simulation needs: a served run loads none of them.
+SIMULATOR_MODULES = (
+    "repro.sim.engine",
+    "repro.sim.fill",
+    "repro.sim.mix_runner",
+    "repro.core",
+    "repro.policies",
+    "repro.monitor",
+    "repro.workloads.latency_critical",
+    "repro.workloads.batch",
+)
+
+
 @pytest.fixture
 def tiny_sweep(monkeypatch, tmp_path):
     """A one-workload, one-load sweep scale over a fresh directory store."""
@@ -91,11 +114,9 @@ class TestCLI:
         assert main(["table3"]) == 0
         assert capsys.readouterr().out != seeded
 
-    @pytest.mark.parametrize(
-        "command", ["fig9", "table3", "fig12", "fig13", "ablations", "utilization"]
-    )
+    @pytest.mark.parametrize("command", list(SWEEP_MODULES))
     def test_seed_flag_reaches_every_sweep_command(self, command, monkeypatch):
-        import repro.cli as cli
+        import importlib
 
         seeds = []
 
@@ -106,7 +127,11 @@ class TestCLI:
             seeds.append(scale.seed)
             raise Stop
 
-        monkeypatch.setattr(cli, f"run_{command}", capture)
+        # The command imports its experiment module when it runs.
+        module = importlib.import_module(
+            f"repro.experiments.{SWEEP_MODULES[command]}"
+        )
+        monkeypatch.setattr(module, f"run_{command}", capture)
         with pytest.raises(Stop):
             main([command, "--seed", "7"])
         with pytest.raises(Stop):
@@ -402,31 +427,72 @@ class TestCommandList:
         assert listed == [name for name in COMMANDS if name != "list"]
 
 
-def test_cli_import_loads_no_pool_machinery():
-    """A store-served run never pays for the process pool: importing
-    the CLI in a fresh interpreter loads no asyncio, concurrent.futures
-    or multiprocessing module."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+def test_cli_import_loads_no_pool_machinery(fresh_interpreter):
+    """A store-served run never pays for the process pool or the
+    simulator: importing the CLI in a fresh interpreter loads no
+    asyncio, concurrent.futures or multiprocessing module, and nothing
+    of the engine, the policies, Ubik's controller or the workload
+    models."""
+    __, loaded = fresh_interpreter(
+        "-c",
+        "import repro.cli",
+        watch=("asyncio", "concurrent", "multiprocessing") + SIMULATOR_MODULES,
     )
-    probe = (
-        "import sys, repro.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('asyncio', 'concurrent', 'multiprocessing')))"
+    assert loaded == []
+
+
+def test_served_rerun_imports_no_simulator(fresh_interpreter, tmp_path):
+    """``python -m repro table3`` and ``fig13`` on a filled store print
+    the bytes of their cold runs and import none of the simulator."""
+    env = {
+        "REPRO_STORE": f"directory://{tmp_path}",
+        "REPRO_LC": "masstree",
+        "REPRO_REQUESTS": "20",
+        "REPRO_LOADS": "0.2",
+    }
+    for command in ("table3", "fig13"):
+        cold, simulated = fresh_interpreter(
+            "-m", "repro", command, watch=SIMULATOR_MODULES, env=env
+        )
+        assert "repro.sim.engine" in simulated
+        served, loaded = fresh_interpreter(
+            "-m", "repro", command, watch=SIMULATOR_MODULES, env=env
+        )
+        assert served == cold
+        assert loaded == []
+
+
+class TestFlagErrors:
+    """Out-of-range flags are usage errors naming the flag."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "table3 --jobs -1",
+            "scaleout --requests 0",
+            "run --requests 0",
+            "table3 --requests 10",
+            "fig13 --requests 19",
+            "run --requests 19",
+            "bandwidth --requests 19",
+        ],
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    def test_exit_status_2_naming_the_flag(self, command, capsys):
+        argv = command.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["table3 --jobs 0", "table3 --requests 20", "scaleout --requests 1"],
+    )
+    def test_boundary_values_reach_the_command(self, command, monkeypatch):
+        import repro.cli as cli
+
+        argv = command.split()
+        reached = []
+        monkeypatch.setitem(cli._HANDLERS, argv[0], reached.append)
+        assert main(argv) == 0
+        assert len(reached) == 1
