@@ -41,7 +41,8 @@ convention):
     and the three replay streams, via a fresh ``MixRunner`` exactly as
     ``execute_spec`` builds one per spec — timed with the
     content-addressed artifact cache (:mod:`repro.runtime.artifacts`)
-    warm across the grid versus disabled.  The joint replay is excluded
+    warm across the grid versus cleared before every cell, as a cold
+    process per cell would run it.  The joint replay is excluded
     from both arms (it differs per policy, so no artifact can share
     it; ``joint_replay_grid`` tracks its batching).  Records the ratio
     as ``speedup`` (the PR-5 acceptance floor is ≥2×) after asserting
@@ -357,8 +358,9 @@ def _bench_warm_sweep_grid(requests: int, repeats: int) -> Dict[str, Any]:
     spec.  This state depends only on (lc, load), so it is identical
     across the policy axis: with the artifact cache warm over the grid,
     each load's baseline and streams are derived once; with the cache
-    disabled, every cell re-derives everything, which is what the
-    pre-artifact-cache sweep did.
+    cleared before every cell (a cold process per cell), every cell
+    re-derives everything, which is what the pre-artifact-cache sweep
+    did.
 
     The joint six-app replay is deliberately **excluded from both
     arms**: it differs per policy, so no *artifact* can legitimately
@@ -392,26 +394,22 @@ def _bench_warm_sweep_grid(requests: int, repeats: int) -> Dict[str, Any]:
         return baseline
 
     def run_warm() -> List[Any]:
-        # Pinned on (environment ignored): the warm arm must measure
-        # the cache even under REPRO_ARTIFACTS=0, or the recorded
-        # "speedup" would silently be a cache-off/cache-off ratio.
-        with artifacts.pinned(True):
-            artifacts.clear()
-            return [
-                derive_cell(ref) for ref in refs for _ in range(policy_count)
-            ]
+        artifacts.clear()
+        return [derive_cell(ref) for ref in refs for _ in range(policy_count)]
 
     def run_cold() -> List[Any]:
-        with artifacts.disabled():
-            return [
-                derive_cell(ref) for ref in refs for _ in range(policy_count)
-            ]
+        grid = []
+        for ref in refs:
+            for _ in range(policy_count):
+                artifacts.clear()
+                grid.append(derive_cell(ref))
+        return grid
 
     # Verify once, outside the timed region: the cached grid must be
-    # baseline-for-baseline identical to the uncached one before the
+    # baseline-for-baseline identical to the cold one before the
     # speedup means anything.
     if run_warm() != run_cold():  # pragma: no cover - a real regression
-        raise RuntimeError("artifact-cached sweep state diverged from cache-off")
+        raise RuntimeError("artifact-cached sweep state diverged from cold cells")
 
     samples = _time_repeats(run_warm, repeats)
     cold_samples = _time_repeats(run_cold, repeats)
@@ -445,7 +443,7 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
 
     Scope, precisely: the **replay phase only**.  One warm
     :class:`~repro.sim.mix_runner.MixRunner` (baselines and streams
-    derived outside the timed region, artifact cache pinned on) replays
+    derived outside the timed region, artifact cache warm) replays
     each of the two (masstree, load) mixes under four partitioned
     policies — ubik, ucp, on/off, and static-LC, the cells whose
     replays a sweep grid actually repeats.  The batched arm runs each
@@ -479,45 +477,42 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
         for load in (0.2, 0.6)
     ]
     artifacts = get_artifacts()
-    # Pinned on (environment ignored) so both arms replay over the same
-    # warm baselines and streams: the kernel isolates replay cost, and
-    # under REPRO_ARTIFACTS=0 each run_mix would otherwise re-derive
-    # its streams inside the timed region and drown it.
-    with artifacts.pinned(True):
-        artifacts.clear()
-        runner = MixRunner(requests=requests, seed=2014)
-        mixes = [ref.build() for ref in refs]
-        for mix in mixes:  # baselines + streams outside the timed region
-            runner.baseline(mix.lc_workload, mix.load)
+    # Both arms replay over the same warm baselines and streams, so the
+    # kernel isolates replay cost.
+    artifacts.clear()
+    runner = MixRunner(requests=requests, seed=2014)
+    mixes = [ref.build() for ref in refs]
+    for mix in mixes:  # baselines + streams outside the timed region
+        runner.baseline(mix.lc_workload, mix.load)
 
-        def run_per_cell() -> List[Any]:
-            return [
-                runner.run_mix(mix, policy.build(), scheme=None)
-                for mix in mixes
-                for policy in policy_specs
-            ]
+    def run_per_cell() -> List[Any]:
+        return [
+            runner.run_mix(mix, policy.build(), scheme=None)
+            for mix in mixes
+            for policy in policy_specs
+        ]
 
-        def run_grouped() -> List[Any]:
-            grid: List[Any] = []
-            for mix in mixes:
-                grid.extend(
-                    runner.run_mix_group(
-                        mix, [(policy.build(), None) for policy in policy_specs]
-                    )
+    def run_grouped() -> List[Any]:
+        grid: List[Any] = []
+        for mix in mixes:
+            grid.extend(
+                runner.run_mix_group(
+                    mix, [(policy.build(), None) for policy in policy_specs]
                 )
-            return grid
+            )
+        return grid
 
-        # Verify once, outside the timed region: every grouped cell
-        # must match the per-cell oracle before the speedup means
-        # anything.
-        for grouped, per_cell in zip(run_grouped(), run_per_cell()):
-            if not _mix_results_identical(grouped, per_cell):
-                raise RuntimeError(
-                    "grouped joint replay diverged from the per-cell oracle"
-                )
+    # Verify once, outside the timed region: every grouped cell
+    # must match the per-cell oracle before the speedup means
+    # anything.
+    for grouped, per_cell in zip(run_grouped(), run_per_cell()):
+        if not _mix_results_identical(grouped, per_cell):
+            raise RuntimeError(
+                "grouped joint replay diverged from the per-cell oracle"
+            )
 
-        samples = _time_repeats(run_grouped, repeats)
-        per_cell_samples = _time_repeats(run_per_cell, repeats)
+    samples = _time_repeats(run_grouped, repeats)
+    per_cell_samples = _time_repeats(run_per_cell, repeats)
     artifacts.clear()  # leave no grid-sized pools behind in the process
     best, per_cell_best = min(samples), min(per_cell_samples)
     return _kernel_entry(
@@ -537,7 +532,7 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
     Scope, precisely: the **replay phase only**, like
     ``joint_replay_grid``, on a grid that prices the event loop.  One
     warm :class:`~repro.sim.mix_runner.MixRunner` (baseline and streams
-    derived outside the timed region, artifact cache pinned on)
+    derived outside the timed region, artifact cache warm)
     replays one (masstree, load 0.9) mix under eight
     :class:`~repro.policies.fixed.FixedPolicy` cells sweeping the LC
     partition from 0.25× to 2× the workload's working-set target — the
@@ -571,51 +566,50 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
     lc_fractions = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     ref = MixRef(lc_name="masstree", load=0.9, combo="nnn")
     artifacts = get_artifacts()
-    with artifacts.pinned(True):
-        artifacts.clear()
-        runner = MixRunner(requests=requests, seed=2014)
-        mix = ref.build()
-        runner.baseline(mix.lc_workload, mix.load)  # outside the timing
-        llc_lines = CMPConfig().llc_lines
-        target_lines = mix.lc_workload.target_lines
+    artifacts.clear()
+    runner = MixRunner(requests=requests, seed=2014)
+    mix = ref.build()
+    runner.baseline(mix.lc_workload, mix.load)  # outside the timing
+    llc_lines = CMPConfig().llc_lines
+    target_lines = mix.lc_workload.target_lines
 
-        def build_cells() -> List[Any]:
-            cells: List[Any] = []
-            for fraction in lc_fractions:
-                lc_lines = fraction * target_lines
-                batch_lines = max(0.0, llc_lines - 3 * lc_lines) / 3.0
-                policy = FixedPolicy(
-                    targets={
-                        0: lc_lines,
-                        1: lc_lines,
-                        2: lc_lines,
-                        3: batch_lines,
-                        4: batch_lines,
-                        5: batch_lines,
-                    }
-                )
-                cells.append((policy, None))
-            return cells
+    def build_cells() -> List[Any]:
+        cells: List[Any] = []
+        for fraction in lc_fractions:
+            lc_lines = fraction * target_lines
+            batch_lines = max(0.0, llc_lines - 3 * lc_lines) / 3.0
+            policy = FixedPolicy(
+                targets={
+                    0: lc_lines,
+                    1: lc_lines,
+                    2: lc_lines,
+                    3: batch_lines,
+                    4: batch_lines,
+                    5: batch_lines,
+                }
+            )
+            cells.append((policy, None))
+        return cells
 
-        def run_engine() -> List[Any]:
-            return runner.run_mix_group(mix, build_cells())
+    def run_engine() -> List[Any]:
+        return runner.run_mix_group(mix, build_cells())
 
-        def run_per_cell() -> List[Any]:
-            return [
-                runner.run_mix(mix, policy, scheme=scheme)
-                for policy, scheme in build_cells()
-            ]
+    def run_per_cell() -> List[Any]:
+        return [
+            runner.run_mix(mix, policy, scheme=scheme)
+            for policy, scheme in build_cells()
+        ]
 
-        # Verify once, outside the timed region: every engine cell must
-        # match the per-cell oracle before the speedup means anything.
-        for engine_cell, oracle_cell in zip(run_engine(), run_per_cell()):
-            if not _mix_results_identical(engine_cell, oracle_cell):
-                raise RuntimeError(
-                    "lockstep replay diverged from the per-cell oracle"
-                )
+    # Verify once, outside the timed region: every engine cell must
+    # match the per-cell oracle before the speedup means anything.
+    for engine_cell, oracle_cell in zip(run_engine(), run_per_cell()):
+        if not _mix_results_identical(engine_cell, oracle_cell):
+            raise RuntimeError(
+                "lockstep replay diverged from the per-cell oracle"
+            )
 
-        samples = _time_repeats(run_engine, repeats)
-        per_cell_samples = _time_repeats(run_per_cell, repeats)
+    samples = _time_repeats(run_engine, repeats)
+    per_cell_samples = _time_repeats(run_per_cell, repeats)
     artifacts.clear()  # leave no grid-sized pools behind in the process
     best, per_cell_best = min(samples), min(per_cell_samples)
     return _kernel_entry(
@@ -1165,7 +1159,7 @@ def format_bench(payload: Dict[str, Any]) -> str:
         note = ""
         if "speedup" in entry:
             against = {
-                "warm_sweep_grid": "cache-off",
+                "warm_sweep_grid": "cold per cell",
                 "joint_replay_grid": "per-cell",
                 "lockstep_replay": "per-cell",
             }.get(name, "naive")

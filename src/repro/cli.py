@@ -55,7 +55,7 @@ from typing import List, Optional
 
 from .experiments.common import ExperimentScale, default_scale, format_table
 from .runtime.session import Session
-from .workloads.names import LC_NAMES
+from .workloads.names import LC_NAMES, MIN_TAIL_REQUESTS
 
 __all__ = ["main"]
 
@@ -78,9 +78,9 @@ COMMANDS = (
 )
 
 
-#: Commands whose runs go through ``MixRunner`` or ``RunSpec``, which
-#: take at least 20 requests per LC instance for their tail metrics;
-#: the others take any positive count.
+#: Commands that report tail metrics, which take at least
+#: ``MIN_TAIL_REQUESTS`` requests per LC instance; the others take any
+#: positive count.
 TAIL_COMMANDS = (
     "run",
     "fig1a",
@@ -90,6 +90,7 @@ TAIL_COMMANDS = (
     "fig13",
     "ablations",
     "utilization",
+    "scaleout",
     "bandwidth",
 )
 
@@ -339,7 +340,7 @@ def _cmd_bandwidth(args) -> None:
     print(format_table(["Peak (miss/kcyc)", "Policy", "Tail", "Speedup"], rows))
 
 
-def _print_artifact_stats() -> None:
+def _print_artifact_counters() -> None:
     """Render the per-process artifact-cache counters.
 
     The cache lives for one process, so the counters reflect whatever
@@ -350,10 +351,7 @@ def _print_artifact_stats() -> None:
     from .runtime.artifacts import get_artifacts
 
     stats = get_artifacts().stats()
-    rows = [
-        ["enabled", str(stats["enabled"]).lower() + "  (REPRO_ARTIFACTS)"],
-        ["entries", stats["entries"]],
-    ]
+    rows = [["entries", stats["entries"]]]
     for kind, counts in stats["kinds"].items():
         rows.append(
             [
@@ -365,20 +363,6 @@ def _print_artifact_stats() -> None:
     if not stats["kinds"]:
         rows.append(
             ["  (empty)", "add --stats to a sweep command to see activity"]
-        )
-    tier2 = stats["tier2"]
-    rows.append(
-        [
-            "tier 2",
-            (tier2["url"] or "off") + "  (REPRO_ARTIFACTS_TIER2)",
-        ]
-    )
-    for kind, counts in tier2["kinds"].items():
-        rows.append(
-            [
-                f"  tier2: {kind}",
-                f"{counts['hits']} hit / {counts['misses']} miss",
-            ]
         )
     print(
         format_table(
@@ -401,8 +385,8 @@ def _cmd_cache(args) -> None:
         source, destination = args.migrate
         counts = migrate_store(source, destination)
         print(
-            f"migrated {counts['documents']} document(s) and "
-            f"{counts['blobs']} blob(s): {source} -> {destination}"
+            f"migrated {counts['documents']} document(s): "
+            f"{source} -> {destination}"
         )
         acted = True
     if args.export:
@@ -425,7 +409,7 @@ def _cmd_cache(args) -> None:
         acted = True
     if args.stats:
         _print_store_stats(store)
-        _print_artifact_stats()
+        _print_artifact_counters()
         acted = True
     if acted:
         return
@@ -444,7 +428,6 @@ def _print_store_stats(store) -> None:
             else "(in-memory only; set REPRO_STORE or REPRO_CACHE_DIR)",
         ],
         ["documents", stats["documents"]],
-        ["blobs", stats["blobs"]],
         ["disk bytes", stats["disk_bytes"]],
     ]
     for kind, count in sorted(stats["by_kind"].items()):
@@ -576,8 +559,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(streams, baselines, workload objects) after the command "
         "finishes — e.g. 'repro table3 --stats' shows what the sweep "
         "reused in-process; with --jobs > 1 the reuse happens inside "
-        "the worker processes, so run serially to inspect it "
-        "(REPRO_ARTIFACTS=0 disables the layer)",
+        "the worker processes, so run serially to inspect it",
     )
     parser.add_argument(
         "--quick",
@@ -605,7 +587,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"argument --jobs: must be at least 0 (0 = all cores), got {args.jobs}"
         )
     if args.requests is not None:
-        least = 20 if args.command in TAIL_COMMANDS else 1
+        least = MIN_TAIL_REQUESTS if args.command in TAIL_COMMANDS else 1
         if args.requests < least:
             parser.error(
                 f"argument --requests: {args.command} needs at least "
@@ -615,7 +597,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.stats and args.command != "cache":
         # Report what this process actually reused while the command
         # ran; the cache command handled the flag itself above.
-        _print_artifact_stats()
+        _print_artifact_counters()
     return 0
 
 

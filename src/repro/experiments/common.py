@@ -25,7 +25,13 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..workloads.names import HIGH_LOAD, LC_NAMES, LOW_LOAD, batch_type_combos
+from ..workloads.names import (
+    HIGH_LOAD,
+    LC_NAMES,
+    LOW_LOAD,
+    MIN_TAIL_REQUESTS,
+    batch_type_combos,
+)
 
 if TYPE_CHECKING:
     from ..workloads.mixes import MixSpec
@@ -55,8 +61,10 @@ class ExperimentScale:
     seed: int = 2014
 
     def __post_init__(self) -> None:
-        if self.requests < 20:
-            raise ValueError("need at least 20 requests for tail metrics")
+        if self.requests < MIN_TAIL_REQUESTS:
+            raise ValueError(
+                f"need at least {MIN_TAIL_REQUESTS} requests for tail metrics"
+            )
         unknown = set(self.lc_names) - set(LC_NAMES)
         if unknown:
             raise ValueError(f"unknown LC workloads: {sorted(unknown)}")
@@ -95,7 +103,7 @@ def _env_loads() -> Optional[Tuple[float, ...]]:
 
 def default_scale() -> ExperimentScale:
     """Scale from environment variables (see module docstring)."""
-    requests = _env_int("REPRO_REQUESTS", "120", minimum=20)
+    requests = _env_int("REPRO_REQUESTS", "120", minimum=MIN_TAIL_REQUESTS)
     lc_env = os.environ.get("REPRO_LC", "")
     lc_names = (
         tuple(name.strip() for name in lc_env.split(",") if name.strip())

@@ -22,6 +22,7 @@ from typing import ClassVar, List, Optional, Sequence
 
 from ..runtime.session import Session, get_session
 from ..runtime.spec import PolicySpec, TaskSpec
+from ..workloads.names import MIN_TAIL_REQUESTS
 
 __all__ = ["ScaleOutResult", "ScaleoutSpec", "run_scaleout"]
 
@@ -53,6 +54,11 @@ class ScaleoutSpec(TaskSpec):
     def __post_init__(self) -> None:
         if self.cores % 2 != 0:
             raise ValueError("core counts must be even (half LC, half batch)")
+        if self.requests < MIN_TAIL_REQUESTS:
+            raise ValueError(
+                f"requests must be at least {MIN_TAIL_REQUESTS} for tail "
+                f"metrics, got {self.requests}"
+            )
 
     def compute(self, store) -> ScaleOutResult:
         from ..sim.study_runner import run_scaleout_point

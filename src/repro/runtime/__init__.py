@@ -20,7 +20,7 @@ memoization, experiments describe work declaratively and hand it to a
 * :mod:`~repro.runtime.artifacts` — the per-process content-addressed
   cache of intermediate products (request streams, baselines, workload
   and core-model objects) that makes a sweep evaluate each distinct
-  sub-computation once per process (``REPRO_ARTIFACTS=0`` disables).
+  sub-computation once per process.
 * :mod:`~repro.runtime.session` — the :class:`Session` facade tying
   them together; :meth:`Session.run_many` is the one batch path, in
   process or over ``jobs`` pool workers with bit-identical results
@@ -34,8 +34,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
     {
         "artifacts": (
             "ArtifactCache",
-            "artifacts_enabled",
-            "artifacts_tier2_target",
             "get_artifacts",
             "reset_artifacts",
         ),
@@ -86,7 +84,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         ),
         "store": (
             "ResultStore",
-            "default_store_root",
             "default_store_url",
             "migrate_store",
         ),
@@ -120,7 +117,6 @@ __all__ = [
     "mix_refs",
     "resolve_jobs",
     "ResultStore",
-    "default_store_root",
     "default_store_url",
     "migrate_store",
     "StoreBackend",
@@ -133,8 +129,6 @@ __all__ = [
     "ArtifactCache",
     "get_artifacts",
     "reset_artifacts",
-    "artifacts_enabled",
-    "artifacts_tier2_target",
     "DEFAULT_POLICIES",
     "Session",
     "execute_spec",

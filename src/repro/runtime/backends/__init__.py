@@ -1,4 +1,4 @@
-"""Pluggable storage backends for the result store and artifact tiers.
+"""Pluggable storage backends for the result store.
 
 The :class:`~repro.runtime.store.ResultStore` used to *be* a sharded
 JSON-document directory; this package makes storage an interface
@@ -13,8 +13,12 @@ instead.  Three engines ship, registered by name:
     python-diskcache's core: one copyable ``store.db``, sub-millisecond
     get/put, multi-process safe.
 ``memory``
-    Two dicts (:mod:`.memory`): the "disk layer off" mode, now a
+    A dict (:mod:`.memory`): the "disk layer off" mode, as a
     first-class engine.
+
+An engine's module is imported when a store of its scheme first opens,
+so a run on a directory store never loads ``sqlite3``; the engine
+classes are still importable from this package.
 
 Selection is URL-style — ``sqlite:///path/store.db``,
 ``directory:///path``, ``memory://`` — via ``REPRO_STORE``, the CLI's
@@ -41,12 +45,23 @@ moves corpora between engines on exactly this property).
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple, Type, Union
+import sys
+from typing import Dict, Optional, Tuple, Union
 
+from ..._lazy import lazy_exports
 from .base import StoreBackend
-from .directory import DirectoryBackend
-from .memory import MemoryBackend
-from .sqlite import SqliteBackend
+
+#: Registry: URL scheme / backend name → the name of its engine class,
+#: defined in the submodule named after the scheme.
+BACKENDS: Dict[str, str] = {
+    "directory": "DirectoryBackend",
+    "sqlite": "SqliteBackend",
+    "memory": "MemoryBackend",
+}
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__, {scheme: (cls,) for scheme, cls in BACKENDS.items()}
+)
 
 __all__ = [
     "StoreBackend",
@@ -57,13 +72,6 @@ __all__ = [
     "parse_store_url",
     "make_backend",
 ]
-
-#: Registry: URL scheme / backend name → engine class.
-BACKENDS: Dict[str, Type[StoreBackend]] = {
-    DirectoryBackend.name: DirectoryBackend,
-    SqliteBackend.name: SqliteBackend,
-    MemoryBackend.name: MemoryBackend,
-}
 
 #: Historical ``REPRO_STORE`` values meaning "no persistent store".
 _OFF_TOKENS = ("0", "off", "false", "no", "memory")
@@ -84,12 +92,12 @@ def parse_store_url(target: str) -> Tuple[str, Optional[str]]:
     """
     text = str(target).strip()
     if text.lower() in _OFF_TOKENS:
-        return MemoryBackend.name, None
+        return "memory", None
     scheme, sep, rest = text.partition("://")
     if not sep:
         if not text:
-            return MemoryBackend.name, None
-        return DirectoryBackend.name, text  # bare path
+            return "memory", None
+        return "directory", text  # bare path
     name = scheme.strip().lower()
     if name not in BACKENDS:
         raise ValueError(
@@ -97,7 +105,7 @@ def parse_store_url(target: str) -> Tuple[str, Optional[str]]:
             f"(known: {', '.join(sorted(BACKENDS))})"
         )
     location = rest.strip() or None
-    if name != MemoryBackend.name and location is None:
+    if name != "memory" and location is None:
         raise ValueError(f"store URL {target!r} is missing its path")
     return name, location
 
@@ -110,13 +118,14 @@ def make_backend(target: StoreTarget) -> StoreBackend:
     :func:`parse_store_url`; anything path-like becomes a directory
     backend at that root.
     """
-    if target is None:
-        return MemoryBackend()
     if isinstance(target, StoreBackend):
         return target
-    if isinstance(target, str):
+    if target is None:
+        name, location = "memory", None
+    elif isinstance(target, str):
         name, location = parse_store_url(target)
-        if name == MemoryBackend.name:
-            return MemoryBackend()
-        return BACKENDS[name](location)
-    return DirectoryBackend(target)  # os.PathLike
+    else:
+        name, location = "directory", target  # os.PathLike
+    # Reading the class from the package imports its engine module.
+    engine = getattr(sys.modules[__name__], BACKENDS[name])
+    return engine() if name == "memory" else engine(location)

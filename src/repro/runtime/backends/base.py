@@ -1,14 +1,9 @@
 """The storage-backend contract every ResultStore engine satisfies.
 
-A backend is a dumb, faithful byte store with two sides:
-
-* a **document side** — canonical-JSON texts keyed by 64-hex-char
-  content fingerprints (the :class:`~repro.runtime.spec.RunSpec` /
-  ``BaselineSpec`` fingerprints the runtime already mints), and
-* a **blob side** — opaque byte payloads keyed by content-addressed
-  hex keys, used by the tier-2 artifact cache
-  (:mod:`repro.runtime.artifacts`) for synthesized streams and parsed
-  baselines that should survive process exit.
+A backend is a dumb, faithful store of documents: canonical-JSON texts
+keyed by 64-hex-char content fingerprints (the
+:class:`~repro.runtime.spec.RunSpec` / ``BaselineSpec`` fingerprints
+the runtime already mints).
 
 Backends never interpret what they store: stamping, schema checks, and
 JSON (de)serialization belong to the :class:`~repro.runtime.store.ResultStore`
@@ -31,7 +26,7 @@ __all__ = ["StoreBackend"]
 
 
 class StoreBackend(abc.ABC):
-    """Abstract get/put/delete/iter engine for documents and blobs.
+    """Abstract get/put/delete/iter engine for documents.
 
     Class attributes every concrete backend pins:
 
@@ -76,38 +71,11 @@ class StoreBackend(abc.ABC):
         """Number of stored documents."""
 
     # ------------------------------------------------------------------
-    # Blobs (opaque bytes by content-addressed key)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The stored payload, or ``None`` when absent."""
-
-    @abc.abstractmethod
-    def put_blob(self, key: str, payload: bytes) -> None:
-        """Store (or atomically replace) one blob."""
-
-    @abc.abstractmethod
-    def delete_blob(self, key: str) -> None:
-        """Drop one blob (a no-op when absent)."""
-
-    @abc.abstractmethod
-    def iter_blobs(self) -> Iterator[str]:
-        """Every stored blob key (any order)."""
-
-    @abc.abstractmethod
-    def blob_count(self) -> int:
-        """Number of stored blobs."""
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def clear_documents(self) -> int:
         """Drop every document; returns how many were removed."""
-
-    @abc.abstractmethod
-    def clear_blobs(self) -> int:
-        """Drop every blob; returns how many were removed."""
 
     @abc.abstractmethod
     def disk_bytes(self) -> int:

@@ -1,16 +1,14 @@
 """The sharded JSON-document tree: the store's original (and default)
 on-disk engine, extracted verbatim from the pre-backend ``ResultStore``.
 
-Layout, unchanged since PR 1 so existing corpora keep working and the
-golden byte-parity fixtures stay byte-stable:
+Layout, unchanged from the first store so existing corpora keep working
+and the golden byte-parity fixtures stay byte-stable: documents at
+``<root>/<fp[:2]>/<fp>.json`` — one canonical-JSON text per
+fingerprint, sharded by prefix so no directory grows unbounded.  Only
+those two-hex-char shards are read, written and cleared: any other
+subtree under the root is left alone.
 
-* documents at ``<root>/<fp[:2]>/<fp>.json`` — one canonical-JSON text
-  per fingerprint, sharded by prefix so no directory grows unbounded;
-* blobs at ``<root>/blobs/<key[:2]>/<key>.bin`` (the tier-2 artifact
-  side; the ``blobs`` segment never collides with the two-hex-char
-  document shards).
-
-Every write — document or blob — is **atomic**: the payload goes to a
+Every document write is **atomic**: the payload goes to a
 ``.tmp``-suffixed temp file in the destination directory first and is
 published with :func:`os.replace`.  A crash mid-``put`` therefore
 leaves either the old content or an orphaned temp file (ignored by
@@ -119,51 +117,6 @@ class DirectoryBackend(StoreBackend):
         return sum(1 for _ in self._doc_files())
 
     # ------------------------------------------------------------------
-    # Blobs
-    # ------------------------------------------------------------------
-    def _blob_path(self, key: str) -> Path:
-        return self.root / "blobs" / key[:2] / f"{key}.bin"
-
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """Read one blob file (any read failure is a miss)."""
-        try:
-            return self._blob_path(key).read_bytes()
-        except OSError:
-            return None
-
-    def put_blob(self, key: str, payload: bytes) -> None:
-        """Publish one blob atomically under ``<root>/blobs/``."""
-        _atomic_write(self._blob_path(key), payload)
-
-    def delete_blob(self, key: str) -> None:
-        """Unlink one blob, pruning its shard dir if emptied."""
-        path = self._blob_path(key)
-        try:
-            path.unlink()
-        except OSError:
-            return
-        try:
-            path.parent.rmdir()
-        except OSError:
-            pass
-
-    def _blob_files(self) -> Iterator[Path]:
-        blobs = self.root / "blobs"
-        if not blobs.exists():
-            return iter(())
-        return (
-            p for p in blobs.glob("??/*.bin") if not p.name.startswith(".")
-        )
-
-    def iter_blobs(self) -> Iterator[str]:
-        """Keys of every blob file under ``<root>/blobs/``."""
-        return (p.stem for p in self._blob_files())
-
-    def blob_count(self) -> int:
-        """Number of blob files currently on disk."""
-        return sum(1 for _ in self._blob_files())
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def clear_documents(self) -> int:
@@ -187,28 +140,10 @@ class DirectoryBackend(StoreBackend):
                     pass
         return removed
 
-    def clear_blobs(self) -> int:
-        """Unlink every blob (and orphaned temp); count removed."""
-        removed = 0
-        for path in self._blob_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        blobs = self.root / "blobs"
-        if blobs.exists():
-            for orphan in blobs.glob("??/.tmp-*.tmp"):
-                try:
-                    orphan.unlink()
-                except OSError:
-                    pass
-        return removed
-
     def disk_bytes(self) -> int:
-        """Total bytes of document and blob files on disk."""
+        """Total bytes of document files on disk."""
         total = 0
-        for path in list(self._doc_files()) + list(self._blob_files()):
+        for path in list(self._doc_files()):
             try:
                 total += path.stat().st_size
             except OSError:

@@ -1,8 +1,8 @@
 """The in-process store engine: two dicts behind the backend protocol.
 
 This is what ``ResultStore(None)`` / ``REPRO_STORE=0`` / ``memory://``
-resolve to — the "disk layer off" mode the runtime has had since PR 1,
-now expressed as a first-class backend so every code path (export,
+resolve to — the "disk layer off" mode, expressed as a first-class
+backend so every code path (export,
 migrate, stats, the backend-parametrized test suites) treats it
 uniformly instead of special-casing ``root is None``.
 
@@ -25,14 +25,13 @@ __all__ = ["MemoryBackend"]
 
 
 class MemoryBackend(StoreBackend):
-    """Dict-backed documents + blobs; vanishes with the process."""
+    """Dict-backed documents; vanishes with the process."""
 
     name = "memory"
     persistent = False
 
     def __init__(self) -> None:
         self._docs: Dict[str, str] = {}
-        self._blobs: Dict[str, bytes] = {}
 
     @property
     def url(self) -> str:
@@ -63,41 +62,12 @@ class MemoryBackend(StoreBackend):
         return len(self._docs)
 
     # ------------------------------------------------------------------
-    # Blobs
-    # ------------------------------------------------------------------
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The stored payload bytes, or ``None``."""
-        return self._blobs.get(key)
-
-    def put_blob(self, key: str, payload: bytes) -> None:
-        """Store one blob (copied, so callers can't mutate it later)."""
-        self._blobs[key] = bytes(payload)
-
-    def delete_blob(self, key: str) -> None:
-        """Drop one blob (a no-op when absent)."""
-        self._blobs.pop(key, None)
-
-    def iter_blobs(self) -> Iterator[str]:
-        """Every stored blob key (snapshot tuple, mutation-safe)."""
-        return iter(tuple(self._blobs))
-
-    def blob_count(self) -> int:
-        """Number of stored blobs."""
-        return len(self._blobs)
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def clear_documents(self) -> int:
         """Drop every document; returns how many were held."""
         count = len(self._docs)
         self._docs.clear()
-        return count
-
-    def clear_blobs(self) -> int:
-        """Drop every blob; returns how many were held."""
-        count = len(self._blobs)
-        self._blobs.clear()
         return count
 
     def disk_bytes(self) -> int:

@@ -1,7 +1,8 @@
 """Single-file SQLite store engine (WAL mode), in the style of
-python-diskcache's core: one ``store.db`` holding every document and
-blob, sub-millisecond get/put, safe under concurrent multi-process
-writers.
+python-diskcache's core: one ``store.db`` holding every document,
+sub-millisecond get/put, safe under concurrent multi-process writers.
+Only the ``documents`` table is read or written, so a database that
+carries other tables keeps them untouched.
 
 Why SQLite for a result corpus that was happily a directory tree:
 
@@ -54,9 +55,7 @@ _BUSY_TIMEOUT = 30.0
 
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS documents ("
-    " fingerprint TEXT PRIMARY KEY, doc TEXT NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS blobs ("
-    " key TEXT PRIMARY KEY, payload BLOB NOT NULL)",
+    " fingerprint TEXT PRIMARY KEY, doc TEXT NOT NULL)"
 )
 
 
@@ -84,7 +83,7 @@ def _setup_lock(directory: Path) -> Iterator[None]:
 
 
 class SqliteBackend(StoreBackend):
-    """WAL-mode single-file document + blob store."""
+    """WAL-mode single-file document store."""
 
     name = "sqlite"
     persistent = True
@@ -122,8 +121,7 @@ class SqliteBackend(StoreBackend):
         with _setup_lock(self.path.parent):
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            for statement in _SCHEMA:
-                conn.execute(statement)
+            conn.execute(_SCHEMA)
         self._conn = conn
         self._pid = os.getpid()
         return conn
@@ -196,54 +194,6 @@ class SqliteBackend(StoreBackend):
             ).fetchone()[0]
 
     # ------------------------------------------------------------------
-    # Blobs
-    # ------------------------------------------------------------------
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """SELECT one blob's payload bytes."""
-        if not self._exists():
-            return None
-        with self._lock:
-            row = self._connection().execute(
-                "SELECT payload FROM blobs WHERE key = ?", (key,)
-            ).fetchone()
-        return bytes(row[0]) if row is not None else None
-
-    def put_blob(self, key: str, payload: bytes) -> None:
-        """UPSERT one blob in a single autocommitted statement."""
-        with self._lock:
-            self._connection().execute(
-                "INSERT INTO blobs (key, payload) VALUES (?, ?)"
-                " ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
-                (key, sqlite3.Binary(payload)),
-            )
-
-    def delete_blob(self, key: str) -> None:
-        """DELETE one blob (a no-op when absent)."""
-        if not self._exists():
-            return
-        with self._lock:
-            self._connection().execute(
-                "DELETE FROM blobs WHERE key = ?", (key,)
-            )
-
-    def iter_blobs(self) -> Iterator[str]:
-        """Every stored blob key (snapshot, not a live cursor)."""
-        if not self._exists():
-            return iter(())
-        with self._lock:
-            rows = self._connection().execute("SELECT key FROM blobs").fetchall()
-        return (row[0] for row in rows)
-
-    def blob_count(self) -> int:
-        """``COUNT(*)`` over the blobs table."""
-        if not self._exists():
-            return 0
-        with self._lock:
-            return self._connection().execute(
-                "SELECT COUNT(*) FROM blobs"
-            ).fetchone()[0]
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def clear_documents(self) -> int:
@@ -254,16 +204,6 @@ class SqliteBackend(StoreBackend):
             conn = self._connection()
             count = conn.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
             conn.execute("DELETE FROM documents")
-        return count
-
-    def clear_blobs(self) -> int:
-        """DELETE every blob; returns how many were dropped."""
-        if not self._exists():
-            return 0
-        with self._lock:
-            conn = self._connection()
-            count = conn.execute("SELECT COUNT(*) FROM blobs").fetchone()[0]
-            conn.execute("DELETE FROM blobs")
         return count
 
     def disk_bytes(self) -> int:

@@ -215,21 +215,6 @@ class Session:
         return SweepResult(records=self.run_many(specs))
 
     # ------------------------------------------------------------------
-    # Artifact cache
-    # ------------------------------------------------------------------
-    def artifact_stats(self) -> dict:
-        """Hit/miss/entry counters of the process-wide artifact cache.
-
-        The cache itself (:mod:`repro.runtime.artifacts`) is per
-        process, not per session — in-process evaluation warms the one
-        this returns, while pool workers each warm their own.  The CLI
-        surfaces the same numbers via ``repro cache --stats``.
-        """
-        from .artifacts import get_artifacts
-
-        return get_artifacts().stats()
-
-    # ------------------------------------------------------------------
     # Baselines
     # ------------------------------------------------------------------
     def baseline(

@@ -27,7 +27,7 @@ from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..workloads.names import batch_type_combos, load_label
+from ..workloads.names import MIN_TAIL_REQUESTS, batch_type_combos, load_label
 from .registry import LC_WORKLOADS, POLICIES, SCHEMES
 
 __all__ = [
@@ -257,8 +257,10 @@ class RunSpec:
     warmup_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.requests < 20:
-            raise ValueError("need at least 20 requests for tail metrics")
+        if self.requests < MIN_TAIL_REQUESTS:
+            raise ValueError(
+                f"need at least {MIN_TAIL_REQUESTS} requests for tail metrics"
+            )
 
     def config(self):
         """The :class:`CMPConfig` this spec runs on."""

@@ -1,9 +1,7 @@
 """Persistent, fingerprint-keyed result store — a façade over
 pluggable storage backends.
 
-Replaces the two process-local caches the experiments grew up with —
-``sweep._CACHE`` and ``MixRunner._baseline_cache`` — with a two-layer
-store every process can share:
+A two-layer store every process can share:
 
 * an **in-memory layer** (a plain dict) for hot lookups within a
   process, and
@@ -45,7 +43,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ResultStore",
-    "default_store_root",
     "default_store_url",
     "migrate_store",
     "DEFAULT_STORE_DIRNAME",
@@ -55,42 +52,29 @@ __all__ = [
 DEFAULT_STORE_DIRNAME = "repro-ubik"
 
 
-def default_store_root() -> Optional[Path]:
-    """Resolve the default *directory-backend* location from the
-    environment (the pre-backend resolution rule, kept for
-    compatibility — :func:`default_store_url` layers URL support on
-    top).
-
-    ``REPRO_STORE=0`` (or ``off``/``false``) disables persistence;
-    ``REPRO_CACHE_DIR`` overrides the location; otherwise the store
-    lives in ``~/.cache/repro-ubik`` (honouring ``XDG_CACHE_HOME``).
-    """
-    toggle = os.environ.get("REPRO_STORE", "").strip().lower()
-    if toggle in ("0", "off", "false", "no", "memory", "memory://"):
-        return None
-    override = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if override:
-        return Path(override).expanduser()
-    cache_home = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = Path(cache_home).expanduser() if cache_home else Path.home() / ".cache"
-    return base / DEFAULT_STORE_DIRNAME
-
-
 def default_store_url() -> Optional[str]:
-    """The environment's store target, URL-aware.
+    """The environment's store target, or ``None`` for a memory-only
+    store.
 
     A ``REPRO_STORE`` carrying a backend URL (``sqlite://…``,
-    ``directory://…``, ``memory://``) wins outright; otherwise the
-    historical rules apply via :func:`default_store_root` (off-toggle,
-    ``REPRO_CACHE_DIR``, the XDG default).  Returns ``None`` for a
-    memory-only store.
+    ``directory://…``, ``memory://``) wins outright.  Otherwise
+    ``REPRO_STORE=0`` (or ``off``/``false``/``no``/``memory``) keeps
+    the store in memory, ``REPRO_CACHE_DIR`` names a directory store,
+    and the default is the directory tree ``~/.cache/repro-ubik``
+    (honouring ``XDG_CACHE_HOME``).
     """
     toggle = os.environ.get("REPRO_STORE", "").strip()
     if "://" in toggle:
         name, _ = parse_store_url(toggle)  # validate the scheme early
         return None if name == "memory" else toggle
-    root = default_store_root()
-    return str(root) if root is not None else None
+    if toggle.lower() in ("0", "off", "false", "no", "memory"):
+        return None
+    override = os.environ.get("REPRO_CACHE_DIR", "").strip()
+    if override:
+        return str(Path(override).expanduser())
+    cache_home = os.environ.get("XDG_CACHE_HOME", "").strip()
+    base = Path(cache_home).expanduser() if cache_home else Path.home() / ".cache"
+    return str(base / DEFAULT_STORE_DIRNAME)
 
 
 #: Anything :class:`ResultStore` accepts as its location.
@@ -113,13 +97,6 @@ class ResultStore:
         #: CLI and tests path-join against it).
         self.root = self.backend.root
         self._mem: Dict[str, Dict[str, Any]] = {}
-        #: Parsed :class:`BaselineResult` objects by fingerprint: the
-        #: artifact layer's answer to "baseline pools are re-parsed
-        #: from JSON per spec" — rebuilding a thousands-long latency
-        #: tuple from the document on every :meth:`get_baseline` call
-        #: is pure waste.  Gated on the artifact toggle so a cache-off
-        #: run measures the unmemoized path.
-        self._baseline_parse: Dict[str, BaselineResult] = {}
 
     # ------------------------------------------------------------------
     # Identity
@@ -238,42 +215,20 @@ class ResultStore:
         self.cache_doc(fingerprint, {"kind": "run", "record": record.to_dict()})
 
     def get_baseline(self, fingerprint: str) -> Optional[BaselineResult]:
-        """A stored isolated-baseline result, or ``None``.
-
-        Parsed results are memoized per store handle (and reported to
-        the artifact-cache counters as the ``baseline_parse`` kind), so
-        each worker pays the JSON-to-:class:`BaselineResult` conversion
-        once per baseline instead of once per spec.
-        """
-        from .artifacts import get_artifacts
-
-        artifacts = get_artifacts()
-        if artifacts.enabled:
-            hit = self._baseline_parse.get(fingerprint)
-            if hit is not None:
-                artifacts.count("baseline_parse", hit=True)
-                return hit
+        """A stored isolated-baseline result, or ``None``."""
         doc = self.get(fingerprint)
         if doc is None or doc.get("kind") != "baseline":
             return None
         from ..sim.mix_runner import BaselineResult
 
-        baseline = BaselineResult(
+        return BaselineResult(
             tail95_cycles=doc["tail95_cycles"],
             p95_cycles=doc["p95_cycles"],
             latencies=tuple(doc["latencies"]),
         )
-        if artifacts.enabled:
-            artifacts.count("baseline_parse", hit=False)
-            self._baseline_parse[fingerprint] = baseline
-        return baseline
 
     def put_baseline(self, fingerprint: str, baseline: BaselineResult) -> None:
         """Persist one isolated-baseline result."""
-        from .artifacts import get_artifacts
-
-        if get_artifacts().enabled:
-            self._baseline_parse[fingerprint] = baseline
         self.put(
             fingerprint,
             {
@@ -291,8 +246,8 @@ class ResultStore:
         """Entry counts and disk footprint for ``repro cache``.
 
         ``disk_entries``/``disk_bytes`` keep their historical meaning
-        (zero for a memory store); ``documents``/``blobs`` count the
-        backend's contents regardless of engine.
+        (zero for a memory store); ``documents`` counts the backend's
+        documents regardless of engine.
         """
         documents = self.backend.doc_count()
         kinds: Dict[str, int] = {}
@@ -315,7 +270,6 @@ class ResultStore:
             "root": str(self.root) if self.root else None,
             "memory_entries": len(self._mem),
             "documents": documents,
-            "blobs": self.backend.blob_count(),
             "disk_entries": documents if persistent else 0,
             "disk_bytes": self.backend.disk_bytes(),
             "by_kind": kinds,
@@ -354,16 +308,12 @@ class ResultStore:
             if doc.get("schema") != SPEC_SCHEMA_VERSION
         ]:
             del self._mem[fingerprint]
-            self._baseline_parse.pop(fingerprint, None)
         return {"kept": kept, "pruned": pruned}
 
     def clear(self) -> int:
         """Drop every document (both layers); returns backend entries
-        removed.  Blobs (the tier-2 artifact side) are left alone —
-        they key on content, not schema generation, and remain valid.
-        """
+        removed."""
         self._mem.clear()
-        self._baseline_parse.clear()
         return self.backend.clear_documents()
 
     # ------------------------------------------------------------------
@@ -385,12 +335,12 @@ def migrate_store(
 ) -> Dict[str, int]:
     """Copy a corpus between backends, byte-faithfully.
 
-    Documents and blobs are moved as raw texts/payloads — never
-    re-stamped, never re-serialized — so a migrated corpus exports the
-    exact canonical tree of its source (``repro cache --migrate``
-    surfaces this; the golden suite pins it).  Existing destination
-    entries under the same keys are overwritten; returns
-    ``{"documents": …, "blobs": …}`` counts copied.
+    Documents are moved as raw texts — never re-stamped, never
+    re-serialized — so a migrated corpus exports the exact canonical
+    tree of its source (``repro cache --migrate`` surfaces this; the
+    golden suite pins it).  Existing destination documents under the
+    same fingerprints are overwritten; returns ``{"documents": …}``,
+    the count copied.
     """
     src = source.backend if isinstance(source, ResultStore) else make_backend(source)
     dst = (
@@ -407,11 +357,4 @@ def migrate_store(
             continue
         dst.put_doc(fingerprint, text)
         documents += 1
-    blobs = 0
-    for key in list(src.iter_blobs()):
-        payload = src.get_blob(key)
-        if payload is None:
-            continue
-        dst.put_blob(key, payload)
-        blobs += 1
-    return {"documents": documents, "blobs": blobs}
+    return {"documents": documents}

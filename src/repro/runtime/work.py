@@ -269,11 +269,9 @@ def cache_result(spec, store: ResultStore, fingerprint: str, result) -> None:
 
 #: Per-process store handles, keyed by the share target — a backend
 #: URL or bare path (None = memory-only).  Reusing one handle across
-#: the specs a worker evaluates lets its in-memory layer share
-#: isolated baselines between specs — matching the old shared-
-#: MixRunner behaviour even with the disk layer off — and, for the
-#: sqlite engine, keeps one per-process connection alive for the
-#: whole batch.
+#: the specs a worker evaluates keeps its memory layer of documents
+#: warm and, for the sqlite engine, keeps one per-process connection
+#: alive for the whole batch.
 _WORKER_STORES: dict = {}
 
 
@@ -281,12 +279,13 @@ def execute_in_worker(spec, store_target: Optional[str]):
     """Module-level worker entry point (picklable for process pools).
 
     Two layers of worker-warm state survive across the specs a process
-    evaluates in a batch: the per-root store handle below (parsed
-    documents, baselines fetched from disk) and the process-wide
-    artifact cache (:mod:`repro.runtime.artifacts` — synthesized
-    streams, computed baselines, workload/core-model objects), which
-    every :class:`~repro.sim.mix_runner.MixRunner` the spec evaluation
-    builds consults automatically.  Together they make a worker
+    evaluates in a batch: the per-target store handle below (its memory
+    layer of documents read or written) and the process-wide artifact
+    cache (:mod:`repro.runtime.artifacts` — synthesized streams,
+    baselines whether simulated or read from the store, workload and
+    core-model objects), which every
+    :class:`~repro.sim.mix_runner.MixRunner` the spec evaluation builds
+    consults first.  Together they make a worker
     evaluate each distinct sub-computation once per process, not once
     per spec.  The spec evaluates as a batch of one through
     :func:`execute_specs`, the same engine the serial path runs.

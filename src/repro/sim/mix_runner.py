@@ -20,13 +20,18 @@ mix's policy cells as one replay group (:meth:`MixRunner.run_mix_group`).
 oracle :class:`~repro.sim.reference.NaiveMixEngine` instead: it is what
 the equivalence walls compare production against, not a production
 path.
+
+Streams and baselines are served from the process-wide artifact cache
+(:mod:`repro.runtime.artifacts`), so every runner in a process shares
+them.  A baseline resolves in one order — artifact cache, store,
+simulation — and lands in every layer that lacked it.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from ..server.latency import percentile_latency, tail_mean
 from ..workloads.arrivals import generate_arrivals
 from ..workloads.latency_critical import LCWorkload
 from ..workloads.mixes import MixSpec
+from ..workloads.names import MIN_TAIL_REQUESTS
 from .config import CMPConfig
 from .engine import LCInstanceSpec, MixEngine
 from .grid_replay import GroupShared
@@ -62,7 +68,7 @@ class BaselineResult:
 
 
 class MixRunner:
-    """Runs mixes and caches isolated baselines."""
+    """Runs mixes over shared request streams and isolated baselines."""
 
     def __init__(
         self,
@@ -74,8 +80,10 @@ class MixRunner:
         store: Optional["ResultStore"] = None,
     ):
         self.config = config or CMPConfig()
-        if requests < 20:
-            raise ValueError("need at least 20 requests for tail metrics")
+        if requests < MIN_TAIL_REQUESTS:
+            raise ValueError(
+                f"need at least {MIN_TAIL_REQUESTS} requests for tail metrics"
+            )
         self.requests = requests
         self.seed = seed
         self.umon_noise = umon_noise
@@ -84,17 +92,6 @@ class MixRunner:
         #: baselines are fetched from / written to it so every process
         #: sharing the store computes each baseline exactly once.
         self.store = store
-        #: In-memory baselines keyed by the full ``BaselineSpec``
-        #: fingerprint — not runner identity — so a long-lived
-        #: per-process worker runner evaluating specs with differing
-        #: ``requests``/``seed``/``warmup_fraction`` can never alias
-        #: two distinct baselines.
-        self._baseline_cache: Dict[str, BaselineResult] = {}
-        #: Fingerprints memoized per (name, target_lines, load): those
-        #: are the only ``BaselineSpec`` inputs that vary per call (the
-        #: rest are runner constants), so the cache-hit path stays a
-        #: dict lookup instead of a JSON + SHA-256 walk per run_mix.
-        self._fingerprint_memo: Dict[Tuple[str, int, float], str] = {}
 
     # ------------------------------------------------------------------
     # Request streams
@@ -157,14 +154,10 @@ class MixRunner:
     # ------------------------------------------------------------------
     def _baseline_fingerprint(self, workload: LCWorkload, load: float) -> str:
         """Store key capturing everything the baseline depends on."""
-        memo_key = (workload.name, int(workload.target_lines), float(load))
-        hit = self._fingerprint_memo.get(memo_key)
-        if hit is not None:
-            return hit
         from ..runtime.artifacts import config_key
         from ..runtime.spec import BaselineSpec
 
-        fingerprint = BaselineSpec(
+        return BaselineSpec(
             lc_name=workload.name,
             load=load,
             core_kind=self.config.core_kind,
@@ -174,8 +167,6 @@ class MixRunner:
             target_lines=int(workload.target_lines),
             config_key=config_key(self.config),
         ).fingerprint()
-        self._fingerprint_memo[memo_key] = fingerprint
-        return fingerprint
 
     def baseline_instance(self, workload: LCWorkload, load: float, instance: int):
         """Run one LC instance alone at its target allocation.
@@ -208,29 +199,26 @@ class MixRunner:
     def baseline(self, workload: LCWorkload, load: float) -> BaselineResult:
         """Isolated run at the target allocation (cached).
 
-        Lookup order: this runner's in-memory cache, the process-wide
-        artifact cache (which lets a long-lived worker serve a baseline
-        to every spec in a batch, store or no store), the persistent
-        store (if attached), then a fresh three-instance isolated
-        simulation.  Whatever layer resolves it, the result is written
-        back to every faster layer — and to the store when it was
-        absent there, so a store populated with the artifact cache
-        enabled holds the exact same documents as one populated with it
-        off.  The simulation itself is :meth:`baseline_instance`
+        Lookup order: the process-wide artifact cache (which lets a
+        long-lived worker serve a baseline to every spec in a batch,
+        store or no store), the store (if attached), then a fresh
+        three-instance isolated simulation.  The result goes into the
+        artifact cache, and into the store whenever the store lacks
+        it — an artifact-served baseline included — so a store filled
+        by a warm process holds exactly the documents a cold process
+        writes.  The simulation itself is :meth:`baseline_instance`
         applied to instances ``0..LC_INSTANCES-1`` with the pools
         concatenated in instance order.
         """
         fingerprint = self._baseline_fingerprint(workload, load)
-        hit = self._baseline_cache.get(fingerprint)
-        if hit is not None:
-            return hit
         artifacts = get_artifacts()
         baseline = artifacts.get("baseline", fingerprint)
-        from_store = False
-        computed = False
-        if baseline is None and self.store is not None:
+        if baseline is not None:
+            if self.store is not None and self.store.get(fingerprint) is None:
+                self.store.put_baseline(fingerprint, baseline)
+            return baseline
+        if self.store is not None:
             baseline = self.store.get_baseline(fingerprint)
-            from_store = baseline is not None
         if baseline is None:
             pooled: List[float] = []
             for instance in range(LC_INSTANCES):
@@ -242,12 +230,9 @@ class MixRunner:
                 p95_cycles=percentile_latency(pooled, 95.0),
                 latencies=tuple(pooled),
             )
-            computed = True
-        self._baseline_cache[fingerprint] = baseline
-        artifacts.put("baseline", fingerprint, baseline)
-        if self.store is not None and not from_store:
-            if computed or self.store.get(fingerprint) is None:
+            if self.store is not None:
                 self.store.put_baseline(fingerprint, baseline)
+        artifacts.put("baseline", fingerprint, baseline)
         return baseline
 
     # ------------------------------------------------------------------

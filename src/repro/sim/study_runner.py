@@ -52,7 +52,7 @@ def _scaleout_stream(
     the baseline instances and the joint replay.
     """
     rng = np.random.default_rng((seed, instance))
-    works = np.asarray([workload.work.sample(rng) for _ in range(requests)])
+    works = workload.work.sample_many(rng, requests)
     arrivals = generate_arrivals(
         requests,
         load,

@@ -1,4 +1,5 @@
-"""The names a spec grid is built from: LC apps, batch classes, loads.
+"""The names a spec grid is built from: LC apps, batch classes, loads,
+and the request floor of its tail metrics.
 
 These tables live apart from the workload models so that building and
 fingerprinting a sweep grid, which is all a store-served rerun does,
@@ -18,6 +19,7 @@ __all__ = [
     "BATCH_CLASSES",
     "LOW_LOAD",
     "HIGH_LOAD",
+    "MIN_TAIL_REQUESTS",
     "load_label",
     "batch_type_combos",
 ]
@@ -31,6 +33,10 @@ BATCH_CLASSES: Tuple[str, ...] = ("n", "f", "t", "s")
 #: The paper's two operating points for LC apps (Section 6).
 LOW_LOAD = 0.2
 HIGH_LOAD = 0.6
+
+#: The fewest requests per LC instance a run may take: its tail metrics
+#: are the 95th percentile and the mean beyond it.
+MIN_TAIL_REQUESTS = 20
 
 
 def load_label(load: float) -> str:

@@ -75,6 +75,21 @@ class TestScaleOutModule:
         with pytest.raises(ValueError):
             run_scaleout(core_counts=(7,), requests=60)
 
+    def test_requests_below_the_tail_floor_rejected(self):
+        """The floor every tail metric has: one request per instance
+        used to print a Tail from a single sample."""
+        from repro.experiments.scaleout import ScaleoutSpec
+        from repro.runtime import PolicySpec
+        from repro.workloads.names import MIN_TAIL_REQUESTS
+
+        policy = PolicySpec.of("ubik")
+        ScaleoutSpec(cores=6, policy=policy, requests=MIN_TAIL_REQUESTS)
+        for requests in (1, MIN_TAIL_REQUESTS - 1):
+            with pytest.raises(
+                ValueError, match=f"requests must be at least 20 .*got {requests}$"
+            ):
+                ScaleoutSpec(cores=6, policy=policy, requests=requests)
+
     @pytest.mark.parametrize(
         "cores, tail95, p95",
         [

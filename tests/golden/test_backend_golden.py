@@ -5,9 +5,9 @@ the same sweep run against any engine — directory tree, sqlite file,
 or in-memory — must produce a logical store whose canonical export is
 byte-for-byte identical to the directory backend's own tree.  This
 runs the pinned 2-policy sweep (the Ubik and LRU cells of the
-``tests/golden`` grid) against all three backends, with the artifact
-cache both on and off, exports every corpus, and compares the trees —
-every file, every byte.  Migration hops (directory → sqlite →
+``tests/golden`` grid) against all three backends, each from an empty
+artifact cache, exports every corpus, and compares the trees — every
+file, every byte.  Migration hops (directory → sqlite →
 directory, and sqlite → sqlite → sqlite) must preserve those bytes
 too.
 """
@@ -20,13 +20,12 @@ from repro.runtime import (
     ResultStore,
     RunSpec,
     Session,
-    get_artifacts,
     migrate_store,
     reset_artifacts,
 )
 
-#: The same 2-policy golden sweep test_artifact_golden pins: one shared
-#: baseline, two run records.
+#: The pinned 2-policy golden sweep: one shared baseline, two run
+#: records.
 GOLDEN_SPECS = [
     RunSpec(
         mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),
@@ -62,29 +61,20 @@ def export_tree(store, destination):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts(monkeypatch):
-    """Empty artifact cache per test; tier 2 off so every arm computes
-    (or not) purely by its own cache toggle."""
-    monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
-    monkeypatch.delenv("REPRO_ARTIFACTS_TIER2", raising=False)
+def _fresh_artifacts():
+    """Empty artifact cache per test."""
     reset_artifacts()
     yield
     reset_artifacts()
 
 
-@pytest.mark.parametrize("cache_arm", ["cache-on", "cache-off"])
-def test_canonical_exports_byte_identical_across_backends(cache_arm, tmp_path):
+def test_canonical_exports_byte_identical_across_backends(tmp_path):
     exports = {}
     records = {}
     for name in BACKEND_NAMES:
         reset_artifacts()
         store = make_store(name, tmp_path / name)
-        session = Session(store=store)
-        if cache_arm == "cache-off":
-            with get_artifacts().disabled():
-                records[name] = session.run_many(GOLDEN_SPECS)
-        else:
-            records[name] = session.run_many(GOLDEN_SPECS)
+        records[name] = Session(store=store).run_many(GOLDEN_SPECS)
         exports[name] = export_tree(store, tmp_path / f"export-{name}")
         store.close()
 
@@ -148,7 +138,7 @@ def test_migration_round_trips_sqlite_verbatim(tmp_path):
 
     hop_url = f"sqlite://{tmp_path}/hop.db"
     up = migrate_store(sqlite_url, hop_url)
-    assert up == {"documents": 3, "blobs": 0}
+    assert up == {"documents": 3}
     hop_tree = export_tree(ResultStore(hop_url), tmp_path / "export-hop")
     back_url = f"sqlite://{tmp_path}/back.db"
     down = migrate_store(hop_url, back_url)

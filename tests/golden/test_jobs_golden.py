@@ -64,9 +64,8 @@ def tree_of(store, destination):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts(monkeypatch):
-    """Empty artifact cache per test, tier 2 off: every arm computes."""
-    monkeypatch.delenv("REPRO_ARTIFACTS_TIER2", raising=False)
+def _fresh_artifacts():
+    """Empty artifact cache per test: every arm computes."""
     reset_artifacts()
     yield
     reset_artifacts()

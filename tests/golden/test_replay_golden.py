@@ -60,9 +60,8 @@ def export_tree(store, destination):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
+def _fresh_state():
     """An empty artifact cache per arm, so each simulates from scratch."""
-    monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
     reset_artifacts()
     yield
     reset_artifacts()

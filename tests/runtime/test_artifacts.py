@@ -5,7 +5,6 @@ import pytest
 
 from repro.runtime.artifacts import (
     ArtifactCache,
-    artifacts_enabled,
     get_artifacts,
     reset_artifacts,
     stream_key,
@@ -20,11 +19,8 @@ from repro.workloads.reference import synthesize_stream
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts(monkeypatch):
-    """Each test starts and ends with an empty process-wide cache,
-    enabled regardless of the invoking environment (tests that cover
-    the disabled path pin it themselves)."""
-    monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
+def _fresh_artifacts():
+    """Each test starts and ends with an empty process-wide cache."""
     reset_artifacts()
     yield
     reset_artifacts()
@@ -32,7 +28,7 @@ def _fresh_artifacts(monkeypatch):
 
 class TestArtifactCache:
     def test_get_or_make_counts_misses_then_hits(self):
-        cache = ArtifactCache(enabled=True)
+        cache = ArtifactCache()
         built = []
 
         def build():
@@ -45,51 +41,44 @@ class TestArtifactCache:
         counts = cache.stats()["kinds"]["demo"]
         assert (counts["hits"], counts["misses"], counts["entries"]) == (1, 1, 1)
 
-    def test_get_put_roundtrip_and_invalidate(self):
-        cache = ArtifactCache(enabled=True)
+    def test_get_put_roundtrip(self):
+        cache = ArtifactCache()
         assert cache.get("demo", "k") is None  # counted miss
         cache.put("demo", "k", 42)
         assert cache.get("demo", "k") == 42
-        cache.invalidate("demo", "k")
-        assert cache.get("demo", "k") is None
         counts = cache.stats()["kinds"]["demo"]
-        assert (counts["hits"], counts["misses"]) == (1, 2)
+        assert (counts["hits"], counts["misses"], counts["entries"]) == (1, 1, 1)
 
-    def test_disabled_cache_never_stores_or_counts(self):
-        cache = ArtifactCache(enabled=False)
-        assert cache.get_or_make("demo", "k", lambda: 1) == 1
-        cache.put("demo", "k", 2)
-        assert cache.get("demo", "k") is None
-        cache.count("demo", hit=True)
+    def test_kinds_namespace_equal_keys(self):
+        cache = ArtifactCache()
+        cache.put("stream", "k", 1)
+        cache.put("baseline", "k", 2)
+        assert cache.get("stream", "k") == 1
+        assert cache.get("baseline", "k") == 2
+        assert cache.stats()["entries"] == 2
+
+    def test_counted_kind_has_no_entries(self):
+        """``count`` surfaces sharing stored elsewhere (a replay group's
+        riders) next to the stored kinds."""
+        cache = ArtifactCache()
+        cache.count("replay_group", hit=False)
+        cache.count("replay_group", hit=True)
+        cache.count("replay_group", hit=True)
+        assert cache.stats() == {
+            "entries": 0,
+            "kinds": {"replay_group": {"hits": 2, "misses": 1, "entries": 0}},
+        }
+
+    def test_stats_report_entries_and_kinds(self):
+        cache = ArtifactCache()
+        cache.get_or_make("b", "k", lambda: 1)
+        cache.get_or_make("a", "k", lambda: 2)
         stats = cache.stats()
-        assert stats["enabled"] is False
-        assert stats["entries"] == 0
-        assert stats["kinds"] == {}
-
-    def test_disabled_context_manager_restores_state(self):
-        cache = ArtifactCache(enabled=True)
-        with cache.disabled():
-            assert cache.enabled is False
-            cache.put("demo", "k", 1)
-        assert cache.enabled is True
-        assert cache.get("demo", "k") is None  # the put was dropped
-
-    def test_env_toggle_controls_default_instance(self, monkeypatch):
-        cache = ArtifactCache()  # follows the environment
-        monkeypatch.setenv("REPRO_ARTIFACTS", "0")
-        assert artifacts_enabled() is False
-        assert cache.enabled is False
-        monkeypatch.setenv("REPRO_ARTIFACTS", "1")
-        assert cache.enabled is True
-        monkeypatch.delenv("REPRO_ARTIFACTS")
-        assert cache.enabled is True  # default on
-
-    def test_explicit_flag_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACTS", "0")
-        assert ArtifactCache(enabled=True).enabled is True
+        assert set(stats) == {"entries", "kinds"}
+        assert list(stats["kinds"]) == ["a", "b"]
 
     def test_clear_resets_entries_and_counters(self):
-        cache = ArtifactCache(enabled=True)
+        cache = ArtifactCache()
         cache.get_or_make("demo", "k", lambda: 1)
         cache.clear()
         stats = cache.stats()
@@ -166,11 +155,11 @@ class TestStreamArtifacts:
                 assert np.array_equal(arrivals, ref_arrivals)
                 assert np.array_equal(works, ref_works)
 
-    def test_disabled_cache_still_produces_identical_streams(self):
+    def test_reset_cache_still_produces_identical_streams(self):
         wl = make_lc_workload("shore")
         cached = MixRunner(requests=40, seed=2014).stream(wl, 0.2, 0)
-        with get_artifacts().disabled():
-            fresh = MixRunner(requests=40, seed=2014).stream(wl, 0.2, 0)
+        reset_artifacts()
+        fresh = MixRunner(requests=40, seed=2014).stream(wl, 0.2, 0)
         assert fresh[0] is not cached[0]
         assert np.array_equal(fresh[0], cached[0])
         assert np.array_equal(fresh[1], cached[1])
@@ -187,9 +176,9 @@ class TestBaselineArtifacts:
         counts = get_artifacts().stats()["kinds"]["baseline"]
         assert counts["hits"] == 1 and counts["misses"] == 1
 
-    def test_runner_cache_keyed_on_requests_seed_warmup(self):
-        """The tightened in-memory key: one runner evaluating differing
-        measurement knobs must never alias two baselines."""
+    def test_baseline_keyed_on_requests_seed_warmup(self):
+        """Runners differing in a measurement knob never alias two
+        baselines in the one process-wide cache."""
         wl = make_lc_workload("masstree")
         runner = MixRunner(requests=40, seed=2014)
         a = runner.baseline(wl, 0.2)
@@ -198,13 +187,13 @@ class TestBaselineArtifacts:
         c = MixRunner(requests=40, seed=2014, warmup_fraction=0.25).baseline(wl, 0.2)
         assert len({a.tail95_cycles, other.tail95_cycles, b.tail95_cycles}) == 3
         assert c != a
-        # And the original is still served unchanged from the runner.
-        assert runner.baseline(wl, 0.2) == a
+        # And the original is still served unchanged.
+        assert runner.baseline(wl, 0.2) is a
 
     def test_artifact_hit_writes_through_to_a_fresh_store(self, tmp_path):
         """A warm process attached to an empty store must still persist
-        the baseline document — byte-identical to a cache-off run —
-        else cache-on and cache-off store trees would diverge."""
+        the baseline document — byte-identical to a cold process's —
+        else warm and cold store trees would diverge."""
         wl = make_lc_workload("masstree")
         MixRunner(requests=40, seed=2014).baseline(wl, 0.2)  # warms artifacts
 
@@ -217,196 +206,102 @@ class TestBaselineArtifacts:
 
         reset_artifacts()
         cold_store = ResultStore(tmp_path / "cold")
-        with get_artifacts().disabled():
-            MixRunner(requests=40, seed=2014, store=cold_store).baseline(wl, 0.2)
+        MixRunner(requests=40, seed=2014, store=cold_store).baseline(wl, 0.2)
         assert warm_doc.read_bytes() == cold_store.document_path(
             fingerprint
         ).read_bytes()
 
-    def test_store_parse_memo_counts_through_artifacts(self, tmp_path):
+    def test_store_served_baseline_is_read_once(self, tmp_path, monkeypatch):
+        """A baseline read from the store lands in the artifact cache:
+        later runners in the process neither re-read nor re-parse it."""
         wl = make_lc_workload("masstree")
         store = ResultStore(tmp_path)
-        MixRunner(requests=40, seed=2014, store=store).baseline(wl, 0.2)
+        computed = MixRunner(requests=40, seed=2014, store=store).baseline(wl, 0.2)
         reset_artifacts()  # drop the baseline artifact, keep the store
-        for _ in range(3):
-            runner = MixRunner(requests=40, seed=2014, store=store)
-            runner.baseline(wl, 0.2)
-        counts = get_artifacts().stats()["kinds"]["baseline_parse"]
-        # One parse on the first store read, memo hits after; exact
-        # splits depend on the artifact layer's own baseline kind, so
-        # just require the memo was exercised and never re-parsed.
-        assert counts["misses"] <= 1
-        assert counts["hits"] + counts["misses"] >= 1
+        reads = []
+        original = ResultStore.get_baseline
+
+        def spy(self, fingerprint):
+            reads.append(fingerprint)
+            return original(self, fingerprint)
+
+        monkeypatch.setattr(ResultStore, "get_baseline", spy)
+        served = [
+            MixRunner(requests=40, seed=2014, store=store).baseline(wl, 0.2)
+            for _ in range(3)
+        ]
+        assert len(reads) == 1
+        assert served[0] == computed
+        assert served[1] is served[0] and served[2] is served[0]
+        counts = get_artifacts().stats()["kinds"]["baseline"]
+        assert (counts["hits"], counts["misses"]) == (2, 1)
 
 
-class TestTier2:
-    """The persistent artifact tier under ``REPRO_ARTIFACTS_TIER2``."""
+@pytest.fixture(params=["directory", "sqlite", "memory"])
+def any_store(request, tmp_path):
+    target = {
+        "directory": str(tmp_path / "tree"),
+        "sqlite": f"sqlite://{tmp_path}/store.db",
+        "memory": None,
+    }[request.param]
+    store = ResultStore(target)
+    yield store
+    store.close()
 
-    @pytest.fixture(params=["sqlite", "directory"])
-    def tier2_url(self, request, monkeypatch, tmp_path):
-        # ``directory`` is what ``REPRO_ARTIFACTS_TIER2=1`` resolves to.
-        if request.param == "sqlite":
-            url = f"sqlite://{tmp_path}/artifacts.db"
-        else:
-            url = f"directory://{tmp_path}/artifacts"
-        monkeypatch.setenv("REPRO_ARTIFACTS_TIER2", url)
-        return url
+
+class TestBaselineResolution:
+    """A baseline resolves in one order: artifact cache, store,
+    simulation, and lands in every layer that lacked it."""
+
+    WORKLOAD = make_lc_workload("masstree")
 
     @staticmethod
-    def _baseline():
-        from repro.sim.mix_runner import BaselineResult
+    def _count_simulations(monkeypatch):
+        runs = []
+        original = MixRunner.baseline_instance
 
-        return BaselineResult(
-            tail95_cycles=9.5, p95_cycles=8.0, latencies=(1.0, 2.0, 9.5)
-        )
+        def spy(self, *args):
+            runs.append(args)
+            return original(self, *args)
 
-    @pytest.mark.parametrize("scheme", ["sqlite", "directory"])
-    def test_unwritable_tier_degrades_to_tier1_only(
-        self, scheme, monkeypatch, tmp_path
+        monkeypatch.setattr(MixRunner, "baseline_instance", spy)
+        return runs
+
+    def _runner(self, store):
+        return MixRunner(requests=40, seed=2014, store=store)
+
+    def test_miss_everywhere_simulates_once_and_fills_both(
+        self, any_store, monkeypatch
     ):
-        # Tier 2 is best-effort by contract: a location that cannot be
-        # created must not fail the run, just stop persisting.
-        blocker = tmp_path / "a-file"
-        blocker.write_text("not a directory")
-        monkeypatch.setenv(
-            "REPRO_ARTIFACTS_TIER2", f"{scheme}://{blocker}/tier2/artifacts.db"
-        )
-        cache = ArtifactCache(enabled=True)
-        cache.put("baseline", ("k",), self._baseline())  # must not raise
-        assert cache.get("baseline", ("k",)) == self._baseline()  # tier 1
-        cold = ArtifactCache(enabled=True)
-        assert cold.get("baseline", ("k",)) is None
-        assert cold.stats()["tier2"]["kinds"]["baseline"] == {"hits": 0, "misses": 1}
+        runs = self._count_simulations(monkeypatch)
+        runner = self._runner(any_store)
+        baseline = runner.baseline(self.WORKLOAD, 0.2)
+        assert len(runs) == 3  # one per LC instance
+        fingerprint = runner._baseline_fingerprint(self.WORKLOAD, 0.2)
+        assert any_store.get_baseline(fingerprint) == baseline
+        assert get_artifacts().get("baseline", fingerprint) is baseline
 
-    def test_on_token_persists_next_to_the_store(self, monkeypatch, tmp_path):
-        # ``REPRO_ARTIFACTS_TIER2=1`` puts the tier in a directory engine
-        # beside the default result store.
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        monkeypatch.setenv("REPRO_ARTIFACTS_TIER2", "1")
-        ArtifactCache(enabled=True).put("baseline", ("k",), self._baseline())
-        blobs = list((tmp_path / "store-artifacts" / "blobs").rglob("*.bin"))
-        assert len(blobs) == 1
-        assert ArtifactCache(enabled=True).get("baseline", ("k",)) == self._baseline()
+    def test_store_hit_fills_the_cache_without_simulating(
+        self, any_store, monkeypatch
+    ):
+        stored = self._runner(any_store).baseline(self.WORKLOAD, 0.2)
+        reset_artifacts()
+        runs = self._count_simulations(monkeypatch)
+        served = self._runner(any_store).baseline(self.WORKLOAD, 0.2)
+        assert runs == []
+        assert served == stored
+        assert self._runner(None).baseline(self.WORKLOAD, 0.2) is served
 
-    def test_corrupt_blob_reads_as_a_miss(self, tier2_url):
-        from repro.runtime.backends import make_backend
-
-        ArtifactCache(enabled=True).put("baseline", ("k",), self._baseline())
-        backend = make_backend(tier2_url)
-        (key,) = list(backend.iter_blobs())
-        backend.put_blob(key, b"\x00torn")
-        backend.close()
-        cold = ArtifactCache(enabled=True)
-        assert cold.get("baseline", ("k",)) is None
-        assert cold.stats()["tier2"]["kinds"]["baseline"] == {"hits": 0, "misses": 1}
-        # A recomputed value overwrites the torn blob for the next reader.
-        cold.put("baseline", ("k",), self._baseline())
-        assert ArtifactCache(enabled=True).get("baseline", ("k",)) == self._baseline()
-
-    def test_target_resolution(self, monkeypatch, tmp_path):
-        from repro.runtime.artifacts import artifacts_tier2_target
-
-        monkeypatch.delenv("REPRO_ARTIFACTS_TIER2", raising=False)
-        assert artifacts_tier2_target() is None
-        monkeypatch.setenv("REPRO_ARTIFACTS_TIER2", "off")
-        assert artifacts_tier2_target() is None
-        monkeypatch.setenv("REPRO_ARTIFACTS_TIER2", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert artifacts_tier2_target() == f"{tmp_path / 'store'}-artifacts"
-        monkeypatch.setenv("REPRO_ARTIFACTS_TIER2", f"sqlite://{tmp_path}/a.db")
-        assert artifacts_tier2_target() == f"sqlite://{tmp_path}/a.db"
-
-    def test_stream_survives_a_process_restart(self, tier2_url):
-        """A fresh cache (a restarted process, conceptually) serves the
-        stream from tier 2 bit for bit instead of re-synthesizing."""
-        built = []
-
-        def build():
-            built.append(1)
-            arrivals = np.arange(4, dtype=np.float64) * 1.5
-            works = np.arange(4, dtype=np.float64) + 0.25
-            arrivals.flags.writeable = False
-            works.flags.writeable = False
-            return arrivals, works
-
-        warm = ArtifactCache(enabled=True)
-        first = warm.get_or_make("stream", ("k",), build)
-        cold = ArtifactCache(enabled=True)  # empty tier 1, same tier 2
-        second = cold.get_or_make("stream", ("k",), build)
-        assert built == [1]
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-        assert second[0].dtype == np.float64
-        with pytest.raises(ValueError):
-            second[0][0] = 0.0
-        assert cold.stats()["tier2"]["kinds"]["stream"]["hits"] == 1
-
-    def test_baseline_survives_a_process_restart(self, tier2_url):
-        from repro.sim.mix_runner import BaselineResult
-
-        baseline = BaselineResult(
-            tail95_cycles=100.5, p95_cycles=90.25, latencies=(1.0, 2.5)
-        )
-        ArtifactCache(enabled=True).put("baseline", ("k",), baseline)
-        cold = ArtifactCache(enabled=True)
-        assert cold.get("baseline", ("k",)) == baseline
-
-    def test_object_kinds_stay_process_local(self, tier2_url):
-        """Kinds without an exact-round-trip codec never persist."""
-        ArtifactCache(enabled=True).put("lc_workload", ("k",), object())
-        cold = ArtifactCache(enabled=True)
-        assert cold.get("lc_workload", ("k",)) is None
-        assert "lc_workload" not in cold.stats()["tier2"]["kinds"]
-
-    def test_disabled_cache_bypasses_tier2(self, tier2_url):
-        from repro.sim.mix_runner import BaselineResult
-
-        ArtifactCache(enabled=True).put(
-            "baseline",
-            ("k",),
-            BaselineResult(tail95_cycles=1.0, p95_cycles=1.0, latencies=(1.0,)),
-        )
-        disabled = ArtifactCache(enabled=False)
-        assert disabled.get("baseline", ("k",)) is None
-        # The probe never happened: no tier-2 counters were recorded.
-        assert disabled.stats()["tier2"]["kinds"] == {}
-
-    def test_stats_report_the_tier(self, tier2_url):
-        cache = ArtifactCache(enabled=True)
-        assert cache.get("stream", ("missing",)) is None  # tier-2 miss
-        tier2 = cache.stats()["tier2"]
-        assert tier2["enabled"] is True
-        assert tier2["url"] == tier2_url
-        assert tier2["kinds"]["stream"]["misses"] == 1
-
-    def test_no_tier_without_the_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARTIFACTS_TIER2", raising=False)
-        cache = ArtifactCache(enabled=True)
-        assert cache.get("stream", ("k",)) is None
-        tier2 = cache.stats()["tier2"]
-        assert tier2["enabled"] is False
-        assert tier2["url"] is None
-
-    def test_clear_resets_tier2_counters(self, tier2_url):
-        cache = ArtifactCache(enabled=True)
-        cache.get("stream", ("k",))
-        cache.clear()
-        assert cache.stats()["tier2"]["kinds"] == {}
-
-    def test_real_stream_round_trips_through_tier2(self, tier2_url):
-        """End to end: a MixRunner stream persisted by one process is
-        served byte-identical to a fresh one — no re-synthesis."""
-        wl = make_lc_workload("masstree")
-        first = MixRunner(requests=40, seed=2014).stream(wl, 0.2, 0)
-        reset_artifacts()  # "restart": tier 1 gone, tier 2 remains
-        second = MixRunner(requests=40, seed=2014).stream(wl, 0.2, 0)
-        assert first[0] is not second[0]
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-        counts = get_artifacts().stats()["tier2"]["kinds"]["stream"]
-        assert counts["hits"] >= 1
+    def test_cache_hit_writes_through_to_a_store_lacking_it(
+        self, any_store, monkeypatch
+    ):
+        warm = self._runner(None).baseline(self.WORKLOAD, 0.2)
+        runs = self._count_simulations(monkeypatch)
+        runner = self._runner(any_store)
+        assert runner.baseline(self.WORKLOAD, 0.2) is warm
+        assert runs == []
+        fingerprint = runner._baseline_fingerprint(self.WORKLOAD, 0.2)
+        assert any_store.get_baseline(fingerprint) == warm
 
 
 class TestExecutionIntegration:
@@ -417,9 +312,10 @@ class TestExecutionIntegration:
     )
 
     def test_execute_spec_identical_with_and_without_artifacts(self):
+        execute_spec(self.SPEC, None)
         warm = execute_spec(self.SPEC, None)
-        with get_artifacts().disabled():
-            cold = execute_spec(self.SPEC, None)
+        reset_artifacts()
+        cold = execute_spec(self.SPEC, None)
         assert warm == cold
 
     def test_second_evaluation_reuses_streams_and_baseline(self):
@@ -431,12 +327,6 @@ class TestExecutionIntegration:
         assert after["baseline"]["hits"] >= 1
         assert after["lc_workload"]["hits"] >= 1
         assert after["batch_mix"]["hits"] >= 1
-
-    def test_session_artifact_stats(self):
-        from repro.runtime.session import Session
-
-        stats = Session(store=ResultStore(None)).artifact_stats()
-        assert set(stats) == {"enabled", "entries", "kinds", "tier2"}
 
 
 class TestCLIStats:

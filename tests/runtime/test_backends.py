@@ -134,10 +134,14 @@ class TestMakeBackend:
         assert make_backend(instance) is instance
 
     def test_registry_covers_every_scheme(self):
+        import repro.runtime.backends as backends
+
         assert set(BACKENDS) == set(BACKEND_NAMES)
-        for name, cls in BACKENDS.items():
+        for name, class_name in BACKENDS.items():
+            cls = getattr(backends, class_name)
             assert cls.name == name
             assert issubclass(cls, StoreBackend)
+            assert cls.__module__ == f"repro.runtime.backends.{name}"
 
     def test_url_round_trips(self, tmp_path):
         for name in ("directory", "sqlite"):
@@ -147,8 +151,50 @@ class TestMakeBackend:
             assert second.url == first.url
 
 
+#: Every engine module, and the `sqlite3` module only the sqlite engine needs.
+ENGINE_MODULES = tuple(f"repro.runtime.backends.{name}" for name in BACKEND_NAMES)
+
+
+class TestLazyEngines:
+    """An engine's module loads when a store of its scheme opens."""
+
+    def test_package_import_loads_no_engine(self, fresh_interpreter):
+        __, loaded = fresh_interpreter(
+            "-c",
+            "import repro.runtime.backends, repro.runtime.store",
+            watch=ENGINE_MODULES + ("sqlite3",),
+        )
+        assert loaded == []
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_opening_a_store_loads_only_its_engine(
+        self, name, fresh_interpreter, tmp_path
+    ):
+        target = make_target(name, tmp_path)
+        __, loaded = fresh_interpreter(
+            "-c",
+            "import sys; from repro.runtime.store import ResultStore; "
+            "ResultStore(sys.argv[1] if len(sys.argv) > 1 else None)",
+            *([target] if target else []),
+            watch=ENGINE_MODULES + ("sqlite3",),
+        )
+        engines = [module for module in loaded if module.startswith("repro.")]
+        assert engines == [f"repro.runtime.backends.{name}"]
+        assert ("sqlite3" in loaded) == (name == "sqlite")
+
+    def test_engine_classes_import_from_the_package(self):
+        import repro.runtime.backends as backends
+        from repro.runtime.backends.sqlite import SqliteBackend as defined
+
+        assert SqliteBackend is defined
+        assert {"DirectoryBackend", "MemoryBackend", "SqliteBackend"} <= set(
+            dir(backends)
+        )
+        assert sorted(backends._EXPORTS) == sorted(BACKENDS.values())
+
+
 class TestBackendContract:
-    """Every engine honours the same document + blob semantics."""
+    """Every engine honours the same document semantics."""
 
     def test_document_round_trip(self, backend):
         fp = "ab" * 32
@@ -173,35 +219,12 @@ class TestBackendContract:
         assert backend.doc_count() == 0
         backend.delete_doc(fp)  # idempotent
 
-    def test_blob_round_trip(self, backend):
-        key = "12" * 32
-        assert backend.get_blob(key) is None
-        backend.put_blob(key, b"\x00\x01payload\xff")
-        assert backend.get_blob(key) == b"\x00\x01payload\xff"
-        assert backend.blob_count() == 1
-        assert list(backend.iter_blobs()) == [key]
-        backend.delete_blob(key)
-        assert backend.get_blob(key) is None
-
-    def test_blobs_and_documents_are_disjoint(self, backend):
-        key = "34" * 32
-        backend.put_doc(key, "doc")
-        backend.put_blob(key, b"blob")
-        assert backend.get_doc(key) == "doc"
-        assert backend.get_blob(key) == b"blob"
-        assert backend.doc_count() == 1
-        assert backend.blob_count() == 1
-        backend.delete_doc(key)
-        assert backend.get_blob(key) == b"blob"
-
-    def test_clear_documents_leaves_blobs(self, backend):
-        backend.put_doc("ab" * 32, "doc")
-        backend.put_blob("cd" * 32, b"blob")
-        assert backend.clear_documents() == 1
+    def test_clear_documents_counts_what_it_removed(self, backend):
+        for index in range(3):
+            backend.put_doc(f"{index:064x}", "doc")
+        assert backend.clear_documents() == 3
         assert backend.doc_count() == 0
-        assert backend.blob_count() == 1
-        assert backend.clear_blobs() == 1
-        assert backend.blob_count() == 0
+        assert list(backend.iter_docs()) == []
 
     def test_disk_bytes_counts_persistent_engines_only(self, backend):
         backend.put_doc("ab" * 32, '{"kind":"run"}')
@@ -212,11 +235,8 @@ class TestBackendContract:
 
     def test_missing_keys_read_as_none(self, backend):
         assert backend.get_doc("ab" * 32) is None
-        assert backend.get_blob("ab" * 32) is None
         assert backend.doc_count() == 0
-        assert backend.blob_count() == 0
         assert list(backend.iter_docs()) == []
-        assert list(backend.iter_blobs()) == []
 
     def test_many_documents_listed_once_each(self, backend):
         fingerprints = [f"{index:064x}" for index in range(40)]
@@ -240,43 +260,25 @@ class TestBackendContract:
             backend.put_doc(fp, text)
         assert {fp: backend.get_doc(fp) for fp in texts} == texts
 
-    def test_empty_and_large_blobs_round_trip(self, backend):
-        large = bytes(range(256)) * 4096  # 1 MiB, every byte value
-        backend.put_blob("ab" * 32, b"")
-        backend.put_blob("cd" * 32, large)
-        assert backend.get_blob("ab" * 32) == b""
-        assert backend.get_blob("cd" * 32) == large
-        assert backend.blob_count() == 2
+    def test_empty_and_large_documents_round_trip(self, backend):
+        large = json.dumps({"latencies": [i / 7.0 for i in range(60000)]})
+        assert len(large) > 1 << 20  # over 1 MiB of text
+        backend.put_doc("ab" * 32, "")
+        backend.put_doc("cd" * 32, large)
+        assert backend.get_doc("ab" * 32) == ""
+        assert backend.get_doc("cd" * 32) == large
+        assert backend.doc_count() == 2
 
-    def test_blob_overwrite_replaces_payload(self, backend):
-        key = "56" * 32
-        backend.put_blob(key, b"first payload, longer")
-        backend.put_blob(key, b"second")
-        assert backend.get_blob(key) == b"second"
-        assert backend.blob_count() == 1
-        assert list(backend.iter_blobs()) == [key]
-
-    def test_delete_blob_is_idempotent_and_leaves_documents(self, backend):
-        key = "78" * 32
-        backend.put_doc(key, "doc")
-        backend.put_blob(key, b"blob")
-        backend.delete_blob(key)
-        backend.delete_blob(key)
-        assert backend.get_blob(key) is None
-        assert backend.blob_count() == 0
-        assert backend.get_doc(key) == "doc"
-
-    def test_clear_blobs_leaves_documents(self, backend):
-        for index in range(3):
-            backend.put_doc(f"{index:064x}", "doc")
-            backend.put_blob(f"{index + 8:064x}", b"blob")
-        assert backend.clear_blobs() == 3
-        assert backend.blob_count() == 0
-        assert backend.doc_count() == 3
+    def test_shorter_overwrite_leaves_no_tail(self, backend):
+        fp = "56" * 32
+        backend.put_doc(fp, '{"first":"document, longer"}')
+        backend.put_doc(fp, '{"second":1}')
+        assert backend.get_doc(fp) == '{"second":1}'
+        assert backend.doc_count() == 1
+        assert list(backend.iter_docs()) == [fp]
 
     def test_clear_on_empty_store_returns_zero(self, backend):
         assert backend.clear_documents() == 0
-        assert backend.clear_blobs() == 0
         backend.put_doc("ab" * 32, "doc")
         assert backend.clear_documents() == 1
         assert backend.clear_documents() == 0
@@ -291,8 +293,8 @@ class TestBackendContract:
 
     def test_len_and_iter_follow_documents_only(self, backend):
         backend.put_doc("ab" * 32, "doc")
-        backend.put_blob("cd" * 32, b"blob")
-        backend.put_blob("ef" * 32, b"blob")
+        backend.put_doc("cd" * 32, "doc")
+        backend.delete_doc("cd" * 32)
         assert len(backend) == 1
         assert list(backend) == ["ab" * 32]
 
@@ -306,22 +308,18 @@ class TestBackendContract:
 
     def test_url_reopens_the_corpus_only_when_persistent(self, backend):
         backend.put_doc("ab" * 32, "doc")
-        backend.put_blob("cd" * 32, b"blob")
         reopened = make_backend(backend.url)
         assert type(reopened) is type(backend)
         if backend.persistent:
             assert reopened.get_doc("ab" * 32) == "doc"
-            assert reopened.get_blob("cd" * 32) == b"blob"
         else:
             assert reopened.doc_count() == 0
-            assert reopened.blob_count() == 0
         reopened.close()
 
     def test_export_writes_the_directory_layout(self, backend, tmp_path):
         texts = {f"{index:02x}" * 32: f'{{"i":{index}}}' for index in (1, 2, 3)}
         for fp, text in texts.items():
             backend.put_doc(fp, text)
-        backend.put_blob("ff" * 32, b"blob")
         destination = tmp_path / "exported"
         assert backend.export_canonical(destination) == 3
         files = sorted(p for p in destination.rglob("*") if p.is_file())
@@ -343,7 +341,7 @@ class TestBackendContract:
     def test_disk_bytes_grow_with_the_corpus(self, backend):
         backend.put_doc("ab" * 32, "x")
         small = backend.disk_bytes()
-        backend.put_blob("cd" * 32, b"\x00" * 65536)
+        backend.put_doc("cd" * 32, "0" * 65536)
         if backend.persistent:
             assert backend.disk_bytes() >= small + 65536
         else:
@@ -356,11 +354,9 @@ class TestPersistence:
         target = target_factory(name)
         writer = make_backend(target)
         writer.put_doc("ab" * 32, "doc")
-        writer.put_blob("cd" * 32, b"blob")
         writer.close()
         reader = make_backend(target)
         assert reader.get_doc("ab" * 32) == "doc"
-        assert reader.get_blob("cd" * 32) == b"blob"
         reader.close()
 
     @pytest.mark.parametrize("name", ["directory", "sqlite"])
@@ -385,10 +381,9 @@ class TestPersistence:
         target = target_factory(name)
         first, second = make_backend(target), make_backend(target)
         first.put_doc("ab" * 32, "doc")
-        first.put_blob("cd" * 32, b"blob")
         assert second.clear_documents() == 1
         assert first.doc_count() == 0
-        assert first.get_blob("cd" * 32) == b"blob"
+        assert first.get_doc("ab" * 32) is None
         first.close()
         second.close()
 
@@ -432,14 +427,16 @@ class TestDirectoryAtomicity:
         assert backend.clear_documents() == 1
         assert not orphan.exists()
 
-    def test_blob_put_is_atomic_too(self, tmp_path):
+    def test_overwrite_is_atomic_too(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
-        backend.put_blob("cd" * 32, b"payload")
-        blob_dir = tmp_path / "blobs"
+        fp = "cd" * 32
+        for index in range(10):
+            backend.put_doc(fp, json.dumps({"i": index}))
         leftovers = [
-            p for p in blob_dir.rglob("*") if p.is_file() and ".tmp" in p.name
+            p for p in tmp_path.rglob("*") if p.is_file() and ".tmp" in p.name
         ]
         assert leftovers == []
+        assert backend.get_doc(fp) == json.dumps({"i": 9})
 
 
 def _tree_bytes(root):
@@ -470,14 +467,15 @@ class TestCanonicalExport:
             tmp_path / "directory" / "tree"
         )
 
-    def test_export_skips_blobs(self, tmp_path):
+    def test_export_writes_only_document_files(self, tmp_path):
         backend = MemoryBackend()
         backend.put_doc("ab" * 32, "doc")
-        backend.put_blob("cd" * 32, b"blob")
         destination = tmp_path / "export"
         assert backend.export_canonical(destination) == 1
         assert _tree_bytes(destination) == {"ab" * 32: b"doc"}
-        assert not (destination / "blobs").exists()
+        assert sorted(
+            p.relative_to(destination).as_posix() for p in destination.rglob("*")
+        ) == ["ab", f"ab/{'ab' * 32}.json"]
 
 
 class TestMigrate:
@@ -491,15 +489,13 @@ class TestMigrate:
         src = make_backend(target_factory(src_name, "src"))
         src.put_doc("ab" * 32, '{"kind":"run","x":1}')
         src.put_doc("cd" * 32, '{"kind":"baseline","t":2.5}')
-        src.put_blob("ef" * 32, b"artifact-bytes")
         dst = make_backend(target_factory(dst_name, "dst"))
         counts = migrate_store(src, dst)
-        assert counts == {"documents": 2, "blobs": 1}
+        assert counts == {"documents": 2}
         src_export, dst_export = tmp_path / "se", tmp_path / "de"
         src.export_canonical(src_export)
         dst.export_canonical(dst_export)
         assert _tree_bytes(src_export) == _tree_bytes(dst_export)
-        assert dst.get_blob("ef" * 32) == b"artifact-bytes"
         src.close()
         dst.close()
 
@@ -517,17 +513,15 @@ class TestMigrate:
     ):
         src = make_backend(target_factory(src_name, "src"))
         src.put_doc("ab" * 32, '{"kind":"run","x":2}')
-        src.put_blob("ef" * 32, b"new-bytes")
         dst = make_backend(target_factory(dst_name, "dst"))
         dst.put_doc("ab" * 32, '{"kind":"run","x":1}')
         dst.put_doc("cd" * 32, '{"kind":"run","only":"dst"}')
-        dst.put_blob("ef" * 32, b"old-bytes")
-        assert migrate_store(src, dst) == {"documents": 1, "blobs": 1}
+        assert migrate_store(src, dst) == {"documents": 1}
         assert dst.get_doc("ab" * 32) == '{"kind":"run","x":2}'
         assert dst.get_doc("cd" * 32) == '{"kind":"run","only":"dst"}'
-        assert dst.get_blob("ef" * 32) == b"new-bytes"
         # The source is read, never written.
-        assert src.doc_count() == 1 and src.blob_count() == 1
+        assert src.doc_count() == 1
+        assert src.get_doc("ab" * 32) == '{"kind":"run","x":2}'
         src.close()
         dst.close()
 

@@ -1,0 +1,207 @@
+"""Stores written before the blob side was retired still work.
+
+Older versions kept a second, content-addressed side in every store: a
+``blobs/<key[:2]>/<key>.bin`` subtree under a directory store's root
+and a ``blobs`` table in a sqlite file.  Nothing reads that side any
+more, but a store carrying it must open, serve, count, export, prune,
+clear and migrate exactly its documents, and leave the old side as it
+found it.  New sqlite files get no ``blobs`` table.
+"""
+
+import sqlite3
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.runtime import (
+    MixRef,
+    PolicySpec,
+    ResultStore,
+    RunSpec,
+    Session,
+    migrate_store,
+    reset_artifacts,
+)
+from repro.runtime.spec import canonical_json
+
+#: One small sweep cell; its stored documents are the older store's
+#: current-generation corpus.
+SPEC = RunSpec(
+    mix=MixRef(lc_name="masstree", load=0.2, combo="nft"),
+    policy=PolicySpec.of("lru", label="LRU"),
+    requests=20,
+)
+
+#: A document from a stale schema generation, for prune to reclaim.
+STALE = ("5a" * 32, canonical_json({"kind": "run", "schema": 0}))
+
+#: What the old side held: one content-addressed payload.
+BLOB_KEY = "ef" * 32
+BLOB = b"\x93NUMPY\x00stream-bytes\xff"
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """fingerprint -> document text: the sweep cell's run record and
+    baseline, plus the stale document."""
+    root = tmp_path_factory.mktemp("corpus")
+    reset_artifacts()
+    Session(store=ResultStore(str(root)), jobs=1).run_many([SPEC])
+    store = ResultStore(str(root))
+    texts = {fp: store.backend.get_doc(fp) for fp in store.fingerprints()}
+    assert len(texts) == 2  # the run record and its baseline
+    texts[STALE[0]] = STALE[1]
+    return texts
+
+
+def write_older_store(engine, tmp_path, corpus):
+    """A store in the older layout holding ``corpus``; returns its target."""
+    if engine == "directory":
+        root = tmp_path / "older"
+        for fp, text in corpus.items():
+            (root / fp[:2]).mkdir(parents=True, exist_ok=True)
+            (root / fp[:2] / f"{fp}.json").write_text(text)
+        blob = root / "blobs" / BLOB_KEY[:2] / f"{BLOB_KEY}.bin"
+        blob.parent.mkdir(parents=True)
+        blob.write_bytes(BLOB)
+        return str(root)
+    path = tmp_path / "older.db"
+    conn = sqlite3.connect(str(path))
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute(
+        "CREATE TABLE documents (fingerprint TEXT PRIMARY KEY, doc TEXT NOT NULL)"
+    )
+    conn.execute("CREATE TABLE blobs (key TEXT PRIMARY KEY, payload BLOB NOT NULL)")
+    conn.executemany("INSERT INTO documents VALUES (?, ?)", corpus.items())
+    conn.execute("INSERT INTO blobs VALUES (?, ?)", (BLOB_KEY, BLOB))
+    conn.commit()
+    conn.close()
+    return f"sqlite://{path}"
+
+
+def old_side(target):
+    """The old side's contents: key -> payload."""
+    if not target.startswith("sqlite://"):
+        files = (Path(target) / "blobs").rglob("*")
+        return {p.stem: p.read_bytes() for p in files if p.is_file()}
+    conn = sqlite3.connect(target[len("sqlite://"):])
+    try:
+        return dict(conn.execute("SELECT key, payload FROM blobs").fetchall())
+    finally:
+        conn.close()
+
+
+def tree(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+@pytest.fixture(params=["directory", "sqlite"])
+def older(request, tmp_path, corpus):
+    """The target of an older store of each persistent engine."""
+    return write_older_store(request.param, tmp_path, corpus)
+
+
+def test_opens_and_serves_its_documents(older, corpus):
+    store = ResultStore(older)
+    for fp, text in corpus.items():
+        assert store.backend.get_doc(fp) == text
+    assert store.get_record(SPEC.fingerprint()) is not None
+    store.close()
+
+
+def test_a_sweep_is_served_without_evaluating(older, forbid_evaluation):
+    reset_artifacts()
+    session = Session(store=ResultStore(older), jobs=1)
+    forbid_evaluation()
+    (record,) = session.run_many([SPEC])
+    assert record.policy == "LRU"
+    assert old_side(older) == {BLOB_KEY: BLOB}
+
+
+def test_counts_exactly_its_documents(older):
+    store = ResultStore(older)
+    assert len(store) == 3
+    stats = store.stats()
+    assert stats["documents"] == 3
+    assert stats["by_kind"] == {"run": 2, "baseline": 1}
+    assert set(stats) == {
+        "backend",
+        "url",
+        "root",
+        "memory_entries",
+        "documents",
+        "disk_entries",
+        "disk_bytes",
+        "by_kind",
+    }
+    store.close()
+
+
+def test_exports_exactly_its_documents(older, corpus, tmp_path):
+    store = ResultStore(older)
+    assert store.export_canonical(tmp_path / "export") == 3
+    assert tree(tmp_path / "export") == {
+        f"{fp[:2]}/{fp}.json": text.encode() for fp, text in corpus.items()
+    }
+    store.close()
+
+
+def test_prunes_exactly_its_documents(older, corpus):
+    store = ResultStore(older)
+    assert store.prune() == {"kept": 2, "pruned": 1}
+    assert sorted(store.fingerprints()) == sorted(set(corpus) - {STALE[0]})
+    store.close()
+    assert old_side(older) == {BLOB_KEY: BLOB}
+
+
+def test_clear_removes_exactly_its_documents(older):
+    store = ResultStore(older)
+    assert store.clear() == 3
+    assert len(store) == 0
+    store.close()
+    assert old_side(older) == {BLOB_KEY: BLOB}
+
+
+def test_migrates_exactly_its_documents(older, corpus, tmp_path):
+    copy = tmp_path / "copy"
+    assert migrate_store(older, str(copy)) == {"documents": 3}
+    assert tree(copy) == {
+        f"{fp[:2]}/{fp}.json": text.encode() for fp, text in corpus.items()
+    }
+
+
+def test_new_documents_land_beside_the_old_side(older):
+    store = ResultStore(older)
+    store.put("12" * 32, {"kind": "run"})
+    store.close()
+    assert len(ResultStore(older)) == 4
+    assert old_side(older) == {BLOB_KEY: BLOB}
+
+
+def test_cache_command_reports_documents_only(older, capsys):
+    assert main(["cache", "--store", older]) == 0
+    rows = {
+        cells[0]: cells[1:]
+        for cells in (line.split() for line in capsys.readouterr().out.splitlines())
+        if cells
+    }
+    assert rows["documents"] == ["3"]
+    assert not any("blob" in name for name in rows)
+
+
+def test_new_sqlite_file_has_only_the_documents_table(tmp_path):
+    store = ResultStore(f"sqlite://{tmp_path}/new.db")
+    store.put("ab" * 32, {"kind": "run"})
+    store.close()
+    conn = sqlite3.connect(str(tmp_path / "new.db"))
+    tables = [
+        row[0]
+        for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+    ]
+    conn.close()
+    assert tables == ["documents"]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.runtime.spec import RunRecord
-from repro.runtime.store import ResultStore, default_store_root
+from repro.runtime.store import ResultStore, default_store_url
 from repro.sim.mix_runner import BaselineResult
 
 
@@ -280,15 +280,13 @@ class TestEveryBackend:
         assert payload["repro"] == repro.__version__
         assert RunRecord.from_dict(payload["record"]) == _record()
 
-    def test_clear_drops_both_layers_and_keeps_blobs(self, any_store):
+    def test_clear_drops_both_layers(self, any_store):
         any_store.put_record("ab" * 32, _record())
         any_store.put("cd" * 32, {"kind": "run"})
-        any_store.backend.put_blob("ef" * 32, b"artifact")
         assert any_store.clear() == 2
         assert any_store.get_record("ab" * 32) is None
         assert len(any_store) == 0
         assert any_store.stats()["memory_entries"] == 0
-        assert any_store.backend.get_blob("ef" * 32) == b"artifact"
 
     def test_prune_drops_stale_unstamped_and_corrupt(self, any_store):
         any_store.put_record("dd" * 32, _record())
@@ -317,17 +315,37 @@ class TestEveryBackend:
 
 
 class TestDefaultRoot:
+    """Where the environment puts the default store."""
+
     def test_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "0")
-        assert default_store_root() is None
+        assert default_store_url() is None
+
+    @pytest.mark.parametrize("token", ["off", "false", "no", "memory", "OFF"])
+    def test_off_tokens_win_over_cache_dir(self, monkeypatch, token):
+        monkeypatch.setenv("REPRO_STORE", token)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/ignored")
+        assert default_store_url() is None
 
     def test_override_by_env(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "s"))
-        assert default_store_root() == tmp_path / "s"
+        assert default_store_url() == str(tmp_path / "s")
+
+    def test_override_expands_home(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", "~/s")
+        assert default_store_url() == str(tmp_path / "s")
 
     def test_default_under_cache_home(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert default_store_root() == tmp_path / "repro-ubik"
+        assert default_store_url() == str(tmp_path / "repro-ubik")
+
+    def test_default_under_home_without_cache_home(self, monkeypatch, tmp_path):
+        for name in ("REPRO_STORE", "REPRO_CACHE_DIR", "XDG_CACHE_HOME"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_store_url() == str(tmp_path / ".cache" / "repro-ubik")

@@ -2,7 +2,7 @@
 
 The runtime's real write pattern is racy by construction: a sweep's
 pool workers all put the same canonical text under the same content
-fingerprint, and tier-2 blob writes interleave freely.  Correctness
+fingerprint, run records and baseline documents interleaved.  Correctness
 therefore means that however many threads or forked processes write one
 store, the corpus they leave is byte-identical to applying the same
 operations serially against a memory engine.  These tests pin that for
@@ -22,13 +22,21 @@ from repro.runtime.spec import RunRecord
 from repro.runtime.store import ResultStore
 
 #: The corpus every scenario must converge to: duplicate-fingerprint
-#: document puts (identical canonical text, as the runtime guarantees)
-#: and interleaved blob writes.
+#: document puts (identical canonical text, as the runtime guarantees),
+#: short run records interleaved with longer baseline documents.
 DOCS = {
     f"{i:02x}" * 32: json.dumps({"kind": "run", "i": i}, sort_keys=True)
     for i in range(16)
 }
-BLOBS = {f"{i + 16:02x}" * 32: bytes([i]) * (64 + i) for i in range(16)}
+DOCS.update(
+    {
+        f"{i + 16:02x}" * 32: json.dumps(
+            {"kind": "baseline", "latencies": [float(j) for j in range(64 + i)]},
+            sort_keys=True,
+        )
+        for i in range(16)
+    }
+)
 
 PERSISTENT = ("directory", "sqlite")
 
@@ -42,27 +50,21 @@ def _target(name, tmp_path):
 
 
 def _ops(seed):
-    """One worker's operation list: every doc and blob, shuffled, so
-    every key is written by every worker, in a different order each."""
-    ops = [("doc", fp, text) for fp, text in DOCS.items()]
-    ops += [("blob", key, payload) for key, payload in BLOBS.items()]
+    """One worker's operation list: every document, shuffled, so every
+    key is written by every worker, in a different order each."""
+    ops = list(DOCS.items())
     random.Random(seed).shuffle(ops)
     return ops
 
 
 def _apply(backend, seed):
-    for kind, key, value in _ops(seed):
-        if kind == "doc":
-            backend.put_doc(key, value)
-        else:
-            backend.put_blob(key, value)
+    for fingerprint, text in _ops(seed):
+        backend.put_doc(fingerprint, text)
 
 
 def _corpus(backend):
-    """The full logical corpus: doc texts and blob bytes by key."""
-    docs = {fp: backend.get_doc(fp) for fp in backend.iter_docs()}
-    blobs = {key: backend.get_blob(key) for key in backend.iter_blobs()}
-    return docs, blobs
+    """The full logical corpus: document texts by fingerprint."""
+    return {fp: backend.get_doc(fp) for fp in backend.iter_docs()}
 
 
 def _serial_oracle():
@@ -134,8 +136,7 @@ def _write_with_inherited_handle():
     """Runs in the forked child with the parent's backend object."""
     backend = _INHERITED["backend"]
     _apply(backend, seed=99)
-    docs, blobs = _corpus(backend)
-    return docs == DOCS and blobs == BLOBS
+    return _corpus(backend) == DOCS
 
 
 class TestThreadStress:
@@ -202,7 +203,7 @@ class TestProcessStress:
         serial = ResultStore(None)
         for index in range(12):
             serial.put_record(f"{index:064x}", _record(index))
-        assert _corpus(parent.backend)[0] == _corpus(serial.backend)[0]
+        assert _corpus(parent.backend) == _corpus(serial.backend)
         parent.close()
 
     def test_processes_opening_a_new_sqlite_store_together(self, tmp_path):

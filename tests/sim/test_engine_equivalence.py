@@ -419,11 +419,10 @@ class TestPlanGroups:
 
 
 class TestReplayGroupCounters:
-    def test_group_counts_one_miss_then_hits(self, monkeypatch):
+    def test_group_counts_one_miss_then_hits(self):
         """The first cell of a group builds the shared context (a
         ``replay_group`` miss); every later cell rides it (a hit) —
         surfaced through the same stats the CLI renders."""
-        monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
         reset_artifacts()
         runner = MixRunner(requests=40, seed=5)
         group_grid(runner, mix_spec(load=0.2), MIXED_ROSTER[:4])

@@ -24,7 +24,8 @@ class TestBaselines:
         baseline = runner.baseline(workload, 0.2)
         assert baseline.tail95_cycles >= baseline.p95_cycles > 0
 
-    def test_baseline_cached(self, runner):
+    def test_second_baseline_call_is_served(self, runner):
+        """The second call is served from the artifact cache."""
         workload = make_lc_workload("masstree")
         a = runner.baseline(workload, 0.2)
         b = runner.baseline(workload, 0.2)
