@@ -19,7 +19,6 @@ partition): simulation and theory must agree within sampling error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -103,7 +103,6 @@ from __future__ import annotations
 import json
 import platform
 import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path

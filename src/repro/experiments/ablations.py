@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
+from ..numeric import mean
 from ..runtime.session import Session
 from ..runtime.spec import PolicySpec
 from ..sim.config import CoreKind
@@ -77,12 +76,12 @@ def run_ablations(
                 AblationEntry(
                     variant=name,
                     load_label=load_label,
-                    average_degradation=float(
-                        np.mean([r.tail_degradation for r in records])
+                    average_degradation=mean(
+                        [r.tail_degradation for r in records]
                     ),
                     worst_degradation=max(r.tail_degradation for r in records),
                     average_speedup_pct=(
-                        float(np.mean([r.weighted_speedup for r in records])) - 1.0
+                        mean([r.weighted_speedup for r in records]) - 1.0
                     )
                     * 100.0,
                 )

@@ -11,10 +11,9 @@ in-order cores, which amplifies both effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
-import numpy as np
-
+from ..numeric import mean
 from ..runtime.session import Session
 from ..sim.config import CoreKind
 from .common import ExperimentScale, default_scale
@@ -47,13 +46,11 @@ def _per_app_entries(sweep: SweepResult) -> List[PerAppEntry]:
                 # Pooled tail over all mixes ~ tail-weighted aggregate;
                 # approximated by the mean of per-mix tails (each mix
                 # contributes the same request population).
-                pooled = float(
-                    np.mean([r.lc_tail_cycles for r in records])
-                ) / float(np.mean([r.baseline_tail_cycles for r in records]))
-                worst = max(r.tail_degradation for r in records)
-                speedup = float(
-                    np.mean([r.weighted_speedup for r in records])
+                pooled = mean([r.lc_tail_cycles for r in records]) / mean(
+                    [r.baseline_tail_cycles for r in records]
                 )
+                worst = max(r.tail_degradation for r in records)
+                speedup = mean([r.weighted_speedup for r in records])
                 entries.append(
                     PerAppEntry(
                         lc_name=lc_name,

@@ -10,10 +10,9 @@ Paper averages: 9.9% (0%), 13.1% (1%), 16.0% (5%), 17.0% (10%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-import numpy as np
-
+from ..numeric import mean
 from ..runtime.session import Session
 from ..runtime.spec import PolicySpec
 from ..sim.config import CoreKind
@@ -69,12 +68,12 @@ def run_fig12(
                     slack=slack,
                     load_label=load_label,
                     average_speedup_pct=(
-                        float(np.mean([r.weighted_speedup for r in records])) - 1.0
+                        mean([r.weighted_speedup for r in records]) - 1.0
                     )
                     * 100.0,
                     worst_degradation=max(r.tail_degradation for r in records),
-                    average_degradation=float(
-                        np.mean([r.tail_degradation for r in records])
+                    average_degradation=mean(
+                        [r.tail_degradation for r in records]
                     ),
                 )
             )

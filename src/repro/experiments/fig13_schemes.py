@@ -15,10 +15,9 @@ Expected shapes (paper Section 7.3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-import numpy as np
-
+from ..numeric import mean
 from ..runtime.registry import make_scheme
 from ..runtime.session import Session
 from ..runtime.spec import PolicySpec, SchemeSpec
@@ -78,12 +77,11 @@ def run_fig13(
                     scheme=display,
                     load_label=load_label,
                     worst_degradation=max(r.tail_degradation for r in records),
-                    average_degradation=float(
-                        np.mean([r.tail_degradation for r in records])
+                    average_degradation=mean(
+                        [r.tail_degradation for r in records]
                     ),
                     average_speedup_pct=(
-                        float(np.mean([r.weighted_speedup for r in records]))
-                        - 1.0
+                        mean([r.weighted_speedup for r in records]) - 1.0
                     )
                     * 100.0,
                 )

@@ -13,7 +13,7 @@ reported in milliseconds.  Expected shapes (paper Section 3.3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ and moses; long-tailed for xapian; multi-modal for shore and specjbb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ request ago, ..., 8+ = eight or more).  Expected shapes (Section 3.4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

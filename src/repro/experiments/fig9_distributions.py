@@ -12,10 +12,11 @@ scheme's distribution across the mix population.  Expected shapes:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
+from ..numeric import mean
 from ..runtime.session import Session
 from ..sim.config import CoreKind
 from .common import ExperimentScale, default_scale
@@ -53,7 +54,7 @@ class Fig9Data:
         series = self.sweep.sorted_degradations(policy, load_label)
         if series.size == 0:
             return float("nan")
-        return float(np.mean(series > threshold))
+        return mean((series > threshold).tolist())
 
 
 def run_fig9(

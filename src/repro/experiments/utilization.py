@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
+from ..numeric import mean
 from ..runtime.session import Session
 from ..sim.config import CoreKind
+from ..workloads.names import LOAD_SPLIT, load_label
 from .common import ExperimentScale, default_scale
 from .sweep import run_policy_sweep
 
@@ -47,15 +47,18 @@ def run_utilization(
 ) -> Dict[str, UtilizationEstimate]:
     """Estimate per-scheme utilization from low-load sweep data."""
     scale = scale or default_scale()
+    if "lo" not in {load_label(load) for load in scale.loads}:
+        raise ValueError(
+            f"utilization reads low-load runs: loads must include one at "
+            f"most {LOAD_SPLIT}, got {scale.loads!r}"
+        )
     sweep = run_policy_sweep(scale, core_kind=CoreKind.OOO, session=session)
     out: Dict[str, UtilizationEstimate] = {}
     for policy in sweep.policies():
         records = sweep.for_policy(policy, "lo")
         if not records:
             continue
-        safe = float(
-            np.mean([r.tail_degradation <= SAFE_DEGRADATION for r in records])
-        )
+        safe = mean([r.tail_degradation <= SAFE_DEGRADATION for r in records])
         if policy == "LRU":
             # Conventional approach: no colocation at all; half the
             # cores idle to protect tails (paper's assumption).

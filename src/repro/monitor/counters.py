@@ -8,7 +8,7 @@ quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PerfCounters"]
 

@@ -25,8 +25,7 @@ import json
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
+from ..numeric import mean
 from ..workloads.names import MIN_TAIL_REQUESTS, batch_type_combos, load_label
 from .registry import LC_WORKLOADS, POLICIES, SCHEMES
 
@@ -474,18 +473,22 @@ class SweepResult:
 
     def sorted_degradations(self, policy: str, load_label: str):
         """Tail degradations, worst first (paper style)."""
+        import numpy as np
+
         vals = [r.tail_degradation for r in self.for_policy(policy, load_label)]
         return np.sort(np.asarray(vals))[::-1]
 
     def sorted_speedups(self, policy: str, load_label: str):
         """Weighted speedups, ascending."""
+        import numpy as np
+
         vals = [r.weighted_speedup for r in self.for_policy(policy, load_label)]
         return np.sort(np.asarray(vals))
 
     def average_speedup(self, policy: str, load_label: str) -> float:
         """Mean weighted speedup for a policy at one load."""
         vals = [r.weighted_speedup for r in self.for_policy(policy, load_label)]
-        return float(np.mean(vals)) if vals else float("nan")
+        return mean(vals) if vals else float("nan")
 
     def per_app(
         self, policy: str, lc_name: str, load_label: str

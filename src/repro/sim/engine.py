@@ -60,12 +60,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cache.schemes import SchemeModel
-from ..cache.sharing import SharedOccupancyModel, pairwise_sum
+from ..cache.sharing import SharedOccupancyModel
 from ..core.deboost import DeBoostTracker
 from .bandwidth import BandwidthModel
 from ..cpu import CoreModel, make_core_model
 from ..monitor.miss_curve import MissCurve, interp_float
-from ..policies.base import AppView, BoostPlan, Decision, Policy, PolicyContext
+from ..numeric import pairwise_sum
+from ..policies.base import AppView, Decision, Policy, PolicyContext
 from ..workloads.batch import BatchWorkload
 from ..workloads.latency_critical import LCWorkload
 from .config import CMPConfig
@@ -995,7 +996,7 @@ class MixEngine:
         replaced (kept as the oracle :func:`repro.sim.reference.run_unmanaged`):
         curve lookups go through :func:`~repro.monitor.miss_curve.interp_float`,
         the exact scalar copy of ``np.interp``; sums keep NumPy's order
-        (:func:`~repro.cache.sharing.pairwise_sum`); ``min``/``max``
+        (:func:`~repro.numeric.pairwise_sum`); ``min``/``max``
         become comparisons returning the same operand the builtins do.
         """
         step = SharedOccupancyModel(self.llc_lines).step

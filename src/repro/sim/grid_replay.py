@@ -38,9 +38,10 @@ scaleout or bandwidth point) is a group of one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["GroupShared", "plan_groups"]
 
@@ -124,6 +125,8 @@ class GroupShared:
         key = tuple(id(array) for array in arrival_arrays)
         hit = self.arrival_schedules.get(key)
         if hit is None:
+            import numpy as np
+
             times = np.concatenate(arrival_arrays)
             order = np.argsort(times, kind="stable")
             lengths = [len(array) for array in arrival_arrays]

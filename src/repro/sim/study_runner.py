@@ -15,7 +15,7 @@ exactly, so migrating onto the runtime changed no numbers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

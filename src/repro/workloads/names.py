@@ -19,6 +19,7 @@ __all__ = [
     "BATCH_CLASSES",
     "LOW_LOAD",
     "HIGH_LOAD",
+    "LOAD_SPLIT",
     "MIN_TAIL_REQUESTS",
     "load_label",
     "batch_type_combos",
@@ -34,14 +35,17 @@ BATCH_CLASSES: Tuple[str, ...] = ("n", "f", "t", "s")
 LOW_LOAD = 0.2
 HIGH_LOAD = 0.6
 
+#: Loads at or below this midpoint are labelled ``"lo"``, above it ``"hi"``.
+LOAD_SPLIT = (LOW_LOAD + HIGH_LOAD) / 2
+
 #: The fewest requests per LC instance a run may take: its tail metrics
 #: are the 95th percentile and the mean beyond it.
 MIN_TAIL_REQUESTS = 20
 
 
 def load_label(load: float) -> str:
-    """``"lo"``/``"hi"`` bucket for an LC load (midpoint threshold)."""
-    return "lo" if load <= (LOW_LOAD + HIGH_LOAD) / 2 else "hi"
+    """``"lo"``/``"hi"`` bucket for an LC load (:data:`LOAD_SPLIT`)."""
+    return "lo" if load <= LOAD_SPLIT else "hi"
 
 
 def batch_type_combos() -> List[Tuple[str, str, str]]:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.reference import NaiveSharedOccupancyModel
-from repro.cache.sharing import SharedOccupancyModel, pairwise_sum
+from repro.cache.sharing import SharedOccupancyModel
 
 
 class TestStep:
@@ -78,19 +78,6 @@ class TestStep:
             model.equilibrium(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             model.equilibrium(np.array([-1.0, 1.0]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(min_value=0, max_value=1e6, allow_subnormal=False),
-        max_size=300,
-    )
-)
-def test_pairwise_sum_is_numpys_sum(values):
-    """Left to right below 8 elements, 8 partial sums up to 128, halves
-    beyond: the same bits as ``np.sum`` at every length."""
-    assert pairwise_sum(values).hex() == float(np.sum(np.asarray(values))).hex()
 
 
 @settings(max_examples=60, deadline=None)

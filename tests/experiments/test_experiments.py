@@ -108,3 +108,13 @@ class TestSweep:
         # when safe.
         if "LRU" in estimates:
             assert estimates["LRU"].utilization == pytest.approx(0.10)
+
+    def test_utilization_without_a_low_load_fails_before_simulating(
+        self, forbid_evaluation
+    ):
+        forbid_evaluation()
+        high_only = ExperimentScale(
+            requests=60, lc_names=("masstree",), loads=(0.6,), combos=("nft",)
+        )
+        with pytest.raises(ValueError, match=r"loads must include one at most 0\.4"):
+            run_utilization(high_only)

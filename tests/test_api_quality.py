@@ -1,8 +1,10 @@
 """Meta-tests: public API completeness and documentation quality."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import repro
 MODULES = [
     "repro",
     "repro.units",
+    "repro.numeric",
     "repro.cli",
     "repro.monitor",
     "repro.monitor.miss_curve",
@@ -234,3 +237,42 @@ def test_one_batch_path(capsys):
     help_text = capsys.readouterr().out
     retired = ("SpecScheduler", "AsyncExecutor", "ProgressEvent", "SchedulerCancelled", "EXECUTOR_KINDS", "make_executor", "SerialExecutor", "ParallelExecutor", "default_jobs", "--scheduler")
     assert [n for n in retired if hasattr(repro.runtime, n) or n in help_text] == []
+
+
+def _unused_imports(tree):
+    """``(line, name)`` of each name ``tree``'s imports bind and never read.
+
+    A name counts as read when the module loads it anywhere, an
+    annotation included, or lists it in ``__all__``.
+    """
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read
+    )
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a ``src/`` module imports is read somewhere in it."""
+    root = Path(repro.__file__).resolve().parent
+    unused = [
+        f"{path.relative_to(root.parent)}:{line}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert unused == []

@@ -431,42 +431,44 @@ class TestCommandList:
 def test_cli_import_loads_no_pool_machinery(fresh_interpreter):
     """A store-served run never pays for the process pool or the
     simulator: importing the CLI in a fresh interpreter loads no
-    asyncio, concurrent.futures or multiprocessing module, and nothing
-    of the engine, the policies, Ubik's controller or the workload
-    models."""
+    asyncio, concurrent.futures or multiprocessing module, no NumPy,
+    and nothing of the engine, the policies, Ubik's controller or the
+    workload models."""
     __, loaded = fresh_interpreter(
         "-c",
         "import repro.cli",
-        watch=("asyncio", "concurrent", "multiprocessing")
+        watch=("asyncio", "concurrent", "multiprocessing", "numpy")
         + SIMULATOR_MODULES
         + SQLITE_MODULES,
     )
     assert loaded == []
 
 
-def test_served_rerun_imports_no_simulator(fresh_interpreter, tmp_path):
-    """``python -m repro table3`` and ``fig13`` on a filled directory
-    store print the bytes of their cold runs and import none of the
-    simulator, and no run on a directory store loads the sqlite
-    engine."""
+@pytest.mark.parametrize(
+    "command", [name for name in STORE_BACKED if name != "fig9"]
+)
+def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path):
+    """Each store-backed command but ``fig9`` (whose plot resamples
+    with NumPy), rerun on a filled directory store, prints the bytes
+    of its cold run and imports neither NumPy nor any of the
+    simulator, and neither does ``repro cache`` on that store; no run
+    on a directory store loads the sqlite engine."""
     env = {
         "REPRO_STORE": f"directory://{tmp_path}",
         "REPRO_LC": "masstree",
         "REPRO_REQUESTS": "20",
         "REPRO_LOADS": "0.2",
     }
-    for command in ("table3", "fig13"):
-        watch = SIMULATOR_MODULES + SQLITE_MODULES
-        cold, simulated = fresh_interpreter(
-            "-m", "repro", command, watch=watch, env=env
-        )
-        assert "repro.sim.engine" in simulated
-        assert not set(SQLITE_MODULES) & set(simulated)
-        served, loaded = fresh_interpreter(
-            "-m", "repro", command, watch=watch, env=env
-        )
-        assert served == cold
-        assert loaded == []
+    args = STORE_BACKED[command]
+    watch = ("numpy",) + SIMULATOR_MODULES + SQLITE_MODULES
+    cold, simulated = fresh_interpreter("-m", "repro", *args, watch=watch, env=env)
+    assert {"repro.sim.engine", "numpy"} <= set(simulated)
+    assert not set(SQLITE_MODULES) & set(simulated)
+    served, loaded = fresh_interpreter("-m", "repro", *args, watch=watch, env=env)
+    assert served == cold
+    assert loaded == []
+    __, loaded = fresh_interpreter("-m", "repro", "cache", watch=watch, env=env)
+    assert loaded == []
 
 
 class TestFlagErrors:
