@@ -683,9 +683,11 @@ def _bench_repartition_table(averages: int, repeats: int) -> Dict[str, Any]:
     averages spread over 55–70% of the LLC, where most of Ubik's
     rebuilds sit on the Fig 13 grid.  The baseline arm builds the same
     tables through
-    :class:`~repro.core.reference.NaiveRepartitionTable`.  Both arms
-    include the Lookahead baseline they share, so the ratio is the
-    gain of a whole rebuild, not of the walks alone.
+    :class:`~repro.core.reference.NaiveRepartitionTable`, whose
+    Lookahead baseline is
+    :func:`~repro.core.reference.naive_lookahead_partition`, so the
+    ratio covers the whole rebuild as it stood before both rewrites:
+    the walks and the Lookahead baseline.
 
     Verified before timing: every row of every table must equal the
     reference's, else the kernel raises instead of recording a ratio.

@@ -95,6 +95,12 @@ TAIL_COMMANDS = (
 )
 
 
+#: Sweep commands, which run at the scale ``default_scale()`` reads
+#: from the environment, adjusted by ``--lc``, ``--requests`` and
+#: ``--seed``.
+SCALE_COMMANDS = ("fig9", "table3", "fig12", "fig13", "ablations", "utilization")
+
+
 def _scale_from_args(args) -> ExperimentScale:
     base = default_scale()
     lc_names = (
@@ -228,7 +234,7 @@ def _cmd_fig9(args) -> None:
     from .analysis.ascii_plot import distribution_plot
     from .experiments.fig9_distributions import run_fig9
 
-    data = run_fig9(_scale_from_args(args), session=_session_from_args(args))
+    data = run_fig9(args.scale, session=_session_from_args(args))
     seen = {r.load_label for r in data.sweep.records}
     for load in ("lo", "hi"):
         if load not in seen:
@@ -248,7 +254,7 @@ def _cmd_table3(args) -> None:
 
     print(
         format_table3(
-            run_table3(_scale_from_args(args), session=_session_from_args(args))
+            run_table3(args.scale, session=_session_from_args(args))
         )
     )
 
@@ -256,7 +262,7 @@ def _cmd_table3(args) -> None:
 def _cmd_fig12(args) -> None:
     from .experiments.fig12_slack import run_fig12
 
-    entries = run_fig12(_scale_from_args(args), session=_session_from_args(args))
+    entries = run_fig12(args.scale, session=_session_from_args(args))
     rows = [
         [
             f"{e.slack:.0%}",
@@ -272,7 +278,7 @@ def _cmd_fig12(args) -> None:
 def _cmd_fig13(args) -> None:
     from .experiments.fig13_schemes import run_fig13
 
-    entries = run_fig13(_scale_from_args(args), session=_session_from_args(args))
+    entries = run_fig13(args.scale, session=_session_from_args(args))
     rows = [
         [e.scheme, e.load_label, f"{e.worst_degradation:.3f}", f"{e.average_speedup_pct:.1f}%"]
         for e in entries
@@ -283,9 +289,7 @@ def _cmd_fig13(args) -> None:
 def _cmd_ablations(args) -> None:
     from .experiments.ablations import run_ablations
 
-    entries = run_ablations(
-        _scale_from_args(args), session=_session_from_args(args)
-    )
+    entries = run_ablations(args.scale, session=_session_from_args(args))
     rows = [
         [e.variant, e.load_label, f"{e.worst_degradation:.3f}", f"{e.average_speedup_pct:.1f}%"]
         for e in entries
@@ -296,9 +300,7 @@ def _cmd_ablations(args) -> None:
 def _cmd_utilization(args) -> None:
     from .experiments.utilization import run_utilization
 
-    estimates = run_utilization(
-        _scale_from_args(args), session=_session_from_args(args)
-    )
+    estimates = run_utilization(args.scale, session=_session_from_args(args))
     rows = [
         [e.policy, f"{e.safe_fraction:.0%}", f"{e.utilization:.0%}"]
         for e in estimates.values()
@@ -593,6 +595,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"argument --requests: {args.command} needs at least "
                 f"{least}, got {args.requests}"
             )
+    if args.command in SCALE_COMMANDS:
+        # A bad scale knob is a usage error too, reported before any
+        # spec is evaluated.
+        try:
+            args.scale = _scale_from_args(args)
+            if args.command == "utilization":
+                from .experiments.utilization import require_low_load
+
+                require_low_load(args.scale)
+        except ValueError as exc:
+            parser.error(str(exc))
     _HANDLERS[args.command](args)
     if args.stats and args.command != "cache":
         # Report what this process actually reused while the command

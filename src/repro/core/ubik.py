@@ -88,6 +88,7 @@ class UbikPolicy(Policy):
         self._batch_order: List[int] = []
         self._batch_weights: List[float] = []
         self._batch_curves: List[MissCurve] = []
+        self._lc_order: List[int] = []
 
     # ------------------------------------------------------------------
     # Periodic reconfiguration
@@ -123,6 +124,7 @@ class UbikPolicy(Policy):
             return self._batch_hit_rate(avg + delta_lines) - base_rate
 
         lc_apps = ctx.lc_apps
+        self._lc_order = [a.index for a in lc_apps]
         boost_max = ctx.llc_lines / max(1, len(lc_apps))
         self._forced_strict.clear()
         for app in lc_apps:
@@ -215,11 +217,15 @@ class UbikPolicy(Policy):
     # Event-driven transitions
     # ------------------------------------------------------------------
     def _lc_targets_now(self, ctx: PolicyContext) -> Dict[int, float]:
-        """Current LC targets, preserving in-flight boosts."""
+        """Current LC targets, preserving in-flight boosts.
+
+        The LC order comes from the last rebuild, so an event hook
+        reads no app view.
+        """
         targets: Dict[int, float] = {}
-        for app in ctx.lc_apps:
-            targets[app.index] = ctx.current_targets.get(
-                app.index, self._sizing[app.index].idle_lines
+        for index in self._lc_order:
+            targets[index] = ctx.current_targets.get(
+                index, self._sizing[index].idle_lines
             )
         return targets
 

@@ -16,7 +16,8 @@ let users dial the scale up toward the paper's:
   ``0.2,0.6`` (default: the paper's low/high operating points)
 
 A malformed value fails in :func:`default_scale` with a ``ValueError``
-naming the variable and the value.
+naming the variable and the value; the sweep commands of
+:mod:`repro.cli` report it as a usage error before any spec runs.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from ..workloads.names import LOAD_SPLIT, load_label
 from .common import ExperimentScale, default_scale
 from .sweep import run_policy_sweep
 
-__all__ = ["UtilizationEstimate", "run_utilization"]
+__all__ = ["UtilizationEstimate", "require_low_load", "run_utilization"]
 
 #: Degradation beyond which a colocation is deemed unsafe for LC apps.
 SAFE_DEGRADATION = 1.10
@@ -41,17 +41,23 @@ class UtilizationEstimate:
     utilization: float  # cluster utilization under the paper's model
 
 
+def require_low_load(scale: ExperimentScale) -> None:
+    """Raise ``ValueError`` naming ``loads`` and the low-load bound
+    unless the scale has a low load for the estimate to read."""
+    if "lo" not in {load_label(load) for load in scale.loads}:
+        raise ValueError(
+            f"utilization reads low-load runs: loads must include one at "
+            f"most {LOAD_SPLIT}, got {scale.loads!r}"
+        )
+
+
 def run_utilization(
     scale: ExperimentScale | None = None,
     session: Session | None = None,
 ) -> Dict[str, UtilizationEstimate]:
     """Estimate per-scheme utilization from low-load sweep data."""
     scale = scale or default_scale()
-    if "lo" not in {load_label(load) for load in scale.loads}:
-        raise ValueError(
-            f"utilization reads low-load runs: loads must include one at "
-            f"most {LOAD_SPLIT}, got {scale.loads!r}"
-        )
+    require_low_load(scale)
     sweep = run_policy_sweep(scale, core_kind=CoreKind.OOO, session=session)
     out: Dict[str, UtilizationEstimate] = {}
     for policy in sweep.policies():

@@ -9,11 +9,21 @@ curves, which plain hill-climbing cannot.
 
 Both UCP and Ubik use this routine: UCP over all apps, Ubik and
 StaticLC/OnOff over the batch apps only (paper Sections 4 and 5.1.2).
+
+Only the winner of a greedy round changes its allocation, so each
+app's marginal-utility array is kept from round to round and rebuilt
+only after that app wins.  A losing app's next scan would cover the
+same values over a shorter prefix (the budget ``remaining`` shrank),
+and the first maximum of a prefix that still holds the kept index
+cannot change, so ``np.argmax`` reruns only when ``remaining`` cuts the
+prefix below it.  Every utility, comparison and tie is the full
+rescan's, kept as the oracle
+:func:`repro.core.reference.naive_lookahead_partition`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -72,36 +82,47 @@ def lookahead_partition(
     grid = np.arange(buckets + 1) * bucket_lines
     miss_tables = [w * np.asarray(c(grid)) for c, w in zip(curves, weight_arr)]
 
-    alloc = np.zeros(num_apps, dtype=int)
+    alloc = [0] * num_apps
     if min_buckets is not None:
         if len(min_buckets) != num_apps:
             raise ValueError("one minimum per app required")
-        alloc = np.asarray(min_buckets, dtype=int).copy()
-        if np.any(alloc < 0):
+        minimums = np.asarray(min_buckets, dtype=int)
+        if np.any(minimums < 0):
             raise ValueError("minimums must be non-negative")
-        if alloc.sum() > buckets:
+        if minimums.sum() > buckets:
             raise ValueError("minimum allocations exceed the budget")
+        alloc = minimums.tolist()
 
-    remaining = buckets - int(alloc.sum())
+    remaining = buckets - sum(alloc)
+    # An app's feasible increments are 1..remaining: remaining is the
+    # budget minus every allocation, so it never exceeds buckets - here.
+    deltas = np.arange(1, remaining + 1)
+    mus: List[Optional[np.ndarray]] = [None] * num_apps  # None: rebuild
+    tops = [0] * num_apps  # index of the first maximum of mus[i]
+    top_mus = [0.0] * num_apps
     while remaining > 0:
         best_app = -1
         best_mu = 0.0
         best_delta = 0
         for i in range(num_apps):
-            table = miss_tables[i]
-            here = alloc[i]
-            max_delta = min(remaining, buckets - here)
-            if max_delta <= 0:
-                continue
-            # Marginal utility of each feasible increment, vectorized.
-            deltas = np.arange(1, max_delta + 1)
-            gains = table[here] - table[here + 1 : here + max_delta + 1]
-            mus = gains / deltas
-            j = int(np.argmax(mus))
-            if mus[j] > best_mu:
-                best_mu = float(mus[j])
+            app_mus = mus[i]
+            if app_mus is None:
+                # Marginal utility of each feasible increment, vectorized.
+                table = miss_tables[i]
+                here = alloc[i]
+                gains = table[here] - table[here + 1 : here + remaining + 1]
+                app_mus = mus[i] = gains / deltas[:remaining]
+                j = tops[i] = int(np.argmax(app_mus))
+                top_mus[i] = float(app_mus[j])
+            elif tops[i] >= remaining:
+                # The shorter prefix lost the kept maximum: rescan it.
+                app_mus = mus[i] = app_mus[:remaining]
+                j = tops[i] = int(np.argmax(app_mus))
+                top_mus[i] = float(app_mus[j])
+            if top_mus[i] > best_mu:
+                best_mu = top_mus[i]
                 best_app = i
-                best_delta = int(deltas[j])
+                best_delta = tops[i] + 1
         if best_app < 0:
             # No one benefits from more space: spread the remainder
             # round-robin so the budget is fully assigned.
@@ -116,5 +137,7 @@ def lookahead_partition(
             break
         alloc[best_app] += best_delta
         remaining -= best_delta
+        mus[best_app] = None
 
+    # ``int * float`` rounds exactly as ``int64 * float64`` does.
     return [float(a * bucket_lines) for a in alloc]

@@ -15,7 +15,7 @@ pays the refill transient, degrading tail latency.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .base import Decision, Policy, PolicyContext
 from .lookahead import lookahead_partition
@@ -34,6 +34,7 @@ class OnOffPolicy(Policy):
         self.buckets = buckets
         self._rows: Dict[int, List[float]] = {}
         self._batch_order: List[int] = []
+        self._lc_targets: List[Tuple[int, float]] = []
 
     # ------------------------------------------------------------------
     # Periodic: precompute batch allocations for each activity level
@@ -42,6 +43,7 @@ class OnOffPolicy(Policy):
         batch = ctx.batch_apps
         lc = ctx.lc_apps
         self._batch_order = [a.index for a in batch]
+        self._lc_targets = [(a.index, a.target_lines) for a in lc]
         self._rows = {}
         curves = [a.curve for a in batch]
         weights = [max(a.access_rate, 1e-12) for a in batch]
@@ -60,12 +62,17 @@ class OnOffPolicy(Policy):
                 self._rows[active_count] = []
 
     def _decision(self, ctx: PolicyContext) -> Decision:
-        active_count = sum(1 for a in ctx.lc_apps if ctx.lc_active.get(a.index, False))
+        """Targets for the current activity, from the last precompute's
+        LC targets, so an event hook reads no app view."""
+        lc_active = ctx.lc_active
+        active_count = sum(
+            1 for index, __ in self._lc_targets if lc_active.get(index, False)
+        )
         row = self._rows[active_count]
         targets: Dict[int, float] = {}
-        for app in ctx.lc_apps:
-            is_active = ctx.lc_active.get(app.index, False)
-            targets[app.index] = app.target_lines if is_active else 0.0
+        for index, target_lines in self._lc_targets:
+            is_active = lc_active.get(index, False)
+            targets[index] = target_lines if is_active else 0.0
         for index, alloc in zip(self._batch_order, row):
             targets[index] = alloc
         return Decision(targets=targets)

@@ -81,6 +81,10 @@ class StoreBackend(abc.ABC):
     def disk_bytes(self) -> int:
         """On-disk footprint in bytes (0 for non-persistent engines)."""
 
+    def drop_retired_blobs(self) -> None:
+        """Remove the blob side older versions kept beside the documents
+        (default no-op: only the persistent engines ever had one)."""
+
     def close(self) -> None:
         """Release any held handles (idempotent; default no-op)."""
 

@@ -6,7 +6,9 @@ and the golden byte-parity fixtures stay byte-stable: documents at
 ``<root>/<fp[:2]>/<fp>.json`` — one canonical-JSON text per
 fingerprint, sharded by prefix so no directory grows unbounded.  Only
 those two-hex-char shards are read, written and cleared: any other
-subtree under the root is left alone.
+subtree under the root is left alone, except the ``blobs/`` subtree
+older versions kept, which :meth:`DirectoryBackend.drop_retired_blobs`
+removes.
 
 Every document write is **atomic**: the payload goes to a
 ``.tmp``-suffixed temp file in the destination directory first and is
@@ -19,6 +21,7 @@ document a later store hit would choke on.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
@@ -139,6 +142,10 @@ class DirectoryBackend(StoreBackend):
                 except OSError:
                     pass
         return removed
+
+    def drop_retired_blobs(self) -> None:
+        """Remove the ``blobs/`` subtree older versions kept."""
+        shutil.rmtree(self.root / "blobs", ignore_errors=True)
 
     def disk_bytes(self) -> int:
         """Total bytes of document files on disk."""

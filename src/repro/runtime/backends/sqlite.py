@@ -2,7 +2,9 @@
 python-diskcache's core: one ``store.db`` holding every document,
 sub-millisecond get/put, safe under concurrent multi-process writers.
 Only the ``documents`` table is read or written, so a database that
-carries other tables keeps them untouched.
+carries other tables keeps them untouched, except the ``blobs`` table
+older versions kept, which :meth:`SqliteBackend.drop_retired_blobs`
+drops.
 
 Why SQLite for a result corpus that was happily a directory tree:
 
@@ -205,6 +207,21 @@ class SqliteBackend(StoreBackend):
             count = conn.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
             conn.execute("DELETE FROM documents")
         return count
+
+    def drop_retired_blobs(self) -> None:
+        """Drop the ``blobs`` table older versions kept, then ``VACUUM``
+        and checkpoint so the file gives its pages back to the disk."""
+        if not self._exists():
+            return
+        with self._lock:
+            conn = self._connection()
+            if conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'blobs'"
+            ).fetchone() is None:
+                return
+            conn.execute("DROP TABLE blobs")
+            conn.execute("VACUUM")
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def disk_bytes(self) -> int:
         """Size of the database file plus its WAL and shm sidecars."""

@@ -285,7 +285,8 @@ class ResultStore:
         under (see :meth:`_stamp`); prune deletes documents whose stamp
         differs from the current generation, documents predating the
         stamp (unknowable provenance), and unparseable entries.
-        Returns ``{"kept": …, "pruned": …}``.
+        The blob side a store written by an older version kept is
+        dead weight too, and goes.  Returns ``{"kept": …, "pruned": …}``.
         """
         kept = 0
         pruned = 0
@@ -308,13 +309,16 @@ class ResultStore:
             if doc.get("schema") != SPEC_SCHEMA_VERSION
         ]:
             del self._mem[fingerprint]
+        self.backend.drop_retired_blobs()
         return {"kept": kept, "pruned": pruned}
 
     def clear(self) -> int:
-        """Drop every document (both layers); returns backend entries
-        removed."""
+        """Drop every document (both layers) and any blob side an older
+        version kept; returns backend entries removed."""
         self._mem.clear()
-        return self.backend.clear_documents()
+        removed = self.backend.clear_documents()
+        self.backend.drop_retired_blobs()
+        return removed
 
     # ------------------------------------------------------------------
     # The parity contract

@@ -38,7 +38,9 @@ operations in the oracle's order:
 
 * the event loop merges the group's arrival schedule with a heap of the
   cell's own dynamic events;
-* first-interval policy contexts reuse one cached view list;
+* the contexts of the event hooks (active, idle, de-boost, watermark)
+  build their app views only when the hook first reads them, and no
+  shipped policy's event hook does;
 * steady-state commits inline the closing branch of
   :meth:`FillState.advance_cycles`;
 * the service walk reuses a per-app scratch fill, and its steady-state
@@ -229,6 +231,34 @@ class _BatchApp(_App):
         self.result = BatchAppResult(name=workload.name, baseline_ipc=baseline_ipc)
 
 
+class _LazyContext(PolicyContext):
+    """A :class:`PolicyContext` whose ``apps`` can be built on first read.
+
+    Until ``apps`` is set, reading it, directly or through ``lc_apps``,
+    ``batch_apps`` or :meth:`~PolicyContext.app`, calls ``make_views``
+    once and keeps the list as a plain attribute, which later reads
+    find first.
+    """
+
+    def __init__(self, make_views, llc_lines, current_targets, now,
+                 avg_batch_lines, lc_active, rng, lc_boosted):
+        self._make_views = make_views
+        self.llc_lines = llc_lines
+        self.current_targets = current_targets
+        self.now = now
+        self.avg_batch_lines = avg_batch_lines
+        self.lc_active = lc_active
+        self.rng = rng
+        self.lc_boosted = lc_boosted
+
+    def __getattr__(self, name):
+        # Reached only for attributes the instance lacks.
+        if name != "apps":
+            raise AttributeError(name)
+        self.apps = apps = self._make_views()
+        return apps
+
+
 class MixEngine:
     """Runs one mix under one policy; see module docstring.
 
@@ -305,8 +335,6 @@ class MixEngine:
         self._batch_space_last_t = 0.0
         self._avg_batch_lines = self._batch_space_now()
         self._first_interval = True
-        self._first_views: Optional[List[AppView]] = None
-        self._first_lc_views: List[Tuple[AppView, _LCApp]] = []
         #: Optional (time, target, resident) samples per app index,
         #: recorded at every commit — the raw data of paper Figs 4/6.
         self.trace_partitions = trace_partitions
@@ -356,9 +384,6 @@ class MixEngine:
     # Policy interfacing
     # ------------------------------------------------------------------
     def _refresh_measured_curves(self) -> None:
-        # New noise draws invalidate the cached first-interval views
-        # (their ``curve`` field is the measured curve by reference).
-        self._first_views = None
         for app in self.apps:
             if self.umon_noise > 0:
                 app.measured_curve = app.curve.with_noise(self.rng, self.umon_noise)
@@ -373,12 +398,7 @@ class MixEngine:
         they are estimates from the specs (:meth:`_first_interval_views`).
         """
         if self._first_interval:
-            views = self._first_views
-            if views is None:
-                return self._first_interval_views()
-            for view, app in self._first_lc_views:
-                view.recent_latencies = tuple(app.stats.latencies)
-            return views
+            return self._first_interval_views()
         duration = max(self.now - self._interval_start, 1.0)
         views: List[AppView] = []
         for app in self.apps:
@@ -407,17 +427,11 @@ class MixEngine:
         return views
 
     def _first_interval_views(self) -> List[AppView]:
-        """Build the first-interval views that :meth:`_make_views` reuses.
+        """The views before the first reconfiguration.
 
-        Until the first reconfiguration every view field except
-        ``recent_latencies`` is constant: the measured curves refresh
-        only at initialize/reconfig, and the penalties move only in
-        the initial bandwidth estimate, and both drop this cache.  So
-        the views are built once and only the latency tuples are
-        rewritten per call.  The spec-derived fields are the same for
-        every cell of a replay group, so the group computes them once.
-        Policies treat views as read-only inputs — the equivalence
-        wall would catch a mutation as a divergence from the oracle.
+        Rates, idle fractions and per-request accesses are estimates
+        from the specs.  They are the same for every cell of a replay
+        group, so the group computes them once.
         """
         view_static = self.shared.view_static
         views = []
@@ -462,10 +476,6 @@ class MixEngine:
                 view.target_tail_cycles = static[7]
                 view.recent_latencies = tuple(app.stats.latencies)
             views.append(view)
-        self._first_views = views
-        self._first_lc_views = [
-            (view, app) for view, app in zip(views, self.apps) if app.is_lc
-        ]
         return views
 
     def _initial_access_rate(self, app: _App) -> float:
@@ -492,20 +502,31 @@ class MixEngine:
             rates[app.index] = rate
         return rate
 
-    def _make_context(self) -> PolicyContext:
-        return PolicyContext(
-            llc_lines=self.llc_lines,
-            apps=self._make_views(),
-            current_targets={a.index: a.fill.target for a in self.apps},
-            now=self.now,
-            avg_batch_lines=self._avg_batch_lines,
-            lc_active={a.index: a.active for a in self.lc_apps},
-            rng=self.rng,
-            lc_boosted={
+    def _make_context(self, lazy: bool = False) -> PolicyContext:
+        """What a policy hook sees.
+
+        ``initialize`` and ``on_interval`` get their app views built up
+        front.  An event hook's context is ``lazy``: it builds them when
+        the hook first reads them, which no shipped policy's event hook
+        does.  The hook runs before the engine moves again, so those
+        are the views an up-front build would give.
+        """
+        context = _LazyContext(
+            self._make_views,
+            self.llc_lines,
+            {a.index: a.fill.target for a in self.apps},
+            self.now,
+            self._avg_batch_lines,
+            {a.index: a.active for a in self.lc_apps},
+            self.rng,
+            {
                 a.index: a.tracker is not None and not a.tracker.fired
                 for a in self.lc_apps
             },
         )
+        if not lazy:
+            context.apps = self._make_views()
+        return context
 
     # ------------------------------------------------------------------
     # Committing progress
@@ -801,7 +822,7 @@ class MixEngine:
             lc.result.activations += 1
             lc.fill.apply_idle_loss(self.rng)
             lc.fill.begin_transient(self.rng)
-            decision = self.policy.on_lc_active(self._make_context(), lc.index)
+            decision = self.policy.on_lc_active(self._make_context(lazy=True), lc.index)
             self._apply_decision(decision)
             next_req = lc.queue.pop(0)
             self._start_request(lc, next_req)
@@ -823,7 +844,7 @@ class MixEngine:
         lc.active = False
         if lc.tracker is not None:
             lc.tracker = None
-        decision = self.policy.on_lc_idle(self._make_context(), lc.index)
+        decision = self.policy.on_lc_idle(self._make_context(lazy=True), lc.index)
         self._apply_decision(decision)
 
     def _handle_deboost(self, lc: _LCApp) -> None:
@@ -831,7 +852,7 @@ class MixEngine:
         if lc.tracker is not None:
             lc.tracker.fired = True
         lc.result.deboosts += 1
-        decision = self.policy.on_deboost(self._make_context(), lc.index)
+        decision = self.policy.on_deboost(self._make_context(lazy=True), lc.index)
         self._apply_decision(decision)
 
     def _handle_watermark(self, lc: _LCApp) -> None:
@@ -839,7 +860,7 @@ class MixEngine:
         if lc.tracker is not None:
             lc.tracker.fired = True
         lc.result.watermarks += 1
-        decision = self.policy.on_watermark(self._make_context(), lc.index)
+        decision = self.policy.on_watermark(self._make_context(lazy=True), lc.index)
         self._apply_decision(decision)
         if lc.serving is not None:
             lc.version += 1
@@ -910,8 +931,6 @@ class MixEngine:
         for app in self.apps:
             app.miss_penalty = app.base_miss_penalty * multiplier
             app.fill.miss_penalty = app.miss_penalty
-        # Contention moved the penalties the cached views carry.
-        self._first_views = None
 
     def _start_partitioned(self) -> None:
         """Initial decision and warm start, before the first event."""

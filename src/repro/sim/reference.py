@@ -11,8 +11,9 @@ rewritten, the original survives here as the behavioural oracle.
 * :class:`NaiveMixEngine` is the heap-loop engine: it pushes every
   arrival into one event heap, walks service with NumPy prefix sums,
   commits through :meth:`~repro.sim.fill.FillState.advance_cycles`,
-  builds every policy view afresh and reads the streams as NumPy
-  scalars, all over :class:`NaiveFillState` fills.
+  builds every policy view afresh, for every hook before it runs, and
+  reads the streams as NumPy scalars, all over :class:`NaiveFillState`
+  fills.
   :meth:`~repro.sim.mix_runner.MixRunner.run_mix`,
   :meth:`~repro.sim.mix_runner.MixRunner.mix_engine` and
   :func:`~repro.runtime.work.execute_spec` replay through it, and
@@ -38,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..cache.reference import NaiveSharedOccupancyModel
-from ..policies.base import AppView
+from ..policies.base import AppView, PolicyContext
 from .engine import _COMPLETION_TOL, _WALK_CHUNKS, MixEngine, _App, _BatchApp, _LCApp
 from .fill import _EPS, Advance, FillState
 from .results import MixResult
@@ -253,6 +254,10 @@ class NaiveMixEngine(MixEngine):
 
         self._commit_batch(self.now)
         return self._collect()
+
+    def _make_context(self, lazy: bool = False) -> PolicyContext:
+        # Every hook's views are built up front, event hooks' included.
+        return super()._make_context()
 
     def _make_views(self) -> List[AppView]:
         duration = max(self.now - self._interval_start, 1.0)

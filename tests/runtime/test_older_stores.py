@@ -4,8 +4,10 @@ Older versions kept a second, content-addressed side in every store: a
 ``blobs/<key[:2]>/<key>.bin`` subtree under a directory store's root
 and a ``blobs`` table in a sqlite file.  Nothing reads that side any
 more, but a store carrying it must open, serve, count, export, prune,
-clear and migrate exactly its documents, and leave the old side as it
-found it.  New sqlite files get no ``blobs`` table.
+clear and migrate exactly its documents.  Opening, serving, counting,
+exporting, migrating and new writes leave the old side as they found
+it; prune and clear reclaim it, and a sqlite file shrinks on disk.
+New sqlite files get no ``blobs`` table.
 """
 
 import sqlite3
@@ -87,9 +89,22 @@ def old_side(target):
         return {p.stem: p.read_bytes() for p in files if p.is_file()}
     conn = sqlite3.connect(target[len("sqlite://"):])
     try:
+        tables = {
+            row[0]
+            for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+        }
+        if "blobs" not in tables:
+            return {}
         return dict(conn.execute("SELECT key, payload FROM blobs").fetchall())
     finally:
         conn.close()
+
+
+def file_bytes(target):
+    """The sqlite database file's size; ``None`` for a directory store."""
+    if target.startswith("sqlite://"):
+        return Path(target[len("sqlite://"):]).stat().st_size
+    return None
 
 
 def tree(root):
@@ -151,20 +166,35 @@ def test_exports_exactly_its_documents(older, corpus, tmp_path):
     store.close()
 
 
-def test_prunes_exactly_its_documents(older, corpus):
+def assert_reclaimed(older, action):
+    """``action(store)`` removes the old side; a sqlite file shrinks,
+    in its own size and in the store's ``disk_bytes``."""
+    size = file_bytes(older)
     store = ResultStore(older)
-    assert store.prune() == {"kept": 2, "pruned": 1}
-    assert sorted(store.fingerprints()) == sorted(set(corpus) - {STALE[0]})
+    disk = store.stats()["disk_bytes"]
+    action(store)
+    if size is not None:
+        assert store.stats()["disk_bytes"] < disk
     store.close()
-    assert old_side(older) == {BLOB_KEY: BLOB}
+    assert old_side(older) == {}
+    if size is not None:
+        assert file_bytes(older) < size
+
+
+def test_prunes_exactly_its_documents(older, corpus):
+    def prune(store):
+        assert store.prune() == {"kept": 2, "pruned": 1}
+        assert sorted(store.fingerprints()) == sorted(set(corpus) - {STALE[0]})
+
+    assert_reclaimed(older, prune)
 
 
 def test_clear_removes_exactly_its_documents(older):
-    store = ResultStore(older)
-    assert store.clear() == 3
-    assert len(store) == 0
-    store.close()
-    assert old_side(older) == {BLOB_KEY: BLOB}
+    def clear(store):
+        assert store.clear() == 3
+        assert len(store) == 0
+
+    assert_reclaimed(older, clear)
 
 
 def test_migrates_exactly_its_documents(older, corpus, tmp_path):

@@ -12,7 +12,15 @@ the oracle — at every group size, across all registry policies, loads,
 seeds, heterogeneous-scheme groups, and the divergent de-boost and
 watermark paths — and check that production never builds the oracle.  The group-planning rules and the ``replay_group`` counters
 are pinned here too.
+
+The engine builds the app views of an event hook's context (active,
+idle, de-boost, watermark) only when the hook reads them; the oracle
+builds them for every hook.  ``TestEventContexts`` counts the view
+builds of the shipped policies and holds a policy that reads every
+view at every event to the oracle.
 """
+
+import dataclasses
 
 import pytest
 
@@ -28,6 +36,8 @@ from repro.runtime import (
     get_artifacts,
     reset_artifacts,
 )
+from repro.core.ubik import UbikPolicy
+from repro.policies.base import AppView
 from repro.runtime.spec import PolicySpec, SchemeSpec
 from repro.runtime.work import execute_in_worker, execute_spec
 from repro.sim.config import CMPConfig
@@ -239,6 +249,99 @@ class TestDivergentEvents:
         )
         assert deboosts > 0  # the config must actually exercise the path
         assert_cells_identical(group_grid(runner, spec, WIDE_ROSTER), results)
+
+
+#: The policy hooks an engine event calls.
+EVENT_HOOKS = ("on_lc_active", "on_lc_idle", "on_deboost", "on_watermark")
+
+
+class ViewRecordingUbik(UbikPolicy):
+    """Ubik-with-slack whose event hooks read every field of every view
+    through ``ctx.apps`` and record them before deciding."""
+
+    def __init__(self):
+        super().__init__(slack=0.05)
+        self.records = {hook: [] for hook in EVENT_HOOKS}
+
+    def _record(self, hook, ctx, app_index):
+        views = [
+            tuple(
+                value.float_tables if field.name == "curve" else value
+                for field in dataclasses.fields(AppView)
+                for value in [getattr(view, field.name)]
+            )
+            for view in ctx.apps
+        ]
+        assert ctx.app(app_index) is ctx.apps[app_index]
+        self.records[hook].append((ctx.now, app_index, views))
+
+    def on_lc_active(self, ctx, app_index):
+        self._record("on_lc_active", ctx, app_index)
+        return super().on_lc_active(ctx, app_index)
+
+    def on_lc_idle(self, ctx, app_index):
+        self._record("on_lc_idle", ctx, app_index)
+        return super().on_lc_idle(ctx, app_index)
+
+    def on_deboost(self, ctx, app_index):
+        self._record("on_deboost", ctx, app_index)
+        return super().on_deboost(ctx, app_index)
+
+    def on_watermark(self, ctx, app_index):
+        self._record("on_watermark", ctx, app_index)
+        return super().on_watermark(ctx, app_index)
+
+
+class TestEventContexts:
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("ubik", {"slack": 0.05}), ("onoff", {}), ("ucp", {}), ("static_lc", {})],
+    )
+    def test_views_are_built_only_for_interval_decisions(
+        self, name, kwargs, monkeypatch
+    ):
+        """A shipped policy's event hooks read no view, so a cell builds
+        views once at initialize and once per reconfiguration."""
+        runner = MixRunner(requests=40, seed=11)
+        spec = mix_spec(load=0.2, lc_name="shore")
+        runner.baseline(spec.lc_workload, spec.load)  # no baseline engines below
+        policy = PolicySpec.of(name, **kwargs).build()
+        calls = {"views": 0, "interval": 0, "event": 0}
+        make_views = MixEngine._make_views
+
+        def spy(self):
+            assert self.policy is policy
+            calls["views"] += 1
+            return make_views(self)
+
+        def counted(hook, kind):
+            def call(*args):
+                calls[kind] += 1
+                return hook(*args)
+
+            return call
+
+        monkeypatch.setattr(MixEngine, "_make_views", spy)
+        policy.on_interval = counted(policy.on_interval, "interval")
+        for hook in EVENT_HOOKS:
+            setattr(policy, hook, counted(getattr(policy, hook), "event"))
+        runner.run_mix_group(spec, [(policy, None)])
+        assert calls["interval"] > 0 and calls["event"] > 0
+        assert calls["views"] == 1 + calls["interval"]
+
+    def test_views_read_at_events_match_the_oracle(self):
+        """Views built when an event hook first reads them equal the
+        oracle's up-front views at every event, and so do the runs."""
+        runner = MixRunner(requests=60, seed=11)
+        spec = mix_spec(load=0.5, lc_name="shore")
+        engine_policy = ViewRecordingUbik()
+        (got,) = runner.run_mix_group(spec, [(engine_policy, None)])
+        oracle_policy = ViewRecordingUbik()
+        want = runner.run_mix(spec, oracle_policy)
+        for hook in EVENT_HOOKS:
+            assert engine_policy.records[hook], f"{hook} never fired"
+        assert engine_policy.records == oracle_policy.records
+        assert_identical(got, want)
 
 
 class TestFinalFillState:

@@ -472,7 +472,7 @@ def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path)
 
 
 class TestFlagErrors:
-    """Out-of-range flags are usage errors naming the flag."""
+    """Out-of-range flags and scale knobs are usage errors naming them."""
 
     @pytest.mark.parametrize(
         "command",
@@ -493,6 +493,34 @@ class TestFlagErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable, value, command, named",
+        [
+            ("REPRO_LOADS", "2", "table3", ("REPRO_LOADS",)),
+            ("REPRO_MIXES", "-3", "fig13", ("REPRO_MIXES",)),
+            ("REPRO_LOADS", "0.6", "utilization", ("loads", "0.4")),
+            ("REPRO_REQUESTS", "5", "table3", ("REPRO_REQUESTS",)),
+        ],
+    )
+    def test_bad_scale_exits_2_before_evaluating(
+        self, variable, value, command, named, capsys, monkeypatch, tmp_path,
+        forbid_evaluation,
+    ):
+        """A bad scale knob ends a sweep command with a one-line usage
+        error naming it, before any spec is evaluated."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(variable, value)
+        forbid_evaluation()
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = err.splitlines()[-1]
+        assert message.startswith("repro: error: ")
+        assert all(name in message for name in named), message
 
     @pytest.mark.parametrize(
         "command",
