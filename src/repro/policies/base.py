@@ -105,12 +105,10 @@ class Decision:
 class PolicyContext:
     """Snapshot of system state handed to every policy callback.
 
-    For ``initialize`` and ``on_interval`` the engine builds ``apps``
-    up front.  For the event hooks (``on_lc_active``, ``on_lc_idle``,
-    ``on_deboost``, ``on_watermark``) it builds them when the hook first
-    reads them, directly or through ``lc_apps``, ``batch_apps`` or
-    :meth:`app`; the views are the same either way, and a hook that
-    reads only the maps builds none.
+    The engine builds ``apps`` when the hook first reads them, directly
+    or through ``lc_apps``, ``batch_apps`` or :meth:`app`; the views are
+    the ones an up-front build would give, and a hook that reads only
+    the maps builds none.
     """
 
     llc_lines: int

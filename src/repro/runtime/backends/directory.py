@@ -6,9 +6,9 @@ and the golden byte-parity fixtures stay byte-stable: documents at
 ``<root>/<fp[:2]>/<fp>.json`` — one canonical-JSON text per
 fingerprint, sharded by prefix so no directory grows unbounded.  Only
 those two-hex-char shards are read, written and cleared: any other
-subtree under the root is left alone, except the ``blobs/`` subtree
-older versions kept, which :meth:`DirectoryBackend.drop_retired_blobs`
-removes.
+subtree under the root is left alone, except the blob files older
+versions kept under ``blobs/``, which
+:meth:`DirectoryBackend.drop_retired_blobs` removes.
 
 Every document write is **atomic**: the payload goes to a
 ``.tmp``-suffixed temp file in the destination directory first and is
@@ -21,7 +21,6 @@ document a later store hit would choke on.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
@@ -144,8 +143,24 @@ class DirectoryBackend(StoreBackend):
         return removed
 
     def drop_retired_blobs(self) -> None:
-        """Remove the ``blobs/`` subtree older versions kept."""
-        shutil.rmtree(self.root / "blobs", ignore_errors=True)
+        """Remove what older versions wrote under ``blobs/``.
+
+        Only their ``??/*.bin`` blobs and ``??/.tmp-*.tmp`` temps are
+        unlinked; the shard directories and ``blobs/`` itself go only
+        if that empties them, so anything else there is left alone.
+        """
+        blobs = self.root / "blobs"
+        for pattern in ("??/*.bin", "??/.tmp-*.tmp"):
+            for path in blobs.glob(pattern):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+        for path in [*blobs.glob("??"), blobs]:
+            try:
+                path.rmdir()
+            except OSError:
+                pass
 
     def disk_bytes(self) -> int:
         """Total bytes of document files on disk."""

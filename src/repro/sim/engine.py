@@ -38,9 +38,9 @@ operations in the oracle's order:
 
 * the event loop merges the group's arrival schedule with a heap of the
   cell's own dynamic events;
-* the contexts of the event hooks (active, idle, de-boost, watermark)
-  build their app views only when the hook first reads them, and no
-  shipped policy's event hook does;
+* a policy hook's context builds its app views only when the hook
+  first reads them, and no shipped policy's event hook (active, idle,
+  de-boost, watermark) does;
 * steady-state commits inline the closing branch of
   :meth:`FillState.advance_cycles`;
 * the service walk reuses a per-app scratch fill, and its steady-state
@@ -232,7 +232,7 @@ class _BatchApp(_App):
 
 
 class _LazyContext(PolicyContext):
-    """A :class:`PolicyContext` whose ``apps`` can be built on first read.
+    """A :class:`PolicyContext` whose ``apps`` are built on first read.
 
     Until ``apps`` is set, reading it, directly or through ``lc_apps``,
     ``batch_apps`` or :meth:`~PolicyContext.app`, calls ``make_views``
@@ -502,16 +502,15 @@ class MixEngine:
             rates[app.index] = rate
         return rate
 
-    def _make_context(self, lazy: bool = False) -> PolicyContext:
+    def _make_context(self) -> PolicyContext:
         """What a policy hook sees.
 
-        ``initialize`` and ``on_interval`` get their app views built up
-        front.  An event hook's context is ``lazy``: it builds them when
-        the hook first reads them, which no shipped policy's event hook
-        does.  The hook runs before the engine moves again, so those
-        are the views an up-front build would give.
+        The app views are built when the hook first reads them, which
+        no shipped policy's event hook does.  The hook runs before the
+        engine moves again, so those are the views an up-front build
+        would give.
         """
-        context = _LazyContext(
+        return _LazyContext(
             self._make_views,
             self.llc_lines,
             {a.index: a.fill.target for a in self.apps},
@@ -524,9 +523,6 @@ class MixEngine:
                 for a in self.lc_apps
             },
         )
-        if not lazy:
-            context.apps = self._make_views()
-        return context
 
     # ------------------------------------------------------------------
     # Committing progress
@@ -822,7 +818,7 @@ class MixEngine:
             lc.result.activations += 1
             lc.fill.apply_idle_loss(self.rng)
             lc.fill.begin_transient(self.rng)
-            decision = self.policy.on_lc_active(self._make_context(lazy=True), lc.index)
+            decision = self.policy.on_lc_active(self._make_context(), lc.index)
             self._apply_decision(decision)
             next_req = lc.queue.pop(0)
             self._start_request(lc, next_req)
@@ -844,7 +840,7 @@ class MixEngine:
         lc.active = False
         if lc.tracker is not None:
             lc.tracker = None
-        decision = self.policy.on_lc_idle(self._make_context(lazy=True), lc.index)
+        decision = self.policy.on_lc_idle(self._make_context(), lc.index)
         self._apply_decision(decision)
 
     def _handle_deboost(self, lc: _LCApp) -> None:
@@ -852,7 +848,7 @@ class MixEngine:
         if lc.tracker is not None:
             lc.tracker.fired = True
         lc.result.deboosts += 1
-        decision = self.policy.on_deboost(self._make_context(lazy=True), lc.index)
+        decision = self.policy.on_deboost(self._make_context(), lc.index)
         self._apply_decision(decision)
 
     def _handle_watermark(self, lc: _LCApp) -> None:
@@ -860,7 +856,7 @@ class MixEngine:
         if lc.tracker is not None:
             lc.tracker.fired = True
         lc.result.watermarks += 1
-        decision = self.policy.on_watermark(self._make_context(lazy=True), lc.index)
+        decision = self.policy.on_watermark(self._make_context(), lc.index)
         self._apply_decision(decision)
         if lc.serving is not None:
             lc.version += 1

@@ -255,9 +255,11 @@ class NaiveMixEngine(MixEngine):
         self._commit_batch(self.now)
         return self._collect()
 
-    def _make_context(self, lazy: bool = False) -> PolicyContext:
-        # Every hook's views are built up front, event hooks' included.
-        return super()._make_context()
+    def _make_context(self) -> PolicyContext:
+        # Every hook's views are built up front.
+        context = super()._make_context()
+        context.apps = self._make_views()
+        return context
 
     def _make_views(self) -> List[AppView]:
         duration = max(self.now - self._interval_start, 1.0)

@@ -6,8 +6,10 @@ and a ``blobs`` table in a sqlite file.  Nothing reads that side any
 more, but a store carrying it must open, serve, count, export, prune,
 clear and migrate exactly its documents.  Opening, serving, counting,
 exporting, migrating and new writes leave the old side as they found
-it; prune and clear reclaim it, and a sqlite file shrinks on disk.
-New sqlite files get no ``blobs`` table.
+it; prune and clear reclaim it, and a sqlite file shrinks on disk.  A
+directory store's reclaim unlinks only the blob files older versions
+wrote, so foreign files under ``blobs/`` survive.  New sqlite files get
+no ``blobs`` table.
 """
 
 import sqlite3
@@ -195,6 +197,27 @@ def test_clear_removes_exactly_its_documents(older):
         assert len(store) == 0
 
     assert_reclaimed(older, clear)
+
+
+@pytest.mark.parametrize("action", ["prune", "clear"])
+def test_reclaiming_leaves_foreign_files_under_blobs(action, tmp_path, corpus):
+    """A directory store's reclaim unlinks only the blob files older
+    versions wrote; anything else under ``blobs/`` survives."""
+    root = Path(write_older_store("directory", tmp_path, corpus))
+    foreign = {
+        "blobs/notes.txt": b"not a blob",
+        f"blobs/{BLOB_KEY[:2]}/keep.txt": b"beside a blob",
+        "blobs/extra/deep.bin": b"outside any shard",
+    }
+    for name, data in foreign.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+    store = ResultStore(str(root))
+    getattr(store, action)()
+    store.close()
+    assert tree(root / "blobs") == {
+        name[len("blobs/"):]: data for name, data in foreign.items()
+    }
 
 
 def test_migrates_exactly_its_documents(older, corpus, tmp_path):

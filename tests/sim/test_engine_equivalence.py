@@ -13,11 +13,11 @@ seeds, heterogeneous-scheme groups, and the divergent de-boost and
 watermark paths — and check that production never builds the oracle.  The group-planning rules and the ``replay_group`` counters
 are pinned here too.
 
-The engine builds the app views of an event hook's context (active,
-idle, de-boost, watermark) only when the hook reads them; the oracle
-builds them for every hook.  ``TestEventContexts`` counts the view
-builds of the shipped policies and holds a policy that reads every
-view at every event to the oracle.
+The engine builds the app views of a policy hook's context only when
+the hook reads them; the oracle builds them for every hook.
+``TestEventContexts`` counts the view builds of the shipped policies
+and holds a policy that reads every view at every event (active,
+idle, de-boost, watermark) to the oracle.
 """
 
 import dataclasses
