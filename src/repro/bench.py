@@ -44,25 +44,26 @@ convention):
     warm across the grid versus cleared before every cell, as a cold
     process per cell would run it.  The joint replay is excluded
     from both arms (it differs per policy, so no artifact can share
-    it; ``joint_replay_grid`` tracks its batching).  Records the ratio
+    it; ``joint_replay_grid`` times it).  Records the ratio
     as ``speedup`` (the PR-5 acceptance floor is ≥2×) after asserting
     the two passes produced identical baselines.  The sweep-layer
     kernel.
 ``joint_replay_grid``
     The joint six-app replays of a 4-policy × 2-load sweep grid, run
     the production way — every policy cell of one mix through a single
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` replay group
-    sharing one :class:`~repro.sim.grid_replay.GroupShared` context —
-    versus the scalar per-cell ``run_mix`` loop, the kept oracle.  The
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` replay group,
+    one engine per cell over one baseline and one list of LC instance
+    specs, each engine owning its memos — versus the scalar per-cell
+    ``run_mix`` loop, the kept oracle.  The
     two grids are asserted result-for-result identical (every
     ``MixResult`` field) before either time is recorded; the
     acceptance floor for the recorded ``speedup`` is ≥2×.
 ``lockstep_replay``
     The joint six-app replays of one mix's eight-cell fixed-allocation
     sensitivity sweep (LC partitions at 0.25×–2× the working-set
-    target), run through ``run_mix_group`` (the
-    :class:`~repro.sim.engine.MixEngine` over one shared context)
-    versus the same cells through the scalar per-cell ``run_mix``
+    target), run through ``run_mix_group`` (one
+    :class:`~repro.sim.engine.MixEngine` per cell) versus the same
+    cells through the scalar per-cell ``run_mix``
     oracle.  The two grids are asserted result-for-result
     identical before either time is recorded.  Where
     ``joint_replay_grid`` prices the production engine on policy-heavy
@@ -366,11 +367,10 @@ def _bench_warm_sweep_grid(requests: int, repeats: int) -> Dict[str, Any]:
 
     The joint six-app replay is deliberately **excluded from both
     arms**: it differs per policy, so no *artifact* can legitimately
-    share it between cells — the sharing it does admit is the
-    replay-group kind (group-constant sub-computations memoized across
-    cells while every cell still walks its own decisions), which the
-    ``joint_replay_grid`` kernel tracks, and its cold cost is tracked
-    by ``mix_run``.  The recorded ``speedup`` therefore measures
+    share it between cells — a replay group's cells share only their
+    baseline and LC instance specs, and each cell's engine owns its
+    memos.  The ``joint_replay_grid`` kernel times the replays of a
+    grid, and ``mix_run`` their cold cost.  The recorded ``speedup`` therefore measures
     exactly the redundancy the artifact layer removes from a sweep, not
     a ratio diluted (or inflated) by replay time.
     """
@@ -451,8 +451,9 @@ def _bench_joint_replay_grid(requests: int, repeats: int) -> Dict[str, Any]:
     replays a sweep grid actually repeats.  The batched arm runs each
     mix's four cells through one
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call (one
-    :class:`~repro.sim.grid_replay.GroupShared` per mix, exactly as
-    :func:`~repro.runtime.work.execute_specs` groups a sweep); the
+    engine per cell over the mix's baseline and LC instance specs,
+    exactly as :func:`~repro.runtime.work.execute_specs` groups a
+    sweep); the
     baseline arm runs the same cells through the scalar per-cell
     :meth:`~repro.sim.mix_runner.MixRunner.run_mix` loop — the kept
     oracle.
@@ -542,8 +543,8 @@ def _bench_lockstep_replay(requests: int, repeats: int) -> Dict[str, Any]:
     and a grid whose per-cell cost is the event loop itself rather
     than policy work both arms would pay identically.  The engine arm
     runs the eight cells through
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` (the
-    :class:`~repro.sim.engine.MixEngine` over one shared context); the
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` (one
+    :class:`~repro.sim.engine.MixEngine` per cell); the
     baseline arm runs the same cells through the scalar
     per-cell :meth:`~repro.sim.mix_runner.MixRunner.run_mix` oracle.
 
@@ -872,7 +873,7 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
     requests = 30 if quick else 60
     #: The lockstep kernel pins a longer replay (its floor was
     #: committed at 240 requests): its ratio is an event-loop number,
-    #: and too-short replays drown it in per-group setup.  It also
+    #: and too-short replays drown it in per-engine setup.  It also
     #: takes extra repeats — both arms are sub-second, so best-of
     #: needs more samples to shed scheduler noise than the
     #: multi-second kernels do.

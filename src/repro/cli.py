@@ -240,13 +240,9 @@ def _cmd_fig9(args) -> None:
         if load not in seen:
             continue
         print(f"\n=== {'Low' if load == 'lo' else 'High'} load: tail degradation ===")
-        print(distribution_plot(
-            {p: data.sweep.sorted_degradations(p, load) for p in data.policies}
-        ))
+        print(distribution_plot(data.degradation_series(load)))
         print(f"\n=== {'Low' if load == 'lo' else 'High'} load: weighted speedup ===")
-        print(distribution_plot(
-            {p: data.sweep.sorted_speedups(p, load) for p in data.policies}
-        ))
+        print(distribution_plot(data.speedup_series(load)))
 
 
 def _cmd_table3(args) -> None:

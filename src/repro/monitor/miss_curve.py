@@ -167,7 +167,9 @@ class MissCurve:
         or through :meth:`at`): the engine's fill states
         (:class:`repro.sim.fill.FillState`), the unmanaged
         shared-LRU epoch loop (:meth:`repro.sim.engine.MixEngine.run`
-        under LRU), and Ubik's interval decision (the transient bounds
+        under LRU), the engine's other scalar reads (de-boost
+        projections, initial rates, baseline IPCs), and Ubik's interval
+        decision (the transient bounds
         of :mod:`repro.core.transient`, the batch hit rates priced by
         :class:`repro.core.ubik.UbikPolicy`, and
         :meth:`repro.core.slack.SlackController.active_size`).
@@ -276,9 +278,10 @@ def interp_float(x: float, sizes: Sequence[float], ratios: Sequence[float]) -> f
     """``np.interp(x, sizes, ratios)`` for one float, without NumPy.
 
     ``sizes``/``ratios`` are a curve's knots as Python floats
-    (:attr:`MissCurve.float_tables`).  Its scalar users are the grouped
-    fill states, the unmanaged shared-LRU epoch loop, and Ubik's
-    interval decision through :meth:`MissCurve.at`.  For an
+    (:attr:`MissCurve.float_tables`).  Its scalar users are the
+    engine's fill states, the unmanaged shared-LRU epoch loop, and,
+    through :meth:`MissCurve.at`, the engine's other scalar reads and
+    Ubik's interval decision.  For an
     ascending grid ``np.interp`` clamps to the end values outside it,
     returns the knot value on a knot, and otherwise finds the segment
     ``sizes[j] <= x < sizes[j+1]`` and evaluates

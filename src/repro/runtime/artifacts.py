@@ -104,8 +104,10 @@ class ArtifactCache:
     def count(self, kind: str, hit: bool) -> None:
         """Record a hit or a miss under ``kind`` (counters only).
 
-        Lets sharing that is not stored here — a replay group's riders —
-        surface through the same ``--stats`` report.
+        Lets sharing that is not stored here surface through the same
+        ``--stats`` report: a replay group's riders (``replay_group``),
+        the cells after its first, which reuse its baseline and LC
+        instance specs, while each runs its own engine and memos.
         """
         counters = self._hits if hit else self._misses
         counters[kind] = counters.get(kind, 0) + 1

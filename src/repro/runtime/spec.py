@@ -267,21 +267,6 @@ class RunSpec:
 
         return CMPConfig(core_kind=self.core_kind)
 
-    def baseline_spec(self) -> BaselineSpec:
-        """The isolated-baseline run this spec normalizes against."""
-        from ..units import mb_to_lines
-
-        return BaselineSpec(
-            lc_name=self.mix.lc_name,
-            load=self.mix.load,
-            core_kind=self.core_kind,
-            requests=self.requests,
-            seed=self.seed,
-            warmup_fraction=self.warmup_fraction,
-            target_lines=mb_to_lines(self.mix.target_mb),
-            config_key=config_fingerprint(self.config()),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (canonical field order via keys)."""
         return {

@@ -8,7 +8,9 @@ from these operations on a unit of work — a
 * :func:`store_lookup` — fingerprint it and probe the store (a hit
   never occupies a worker),
 * :func:`execute_specs` — evaluate a batch in-process, store-aware,
-  with the sweep cells of each mix replayed as one replay group,
+  with the sweep cells of each mix replayed as one replay group
+  (:func:`plan_groups`): one baseline lookup and one list of LC
+  instance specs, then one engine per cell, each owning its memos,
 * :func:`execute_in_worker` — the picklable process-pool entry point
   (per-process store handles so workers share warmed baselines),
 * :func:`cache_result` — warm the parent's memory layer with a result
@@ -29,13 +31,13 @@ Sweep records always replay on the production engine
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from ..sim.grid_replay import plan_groups
 from .spec import RunRecord, RunSpec, TaskSpec
 from .store import ResultStore
 
 __all__ = [
+    "plan_groups",
     "record_from_result",
     "execute_spec",
     "execute_specs",
@@ -125,11 +127,10 @@ def execute_spec(spec, store: Optional[ResultStore] = None):
 def _replay_group_key(spec: RunSpec) -> Tuple:
     """Everything two sweep cells must share to replay as one group.
 
-    These are the group-planning rules of
-    :mod:`repro.sim.grid_replay`: equal mix reference (hence equal
-    streams and curves) and equal engine-visible run parameters.
-    Policy and scheme deliberately stay out — differing decisions over
-    shared state are what a group exists to compare.
+    These are the group-planning rules: equal mix reference (hence
+    equal streams, curves and baseline) and equal engine-visible run
+    parameters.  Policy and scheme deliberately stay out — differing
+    decisions over the same streams are what a group exists to compare.
     """
     return (
         spec.mix,
@@ -139,6 +140,24 @@ def _replay_group_key(spec: RunSpec) -> Tuple:
         spec.umon_noise,
         spec.warmup_fraction,
     )
+
+
+def plan_groups(keys: Iterable[Hashable]) -> List[List[int]]:
+    """Partition positions into replay groups by key equality.
+
+    Returns groups in first-appearance order, each a list of original
+    positions in input order, so callers can execute groups and
+    scatter results back without reordering anything observable.
+    """
+    buckets: Dict[Hashable, List[int]] = {}
+    order: List[List[int]] = []
+    for pos, key in enumerate(keys):
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = []
+            order.append(bucket)
+        bucket.append(pos)
+    return order
 
 
 def _execute_run_group(specs: Sequence[RunSpec], store: Optional[ResultStore]) -> List[RunRecord]:
@@ -152,9 +171,9 @@ def _execute_run_group(specs: Sequence[RunSpec], store: Optional[ResultStore]) -
     sequential store probe would have) — so store trees stay
     byte-identical to per-spec execution through :func:`execute_spec`.
     The misses all simulate through one
-    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call sharing
-    a single replay-group context, verified bit-identical to the
-    scalar ``run_mix`` oracle.
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call, one
+    engine per cell over one baseline and one list of LC instance
+    specs, verified bit-identical to the scalar ``run_mix`` oracle.
     """
     records: List[Optional[RunRecord]] = [None] * len(specs)
     pending: List[Tuple[int, RunSpec, str]] = []
@@ -216,9 +235,10 @@ def _execute_run_group(specs: Sequence[RunSpec], store: Optional[ResultStore]) -
 def execute_specs(specs: Sequence[Any], store: Optional[ResultStore] = None) -> List[Any]:
     """Evaluate a batch of specs in-process, grouping sweep replays.
 
-    Sweep :class:`RunSpec`\\ s are partitioned into replay groups (see
-    :func:`_replay_group_key`) and each group executes through one
-    shared :class:`~repro.sim.grid_replay.GroupShared` context; a lone
+    Sweep :class:`RunSpec`\\ s are partitioned into replay groups
+    (:func:`plan_groups` over :func:`_replay_group_key`) and each group
+    executes through one
+    :meth:`~repro.sim.mix_runner.MixRunner.run_mix_group` call; a lone
     spec is a group of one.  Task specs compute as they do everywhere.
     Results come back in spec order, bit-identical to per-spec
     evaluation through :func:`execute_spec`.

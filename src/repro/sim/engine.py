@@ -26,21 +26,25 @@ its semantics.  Each LC instance's isolated baseline run
 (:meth:`MixEngine.isolated`) is its own engine: one instance, no batch
 apps, a fixed partition, its own seed.
 
-An engine belongs to a *replay group* (:mod:`repro.sim.grid_replay`):
-the sweep cells that replay the same streams over the same curves pass
-one :class:`~repro.sim.grid_replay.GroupShared` as ``shared``, and a
-run outside any sweep gets a group of its own.  The group holds pure
-value memos — the merged arrival schedule, curve segments, initial
-access rates, stream statistics, first-interval view statics and the
-streams as Python float lists — so the first cell computes what every
-sibling would have.  Per cell, the hot paths perform the oracle's float
-operations in the oracle's order:
+An engine replays one cell and owns its memos.  The cells of one
+replay group (:meth:`~repro.sim.mix_runner.MixRunner.run_mix_group`)
+share their baseline and LC instance specs, but nothing passes from one
+cell's engine to the next.  Each LC app computes its per-request
+accesses, their mean and p95, and its streams as Python float lists
+once; the fills over one miss curve share one segment table (the three
+LC instances run one workload, so theirs is one); and the partitioned
+loop merges the arrivals into one schedule before its first event.
+The hot paths perform the oracle's float operations in the oracle's
+order:
 
-* the event loop merges the group's arrival schedule with a heap of the
+* the event loop merges that arrival schedule with a heap of the
   cell's own dynamic events;
-* a policy hook's context builds its app views only when the hook
-  first reads them, and no shipped policy's event hook (active, idle,
-  de-boost, watermark) does;
+* a policy hook's context builds its app views, through one builder
+  (:meth:`MixEngine._make_views`), only when the hook first reads
+  them, and no shipped policy's event hook (active, idle, de-boost,
+  watermark) does;
+* scalar curve reads go through
+  :meth:`~repro.monitor.miss_curve.MissCurve.at`;
 * steady-state commits inline the closing branch of
   :meth:`FillState.advance_cycles`;
 * the service walk reuses a per-app scratch fill, and its steady-state
@@ -73,7 +77,6 @@ from ..workloads.batch import BatchWorkload
 from ..workloads.latency_critical import LCWorkload
 from .config import CMPConfig
 from .fill import _EPS, FillState
-from .grid_replay import GroupShared
 from .results import BatchAppResult, LCInstanceResult, MixResult
 
 __all__ = ["LCInstanceSpec", "MixEngine"]
@@ -120,6 +123,25 @@ class LCInstanceSpec:
             raise ValueError("works must be non-negative")
 
 
+def _arrival_schedule(arrival_arrays: List[np.ndarray]) -> Tuple[list, list, list]:
+    """The LC instances' arrivals as one stream, in the oracle's order.
+
+    Returns ``(times, app_positions, req_indices)`` as Python lists,
+    sorted by ``(time, seq)`` where ``seq`` is the position in the
+    app-major concatenation of ``arrival_arrays``.  The scalar oracle
+    pushes its arrival events app-major before any other event, so its
+    heap assigns exactly these seqs and pops arrivals in exactly this
+    order: a stable argsort of the concatenated times *is* the oracle's
+    arrival ordering.
+    """
+    times = np.concatenate(arrival_arrays)
+    order = np.argsort(times, kind="stable")
+    lengths = [len(array) for array in arrival_arrays]
+    apps = np.repeat(np.arange(len(arrival_arrays)), lengths)
+    reqs = np.concatenate([np.arange(length) for length in lengths])
+    return times[order].tolist(), apps[order].tolist(), reqs[order].tolist()
+
+
 @dataclass
 class _IntervalStats:
     """Per-app counters over one reconfiguration interval."""
@@ -150,7 +172,7 @@ class _App:
         profile,
         core: CoreModel,
         scheme: Optional[SchemeModel],
-        shared: GroupShared,
+        segments: Dict[int, dict],
     ):
         self.index = index
         self.name = name
@@ -165,7 +187,10 @@ class _App:
         self.fill = FillState(
             curve, self.hit_interval, self.miss_penalty, scheme=scheme
         )
-        self.fill.segments = shared.segments_for(curve, scheme)
+        # One segment table per curve: every fill of an engine has the
+        # engine's scheme, and the engine keeps its curves alive, so no
+        # other object takes a curve's id while its table is in use.
+        self.fill.segments = segments.setdefault(id(curve), {})
         self.last_commit = 0.0
         self.stats = _IntervalStats()
         self.total_accesses = 0.0
@@ -174,31 +199,22 @@ class _App:
 
 
 class _LCApp(_App):
-    def __init__(self, index, name, spec: LCInstanceSpec, core, scheme, shared,
-                 warmup_fraction: float):
+    def __init__(self, index, name, spec: LCInstanceSpec, core, scheme,
+                 segments, warmup_fraction: float):
         super().__init__(
             index, name, "lc", spec.workload.miss_curve, spec.workload.profile,
-            core, scheme, shared,
+            core, scheme, segments,
         )
         self.spec = spec
-        # Stream-constant statistics, computed once per stream and
-        # served to every cell of the group.
-        apki = spec.workload.profile.apki
-        key = (id(spec.works), apki)
-        stats = shared.stream_stats.get(key)
-        if stats is None:
-            req_accesses = spec.works * apki / 1000.0
-            stats = shared.stream_stats[key] = (
-                req_accesses,
-                float(np.mean(req_accesses)),
-                float(np.percentile(req_accesses, 95)),
-            )
-            shared.retain(spec.works)
-        self.req_accesses, self.mean_req_accesses, self.tail_req_accesses = stats
-        # The streams as Python floats, read once per event.
-        self.arrival_list = shared.floats_for(spec.arrivals)
-        self.work_list = shared.floats_for(spec.works)
-        self.access_list = shared.floats_for(self.req_accesses)
+        # Stream-constant statistics, computed once per engine.
+        self.req_accesses = spec.works * spec.workload.profile.apki / 1000.0
+        self.mean_req_accesses = float(np.mean(self.req_accesses))
+        self.tail_req_accesses = float(np.percentile(self.req_accesses, 95))
+        # The streams as Python floats, read once per event: ``tolist``
+        # gives exactly the ``float(x)`` of every element.
+        self.arrival_list = spec.arrivals.tolist()
+        self.work_list = spec.works.tolist()
+        self.access_list = self.req_accesses.tolist()
         self.warmup = int(len(spec.arrivals) * warmup_fraction)
         self.arrival_ptr = 0
         self.queue: List[int] = []
@@ -223,10 +239,10 @@ class _LCApp(_App):
 
 class _BatchApp(_App):
     def __init__(self, index, workload: BatchWorkload, core, scheme, baseline_ipc,
-                 shared):
+                 segments):
         super().__init__(
             index, workload.name, "batch", workload.miss_curve,
-            workload.profile, core, scheme, shared,
+            workload.profile, core, scheme, segments,
         )
         self.result = BatchAppResult(name=workload.name, baseline_ipc=baseline_ipc)
 
@@ -260,12 +276,7 @@ class _LazyContext(PolicyContext):
 
 
 class MixEngine:
-    """Runs one mix under one policy; see module docstring.
-
-    ``shared`` is the replay group's
-    :class:`~repro.sim.grid_replay.GroupShared`; without one the engine
-    forms a group of its own.
-    """
+    """Runs one mix under one policy; see module docstring."""
 
     def __init__(
         self,
@@ -281,7 +292,6 @@ class MixEngine:
         mix_id: str = "mix",
         trace_partitions: bool = False,
         bandwidth: Optional[BandwidthModel] = None,
-        shared: Optional[GroupShared] = None,
     ):
         if not lc_specs:
             raise ValueError("need at least one LC instance")
@@ -297,7 +307,6 @@ class MixEngine:
         self.warmup_fraction = warmup_fraction
         self.mix_id = mix_id
         self.bandwidth = bandwidth
-        self.shared = shared = shared if shared is not None else GroupShared()
         self.llc_lines = config.llc_lines
         core = make_core_model(config.core_kind, config.mem_latency_cycles)
         self.core = core
@@ -310,19 +319,21 @@ class MixEngine:
         self.apps: List[_App] = []
         self.lc_apps: List[_LCApp] = []
         self.batch_apps: List[_BatchApp] = []
+        segments: Dict[int, dict] = {}  # id(curve) -> its fills' segments
         for i, spec in enumerate(lc_specs):
             app = _LCApp(
                 len(self.apps), f"{spec.workload.name}#{i}", spec, core,
-                self.scheme, shared, warmup_fraction,
+                self.scheme, segments, warmup_fraction,
             )
             self.apps.append(app)
             self.lc_apps.append(app)
         for workload in batch_workloads:
             baseline_ipc = core.ipc(
-                workload.profile, float(workload.miss_curve(base_lines))
+                workload.profile, workload.miss_curve.at(base_lines)
             )
             app = _BatchApp(
-                len(self.apps), workload, core, self.scheme, baseline_ipc, shared
+                len(self.apps), workload, core, self.scheme, baseline_ipc,
+                segments,
             )
             self.apps.append(app)
             self.batch_apps.append(app)
@@ -395,10 +406,9 @@ class MixEngine:
 
         Rates, idle fractions and per-request accesses are measured
         over the interval so far; before the first reconfiguration
-        they are estimates from the specs (:meth:`_first_interval_views`).
+        they are estimates from the specs.
         """
-        if self._first_interval:
-            return self._first_interval_views()
+        first = self._first_interval
         duration = max(self.now - self._interval_start, 1.0)
         views: List[AppView] = []
         for app in self.apps:
@@ -410,71 +420,33 @@ class MixEngine:
                 apki=app.profile.apki,
                 hit_interval=app.hit_interval,
                 miss_penalty=app.miss_penalty,
-                access_rate=app.stats.accesses / duration,
+                access_rate=(
+                    self._initial_access_rate(app)
+                    if first
+                    else app.stats.accesses / duration
+                ),
             )
             if app.is_lc:
-                view.target_lines = app.spec.workload.target_lines
-                view.deadline_cycles = app.spec.deadline_cycles
-                view.target_tail_cycles = app.spec.target_tail_cycles
-                view.idle_fraction = min(1.0, app.stats.idle_time / duration)
-                view.activation_rate = app.stats.activations / duration
-                view.recent_latencies = tuple(app.stats.latencies)
-                view.accesses_per_request = app.total_accesses / max(
-                    app.requests_done, 1
-                )
-                view.tail_accesses_per_request = app.tail_req_accesses
-            views.append(view)
-        return views
-
-    def _first_interval_views(self) -> List[AppView]:
-        """The views before the first reconfiguration.
-
-        Rates, idle fractions and per-request accesses are estimates
-        from the specs.  They are the same for every cell of a replay
-        group, so the group computes them once.
-        """
-        view_static = self.shared.view_static
-        views = []
-        for app in self.apps:
-            static = view_static.get(app.index)
-            if static is None:
-                rate = self._initial_access_rate(app)
-                if app.is_lc:
-                    load = app.spec.load
-                    static = (
-                        rate,
-                        1.0 - load,
-                        load
-                        / max(app.spec.workload.mean_service_cycles(self.core), 1.0)
-                        * (1.0 - load),
-                        app.mean_req_accesses,
-                        app.tail_req_accesses,
-                        app.spec.workload.target_lines,
-                        app.spec.deadline_cycles,
-                        app.spec.target_tail_cycles,
+                spec = app.spec
+                view.target_lines = spec.workload.target_lines
+                view.deadline_cycles = spec.deadline_cycles
+                view.target_tail_cycles = spec.target_tail_cycles
+                if first:
+                    view.idle_fraction = 1.0 - spec.load
+                    view.activation_rate = (
+                        spec.load
+                        / max(spec.workload.mean_service_cycles(self.core), 1.0)
+                        * (1.0 - spec.load)
                     )
+                    view.accesses_per_request = app.mean_req_accesses
                 else:
-                    static = (rate,)
-                view_static[app.index] = static
-            view = AppView(
-                index=app.index,
-                name=app.name,
-                kind=app.kind,
-                curve=app.measured_curve,
-                apki=app.profile.apki,
-                hit_interval=app.hit_interval,
-                miss_penalty=app.miss_penalty,
-                access_rate=static[0],
-            )
-            if app.is_lc:
-                view.idle_fraction = static[1]
-                view.activation_rate = static[2]
-                view.accesses_per_request = static[3]
-                view.tail_accesses_per_request = static[4]
-                view.target_lines = static[5]
-                view.deadline_cycles = static[6]
-                view.target_tail_cycles = static[7]
+                    view.idle_fraction = min(1.0, app.stats.idle_time / duration)
+                    view.activation_rate = app.stats.activations / duration
+                    view.accesses_per_request = app.total_accesses / max(
+                        app.requests_done, 1
+                    )
                 view.recent_latencies = tuple(app.stats.latencies)
+                view.tail_accesses_per_request = app.tail_req_accesses
             views.append(view)
         return views
 
@@ -482,25 +454,16 @@ class MixEngine:
         """An app's access rate before any interval is measured.
 
         LC apps run at their offered load at the target allocation,
-        batch apps at an even share of the LLC.  Computed once per
-        replay group and app.
+        batch apps at an even share of the LLC.
         """
-        rates = self.shared.rates
-        rate = rates.get(app.index)
-        if rate is None:
-            if app.is_lc:
-                target = app.spec.workload.target_lines
-                busy_rate = 1.0 / self.core.access_interval(
-                    app.profile, float(app.curve(target))
-                )
-                rate = app.spec.load * busy_rate
-            else:
-                share = self.llc_lines / max(1, len(self.apps))
-                rate = 1.0 / self.core.access_interval(
-                    app.profile, float(app.curve(share))
-                )
-            rates[app.index] = rate
-        return rate
+        if app.is_lc:
+            target = app.spec.workload.target_lines
+            busy_rate = 1.0 / self.core.access_interval(
+                app.profile, app.curve.at(target)
+            )
+            return app.spec.load * busy_rate
+        share = self.llc_lines / max(1, len(self.apps))
+        return 1.0 / self.core.access_interval(app.profile, app.curve.at(share))
 
     def _make_context(self) -> PolicyContext:
         """What a policy hook sees.
@@ -622,7 +585,7 @@ class MixEngine:
             app = self.apps[idx]
             if not isinstance(app, _LCApp):
                 raise ValueError("boost plans only apply to LC apps")
-            active_ratio = float(app.curve(plan.active_lines))
+            active_ratio = app.curve.at(plan.active_lines)
             app.tracker = DeBoostTracker(plan, active_ratio)
         self._note_batch_space()
         for lc in changed_lc:
@@ -921,7 +884,7 @@ class MixEngine:
             return
         total = 0.0
         for app in self.apps:
-            p = min(1.0, float(app.curve(app.fill.target)))
+            p = min(1.0, app.curve.at(app.fill.target))
             total += self._initial_access_rate(app) * p
         multiplier = self.bandwidth.penalty_multiplier(total)
         for app in self.apps:
@@ -940,21 +903,22 @@ class MixEngine:
         self._initial_bandwidth_estimate()
 
     def _run_partitioned(self) -> MixResult:
-        """The partitioned event loop over the group's arrival schedule.
+        """The partitioned event loop over the merged arrival schedule.
 
-        The group merges the LC instances' arrival arrays into one
-        ``(time, seq)``-sorted schedule, where ``seq`` is the position
-        in their app-major concatenation: exactly the seqs and order in
-        which a heap that pushed every arrival first would pop them.
-        The heap holds only dynamic events, whose seqs continue after
-        the arrivals', so each step takes whichever comes first by
-        ``(time, seq)`` — an arrival wins a tie in time.
+        :func:`_arrival_schedule` merges the LC instances' arrival
+        arrays into one ``(time, seq)``-sorted schedule, where ``seq``
+        is the position in their app-major concatenation: exactly the
+        seqs and order in which a heap that pushed every arrival first
+        would pop them.  The heap holds only dynamic events, whose seqs
+        continue after the arrivals', so each step takes whichever
+        comes first by ``(time, seq)`` — an arrival wins a tie in time.
         """
         self._start_partitioned()
-        arrivals = [lc.spec.arrivals for lc in self.lc_apps]
-        times, __, apps, reqs = self.shared.arrival_schedule_for(arrivals)
+        times, apps, reqs = _arrival_schedule(
+            [lc.spec.arrivals for lc in self.lc_apps]
+        )
         events = self._events = []
-        self._seq = itertools.count(sum(len(a) for a in arrivals))
+        self._seq = itertools.count(len(times))
         self._push(self._next_reconfig_time(), "reconfig")
 
         lc_apps = self.lc_apps

@@ -94,9 +94,9 @@ class FillState:
     recompute would: the miss ratio on ``resident``, and the curve
     segment on ``(resident, target)``, first in the instance and then
     in :attr:`segments`.  That table may be shared by every fill over
-    the same curve and scheme; the engine shares one per replay group
-    (:meth:`~repro.sim.grid_replay.GroupShared.segments_for`), so a
-    segment one cell computes serves its siblings.  Curve reads bisect
+    the same curve and scheme; an engine gives its fills one table per
+    curve, so a segment one LC instance computes serves its siblings.
+    Curve reads bisect
     the curve's :attr:`~repro.monitor.miss_curve.MissCurve.float_tables`
     (:func:`~repro.monitor.miss_curve.interp_float` is the exact scalar
     copy of ``np.interp``), and the effective target is kept as a plain

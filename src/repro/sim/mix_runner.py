@@ -15,7 +15,9 @@ Implements the paper's measurement methodology (Section 6):
 
 Every simulation here runs on :class:`~repro.sim.engine.MixEngine`: a
 baseline instance alone (:meth:`MixRunner.baseline_instance`) and each
-mix's policy cells as one replay group (:meth:`MixRunner.run_mix_group`).
+mix's policy cells as one replay group (:meth:`MixRunner.run_mix_group`),
+whose cells share one baseline lookup and one list of LC instance specs
+and run one engine each; every engine owns its memos.
 :meth:`MixRunner.run_mix` replays a single cell through the scalar
 oracle :class:`~repro.sim.reference.NaiveMixEngine` instead: it is what
 the equivalence walls compare production against, not a production
@@ -46,7 +48,6 @@ from ..workloads.mixes import MixSpec
 from ..workloads.names import MIN_TAIL_REQUESTS
 from .config import CMPConfig
 from .engine import LCInstanceSpec, MixEngine
-from .grid_replay import GroupShared
 from .results import MixResult
 
 __all__ = ["BaselineResult", "MixRunner"]
@@ -279,7 +280,6 @@ class MixRunner:
         lc_specs: List[LCInstanceSpec],
         policy: Policy,
         scheme: Optional[SchemeModel],
-        shared: Optional[GroupShared] = None,
     ) -> MixEngine:
         """One cell's engine of class ``engine_cls`` over ``lc_specs``."""
         return engine_cls(
@@ -293,7 +293,6 @@ class MixRunner:
             warmup_fraction=self.warmup_fraction,
             baseline_lines=float(spec.lc_workload.target_lines),
             mix_id=spec.mix_id,
-            shared=shared,
         )
 
     def _mix_lc_specs(
@@ -322,31 +321,26 @@ class MixRunner:
     ) -> List[MixResult]:
         """Replay one mix under many policy/scheme cells as one group.
 
-        Every cell runs through a :class:`~repro.sim.engine.MixEngine`,
-        and all of them share a single
-        :class:`~repro.sim.grid_replay.GroupShared`
-        context: the group-constant sub-computations (the arrival
-        schedule, curve segments, rates, stream statistics,
-        first-interval view statics) run once and every later cell
-        rides on them.  Results come back in ``cells`` order, each
-        bit-identical to the corresponding :meth:`run_mix` — the
-        equivalence suite pins that contract.
+        The group looks its baseline up once and builds one list of LC
+        instance specs over the mix's streams; each cell then runs on
+        its own :class:`~repro.sim.engine.MixEngine`, which owns its
+        memos, so nothing passes from one cell's engine to the next.
+        Results come back in ``cells`` order, each bit-identical to the
+        corresponding :meth:`run_mix` — the equivalence suite pins that
+        contract.
 
-        The first cell is counted as a ``replay_group`` miss (it built
-        the group state) and each subsequent cell as a hit, surfacing
-        the sharing through ``repro cache --stats`` next to the other
-        artifact kinds.
+        The first cell is counted as a ``replay_group`` miss (it looked
+        the baseline and streams up) and each subsequent cell as a hit,
+        surfacing the sharing through ``repro cache --stats`` next to
+        the other artifact kinds.
         """
-        shared = GroupShared()
         artifacts = get_artifacts()
         baseline = self.baseline(spec.lc_workload, spec.load)
         lc_specs = self._mix_lc_specs(spec, baseline)
         results = []
         for position, (policy, scheme) in enumerate(cells):
             artifacts.count("replay_group", hit=position > 0)
-            engine = self._engine(
-                MixEngine, spec, lc_specs, policy, scheme, shared=shared
-            )
+            engine = self._engine(MixEngine, spec, lc_specs, policy, scheme)
             result = engine.run()
             result.baseline_tail_cycles = baseline.tail95_cycles
             results.append(result)

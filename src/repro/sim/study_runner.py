@@ -6,8 +6,9 @@ Their engine-driving code now lives here, below the
 runtime, as two plain functions taking a declarative spec plus an
 optional store; the experiment modules define the spec types and hand
 batches to a :class:`~repro.runtime.session.Session`.  Every point,
-baseline instances included, runs on the production engine
-(:class:`~repro.sim.engine.MixEngine`) as a one-cell replay group.
+baseline instances included, runs on its own production engine
+(:class:`~repro.sim.engine.MixEngine`), which owns its memos and builds
+its policy views in one place, as for a sweep cell.
 
 Both drivers reproduce the historical experiments' streams and seeds
 exactly, so migrating onto the runtime changed no numbers.
@@ -179,9 +180,8 @@ def scaleout_engine(spec, store=None) -> Tuple[MixEngine, float]:
 
     ``spec`` is a :class:`~repro.experiments.scaleout.ScaleoutSpec`;
     half the cores run LC instances, half batch apps, with the LLC
-    growing proportionally (2 MB per core, as in the baseline).  Each
-    point is dispatched alone, so it runs as a one-cell replay group.
-    The engine is fresh; :func:`run_scaleout_point` runs it.
+    growing proportionally (2 MB per core, as in the baseline).  The
+    engine is fresh; :func:`run_scaleout_point` runs it.
     """
     cores = spec.cores
     workload = make_lc_workload(spec.lc_name)
@@ -259,9 +259,9 @@ def bandwidth_engine(spec, store=None) -> Tuple[MixEngine, float]:
     isolated baseline goes through :class:`MixRunner` with the store
     attached, so it is computed once and shared with the sweep grids.
 
-    Contention rescales the miss penalties every interval.  No group
+    Contention rescales the miss penalties every interval.  No engine
     memo depends on a penalty, so the point runs on the production
-    engine as a one-cell group.  The engine is fresh;
+    engine like any other.  The engine is fresh;
     :func:`run_bandwidth_point` runs it.
     """
     mix = make_mix_specs(

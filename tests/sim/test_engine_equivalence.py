@@ -11,7 +11,8 @@ fill state **bit-identical** (``==`` on raw floats, no tolerance) to
 the oracle — at every group size, across all registry policies, loads,
 seeds, heterogeneous-scheme groups, and the divergent de-boost and
 watermark paths — and check that production never builds the oracle.  The group-planning rules and the ``replay_group`` counters
-are pinned here too.
+are pinned here too, and so is what a group shares: its baseline and
+LC instance specs, while every cell's engine owns its memos.
 
 The engine builds the app views of a policy hook's context only when
 the hook reads them; the oracle builds them for every hook.
@@ -39,10 +40,9 @@ from repro.runtime import (
 from repro.core.ubik import UbikPolicy
 from repro.policies.base import AppView
 from repro.runtime.spec import PolicySpec, SchemeSpec
-from repro.runtime.work import execute_in_worker, execute_spec
+from repro.runtime.work import execute_in_worker, execute_spec, plan_groups
 from repro.sim.config import CMPConfig
 from repro.sim.engine import LCInstanceSpec, MixEngine
-from repro.sim.grid_replay import GroupShared, plan_groups
 from repro.sim.mix_runner import LC_INSTANCES, MixRunner
 from repro.sim.reference import NaiveMixEngine
 from repro.workloads.latency_critical import LC_NAMES, make_lc_workload
@@ -255,25 +255,40 @@ class TestDivergentEvents:
 EVENT_HOOKS = ("on_lc_active", "on_lc_idle", "on_deboost", "on_watermark")
 
 
+#: The field order of a recorded view.
+VIEW_FIELDS = [field.name for field in dataclasses.fields(AppView)]
+
+
 class ViewRecordingUbik(UbikPolicy):
-    """Ubik-with-slack whose event hooks read every field of every view
-    through ``ctx.apps`` and record them before deciding."""
+    """Ubik-with-slack whose hooks, interval ones included, read every
+    field of every view through ``ctx.apps`` and record them before
+    deciding."""
 
     def __init__(self):
         super().__init__(slack=0.05)
-        self.records = {hook: [] for hook in EVENT_HOOKS}
+        self.records = {
+            hook: [] for hook in EVENT_HOOKS + ("initialize", "on_interval")
+        }
 
     def _record(self, hook, ctx, app_index):
         views = [
             tuple(
-                value.float_tables if field.name == "curve" else value
-                for field in dataclasses.fields(AppView)
-                for value in [getattr(view, field.name)]
+                value.float_tables if name == "curve" else value
+                for name in VIEW_FIELDS
+                for value in [getattr(view, name)]
             )
             for view in ctx.apps
         ]
         assert ctx.app(app_index) is ctx.apps[app_index]
         self.records[hook].append((ctx.now, app_index, views))
+
+    def initialize(self, ctx):
+        self._record("initialize", ctx, 0)
+        return super().initialize(ctx)
+
+    def on_interval(self, ctx):
+        self._record("on_interval", ctx, 0)
+        return super().on_interval(ctx)
 
     def on_lc_active(self, ctx, app_index):
         self._record("on_lc_active", ctx, app_index)
@@ -330,8 +345,9 @@ class TestEventContexts:
         assert calls["views"] == 1 + calls["interval"]
 
     def test_views_read_at_events_match_the_oracle(self):
-        """Views built when an event hook first reads them equal the
-        oracle's up-front views at every event, and so do the runs."""
+        """Views built when a hook first reads them equal the oracle's
+        up-front views at every hook, events and intervals, and so do
+        the runs."""
         runner = MixRunner(requests=60, seed=11)
         spec = mix_spec(load=0.5, lc_name="shore")
         engine_policy = ViewRecordingUbik()
@@ -343,13 +359,40 @@ class TestEventContexts:
         assert engine_policy.records == oracle_policy.records
         assert_identical(got, want)
 
+    @pytest.mark.parametrize("lc_name, load", [("shore", 0.5), ("xapian", 0.2)])
+    def test_interval_views_match_the_oracle(self, lc_name, load):
+        """The one view builder gives the oracle's views at initialize
+        and at every reconfiguration: the spec estimates until the first
+        reconfiguration's decision is made, measured values after."""
+        runner = MixRunner(requests=60, seed=11)
+        spec = mix_spec(load=load, lc_name=lc_name)
+        engine_policy = ViewRecordingUbik()
+        (got,) = runner.run_mix_group(spec, [(engine_policy, None)])
+        oracle_policy = ViewRecordingUbik()
+        want = runner.run_mix(spec, oracle_policy)
+        records = engine_policy.records
+        assert len(records["initialize"]) == 1
+        assert len(records["on_interval"]) > 1
+        kind, idle = VIEW_FIELDS.index("kind"), VIEW_FIELDS.index("idle_fraction")
+
+        def lc_idle_fractions(record):
+            __, __, views = record
+            return [view[idle] for view in views if view[kind] == "lc"]
+
+        estimate = [1.0 - spec.load] * LC_INSTANCES
+        assert lc_idle_fractions(records["initialize"][0]) == estimate
+        assert lc_idle_fractions(records["on_interval"][0]) == estimate
+        assert lc_idle_fractions(records["on_interval"][1]) != estimate
+        assert records == oracle_policy.records
+        assert_identical(got, want)
+
 
 class TestFinalFillState:
     def test_final_fill_and_partition_state_identical(self):
         """Beyond the result documents: each cell's *final* fill state
         — resident lines, targets, effective targets, miss ratio per
-        app — must agree exactly after a group replay on one shared
-        context and the oracle replay of the same roster."""
+        app — must agree exactly after the engines of a group replay
+        and the oracle replay of the same roster."""
         spec = mix_spec(load=0.2)
         roster = MIXED_ROSTER[:4]
 
@@ -357,9 +400,8 @@ class TestFinalFillState:
             runner = MixRunner(requests=40, seed=5)
             baseline = runner.baseline(spec.lc_workload, spec.load)
             lc_specs = runner._mix_lc_specs(spec, baseline)
-            shared = GroupShared() if engine_cls is MixEngine else None
             engines = [
-                runner._engine(engine_cls, spec, lc_specs, policy, scheme, shared)
+                runner._engine(engine_cls, spec, lc_specs, policy, scheme)
                 for policy, scheme in build_cells(roster)
             ]
             for engine in engines:
@@ -521,11 +563,51 @@ class TestPlanGroups:
         assert plan_groups([]) == []
 
 
+class TestEngineMemos:
+    def test_segment_tables_are_per_engine_and_per_curve(self, monkeypatch):
+        """In one ``run_mix_group`` call, each engine's three LC fills
+        share one segment table, its batch fills (distinct curves) have
+        one each, and no table passes from one cell's engine to the
+        next."""
+        runner = MixRunner(requests=40, seed=5)
+        spec = mix_spec(load=0.2)
+        engines = []
+        run = MixEngine.run
+
+        def spy(self):
+            engines.append(self)
+            return run(self)
+
+        runner.baseline(spec.lc_workload, spec.load)  # no baseline engines below
+        monkeypatch.setattr(MixEngine, "run", spy)
+        # Two cells without a scheme: equal curves and scheme.
+        roster = (
+            ("ubik", {"slack": 0.05}, None),
+            ("ucp", {}, None),
+            ("static_lc", {}, "vantage_sa16"),
+        )
+        runner.run_mix_group(spec, build_cells(roster))
+        assert len(engines) == len(roster)
+        tables = []
+        for engine in engines:
+            lc_tables = {id(app.fill.segments) for app in engine.lc_apps}
+            batch_tables = [id(app.fill.segments) for app in engine.batch_apps]
+            assert len({id(app.curve) for app in engine.lc_apps}) == 1
+            assert len(lc_tables) == 1
+            assert len({id(app.curve) for app in engine.batch_apps}) == 3
+            assert len(set(batch_tables)) == 3
+            assert not lc_tables & set(batch_tables)
+            tables.append(lc_tables | set(batch_tables))
+        for i, mine in enumerate(tables):
+            for theirs in tables[i + 1:]:
+                assert not mine & theirs
+
+
 class TestReplayGroupCounters:
     def test_group_counts_one_miss_then_hits(self):
-        """The first cell of a group builds the shared context (a
-        ``replay_group`` miss); every later cell rides it (a hit) —
-        surfaced through the same stats the CLI renders."""
+        """The first cell of a group looks its baseline and streams up
+        (a ``replay_group`` miss); every later cell rides them (a hit)
+        — surfaced through the same stats the CLI renders."""
         reset_artifacts()
         runner = MixRunner(requests=40, seed=5)
         group_grid(runner, mix_spec(load=0.2), MIXED_ROSTER[:4])

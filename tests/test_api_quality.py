@@ -81,7 +81,6 @@ MODULES = [
     "repro.sim.bandwidth",
     "repro.sim.study_runner",
     "repro.sim.reference",
-    "repro.sim.grid_replay",
     "repro.experiments",
     "repro.analysis",
     "repro.analysis.stats",

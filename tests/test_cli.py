@@ -17,20 +17,28 @@ SWEEP_MODULES = {
     "utilization": "utilization",
 }
 
-#: Modules only a simulation needs: a served run loads none of them.
 #: The sqlite engine and the `sqlite3` module, which a directory store never needs.
 SQLITE_MODULES = ("sqlite3", "repro.runtime.backends.sqlite")
 
+#: Modules only a simulation needs: a served run loads none of them
+#: but the two of :data:`SERVED_SIM_MODULES`.
 SIMULATOR_MODULES = (
-    "repro.sim.engine",
-    "repro.sim.fill",
-    "repro.sim.mix_runner",
+    "repro.sim",
     "repro.core",
     "repro.policies",
     "repro.monitor",
     "repro.workloads.latency_critical",
     "repro.workloads.batch",
 )
+
+#: All a served run may load of the simulator package: its lazy root
+#: and the config the specs are built from.
+SERVED_SIM_MODULES = ("repro.sim", "repro.sim.config")
+
+
+def _simulator(modules):
+    """The watched ``modules`` a served run must not load."""
+    return [m for m in modules if m not in SERVED_SIM_MODULES]
 
 
 @pytest.fixture
@@ -432,8 +440,8 @@ def test_cli_import_loads_no_pool_machinery(fresh_interpreter):
     """A store-served run never pays for the process pool or the
     simulator: importing the CLI in a fresh interpreter loads no
     asyncio, concurrent.futures or multiprocessing module, no NumPy,
-    and nothing of the engine, the policies, Ubik's controller or the
-    workload models."""
+    nothing of ``repro.sim`` but its config, and nothing of the
+    policies, Ubik's controller or the workload models."""
     __, loaded = fresh_interpreter(
         "-c",
         "import repro.cli",
@@ -441,7 +449,7 @@ def test_cli_import_loads_no_pool_machinery(fresh_interpreter):
         + SIMULATOR_MODULES
         + SQLITE_MODULES,
     )
-    assert loaded == []
+    assert _simulator(loaded) == []
 
 
 @pytest.mark.parametrize(
@@ -451,8 +459,9 @@ def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path)
     """Each store-backed command but ``fig9`` (whose plot resamples
     with NumPy), rerun on a filled directory store, prints the bytes
     of its cold run and imports neither NumPy nor any of the
-    simulator, and neither does ``repro cache`` on that store; no run
-    on a directory store loads the sqlite engine."""
+    simulator but ``repro.sim.config``, and neither does ``repro
+    cache`` on that store; no run on a directory store loads the
+    sqlite engine."""
     env = {
         "REPRO_STORE": f"directory://{tmp_path}",
         "REPRO_LC": "masstree",
@@ -466,9 +475,9 @@ def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path)
     assert not set(SQLITE_MODULES) & set(simulated)
     served, loaded = fresh_interpreter("-m", "repro", *args, watch=watch, env=env)
     assert served == cold
-    assert loaded == []
+    assert _simulator(loaded) == []
     __, loaded = fresh_interpreter("-m", "repro", "cache", watch=watch, env=env)
-    assert loaded == []
+    assert _simulator(loaded) == []
 
 
 class TestFlagErrors:
