@@ -21,8 +21,8 @@ def test_table3_weighted_speedups(benchmark, emit):
         # StaticLC is the weakest batch performer.
         assert row["StaticLC"] <= min(row["UCP"], row["OnOff"], row["Ubik"])
         # Ubik is competitive with the best-effort schemes.  Our sizing
-        # is more conservative than the paper's (see EXPERIMENTS.md),
-        # so the tolerated gap to UCP is wider than theirs (~1pp).
+        # is more conservative than the paper's, so the tolerated gap
+        # to UCP is wider than theirs (~1pp).
         assert row["Ubik"] >= row["UCP"] - 6.0
         assert row["Ubik"] >= row["OnOff"] - 3.0
         assert row["Ubik"] > row["StaticLC"]

@@ -37,11 +37,18 @@ Packages:
 * :mod:`repro.sim` — the event-driven mix engine and runners.
 * :mod:`repro.workloads` — the five LC workload models and SPEC-like
   batch classes; mix construction.
-* :mod:`repro.cache` — trace-driven arrays (set-assoc, zcache), Vantage
-  and way-partitioning, shared-LRU occupancy model, scheme descriptors.
-* :mod:`repro.monitor` — miss curves, UMONs, MLP profiler, counters.
-* :mod:`repro.server` — FIFO queueing and tail-latency metrics.
+* :mod:`repro.cpu` — analytic core models: each app's hit interval
+  ``c`` and miss penalty ``M``.
+* :mod:`repro.cache` — the partitioning-scheme models and the
+  shared-LRU occupancy model the engine runs, the set-associative
+  array behind Figure 2, and a trace-driven Vantage array kept as a
+  test oracle.
+* :mod:`repro.monitor` — miss curves, and a UMON kept as a test oracle.
+* :mod:`repro.server` — tail-latency metrics, and a FIFO queueing
+  simulator kept as a test oracle.
 * :mod:`repro.experiments` — one module per paper table/figure.
+* :mod:`repro.analysis` — ASCII plots, confidence intervals for tail
+  metrics, and M/G/1 formulas kept as a test oracle.
 """
 
 from ._lazy import lazy_exports

@@ -1,4 +1,4 @@
-"""Cache substrates: trace-driven arrays, partitioning schemes, sharing models."""
+"""Cache substrates: set-associative and Vantage arrays, scheme models, shared LRU."""
 
 from .._lazy import lazy_exports
 
@@ -15,17 +15,13 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         "set_assoc": ("AccessResult", "SetAssociativeCache"),
         "sharing": ("SharedOccupancyModel",),
         "vantage": ("VantageCache",),
-        "way_partition": ("WayPartitionedCache",),
-        "zcache": ("ZCache",),
     },
 )
 
 __all__ = [
     "AccessResult",
     "SetAssociativeCache",
-    "ZCache",
     "VantageCache",
-    "WayPartitionedCache",
     "SharedOccupancyModel",
     "SchemeModel",
     "vantage_zcache",

@@ -1,7 +1,7 @@
 """Trace-driven set-associative cache with LRU replacement.
 
-This is the reference array for the characterization experiments
-(Figure 2's reuse breakdown) and the substrate for way-partitioning.
+This is the array behind Figure 2's reuse breakdown and the
+``trace_replay`` kernel of ``repro bench``.
 Addresses are line addresses (already shifted by the 64 B line size).
 
 Storage layout (the PR-4 hot-path rewrite)

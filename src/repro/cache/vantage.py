@@ -1,4 +1,4 @@
-"""Trace-driven Vantage partitioning on a zcache (ISCA 2011).
+"""Trace-driven Vantage partitioning (ISCA 2011).
 
 Vantage enforces fine-grained partitions statistically: every line is
 tagged with its partition; on a miss, the replacement walk's candidates
@@ -13,17 +13,15 @@ demotion/eviction.  The properties Ubik depends on (paper Section 5.1):
   lines of over-target partitions;
 * resizing needs no moves or invalidations — just a new target.
 
-This model reproduces those properties over the statistical zcache
-candidate machinery, and is used to validate the behavioural transient
-model the mix engine uses.
+This model reproduces those properties over a statistical candidate
+array: each miss draws R uniform candidate slots, as a zcache's
+replacement walk yields R candidates.  It is the reference that
+``tests/integration/test_substrate_consistency.py`` holds the mix
+engine's fill model (:class:`~repro.sim.fill.FillState`) against; no
+simulation path runs it.
 
 Slot state (tag, partition, LRU time) lives in flat preallocated
-line-indexed arrays — plain Python lists, the fastest random-access
-store the interpreter offers — shared by the scalar :meth:`access` and
-the batched :meth:`access_many` hot path, so batching carries no
-per-call conversion cost.  The per-miss candidate draw still comes
-from the numpy RNG, one draw per miss, so scalar and batched execution
-consume the exact same RNG stream.
+line-indexed lists, and each miss takes one draw from the NumPy RNG.
 """
 
 from __future__ import annotations
@@ -155,50 +153,6 @@ class VantageCache:
         self._where[addr] = slot
         self._actual[partition] += 1
         return AccessResult(hit=False, evicted=evicted)
-
-    def access_many(self, partition: int, addrs) -> np.ndarray:
-        """Access a whole address vector on behalf of one partition.
-
-        Identical to per-element :meth:`access` calls in order — same
-        slot state, same per-miss RNG draws — without the per-access
-        result allocation and method dispatch.  Returns the boolean hit
-        mask; this is the trace-driven simulator's hot path.
-        """
-        self._check_partition(partition)
-        addr_list = np.asarray(addrs, dtype=np.int64).tolist()
-        slot_time = self._slot_time
-        slot_addr = self._slot_addr
-        slot_part = self._slot_part
-        actual = self._actual
-        where = self._where
-        get = where.get
-        free = self._free
-        clock = self._clock
-        hits = 0
-        misses = 0
-        out = bytearray(len(addr_list))
-        for i, addr in enumerate(addr_list):
-            clock += 1
-            slot = get(addr)
-            if slot is not None:
-                slot_time[slot] = clock
-                hits += 1
-                out[i] = 1
-                continue
-            misses += 1
-            if free:
-                slot = free.pop()
-            else:
-                slot = self._evict_slot()
-            slot_addr[slot] = addr
-            slot_part[slot] = partition
-            slot_time[slot] = clock
-            where[addr] = slot
-            actual[partition] += 1
-        self._clock = clock
-        self.hits[partition] += hits
-        self.misses[partition] += misses
-        return np.frombuffer(bytes(out), dtype=np.bool_)
 
     # ------------------------------------------------------------------
     # Introspection

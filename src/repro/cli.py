@@ -43,7 +43,8 @@ moves a corpus between backends byte-faithfully, and ``--export DIR``
 writes the canonical directory-layout tree any backend's corpus
 reduces to.
 
-``run`` evaluates a single (mix, policy) spec.
+``run`` evaluates a single (mix, policy) spec.  A bad flag exits 2
+with ``argument --<flag>: ...`` before any command runs.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .experiments.common import ExperimentScale, default_scale, format_table
 from .runtime.session import Session
-from .workloads.names import LC_NAMES, MIN_TAIL_REQUESTS
+from .workloads.names import LC_NAMES, MIN_TAIL_REQUESTS, batch_type_combos
 
 __all__ = ["main"]
 
@@ -101,14 +102,26 @@ TAIL_COMMANDS = (
 SCALE_COMMANDS = ("fig9", "table3", "fig12", "fig13", "ablations", "utilization")
 
 
+def _unknown(flag: str, kind: str, name: str, known) -> ValueError:
+    """The usage error for a ``flag`` that names no known ``kind``."""
+    return ValueError(f"argument {flag}: unknown {kind} {name!r} (known: {', '.join(known)})")
+
+
+def _lc_names(raw: Optional[str]) -> Tuple[str, ...]:
+    """``--lc`` as LC workload names, stripped and with empty ones
+    dropped; ``()`` leaves the command its default."""
+    names = tuple(name.strip() for name in (raw or "").split(",") if name.strip())
+    for name in names:
+        if name not in LC_NAMES:
+            raise _unknown("--lc", "LC workload", name, LC_NAMES)
+    return names
+
+
 def _scale_from_args(args) -> ExperimentScale:
     base = default_scale()
-    lc_names = (
-        tuple(x for x in args.lc.split(",") if x) if args.lc else base.lc_names
-    )
     return ExperimentScale(
         requests=args.requests or base.requests,
-        lc_names=lc_names,
+        lc_names=args.lc or base.lc_names,
         loads=base.loads,
         combos=base.combos,
         mixes_per_combo=base.mixes_per_combo,
@@ -141,16 +154,38 @@ def _cmd_list(args) -> None:
     print(format_table(["Command", "Regenerates"], rows))
 
 
-def _cmd_run(args) -> None:
-    from .runtime import MixRef, PolicySpec, RunSpec, SchemeSpec
+def _run_spec(args):
+    """The spec ``run`` evaluates; a bad flag is a ``ValueError`` naming it.
 
-    lc = (args.lc or "masstree").split(",")[0].strip()
+    ``--policy`` is checked against the built-in names first, so a
+    served run imports no policy.
+    """
+    from .runtime import MixRef, PolicySpec, RunSpec, SchemeSpec
+    from .runtime.registry import BUILTIN_POLICY_NAMES, POLICIES, SCHEMES
+
+    if not 0.0 < args.load < 1.0:
+        raise ValueError(f"argument --load: must be in (0, 1), got {args.load}")
+    combos = ["".join(combo) for combo in batch_type_combos()]
+    if args.combo not in combos:
+        raise _unknown("--combo", "batch combo", args.combo, combos)
+    policy = args.policy.lower()
+    if policy not in BUILTIN_POLICY_NAMES and policy not in POLICIES:
+        raise _unknown("--policy", "policy", args.policy, POLICIES.names())
+    if args.scheme and args.scheme not in SCHEMES:
+        raise _unknown("--scheme", "scheme", args.scheme, SCHEMES.names())
     policy_kwargs = {}
     if args.slack is not None:
+        if policy != "ubik":
+            raise ValueError(f"argument --slack: only ubik takes a slack, not {args.policy!r}")
+        # NaN fails both comparisons, so it is rejected too.
+        if not 0.0 <= args.slack < float("inf"):
+            raise ValueError(
+                f"argument --slack: must be finite and non-negative, got {args.slack}"
+            )
         policy_kwargs["slack"] = args.slack
-    spec = RunSpec(
+    return RunSpec(
         mix=MixRef(
-            lc_name=lc,
+            lc_name=args.lc[0] if args.lc else "masstree",
             load=args.load,
             combo=args.combo,
             rep=args.rep,
@@ -161,6 +196,10 @@ def _cmd_run(args) -> None:
         requests=args.requests or 60,
         seed=args.seed,
     )
+
+
+def _cmd_run(args) -> None:
+    spec = args.spec
     session = _session_from_args(args)
     record = session.run(spec)
     doc = session.store.document_path(spec.fingerprint())
@@ -189,7 +228,7 @@ def _cmd_run(args) -> None:
 def _cmd_fig1a(args) -> None:
     from .experiments.fig1_load_latency import run_fig1a
 
-    names = args.lc.split(",") if args.lc else list(LC_NAMES)
+    names = list(args.lc or LC_NAMES)
     curves = run_fig1a(names, requests=args.requests or 120)
     rows = [
         [name, f"{p.load:.0%}", f"{p.mean_ms:.3f}", f"{p.tail95_ms:.3f}"]
@@ -202,7 +241,7 @@ def _cmd_fig1a(args) -> None:
 def _cmd_fig1b(args) -> None:
     from .experiments.fig1b_service_cdf import run_fig1b
 
-    names = args.lc.split(",") if args.lc else list(LC_NAMES)
+    names = list(args.lc or LC_NAMES)
     cdfs = run_fig1b(names)
     rows = [
         [n, f"{c.mean_ms:.3f}", f"{c.p95_ms:.3f}", f"{c.p95_ms/c.mean_ms:.2f}x"]
@@ -214,7 +253,7 @@ def _cmd_fig1b(args) -> None:
 def _cmd_fig2(args) -> None:
     from .experiments.fig2_reuse import run_fig2
 
-    names = args.lc.split(",") if args.lc else list(LC_NAMES)
+    names = list(args.lc or LC_NAMES)
     breakdowns = run_fig2(names)
     rows = [
         [
@@ -304,12 +343,23 @@ def _cmd_utilization(args) -> None:
     print(format_table(["Scheme", "Safe colocations", "Utilization"], rows))
 
 
+def _core_counts(raw: Optional[str]) -> Tuple[int, ...]:
+    """``--cores`` as machine sizes, each positive and even (half LC,
+    half batch); 6 and 12 by default."""
+    try:
+        cores = tuple(int(count) for count in (raw or "6,12").split(","))
+        if all(count > 0 and count % 2 == 0 for count in cores):
+            return cores
+    except ValueError:
+        pass
+    raise ValueError(f"argument --cores: expected positive even counts, got {raw!r}")
+
+
 def _cmd_scaleout(args) -> None:
     from .experiments.scaleout import run_scaleout
 
-    cores = tuple(int(c) for c in (args.cores or "6,12").split(","))
     results = run_scaleout(
-        core_counts=cores,
+        core_counts=args.cores,
         requests=args.requests or 80,
         session=_session_from_args(args),
     )
@@ -433,18 +483,26 @@ def _print_store_stats(store) -> None:
     print(format_table(["Store", "Value"], rows, title="Result store"))
 
 
+def _bench_documents(paths: List[str]) -> List[dict]:
+    """The JSON documents ``bench --compare`` reads."""
+    import json
+
+    documents = []
+    for path in paths:
+        try:
+            documents.append(json.loads(Path(path).read_text()))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"argument --compare: {path}: {exc}") from None
+    return documents
+
+
 def _cmd_bench(args) -> None:
     from .bench import format_bench, run_bench, write_bench
 
     if args.compare:
-        import json
-
         from .bench import compare_bench, format_compare
 
-        old_path, new_path = args.compare
-        old = json.loads(Path(old_path).read_text())
-        new = json.loads(Path(new_path).read_text())
-        print(format_compare(compare_bench(old, new)))
+        print(format_compare(compare_bench(*args.documents)))
         return
     payload = run_bench(quick=args.quick)
     path = write_bench(payload, out=args.out)
@@ -591,17 +649,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"argument --requests: {args.command} needs at least "
                 f"{least}, got {args.requests}"
             )
-    if args.command in SCALE_COMMANDS:
-        # A bad scale knob is a usage error too, reported before any
-        # spec is evaluated.
-        try:
+    # A bad flag or scale knob is a usage error too, reported before
+    # any spec is evaluated.
+    try:
+        args.lc = _lc_names(args.lc)
+        if args.command in SCALE_COMMANDS:
             args.scale = _scale_from_args(args)
             if args.command == "utilization":
                 from .experiments.utilization import require_low_load
 
                 require_low_load(args.scale)
-        except ValueError as exc:
-            parser.error(str(exc))
+        elif args.command == "run":
+            args.spec = _run_spec(args)
+        elif args.command == "scaleout":
+            args.cores = _core_counts(args.cores)
+        elif args.command == "bench" and args.compare:
+            args.documents = _bench_documents(args.compare)
+    except ValueError as exc:
+        parser.error(str(exc))
     _HANDLERS[args.command](args)
     if args.stats and args.command != "cache":
         # Report what this process actually reused while the command

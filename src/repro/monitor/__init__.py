@@ -1,14 +1,10 @@
-"""Monitoring hardware models: miss curves, UMONs, MLP profiler, counters."""
+"""Monitoring models: miss curves and utility monitors (UMONs)."""
 
-from .counters import PerfCounters
 from .miss_curve import MissCurve, combine_curves
-from .mlp import MLPProfiler
 from .umon import UtilityMonitor
 
 __all__ = [
     "MissCurve",
     "combine_curves",
     "UtilityMonitor",
-    "MLPProfiler",
-    "PerfCounters",
 ]

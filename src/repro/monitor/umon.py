@@ -15,6 +15,12 @@ the monitor can report how many misses the current request would have
 incurred at the undisturbed target size; :meth:`would_have_missed`
 exposes that count via the mark/report interface the de-boost circuit
 uses.
+
+No simulation path runs this monitor.  The mix engine gives policies
+each app's model curve with UMON-like sampling noise
+(:meth:`~repro.monitor.miss_curve.MissCurve.with_noise`), and
+``tests/integration/test_substrate_consistency.py`` holds a UMON fed
+one access at a time to a real LRU cache's miss ratio.
 """
 
 from __future__ import annotations
@@ -124,49 +130,6 @@ class UtilityMonitor:
         stack.insert(0, addr)
         if len(stack) > self.ways:
             stack.pop()
-
-    def observe_many(self, addrs: np.ndarray) -> None:
-        """Feed a batch of accesses, hashing the sampling filter in bulk.
-
-        Identical to calling :meth:`observe` per element in order, but
-        the multiplicative hash and the ``1 in 2^sample_shift``
-        sampling test run vectorized over the whole batch, so the
-        Python-level LRU-stack work touches only the sampled addresses
-        (a ~``2^sample_shift``-fold reduction on the trace hot path).
-        """
-        arr = np.asarray(addrs, dtype=np.int64)
-        if arr.size == 0:
-            return
-        # (addr * MULT) % 2^32, exactly as _hash, via uint64 wraparound.
-        hashed = (arr.astype(np.uint64) * np.uint64(_HASH_MULT)) & np.uint64(
-            _HASH_MOD - 1
-        )
-        mask = (hashed & np.uint64(self.sample_mask)) == 0
-        if not mask.any():
-            return
-        sampled = arr[mask].tolist()
-        stack_ids = ((hashed[mask] >> np.uint64(16)) % np.uint64(self.sets)).tolist()
-        stacks = self._stacks
-        way_hits = self.way_hits
-        ways = self.ways
-        miss_count = 0
-        for addr, sid in zip(sampled, stack_ids):
-            stack = stacks[sid]
-            try:
-                depth = stack.index(addr)
-            except ValueError:
-                depth = -1
-            if depth >= 0:
-                way_hits[depth] += 1
-                del stack[depth]
-                stack.insert(0, addr)
-                continue
-            miss_count += 1
-            stack.insert(0, addr)
-            if len(stack) > ways:
-                stack.pop()
-        self.sampled += len(sampled)
-        self.miss_count += miss_count
 
     # ------------------------------------------------------------------
     # Miss-curve readout

@@ -1,11 +1,13 @@
 """Partitioning-policy interface shared by UCP, StaticLC, OnOff and Ubik.
 
-A policy is the software controller of paper Figure 3: it reads
-monitors (UMON miss curves, MLP profiler, performance counters) through
-a :class:`PolicyContext` and returns partition-size :class:`Decision`
-objects.  The engine invokes it at coarse-grained reconfiguration
-intervals and, for event-driven policies, at latency-critical apps'
-idle/active transitions and Ubik's de-boost/watermark interrupts.
+A policy is the software controller of paper Figure 3.  In hardware it
+reads UMON miss curves, the MLP profiler and performance counters;
+here it reads the engine's modelled equivalents (see :class:`AppView`)
+through a :class:`PolicyContext` and returns partition-size
+:class:`Decision` objects.  The engine invokes it at coarse-grained
+reconfiguration intervals and, for event-driven policies, at
+latency-critical apps' idle/active transitions and Ubik's
+de-boost/watermark interrupts.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ __all__ = ["AppView", "BoostPlan", "Decision", "PolicyContext", "Policy"]
 class AppView:
     """What the policy can observe about one application.
 
-    Everything here is *measured* state: the miss curve comes from the
-    app's UMON (with sampling noise), ``hit_interval`` (the paper's
-    ``c``) from performance counters, and ``miss_penalty`` (``M``) from
-    the MLP profiler.
+    The engine models the monitors rather than running them.  The miss
+    curve is the app's model curve with UMON-like sampling noise.
+    ``hit_interval`` (the paper's ``c``) and ``miss_penalty`` (``M``)
+    come from the core model (``core.hit_interval``/``core.miss_penalty``),
+    with ``M`` scaled for memory-bandwidth contention.  Rates, idle
+    fractions and latencies are measured over the last interval, and
+    estimated from the specs before the first.
     """
 
     index: int

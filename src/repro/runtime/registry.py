@@ -118,6 +118,12 @@ class Registry:
         return len(self._table())
 
 
+#: The built-in policies' keys, readable without importing a policy:
+#: ``repro run`` checks ``--policy`` against them, so a served run
+#: loads none.
+BUILTIN_POLICY_NAMES = ("lru", "ucp", "onoff", "static_lc", "fixed", "ubik")
+
+
 def _builtin_policies(registry: Registry) -> None:
     from ..core.ubik import UbikPolicy
     from ..policies.fixed import FixedPolicy

@@ -1,10 +1,14 @@
 """Single-worker FIFO queueing simulation.
 
 The paper's servers process one request at a time in FIFO order
-(Section 3.3).  This module provides the standalone queueing simulator
-used for the characterization experiments (Figure 1) and for computing
-per-app baseline (target) tail latencies; the mix engine embeds the
-same FIFO discipline but computes service times from live cache state.
+(Section 3.3).  This module is a standalone FIFO queueing simulator,
+kept as a test oracle: no simulation path runs it.  Figure 1a's
+load-latency curves and the per-app baseline (target) tail latencies
+both come from the mix engine through
+:class:`~repro.sim.mix_runner.MixRunner`, which embeds the same FIFO
+discipline but computes service times from live cache state.
+``tests/analysis/test_queueing_theory.py`` holds this simulator to
+the M/G/1 closed forms of :mod:`repro.analysis.queueing_theory`.
 """
 
 from __future__ import annotations

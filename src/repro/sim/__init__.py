@@ -11,13 +11,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         "mix_runner": ("BaselineResult", "MixRunner"),
         "results": ("BatchAppResult", "LCInstanceResult", "MixResult"),
         "study_runner": ("run_bandwidth_point", "run_scaleout_point"),
-        "trace_sim": (
-            "PhasedGenerator",
-            "ScanGenerator",
-            "TraceApp",
-            "TraceDrivenSimulator",
-            "ZipfWorkingSetGenerator",
-        ),
     },
 )
 
@@ -37,9 +30,4 @@ __all__ = [
     "BatchAppResult",
     "run_scaleout_point",
     "run_bandwidth_point",
-    "TraceDrivenSimulator",
-    "TraceApp",
-    "ZipfWorkingSetGenerator",
-    "ScanGenerator",
-    "PhasedGenerator",
 ]

@@ -1,9 +1,9 @@
 """Synthetic address-trace generation for trace-driven experiments.
 
 The mix engine is analytic, but two parts of the reproduction need real
-address streams: the Figure 2 reuse-breakdown characterization and the
-validation of the trace-driven cache arrays (set-associative, zcache,
-Vantage, way-partitioning).
+address streams: the Figure 2 reuse-breakdown characterization, and
+``tests/integration/test_substrate_consistency.py``, which checks the
+streams' composition and volume against the LC workload models.
 
 Each latency-critical app's trace is structured the way Section 3.4
 describes the workloads: a **hot shared working set** reused across

@@ -1,27 +1,19 @@
-"""Property tests: optimized cache arrays == kept naive references.
+"""Property tests: the set-associative array == its kept naive reference.
 
-The PR-4 flat-array rewrite (integer LRU stamps, batched
-``access_many``) must be *access-for-access* identical to the original
-``List`` + ``dict`` implementations preserved in
-:mod:`repro.cache.reference`: same hits, same evictions, same final
-LRU state, across randomized address streams, geometries, and
-partition masks.  These tests drive both generations side by side and
-also cross-check each class's scalar path against its own batched
+The flat-array rewrite (integer LRU stamps, batched ``access_many``)
+must be *access-for-access* identical to the original ``List`` +
+``dict`` implementation preserved in :mod:`repro.cache.reference`:
+same hits, same evictions, same final LRU state, across randomized
+address streams and geometries.  These tests drive both generations
+side by side and also cross-check the scalar path against the batched
 path (batch boundaries must be invisible).
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.reference import (
-    NaiveSetAssociativeCache,
-    NaiveWayPartitionedCache,
-)
+from repro.cache.reference import NaiveSetAssociativeCache
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.vantage import VantageCache
-from repro.cache.way_partition import WayPartitionedCache
-from repro.cache.zcache import ZCache
-from repro.monitor.umon import UtilityMonitor
 
 
 def _random_batches(rng, addrs):
@@ -83,110 +75,3 @@ class TestSetAssociativeEquivalence:
         assert scalar_hits == batched_hits
         assert scalar.tags.tolist() == batched.tags.tolist()
         assert scalar.stamps.tolist() == batched.stamps.tolist()
-
-
-def _random_allocation(rng, ways, partitions):
-    """A random way split: each partition >= 1 way, total <= ways."""
-    cuts = sorted(rng.choice(np.arange(1, ways), size=partitions - 1, replace=False).tolist()) if partitions > 1 else []
-    bounds = [0] + cuts + [ways]
-    return [bounds[i + 1] - bounds[i] for i in range(partitions)]
-
-
-class TestWayPartitionedEquivalence:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_streams_and_masks(self, seed):
-        """Random accessors, random reallocations: identical behaviour."""
-        rng = np.random.default_rng(seed)
-        ways = int(rng.choice([4, 8, 16]))
-        num_sets = int(rng.choice([4, 16]))
-        partitions = int(rng.integers(1, min(ways, 4) + 1))
-        fast = WayPartitionedCache(num_sets * ways, ways, partitions)
-        naive = NaiveWayPartitionedCache(num_sets * ways, ways, partitions)
-        for _ in range(8):
-            allocation = _random_allocation(rng, ways, partitions)
-            fast.set_allocation(allocation)
-            naive.set_allocation(allocation)
-            for addr in rng.integers(0, 6 * num_sets, size=1500).tolist():
-                part = int(rng.integers(0, partitions))
-                got = fast.access(part, addr)
-                want = naive.access(part, addr)
-                assert (got.hit, got.evicted) == (want.hit, want.evicted)
-        assert fast.hits == naive.hits
-        assert fast.misses == naive.misses
-        assert fast.occupancy == naive.occupancy
-        for part in range(partitions):
-            assert fast.resident_lines(part) == naive.resident_lines(part)
-
-    def test_batched_matches_scalar(self):
-        """Single-partition batches == the scalar loop, state included."""
-        rng = np.random.default_rng(40)
-        scalar = WayPartitionedCache(256, 8, 2)
-        batched = WayPartitionedCache(256, 8, 2)
-        for part in (0, 1, 0, 1):
-            stream = rng.integers(0, 400, size=2000)
-            scalar_hits = [scalar.access(part, int(a)).hit for a in stream]
-            got = batched.access_many(part, stream).tolist()
-            assert got == scalar_hits
-        assert scalar.hits == batched.hits
-        assert scalar.misses == batched.misses
-        assert scalar.owners.tolist() == batched.owners.tolist()
-        for index in range(scalar.num_sets):
-            assert scalar.lru_order(index) == batched.lru_order(index)
-
-
-class TestReplacementArraysBatchedPaths:
-    """zcache/Vantage batched paths must match their scalar paths
-    (including the per-miss RNG draws, which both consume in the same
-    order)."""
-
-    def test_zcache_batched_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        stream = rng.integers(0, 900, size=5000)
-        scalar = ZCache(512, candidates=16, seed=11)
-        batched = ZCache(512, candidates=16, seed=11)
-        scalar_hits = [scalar.access(int(a)).hit for a in stream]
-        batched_hits: list = []
-        for batch in _random_batches(rng, stream):
-            batched_hits.extend(batched.access_many(batch).tolist())
-        assert batched_hits == scalar_hits
-        assert (scalar.hits, scalar.misses) == (batched.hits, batched.misses)
-        assert scalar._slot_addr == batched._slot_addr
-        assert scalar._slot_time == batched._slot_time
-
-    def test_vantage_batched_matches_scalar(self):
-        rng = np.random.default_rng(9)
-        scalar = VantageCache(512, 3, candidates=16, seed=7)
-        batched = VantageCache(512, 3, candidates=16, seed=7)
-        for cache in (scalar, batched):
-            cache.set_target(0, 300)
-            cache.set_target(1, 150)
-            cache.set_target(2, 62)
-        for part in (0, 1, 2, 0, 2, 1):
-            stream = rng.integers(0, 800, size=1500)
-            scalar_hits = [scalar.access(part, int(a)).hit for a in stream]
-            got = batched.access_many(part, stream).tolist()
-            assert got == scalar_hits
-        assert scalar.hits.tolist() == batched.hits.tolist()
-        assert scalar.misses.tolist() == batched.misses.tolist()
-        assert scalar.partition_sizes() == batched.partition_sizes()
-        assert scalar._slot_addr == batched._slot_addr
-        assert scalar._slot_part == batched._slot_part
-        assert scalar._slot_time == batched._slot_time
-        assert (
-            scalar.under_target_evictions.tolist()
-            == batched.under_target_evictions.tolist()
-        )
-
-    def test_umon_observe_many_matches_observe(self):
-        rng = np.random.default_rng(21)
-        stream = rng.integers(0, 1 << 41, size=20000)
-        scalar = UtilityMonitor(ways=8, sets=4, sample_shift=4)
-        batched = UtilityMonitor(ways=8, sets=4, sample_shift=4)
-        for addr in stream.tolist():
-            scalar.observe(addr)
-        for batch in _random_batches(rng, stream):
-            batched.observe_many(batch)
-        assert scalar.sampled == batched.sampled
-        assert scalar.miss_count == batched.miss_count
-        assert scalar.way_hits.tolist() == batched.way_hits.tolist()
-        assert scalar._stacks == batched._stacks

@@ -60,7 +60,8 @@ class TestMissCurve:
         umon = UtilityMonitor(ways=8, sets=2, sample_shift=0, lines_per_way=16)
         rng = np.random.default_rng(1)
         zipf_like = rng.integers(0, 40, size=4000) ** 2 % 64
-        umon.observe_many(zipf_like)
+        for addr in zipf_like.tolist():
+            umon.observe(addr)
         curve = umon.miss_curve(points=65)
         assert np.all(np.diff(curve.miss_ratios) <= 1e-12)
 

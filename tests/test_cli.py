@@ -494,14 +494,35 @@ class TestFlagErrors:
             "run --requests 19",
             "scaleout --requests 19",
             "bandwidth --requests 19",
+            "run --policy bogus",
+            "run --scheme bogus",
+            "run --load 1.5",
+            "run --combo zzz",
+            "run --slack -1",
+            "run --slack 0.05 --policy lru",
+            "run --lc bogus",
+            "fig1a --lc bogus",
+            "fig1b --lc masstree,bogus",
+            "fig2 --lc bogus",
+            "table3 --lc bogus",
+            "scaleout --cores 6,x",
+            "scaleout --cores 5",
         ],
     )
-    def test_exit_status_2_naming_the_flag(self, command, capsys):
+    def test_exit_status_2_naming_the_flag(self, command, capsys, monkeypatch):
+        """The usage error comes before the command's handler runs."""
+        import repro.cli as cli
+
         argv = command.split()
+        reached = []
+        monkeypatch.setitem(cli._HANDLERS, argv[0], reached.append)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert f"argument {argv[1]}:" in capsys.readouterr().err
+        assert reached == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"repro: error: argument {argv[1]}: ")
 
     @pytest.mark.parametrize(
         "variable, value, command, named",
@@ -530,6 +551,31 @@ class TestFlagErrors:
         message = err.splitlines()[-1]
         assert message.startswith("repro: error: ")
         assert all(name in message for name in named), message
+
+    @pytest.mark.parametrize("content", [None, "not json"])
+    def test_unreadable_bench_document_exits_2(self, content, capsys, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--compare", str(path), str(path)])
+        assert excinfo.value.code == 2
+        assert "argument --compare: " in capsys.readouterr().err
+
+    def test_lc_names_are_stripped_and_empty_ones_dropped(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        assert main(["fig1b", "--lc", "masstree,"]) == 0
+        assert "masstree" in capsys.readouterr().out
+        reached = []
+        for command in ("table3", "run"):
+            monkeypatch.setitem(cli._HANDLERS, command, reached.append)
+            assert main([command, "--lc", " shore, ,masstree,"]) == 0
+        table3, run = reached
+        assert table3.scale.lc_names == ("shore", "masstree")
+        assert run.spec.mix.lc_name == "shore"
 
     @pytest.mark.parametrize(
         "command",

@@ -60,8 +60,10 @@ def test_registries_list_todays_entries():
         list_policies,
         list_schemes,
     )
+    from repro.runtime.registry import BUILTIN_POLICY_NAMES
 
     assert list_policies() == ["fixed", "lru", "onoff", "static_lc", "ubik", "ucp"]
+    assert sorted(BUILTIN_POLICY_NAMES) == list_policies()
     assert list_schemes() == [
         "vantage_sa16",
         "vantage_sa64",
