@@ -50,6 +50,8 @@ class VantageCache:
             raise ValueError("capacity must be positive")
         if num_partitions < 1:
             raise ValueError("need at least one partition")
+        if candidates < 1:
+            raise ValueError("need at least one replacement candidate")
         self.num_lines = num_lines
         self.num_partitions = num_partitions
         self.ways = ways

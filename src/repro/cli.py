@@ -165,6 +165,8 @@ def _run_spec(args):
 
     if not 0.0 < args.load < 1.0:
         raise ValueError(f"argument --load: must be in (0, 1), got {args.load}")
+    if args.rep < 0:
+        raise ValueError(f"argument --rep: must be non-negative, got {args.rep}")
     combos = ["".join(combo) for combo in batch_type_combos()]
     if args.combo not in combos:
         raise _unknown("--combo", "batch combo", args.combo, combos)

@@ -123,3 +123,62 @@ class TestBatchedAccess:
         cache.flush()
         assert cache.occupancy == 0
         assert cache.access_many([1]).tolist() == [False]
+
+
+class TestReplacementOrderContract:
+    """The flat-array rules (module docstring): a miss claims the
+    lowest-indexed empty way of its set, else evicts the set's
+    minimum-stamp line; the clock ticks once per access, and a hit
+    restamps its line in place."""
+
+    def test_empty_ways_claimed_lowest_index_first(self):
+        cache = SetAssociativeCache(8, 4)  # 2 sets
+        for addr in (0, 2, 4):  # all map to set 0
+            cache.access(addr)
+        assert cache.tags.tolist() == [0, 2, 4, -1, -1, -1, -1, -1]
+
+    def test_victim_is_minimum_stamp_in_set(self):
+        cache = SetAssociativeCache(4, 4)  # 1 set, 4 ways
+        for addr in (0, 1, 2, 3):
+            cache.access(addr)
+        cache.access(1)  # restamp 1: 0 is now the oldest
+        assert cache.access(4).evicted == 0
+        # Next-oldest is 2 (1 and 3 were touched later than it).
+        assert cache.access(5).evicted == 2
+
+    def test_eviction_stays_in_its_set_even_when_older_elsewhere(self):
+        cache = SetAssociativeCache(4, 2)  # 2 sets
+        cache.access(1)  # set 1: the oldest line in the cache
+        cache.access(0)
+        cache.access(2)  # set 0 is now full
+        assert cache.access(4).evicted == 0
+        assert 1 in cache
+
+    def test_hit_restamps_in_place(self):
+        cache = SetAssociativeCache(4, 4)
+        for addr in (0, 1, 2):
+            cache.access(addr)
+        tags_before = cache.tags.tolist()
+        assert cache.access(0).hit
+        assert cache.tags.tolist() == tags_before
+        assert cache.stamps.tolist()[:3] == [4, 2, 3]
+
+    def test_stamps_are_each_lines_last_access(self):
+        """Each resident line's stamp is the clock of its last access,
+        so stamps are unique and the LRU victim is unambiguous."""
+        import numpy as np
+
+        cache = SetAssociativeCache(32, 4)
+        last_use = {}
+        stream = np.random.default_rng(5).integers(0, 80, size=600).tolist()
+        for clock, addr in enumerate(stream, start=1):
+            cache.access(addr)
+            last_use[addr] = clock
+        resident = [
+            (tag, stamp)
+            for tag, stamp in zip(cache.tags.tolist(), cache.stamps.tolist())
+            if tag != -1
+        ]
+        assert len(resident) == cache.occupancy
+        assert all(stamp == last_use[tag] for tag, stamp in resident)
+        assert len({stamp for __, stamp in resident}) == len(resident)

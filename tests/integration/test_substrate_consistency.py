@@ -77,6 +77,55 @@ class TestVantageMatchesFillModel:
         assert misses == pytest.approx(adv.misses, rel=0.15)
 
 
+def _monitored_loop(managed: bool):
+    """A reusing app (uniform over 700 lines) beside a streaming app on
+    a 1024-line Vantage cache split evenly.  When ``managed``, each
+    window's UMON curves go to Lookahead, whose allocations become the
+    next window's targets.  Returns the cache and the last window's
+    misses per app."""
+    from repro.policies.lookahead import lookahead_partition
+
+    capacity = 1024
+    cache = VantageCache(capacity, 2, candidates=52, seed=4)
+    for part in (0, 1):
+        cache.set_target(part, capacity // 2)
+    umons = [UtilityMonitor.for_cache(capacity) for _ in range(2)]
+    rng = np.random.default_rng(5)
+    scan = iter(range(10**7, 2 * 10**7))
+    for _ in range(3):
+        before = cache.misses.tolist()
+        for reuse in rng.integers(0, 700, size=4000).tolist():
+            for part, addr in ((0, reuse), (1, next(scan))):
+                cache.access(part, addr)
+                umons[part].observe(addr)
+        if managed:
+            curves = [umon.miss_curve() for umon in umons]
+            targets = lookahead_partition(curves, [1.0, 1.0], capacity)
+            for part, lines in enumerate(targets):
+                cache.set_target(part, int(lines))
+            for umon in umons:
+                umon.reset()
+    return cache, [now - then for now, then in zip(cache.misses.tolist(), before)]
+
+
+class TestMonitoredPartitioning:
+    """Monitor, controller and enforcement composed: UMON curves fed to
+    Lookahead set Vantage targets, the loop Ubik closes in hardware."""
+
+    def test_lookahead_on_umon_curves_starves_the_streaming_app(self):
+        cache, __ = _monitored_loop(managed=True)
+        assert cache.target(0) >= 700
+        assert cache.target(0) > 2 * cache.target(1)
+        assert cache.actual_size(0) >= 700
+
+    def test_monitored_targets_beat_an_even_split(self):
+        __, managed = _monitored_loop(managed=True)
+        __, static = _monitored_loop(managed=False)
+        # The scan misses on every access under any split.
+        assert managed[1] == static[1] == 4000
+        assert managed[0] < 0.25 * static[0]
+
+
 class TestTraceStatistics:
     """Synthetic traces must respect their configured composition."""
 

@@ -36,7 +36,40 @@ class TestSampling:
             UtilityMonitor(lines_per_way=0)
 
 
+class TestGeometry:
+    @pytest.mark.parametrize("cache_lines, ways, sets", [(1024, 16, 4), (4096, 32, 8)])
+    def test_for_cache_ways_cover_the_cache(self, cache_lines, ways, sets):
+        umon = UtilityMonitor.for_cache(cache_lines, ways=ways, sets=sets)
+        assert umon.lines_per_way * umon.ways == cache_lines
+        # The sampled address space spread over the stacks is one way.
+        assert (umon.sample_mask + 1) * umon.sets == umon.lines_per_way
+
+    def test_for_cache_rejects_a_cache_smaller_than_the_monitor(self):
+        with pytest.raises(ValueError):
+            UtilityMonitor.for_cache(100, ways=32, sets=8)
+
+    def test_stack_keeps_at_most_ways_tags(self):
+        umon = UtilityMonitor(ways=4, sets=1, sample_shift=0, lines_per_way=1)
+        for addr in range(5):  # 0 falls off the 4-deep stack
+            umon.observe(addr)
+        umon.observe(0)
+        assert umon.miss_count == 6
+        umon.observe(4)  # behind 0 only
+        assert umon.way_hits.tolist() == [0, 1, 0, 0]
+
+
 class TestMissCurve:
+    def test_curve_reads_the_hit_counters(self):
+        """A 4-line loop hits at stack depth 3 after its cold pass: the
+        curve is 1 below 4 lines and the cold-miss share from there."""
+        umon = UtilityMonitor(ways=8, sets=1, sample_shift=0, lines_per_way=1)
+        feed_working_set(umon, 4, passes=10)
+        assert umon.way_hits.tolist() == [0, 0, 0, 36, 0, 0, 0, 0]
+        curve = umon.miss_curve(points=9)
+        assert float(curve(3)) == pytest.approx(1.0)
+        assert float(curve(4)) == pytest.approx(0.1)
+        assert float(curve(8)) == pytest.approx(0.1)
+
     def test_small_working_set_hits_at_small_allocations(self):
         umon = UtilityMonitor(ways=8, sets=1, sample_shift=0, lines_per_way=4)
         feed_working_set(umon, 4, passes=50)
@@ -91,6 +124,17 @@ class TestDeBoostCounters:
         assert umon.would_have_missed(10) > 0
         # With the full allocation, nothing extra would have missed.
         assert umon.would_have_missed(40) == 0
+
+    def test_would_have_missed_clamps_to_the_monitored_ways(self):
+        umon = UtilityMonitor(ways=2, sets=1, sample_shift=0, lines_per_way=4)
+        for addr in (0, 1, 2):
+            umon.observe(addr)
+        umon.mark()
+        umon.observe(1)  # a hit at depth 1
+        umon.observe(9)  # a miss
+        assert umon.would_have_missed(4) == 2
+        # Beyond the monitor's 8 lines only real misses count.
+        assert umon.would_have_missed(1000) == umon.misses_since_mark() == 1
 
     def test_misses_since_mark(self):
         umon = UtilityMonitor(ways=2, sets=1, sample_shift=0, lines_per_way=4)

@@ -500,13 +500,25 @@ class TestFlagErrors:
             "run --combo zzz",
             "run --slack -1",
             "run --slack 0.05 --policy lru",
+            "run --slack nan",
+            "run --slack inf",
+            "run --load 0",
+            "run --load nan",
+            "run --rep -1",
             "run --lc bogus",
             "fig1a --lc bogus",
             "fig1b --lc masstree,bogus",
             "fig2 --lc bogus",
             "table3 --lc bogus",
+            "fig9 --lc bogus",
+            "fig12 --lc bogus",
+            "fig13 --lc bogus",
+            "ablations --lc bogus",
+            "utilization --lc bogus",
             "scaleout --cores 6,x",
             "scaleout --cores 5",
+            "scaleout --cores 0",
+            "scaleout --cores 6,-2",
         ],
     )
     def test_exit_status_2_naming_the_flag(self, command, capsys, monkeypatch):
@@ -579,7 +591,16 @@ class TestFlagErrors:
 
     @pytest.mark.parametrize(
         "command",
-        ["table3 --jobs 0", "table3 --requests 20", "scaleout --requests 20"],
+        [
+            "table3 --jobs 0",
+            "table3 --requests 20",
+            "scaleout --requests 20",
+            "run --slack 0",
+            "run --load 0.95",
+            "run --policy LRU",
+            "run --scheme vantage_zcache",
+            "scaleout --cores 2",
+        ],
     )
     def test_boundary_values_reach_the_command(self, command, monkeypatch):
         import repro.cli as cli
