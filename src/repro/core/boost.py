@@ -20,15 +20,15 @@ options only get more aggressive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..monitor.miss_curve import MissCurve
 from .transient import (
-    gain_rate_per_cycle,
-    lost_cycles_bound,
+    _P_FLOOR,
+    _check_sizes,
     lost_cycles_exact,
-    transient_length_bound,
     transient_length_exact,
 )
 
@@ -58,44 +58,6 @@ class SizingOption:
     @property
     def downsizes(self) -> bool:
         return self.idle_lines < self.active_lines
-
-
-def _smallest_feasible_boost(
-    curve: MissCurve,
-    c: float,
-    M: float,
-    idle_lines: float,
-    active_lines: float,
-    boost_max: float,
-    deadline: float,
-    lost: float,
-    transient_fn: Callable[..., float],
-) -> Optional[Tuple[float, float]]:
-    """Smallest boost that repays ``lost`` cycles by the deadline.
-
-    Returns ``(boost, transient)``, the transient being
-    ``transient_fn(curve, idle_lines, boost, c, M)``, or ``None`` when
-    no boost up to ``boost_max`` works.  ``transient_fn`` is the
-    paper's conservative bound or, as an ablation, the exact integral.
-    """
-    if lost <= 0.0:
-        return active_lines, transient_fn(curve, idle_lines, active_lines, c, M)
-    boost_max = min(boost_max, curve.max_size)
-    if boost_max <= active_lines:
-        return None
-    step = (boost_max - active_lines) / BOOST_GRID
-    for k in range(1, BOOST_GRID + 1):
-        boost = active_lines + k * step
-        transient = transient_fn(curve, idle_lines, boost, c, M)
-        if transient >= deadline:
-            # Larger boosts only lengthen the fill; nothing further works.
-            return None
-        rate = gain_rate_per_cycle(curve, active_lines, boost, c, M)
-        if rate <= 0.0:
-            continue
-        if (deadline - transient) * rate >= lost:
-            return boost, transient
-    return None
 
 
 def choose_sizes(
@@ -184,6 +146,22 @@ def evaluate_options(
     feasible; the remaining options downsize progressively.  The
     search stops after the first infeasible option, which is included
     (flagged) so callers can render the paper's INFEASIBLE row.
+
+    Each candidate idle size takes the smallest boost on the grid
+    ``active + j * step`` (``j = 1 ... BOOST_GRID``, up to
+    ``min(boost_max_lines, curve.max_size)``) whose extra hit rate
+    repays the transient's lost cycles (the paper's bound, or the exact
+    integral with ``use_exact_bounds``) before the deadline.  The grid
+    is the same for every candidate, so one pass reads each grid point
+    on first use and keeps its miss ratio ``p``, its bound term
+    ``c/p + M`` and its gain rate; ``p(active)`` is read once too.  A
+    candidate's bound transient is ``(boost - idle) * term``, the float
+    operations of
+    :func:`~repro.core.transient.transient_length_bound` in its order,
+    and a size or access-interval error is raised where the per-option
+    search (:func:`repro.core.reference.naive_evaluate_options`, the
+    oracle) raises it.  The exact integral depends on the idle size and
+    is still taken per (idle, boost) pair.
     """
     options: List[SizingOption] = [
         SizingOption(
@@ -196,18 +174,83 @@ def evaluate_options(
             feasible=True,
         )
     ]
-    lost_fn = lost_cycles_exact if use_exact_bounds else lost_cycles_bound
-    transient_fn = (
-        transient_length_exact if use_exact_bounds else transient_length_bound
-    )
+    at = curve.at
+    active = active_lines
+    deadline = deadline_cycles
+    p_active = at(active)
+    term_active = math.inf if p_active <= _P_FLOOR else c / p_active + M
+    boosts: Optional[List[float]] = None  # the grid, built on first need
+    ps: List[float] = []
+    terms: List[Optional[float]] = []
+    rates: List[Optional[float]] = []
+    boosted_fraction = min(1.0, activation_rate * deadline)
     for k in range(1, num_options + 1):
-        idle = active_lines * (num_options - k) / num_options
-        lost = lost_fn(curve, idle, active_lines, M)
-        found = _smallest_feasible_boost(
-            curve, c, M, idle, active_lines, boost_max_lines, deadline_cycles,
-            lost, transient_fn,
-        )
-        if found is None:
+        idle = active * (num_options - k) / num_options
+        if use_exact_bounds:
+            lost = lost_cycles_exact(curve, idle, active, M)
+        else:
+            # lost_cycles_bound, with p(active) read once.
+            _check_sizes(curve, idle, active)
+            p_idle = at(idle)
+            if idle == active or p_idle <= _P_FLOOR:
+                lost = 0.0
+            else:
+                lost = M * (active - idle) * max(0.0, 1.0 - p_active / p_idle)
+
+        found = False
+        if lost <= 0.0:
+            # Nothing to repay: no boost, only the fill up to active.
+            boost = active
+            found = True
+            if use_exact_bounds:
+                transient = transient_length_exact(curve, idle, active, c, M)
+            elif idle == active:
+                transient = 0.0
+            else:
+                transient = (active - idle) * term_active
+        else:
+            if boosts is None:
+                top = min(boost_max_lines, curve.max_size)
+                if top <= active:
+                    boosts = []
+                else:
+                    step = (top - active) / BOOST_GRID
+                    boosts = [active + j * step for j in range(1, BOOST_GRID + 1)]
+                ps = [math.nan] * len(boosts)
+                terms = [None] * len(boosts)
+                rates = [None] * len(boosts)
+            # Here idle < active <= boost: the bound's s1 == s2 branch
+            # never applies, and a grid point that passed the size
+            # check for one idle size passes it for every other.
+            for j, boost in enumerate(boosts):
+                term = terms[j]
+                if term is None:
+                    _check_sizes(curve, idle, boost)
+                    p = ps[j] = at(boost)
+                    term = terms[j] = math.inf if p <= _P_FLOOR else c / p + M
+                if use_exact_bounds:
+                    transient = transient_length_exact(curve, idle, boost, c, M)
+                else:
+                    transient = (boost - idle) * term
+                if transient >= deadline:
+                    # Larger boosts only lengthen the fill; nothing
+                    # further works.
+                    break
+                rate = rates[j]
+                if rate is None:
+                    # gain_rate_per_cycle(curve, active, boost, c, M).
+                    p = ps[j]
+                    denom = c + p * M
+                    if denom <= 0:
+                        raise ValueError("non-positive access interval")
+                    rate = rates[j] = max(0.0, (p_active - p)) * M / denom
+                if rate <= 0.0:
+                    continue
+                if (deadline - transient) * rate >= lost:
+                    found = True
+                    break
+
+        if not found:
             options.append(
                 SizingOption(
                     idle_lines=idle,
@@ -220,9 +263,7 @@ def evaluate_options(
                 )
             )
             break  # options only get more aggressive from here
-        boost, transient = found
         benefit = idle_fraction * batch_delta_hit_rate(active_lines - idle)
-        boosted_fraction = min(1.0, activation_rate * deadline_cycles)
         cost = boosted_fraction * -batch_delta_hit_rate(-(boost - active_lines))
         options.append(
             SizingOption(

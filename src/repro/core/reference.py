@@ -1,9 +1,19 @@
-"""Reference decision paths — the oracles for Ubik's table and Lookahead.
+"""Reference decision paths — the oracles for Ubik's option search,
+its table and Lookahead.
 
 Mirrors the ``repro.cache.reference`` and ``repro.sim.reference``
 pattern: when a hot loop is rewritten, the original survives here as
 the behavioural oracle.
 
+* :func:`naive_evaluate_options` is
+  :func:`~repro.core.boost.evaluate_options` as it stood before the
+  one-pass search: every candidate idle size runs its own smallest
+  feasible boost search, calling
+  :func:`~repro.core.transient.transient_length_bound` (or the exact
+  integral) and :func:`~repro.core.transient.gain_rate_per_cycle` at
+  each grid point it visits, each of which re-reads the curve.
+  ``tests/core/test_decision_equivalence.py`` holds the production
+  option tables to it, errors included.
 * :func:`naive_lookahead_partition` is
   :func:`~repro.policies.lookahead.lookahead_partition` as it stood
   before it kept marginal utilities across rounds: every greedy round
@@ -14,27 +24,152 @@ the behavioural oracle.
   :class:`~repro.core.repartition.RepartitionTable` as it stood before
   the float rewrite: the down and up greedy walks build a list of NumPy
   scalars per level and pick the app with ``np.argmin``/``np.argmax``,
-  the rows live in an ``int`` ndarray, and the Lookahead baseline comes
-  from :func:`naive_lookahead_partition`.  The decision wall
+  every row is walked when the table is built, the rows live in an
+  ``int`` ndarray, and the Lookahead baseline comes from
+  :func:`naive_lookahead_partition`.  The decision wall
   (``tests/core/test_decision_equivalence.py``) builds both tables from
   the same inputs and asserts identical rows and bit-identical
-  allocations, and ``repro bench`` times the two
-  (``repartition_table``).
+  allocations, read in level order and shuffled, and ``repro bench``
+  times the two (``repartition_table``).
 
-Neither is exported from :mod:`repro.core`, and nothing in the policy
+None is exported from :mod:`repro.core`, and nothing in the policy
 stack calls them.  Keep them naive: they must stay the pre-rewrite
-code, so they share no helper with the code they check.
+code, so they share no helper with the code they check.  The option
+search calls the :mod:`repro.core.transient` bounds whose values the
+one-pass search computes once, and returns the same
+:class:`~repro.core.boost.SizingOption` rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..monitor.miss_curve import MissCurve
+from .boost import BOOST_GRID, DEFAULT_OPTIONS, SizingOption
+from .transient import (
+    gain_rate_per_cycle,
+    lost_cycles_bound,
+    lost_cycles_exact,
+    transient_length_bound,
+    transient_length_exact,
+)
 
-__all__ = ["NaiveRepartitionTable", "naive_lookahead_partition"]
+__all__ = [
+    "NaiveRepartitionTable",
+    "naive_evaluate_options",
+    "naive_lookahead_partition",
+]
+
+
+def _smallest_feasible_boost(
+    curve: MissCurve,
+    c: float,
+    M: float,
+    idle_lines: float,
+    active_lines: float,
+    boost_max: float,
+    deadline: float,
+    lost: float,
+    transient_fn: Callable[..., float],
+) -> Optional[Tuple[float, float]]:
+    """Smallest boost that repays ``lost`` cycles by the deadline.
+
+    Returns ``(boost, transient)``, the transient being
+    ``transient_fn(curve, idle_lines, boost, c, M)``, or ``None`` when
+    no boost up to ``boost_max`` works.  ``transient_fn`` is the
+    paper's conservative bound or, as an ablation, the exact integral.
+    """
+    if lost <= 0.0:
+        return active_lines, transient_fn(curve, idle_lines, active_lines, c, M)
+    boost_max = min(boost_max, curve.max_size)
+    if boost_max <= active_lines:
+        return None
+    step = (boost_max - active_lines) / BOOST_GRID
+    for k in range(1, BOOST_GRID + 1):
+        boost = active_lines + k * step
+        transient = transient_fn(curve, idle_lines, boost, c, M)
+        if transient >= deadline:
+            # Larger boosts only lengthen the fill; nothing further works.
+            return None
+        rate = gain_rate_per_cycle(curve, active_lines, boost, c, M)
+        if rate <= 0.0:
+            continue
+        if (deadline - transient) * rate >= lost:
+            return boost, transient
+    return None
+
+
+def naive_evaluate_options(
+    curve: MissCurve,
+    c: float,
+    M: float,
+    active_lines: float,
+    deadline_cycles: float,
+    boost_max_lines: float,
+    batch_delta_hit_rate: Callable[[float], float],
+    idle_fraction: float,
+    activation_rate: float,
+    num_options: int = DEFAULT_OPTIONS,
+    use_exact_bounds: bool = False,
+) -> List[SizingOption]:
+    """:func:`~repro.core.boost.evaluate_options` with a boost search
+    per option: every candidate re-reads the curve at each grid point it
+    visits and recomputes each bound and gain rate."""
+    options: List[SizingOption] = [
+        SizingOption(
+            idle_lines=active_lines,
+            boost_lines=active_lines,
+            active_lines=active_lines,
+            lost_cycles=0.0,
+            transient_cycles=0.0,
+            net_gain=0.0,
+            feasible=True,
+        )
+    ]
+    lost_fn = lost_cycles_exact if use_exact_bounds else lost_cycles_bound
+    transient_fn = (
+        transient_length_exact if use_exact_bounds else transient_length_bound
+    )
+    for k in range(1, num_options + 1):
+        idle = active_lines * (num_options - k) / num_options
+        lost = lost_fn(curve, idle, active_lines, M)
+        found = _smallest_feasible_boost(
+            curve, c, M, idle, active_lines, boost_max_lines, deadline_cycles,
+            lost, transient_fn,
+        )
+        if found is None:
+            options.append(
+                SizingOption(
+                    idle_lines=idle,
+                    boost_lines=float("nan"),
+                    active_lines=active_lines,
+                    lost_cycles=lost,
+                    transient_cycles=float("inf"),
+                    net_gain=float("-inf"),
+                    feasible=False,
+                )
+            )
+            break  # options only get more aggressive from here
+        boost, transient = found
+        benefit = idle_fraction * batch_delta_hit_rate(active_lines - idle)
+        boosted_fraction = min(1.0, activation_rate * deadline_cycles)
+        cost = boosted_fraction * -batch_delta_hit_rate(-(boost - active_lines))
+        options.append(
+            SizingOption(
+                idle_lines=idle,
+                boost_lines=boost,
+                active_lines=active_lines,
+                lost_cycles=lost,
+                transient_cycles=transient,
+                net_gain=benefit - cost,
+                feasible=True,
+                benefit=benefit,
+                cost=cost,
+            )
+        )
+    return options
 
 
 def naive_lookahead_partition(

@@ -43,6 +43,12 @@ class RepartitionTable:
     strict ``<`` (``>`` walking up) picks the first of tied apps, as
     ``np.argmin`` (``np.argmax``) does.  An app at a bound reads
     ``inf`` (``-inf``), so it is picked only when every app is.
+
+    Building the table fixes the baseline row; the walks run on demand.
+    Each keeps its cursor, and a lookup extends the down (up) walk only
+    as far as the row it reads, with the same steps in the same order
+    as a full walk, so every row read equals the full walk's.  Ubik's
+    decisions read about 15 of the 257 rows between two rebuilds.
     """
 
     def __init__(
@@ -67,6 +73,7 @@ class RepartitionTable:
 
         if num_apps == 0:
             self._rows: List[List[int]] = [[]] * (buckets + 1)
+            self._low, self._high = 0, buckets
             return
 
         weight_arr = np.maximum(np.asarray(weights, dtype=float), 1e-12)
@@ -90,15 +97,33 @@ class RepartitionTable:
 
         rows: List = [None] * (buckets + 1)
         rows[avg_buckets] = base
-        others = range(1, num_apps)
+        self._rows = rows
+        self._miss_tables = miss_tables
         inf = math.inf
+        # Each walk keeps its cursor: the last row it built, that row,
+        # and every app's marginal there.  A lookup extends a walk only
+        # as far as the row it reads.
+        self._low = self._high = avg_buckets
+        self._down_row = base[:]
+        self._losses = [
+            t[b - 1] - t[b] if b > 0 else inf for t, b in zip(miss_tables, base)
+        ]
+        self._up_row = base[:]
+        self._gains = [
+            t[b] - t[b + 1] if b < buckets else -inf for t, b in zip(miss_tables, base)
+        ]
 
-        # Walk down: shrink batch space one bucket at a time, taking
-        # from the app losing the least utility.  Only the victim's
-        # row entry moves, so only its marginal is recomputed.
-        row = base[:]
-        losses = [t[b - 1] - t[b] if b > 0 else inf for t, b in zip(miss_tables, row)]
-        for level in range(avg_buckets - 1, -1, -1):
+    def _walk_down(self, level: int) -> None:
+        """Shrink batch space one bucket at a time down to ``level``,
+        taking from the app losing the least utility.  Only the
+        victim's row entry moves, so only its marginal is recomputed."""
+        rows = self._rows
+        miss_tables = self._miss_tables
+        row = self._down_row
+        losses = self._losses
+        others = range(1, self.num_apps)
+        inf = math.inf
+        for lvl in range(self._low - 1, level - 1, -1):
             victim = 0
             least = losses[0]
             for i in others:
@@ -109,14 +134,20 @@ class RepartitionTable:
             row[victim] = b
             t = miss_tables[victim]
             losses[victim] = t[b - 1] - t[b] if b > 0 else inf
-            rows[level] = row[:]
+            rows[lvl] = row[:]
+        self._low = level
 
-        # Walk up: grow batch space, giving to the app gaining the most.
-        row = base[:]
-        gains = [
-            t[b] - t[b + 1] if b < buckets else -inf for t, b in zip(miss_tables, row)
-        ]
-        for level in range(avg_buckets + 1, buckets + 1):
+    def _walk_up(self, level: int) -> None:
+        """Grow batch space one bucket at a time up to ``level``, giving
+        to the app gaining the most."""
+        rows = self._rows
+        miss_tables = self._miss_tables
+        buckets = self.buckets
+        row = self._up_row
+        gains = self._gains
+        others = range(1, self.num_apps)
+        inf = math.inf
+        for lvl in range(self._high + 1, level + 1):
             winner = 0
             most = gains[0]
             for i in others:
@@ -127,9 +158,8 @@ class RepartitionTable:
             row[winner] = b
             t = miss_tables[winner]
             gains[winner] = t[b] - t[b + 1] if b < buckets else -inf
-            rows[level] = row[:]
-
-        self._rows = rows
+            rows[lvl] = row[:]
+        self._high = level
 
     # ------------------------------------------------------------------
     # Lookups
@@ -145,10 +175,23 @@ class RepartitionTable:
         ``int * float`` rounds exactly as ``int64 * float64`` does.
         """
         bucket_lines = self.bucket_lines
-        return [b * bucket_lines for b in self._rows[self.level_for(batch_lines)]]
+        # level_for inlined, clamping only past the walked rows: Ubik
+        # looks rows up at every event.
+        level = int(batch_lines // bucket_lines)
+        if not self._low <= level <= self._high:
+            level = min(max(level, 0), self.buckets)
+            if level < self._low:
+                self._walk_down(level)
+            elif level > self._high:
+                self._walk_up(level)
+        return [b * bucket_lines for b in self._rows[level]]
 
     def row(self, level: int) -> np.ndarray:
         """Raw bucket row (for tests and introspection)."""
         if not 0 <= level <= self.buckets:
             raise ValueError("level out of range")
+        if level < self._low:
+            self._walk_down(level)
+        elif level > self._high:
+            self._walk_up(level)
         return np.array(self._rows[level], dtype=int)

@@ -118,10 +118,22 @@ class UbikPolicy(Policy):
             buckets=self.buckets,
         )
         avg = ctx.avg_batch_lines
-        base_rate = self._batch_hit_rate(avg)
+        table = self._table
+        # A batch space's hit rate depends only on the table row that
+        # covers it, so each row is priced once per rebuild.
+        level_rates: Dict[int, float] = {}
+
+        def batch_hit_rate(batch_lines: float) -> float:
+            level = table.level_for(batch_lines)
+            rate = level_rates.get(level)
+            if rate is None:
+                rate = level_rates[level] = self._batch_hit_rate(batch_lines)
+            return rate
+
+        base_rate = batch_hit_rate(avg)
 
         def batch_delta_hit_rate(delta_lines: float) -> float:
-            return self._batch_hit_rate(avg + delta_lines) - base_rate
+            return batch_hit_rate(avg + delta_lines) - base_rate
 
         lc_apps = ctx.lc_apps
         self._lc_order = [a.index for a in lc_apps]

@@ -110,6 +110,11 @@ def default_scale() -> ExperimentScale:
         tuple(name.strip() for name in lc_env.split(",") if name.strip())
         or LC_NAMES
     )
+    if not set(lc_names) <= set(LC_NAMES):
+        raise ValueError(
+            f"REPRO_LC must be comma-separated LC workloads among "
+            f"{', '.join(LC_NAMES)}, got {lc_env!r}"
+        )
     loads = _env_loads() or (LOW_LOAD, HIGH_LOAD)
     mixes_env = _env_int("REPRO_MIXES", "0", minimum=0)
     if mixes_env > 0:

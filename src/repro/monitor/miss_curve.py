@@ -22,6 +22,14 @@ __all__ = ["MissCurve", "combine_curves", "interp_float"]
 
 
 def _as_float_array(values: Iterable[float]) -> np.ndarray:
+    """A fresh 1-D float64 copy of ``values``.
+
+    A 1-D array is copied as it stands; ``list`` first would box every
+    element only to unbox it again, and most curves are built from
+    arrays.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        return np.array(values, dtype=float)
     array = np.asarray(list(values), dtype=float)
     if array.ndim != 1:
         raise ValueError("expected a 1-D sequence")

@@ -8,9 +8,12 @@ the measurement point, whereas the tail mean includes the entire tail.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import List, Sequence
 
 import numpy as np
+
+from ..numeric import mean, percentile
 
 __all__ = [
     "tail_mean",
@@ -34,23 +37,49 @@ def _as_array(latencies: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _as_floats(latencies: Sequence[float]) -> List[float]:
+    """:func:`_as_array`'s checks, on the latencies as Python floats.
+
+    An array converts through ``tolist``: bootstrap resamples
+    (:mod:`repro.analysis.stats`) arrive as arrays.
+    """
+    if isinstance(latencies, np.ndarray):
+        values = latencies.astype(float).tolist()
+    else:
+        values = list(map(float, latencies))
+    if not values:
+        raise ValueError("no latencies to summarize")
+    for value in values:
+        if value < 0:
+            raise ValueError("latencies must be non-negative")
+    return values
+
+
 def percentile_latency(latencies: Sequence[float], pct: float = DEFAULT_TAIL_PCT) -> float:
-    """The ``pct``-th percentile latency."""
+    """The ``pct``-th percentile latency, ``np.percentile``'s bits."""
     if not 0 < pct < 100:
         raise ValueError("pct must be in (0, 100)")
-    return float(np.percentile(_as_array(latencies), pct))
+    return percentile(_as_floats(latencies), pct)
 
 
 def tail_mean(latencies: Sequence[float], pct: float = DEFAULT_TAIL_PCT) -> float:
     """Mean latency of all requests at or beyond the ``pct`` percentile.
 
     This is the paper's tail metric: it cannot be gamed by degrading
-    only the requests beyond the measured percentile.
+    only the requests beyond the measured percentile.  The threshold is
+    :func:`repro.numeric.percentile` and the mean
+    :func:`repro.numeric.mean` over the tail in request order, so the
+    result is the NumPy computation's to the bit without its per-call
+    overhead.  A NaN threshold (any NaN latency, or an infinite one
+    NumPy's lerp turns into NaN) selects no request, and the empty
+    tail's mean is NaN, as NumPy's is.
     """
-    arr = _as_array(latencies)
-    threshold = np.percentile(arr, pct)
-    tail = arr[arr >= threshold]
-    return float(tail.mean())
+    values = _as_floats(latencies)
+    threshold = percentile(values, pct)
+    tail = [value for value in values if value >= threshold]
+    if not tail:
+        return math.nan
+    return mean(tail)
 
 
 def tail_degradation(

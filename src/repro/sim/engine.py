@@ -40,9 +40,10 @@ order:
 * the event loop merges that arrival schedule with a heap of the
   cell's own dynamic events;
 * a policy hook's context builds its app views, through one builder
-  (:meth:`MixEngine._make_views`), only when the hook first reads
-  them, and no shipped policy's event hook (active, idle, de-boost,
-  watermark) does;
+  (:meth:`MixEngine._make_views`), and its ``lc_active`` and
+  ``lc_boosted`` maps only when the hook first reads them; no shipped
+  policy's event hook (active, idle, de-boost, watermark) reads the
+  views, and Ubik's reads neither map;
 * scalar curve reads go through
   :meth:`~repro.monitor.miss_curve.MissCurve.at`;
 * steady-state commits inline the closing branch of
@@ -227,6 +228,10 @@ class _LCApp(_App):
         self.requests_done = 0
         self._fixed_end = float("inf")  # completion time of zero-access requests
         self.scratch_fill: Optional[FillState] = None  # the walk's fill
+        # The workload's mean service cycles on the engine's core, set
+        # by the first view build (initialize and the first
+        # reconfiguration both read it).
+        self.mean_service: Optional[float] = None
 
     @property
     def exhausted(self) -> bool:
@@ -248,31 +253,35 @@ class _BatchApp(_App):
 
 
 class _LazyContext(PolicyContext):
-    """A :class:`PolicyContext` whose ``apps`` are built on first read.
+    """A :class:`PolicyContext` whose ``apps``, ``lc_active`` and
+    ``lc_boosted`` are built on first read.
 
-    Until ``apps`` is set, reading it, directly or through ``lc_apps``,
-    ``batch_apps`` or :meth:`~PolicyContext.app`, calls ``make_views``
-    once and keeps the list as a plain attribute, which later reads
-    find first.
+    Until one of them is set, reading it (``apps`` directly or through
+    ``lc_apps``, ``batch_apps`` or :meth:`~PolicyContext.app`) calls
+    the engine's builder for it once and keeps the value as a plain
+    attribute, which later reads find first.
     """
 
-    def __init__(self, make_views, llc_lines, current_targets, now,
-                 avg_batch_lines, lc_active, rng, lc_boosted):
-        self._make_views = make_views
-        self.llc_lines = llc_lines
+    def __init__(self, engine, current_targets):
+        self._engine = engine
+        self.llc_lines = engine.llc_lines
         self.current_targets = current_targets
-        self.now = now
-        self.avg_batch_lines = avg_batch_lines
-        self.lc_active = lc_active
-        self.rng = rng
-        self.lc_boosted = lc_boosted
+        self.now = engine.now
+        self.avg_batch_lines = engine._avg_batch_lines
+        self.rng = engine.rng
 
     def __getattr__(self, name):
         # Reached only for attributes the instance lacks.
-        if name != "apps":
+        if name == "apps":
+            value = self._engine._make_views()
+        elif name == "lc_active":
+            value = self._engine._lc_active()
+        elif name == "lc_boosted":
+            value = self._engine._lc_boosted()
+        else:
             raise AttributeError(name)
-        self.apps = apps = self._make_views()
-        return apps
+        setattr(self, name, value)
+        return value
 
 
 class MixEngine:
@@ -432,10 +441,15 @@ class MixEngine:
                 view.deadline_cycles = spec.deadline_cycles
                 view.target_tail_cycles = spec.target_tail_cycles
                 if first:
+                    mean_service = app.mean_service
+                    if mean_service is None:
+                        mean_service = app.mean_service = (
+                            spec.workload.mean_service_cycles(self.core)
+                        )
                     view.idle_fraction = 1.0 - spec.load
                     view.activation_rate = (
                         spec.load
-                        / max(spec.workload.mean_service_cycles(self.core), 1.0)
+                        / max(mean_service, 1.0)
                         * (1.0 - spec.load)
                     )
                     view.accesses_per_request = app.mean_req_accesses
@@ -465,27 +479,28 @@ class MixEngine:
         share = self.llc_lines / max(1, len(self.apps))
         return 1.0 / self.core.access_interval(app.profile, app.curve.at(share))
 
+    def _lc_active(self) -> Dict[int, bool]:
+        """Which LC apps are serving a request, by app index."""
+        return {a.index: a.active for a in self.lc_apps}
+
+    def _lc_boosted(self) -> Dict[int, bool]:
+        """Which LC apps hold an armed, unfired boost, by app index."""
+        return {
+            a.index: a.tracker is not None and not a.tracker.fired
+            for a in self.lc_apps
+        }
+
     def _make_context(self) -> PolicyContext:
         """What a policy hook sees.
 
-        The app views are built when the hook first reads them, which
-        no shipped policy's event hook does.  The hook runs before the
-        engine moves again, so those are the views an up-front build
-        would give.
+        The app views and the ``lc_active``/``lc_boosted`` maps are
+        built when the hook first reads them; no shipped policy's event
+        hook reads the views, and Ubik's reads neither map.  The hook
+        runs before the engine moves again, so those are the values an
+        up-front build would give.  ``current_targets`` is built up
+        front: Ubik's event hooks read it.
         """
-        return _LazyContext(
-            self._make_views,
-            self.llc_lines,
-            {a.index: a.fill.target for a in self.apps},
-            self.now,
-            self._avg_batch_lines,
-            {a.index: a.active for a in self.lc_apps},
-            self.rng,
-            {
-                a.index: a.tracker is not None and not a.tracker.fired
-                for a in self.lc_apps
-            },
-        )
+        return _LazyContext(self, {a.index: a.fill.target for a in self.apps})
 
     # ------------------------------------------------------------------
     # Committing progress

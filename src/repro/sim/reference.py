@@ -11,9 +11,9 @@ rewritten, the original survives here as the behavioural oracle.
 * :class:`NaiveMixEngine` is the heap-loop engine: it pushes every
   arrival into one event heap, walks service with NumPy prefix sums,
   commits through :meth:`~repro.sim.fill.FillState.advance_cycles`,
-  builds every policy view afresh, for every hook before it runs, and
-  reads the streams as NumPy scalars, all over :class:`NaiveFillState`
-  fills.
+  builds every policy view and the ``lc_active``/``lc_boosted`` maps
+  afresh, for every hook before it runs, and reads the streams as
+  NumPy scalars, all over :class:`NaiveFillState` fills.
   :meth:`~repro.sim.mix_runner.MixRunner.run_mix`,
   :meth:`~repro.sim.mix_runner.MixRunner.mix_engine` and
   :func:`~repro.runtime.work.execute_spec` replay through it, and
@@ -256,9 +256,14 @@ class NaiveMixEngine(MixEngine):
         return self._collect()
 
     def _make_context(self) -> PolicyContext:
-        # Every hook's views are built up front.
+        # Every hook's views and maps are built up front.
         context = super()._make_context()
         context.apps = self._make_views()
+        context.lc_active = {a.index: a.active for a in self.lc_apps}
+        context.lc_boosted = {
+            a.index: a.tracker is not None and not a.tracker.fired
+            for a in self.lc_apps
+        }
         return context
 
     def _make_views(self) -> List[AppView]:

@@ -93,9 +93,14 @@ class LCWorkload:
     reuse_fraction: float
 
     def mean_service_cycles(self, core=None) -> float:
-        """Mean service time (cycles) at the warm baseline allocation."""
+        """Mean service time (cycles) at the warm baseline allocation.
+
+        The miss ratio is the scalar read
+        :meth:`~repro.monitor.miss_curve.MissCurve.at`, bit-equal to
+        ``float(self.miss_curve(self.target_lines))``.
+        """
         core = core or OutOfOrderCore(DEFAULT_MEM_LATENCY)
-        miss_ratio = float(self.miss_curve(self.target_lines))
+        miss_ratio = self.miss_curve.at(self.target_lines)
         return self.work.mean() * core.cpi(self.profile, miss_ratio)
 
     def arrival_rate_for_load(self, load: float, core=None) -> float:

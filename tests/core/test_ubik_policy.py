@@ -1,5 +1,7 @@
 """Tests for repro.core.ubik (policy-level behaviour)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ def lc_view(index, idle_fraction=0.8, curve=None):
 def batch_view(index, flavor="friendly"):
     if flavor == "friendly":
         curve = MissCurve([0, LLC], [0.8, 0.1])
+    elif flavor == "knee":
+        curve = MissCurve([0, LLC // 8, LLC // 2, LLC], [0.9, 0.3, 0.1, 0.05])
     else:
         curve = MissCurve.constant(0.9, LLC)
     return AppView(
@@ -148,6 +152,62 @@ class TestLifecycle:
         )
         decision = policy.on_interval(ctx)
         assert decision.targets[0] == 50_000.0
+
+
+class TestBatchPricing:
+    @pytest.mark.parametrize("num_options", [16, 64])
+    @pytest.mark.parametrize("slack", [0.0, 0.05])
+    def test_each_price_is_its_rows_own(self, slack, num_options, monkeypatch):
+        """A rebuild prices each table row once; every price the option
+        search reads equals pricing its batch space afresh on that
+        rebuild's table, at initialize and at a later reconfiguration
+        with another average and other weights.  At 64 options the idle
+        sizes step by less than a bucket, so neighbouring rows are
+        priced too."""
+        import repro.core.boost as boost
+
+        seen = []
+        evaluate = boost.evaluate_options
+
+        def spy(**kwargs):
+            price = kwargs["batch_delta_hit_rate"]
+
+            def recorded(delta):
+                value = price(delta)
+                seen.append((delta, value))
+                return value
+
+            kwargs["batch_delta_hit_rate"] = recorded
+            return evaluate(**kwargs)
+
+        monkeypatch.setattr(boost, "evaluate_options", spy)
+        # A long deadline makes most options feasible, so the search
+        # prices many rows.
+        apps = [
+            dataclasses.replace(lc_view(0), deadline_cycles=3e7),
+            dataclasses.replace(lc_view(1, idle_fraction=0.3), deadline_cycles=3e7),
+            batch_view(2),
+            batch_view(3, "stream"),
+            batch_view(4, "knee"),
+        ]
+        policy = UbikPolicy(slack=slack, num_options=num_options)
+        later = [
+            dataclasses.replace(a, access_rate=0.01 * (1 + a.index)) for a in apps
+        ]
+        for rebuild, ctx in enumerate([make_ctx(apps), make_ctx(later)]):
+            seen.clear()
+            if rebuild == 0:
+                policy.initialize(ctx)
+            else:
+                ctx.avg_batch_lines = LLC - 3 * TARGET
+                policy.on_interval(ctx)
+            avg = ctx.avg_batch_lines
+            table = policy._table
+            assert len({table.level_for(avg + delta) for delta, __ in seen}) > 15
+            base = policy._batch_hit_rate(avg)
+            for delta, value in seen:
+                fresh = policy._batch_hit_rate(avg + delta) - base
+                assert value.hex() == fresh.hex(), (rebuild, delta)
 
 
 class TestSlackVariant:

@@ -34,7 +34,7 @@ class TestDefaultScale:
 
     def test_invalid_lc_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_LC", "redis")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^REPRO_LC .*masstree"):
             default_scale()
 
     def test_loads_override(self, monkeypatch):
@@ -66,6 +66,8 @@ class TestBadKnobs:
             ("REPRO_LOADS", "0"),
             ("REPRO_LOADS", "nan"),
             ("REPRO_LOADS", "0.2,inf"),
+            ("REPRO_LC", "bogus"),
+            ("REPRO_LC", "shore,redis"),
         ],
     )
     def test_bad_value_named(self, monkeypatch, name, raw):

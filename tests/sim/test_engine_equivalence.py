@@ -14,14 +14,16 @@ watermark paths — and check that production never builds the oracle.  The grou
 are pinned here too, and so is what a group shares: its baseline and
 LC instance specs, while every cell's engine owns its memos.
 
-The engine builds the app views of a policy hook's context only when
-the hook reads them; the oracle builds them for every hook.
-``TestEventContexts`` counts the view builds of the shipped policies
-and holds a policy that reads every view at every event (active,
-idle, de-boost, watermark) to the oracle.
+The engine builds the app views and the ``lc_active``/``lc_boosted``
+maps of a policy hook's context only when the hook reads them; the
+oracle builds them for every hook.  ``TestEventContexts`` counts the
+view and map builds of the shipped policies and holds a policy that
+reads every view and map at every event (active, idle, de-boost,
+watermark) to the oracle.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.runtime import (
     reset_artifacts,
 )
 from repro.core.ubik import UbikPolicy
+from repro.monitor.miss_curve import MissCurve
 from repro.policies.base import AppView
 from repro.runtime.spec import PolicySpec, SchemeSpec
 from repro.runtime.work import execute_in_worker, execute_spec, plan_groups
@@ -45,7 +48,7 @@ from repro.sim.config import CMPConfig
 from repro.sim.engine import LCInstanceSpec, MixEngine
 from repro.sim.mix_runner import LC_INSTANCES, MixRunner
 from repro.sim.reference import NaiveMixEngine
-from repro.workloads.latency_critical import LC_NAMES, make_lc_workload
+from repro.workloads.latency_critical import LC_NAMES, LCWorkload, make_lc_workload
 from repro.workloads.mixes import HIGH_LOAD, LOW_LOAD, make_mix_specs
 
 LLC_LINES = CMPConfig().llc_lines
@@ -261,14 +264,14 @@ VIEW_FIELDS = [field.name for field in dataclasses.fields(AppView)]
 
 class ViewRecordingUbik(UbikPolicy):
     """Ubik-with-slack whose hooks, interval ones included, read every
-    field of every view through ``ctx.apps`` and record them before
-    deciding."""
+    field of every view through ``ctx.apps``, and the ``lc_active`` and
+    ``lc_boosted`` maps, and record them before deciding."""
 
     def __init__(self):
         super().__init__(slack=0.05)
-        self.records = {
-            hook: [] for hook in EVENT_HOOKS + ("initialize", "on_interval")
-        }
+        hooks = EVENT_HOOKS + ("initialize", "on_interval")
+        self.records = {hook: [] for hook in hooks}
+        self.maps = {hook: [] for hook in hooks}
 
     def _record(self, hook, ctx, app_index):
         views = [
@@ -281,6 +284,9 @@ class ViewRecordingUbik(UbikPolicy):
         ]
         assert ctx.app(app_index) is ctx.apps[app_index]
         self.records[hook].append((ctx.now, app_index, views))
+        self.maps[hook].append(
+            (sorted(ctx.lc_active.items()), sorted(ctx.lc_boosted.items()))
+        )
 
     def initialize(self, ctx):
         self._record("initialize", ctx, 0)
@@ -344,10 +350,56 @@ class TestEventContexts:
         assert calls["interval"] > 0 and calls["event"] > 0
         assert calls["views"] == 1 + calls["interval"]
 
+    @pytest.mark.parametrize("slack", [0.0, 0.05])
+    def test_ubik_events_build_no_maps(self, slack, monkeypatch):
+        """Ubik's event hooks read only ``current_targets``: no event
+        context builds ``lc_active`` or ``lc_boosted``, and the interval
+        decisions still build them."""
+        runner = MixRunner(requests=40, seed=11)
+        spec = mix_spec(load=0.5, lc_name="shore")
+        runner.baseline(spec.lc_workload, spec.load)  # no baseline engines below
+        policy = PolicySpec.of("ubik", slack=slack).build()
+        hook = ["none"]
+        builds = Counter()
+        calls = Counter()
+
+        def spy(name):
+            build = getattr(MixEngine, name)
+
+            def call(self):
+                builds[name, hook[0]] += 1
+                return build(self)
+
+            return call
+
+        def tagged(method, kind):
+            def call(*args):
+                calls[kind] += 1
+                hook[0] = kind
+                try:
+                    return method(*args)
+                finally:
+                    hook[0] = "none"
+
+            return call
+
+        for name in ("_lc_active", "_lc_boosted"):
+            monkeypatch.setattr(MixEngine, name, spy(name))
+        policy.initialize = tagged(policy.initialize, "interval")
+        policy.on_interval = tagged(policy.on_interval, "interval")
+        for name in EVENT_HOOKS:
+            setattr(policy, name, tagged(getattr(policy, name), "event"))
+        runner.run_mix_group(spec, [(policy, None)])
+        assert calls["event"] > 0
+        assert builds["_lc_active", "event"] == builds["_lc_boosted", "event"] == 0
+        assert builds["_lc_active", "interval"] == calls["interval"]
+        assert builds["_lc_boosted", "interval"] > 0
+        assert set(hook for __, hook in builds) == {"interval"}
+
     def test_views_read_at_events_match_the_oracle(self):
-        """Views built when a hook first reads them equal the oracle's
-        up-front views at every hook, events and intervals, and so do
-        the runs."""
+        """Views and maps built when a hook first reads them equal the
+        oracle's up-front ones at every hook, events and intervals, and
+        so do the runs."""
         runner = MixRunner(requests=60, seed=11)
         spec = mix_spec(load=0.5, lc_name="shore")
         engine_policy = ViewRecordingUbik()
@@ -357,6 +409,14 @@ class TestEventContexts:
         for hook in EVENT_HOOKS:
             assert engine_policy.records[hook], f"{hook} never fired"
         assert engine_policy.records == oracle_policy.records
+        assert engine_policy.maps == oracle_policy.maps
+        boosted = [
+            flag
+            for hook in EVENT_HOOKS
+            for __, lc_boosted in engine_policy.maps[hook]
+            for __, flag in lc_boosted
+        ]
+        assert True in boosted and False in boosted
         assert_identical(got, want)
 
     @pytest.mark.parametrize("lc_name, load", [("shore", 0.5), ("xapian", 0.2)])
@@ -601,6 +661,41 @@ class TestEngineMemos:
         for i, mine in enumerate(tables):
             for theirs in tables[i + 1:]:
                 assert not mine & theirs
+
+    def test_curve_calls_in_one_engine_run(self, monkeypatch):
+        """One engine run computes each LC app's mean service time once,
+        though the first interval's views read it at initialize and
+        again at the first reconfiguration, and reads no curve through
+        NumPy for it: the only ``MissCurve.__call__`` calls left are
+        each Ubik rebuild's two grids per batch curve (the table's and
+        Lookahead's)."""
+        runner = MixRunner(requests=40, seed=11)
+        spec = mix_spec(load=0.5, lc_name="shore")
+        baseline = runner.baseline(spec.lc_workload, spec.load)
+        lc_specs = runner._mix_lc_specs(spec, baseline)
+        ((policy, scheme),) = build_cells((("ubik", {"slack": 0.05}, None),))
+        engine = runner._engine(MixEngine, spec, lc_specs, policy, scheme)
+        counts = Counter()
+
+        def counted(cls, name, key):
+            method = getattr(cls, name)
+
+            def call(self, *args):
+                counts[key] += 1
+                if key == "views" and self._first_interval:
+                    counts["first views"] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, call)
+
+        counted(MissCurve, "__call__", "curve calls")
+        counted(LCWorkload, "mean_service_cycles", "mean service")
+        counted(MixEngine, "_make_views", "views")
+        engine.run()
+        assert counts["first views"] == 2
+        assert counts["mean service"] == LC_INSTANCES
+        rebuilds = counts["views"]  # initialize and every reconfiguration
+        assert counts["curve calls"] == 2 * len(engine.batch_apps) * rebuilds
 
 
 class TestReplayGroupCounters:

@@ -543,6 +543,8 @@ class TestFlagErrors:
             ("REPRO_MIXES", "-3", "fig13", ("REPRO_MIXES",)),
             ("REPRO_LOADS", "0.6", "utilization", ("loads", "0.4")),
             ("REPRO_REQUESTS", "5", "table3", ("REPRO_REQUESTS",)),
+            ("REPRO_LC", "bogus", "table3", ("REPRO_LC", "'bogus'")),
+            ("REPRO_LC", "shore,bogus", "fig13", ("REPRO_LC", "'shore,bogus'")),
         ],
     )
     def test_bad_scale_exits_2_before_evaluating(

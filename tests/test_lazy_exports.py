@@ -13,6 +13,7 @@ LAZY_ROOTS = (
     "repro.sim",
     "repro.cache",
     "repro.workloads",
+    "repro.monitor",
 )
 
 
@@ -95,6 +96,18 @@ def test_registries_fill_one_at_a_time(fresh_interpreter):
         watch=models,
     )
     assert loaded == ["repro.cache", "repro.cache.schemes"]
+
+
+def test_engine_loads_no_umon(fresh_interpreter):
+    """A simulation reads miss curves, never the UMON oracle: importing
+    the engine and Ubik loads ``repro.monitor.miss_curve`` alone of the
+    monitor package."""
+    __, loaded = fresh_interpreter(
+        "-c",
+        "import repro.sim.engine, repro.core.ubik",
+        watch=("repro.monitor",),
+    )
+    assert loaded == ["repro.monitor", "repro.monitor.miss_curve"]
 
 
 class TestNameTables:
