@@ -2,7 +2,7 @@
 
 The ROADMAP's north star is "as fast as the hardware allows", which is
 only meaningful with a *trajectory*: numbers written down, schema-
-stable, and comparable across revisions.  This module times ten
+stable, and comparable across revisions.  This module times nine
 canonical kernels that cover the stack's hot layers and writes a
 ``BENCH_<revision>.json`` document (under ``benchmarks/perf/`` by
 convention):
@@ -25,16 +25,13 @@ convention):
     code path on the same machine, never against a stale number from
     different hardware.  The two replays are asserted access-for-access
     identical before their times are recorded.
-``store_roundtrip``
-    Writing and (cold) re-reading a batch of result documents through
-    :class:`~repro.runtime.store.ResultStore` on a temporary directory.
 ``store_backend_roundtrip``
-    Per-operation put/get latency through the façade for **each**
-    registered storage engine — directory, sqlite and memory — with
-    p50/p90/p99 nanoseconds per operation recorded per backend
-    (diskcache-style percentile reporting: a cache's tail latency is
-    what callers actually feel).  The acceptance floor for the sqlite
-    engine is sub-millisecond median get and put.
+    Writing and (cold) re-reading a batch of result documents through
+    :class:`~repro.runtime.store.ResultStore` on **each** storage
+    engine — directory and memory — with p50/p90/p99 nanoseconds per
+    operation recorded per engine (diskcache-style percentile
+    reporting: a cache's tail latency is what callers actually feel).
+    The micro-kernel of the ``runtime.store`` layer.
 ``warm_sweep_grid``
     The shared-state derivation of a 3-policy × 2-load sweep grid —
     per cell: workload objects, the three-instance isolated baseline,
@@ -131,19 +128,18 @@ __all__ = [
 
 #: Schema identifier stamped into every document; bump only when the
 #: document layout changes (CI fails on drift against this module).
-BENCH_SCHEMA = "repro-bench/9"
+BENCH_SCHEMA = "repro-bench/10"
 
 #: Earlier generations.  Committed documents under these tags are an
 #: archive: :func:`validate_bench` holds them to the common core that
 #: the trajectory floors and ``--compare`` read, never to a kernel set.
-ARCHIVED_SCHEMAS = tuple(f"repro-bench/{generation}" for generation in range(1, 9))
+ARCHIVED_SCHEMAS = tuple(f"repro-bench/{generation}" for generation in range(1, 10))
 
 #: The canonical kernels, in reporting order.
 KERNEL_NAMES = (
     "mix_run",
     "isolated_baseline",
     "trace_replay",
-    "store_roundtrip",
     "warm_sweep_grid",
     "stream_synthesis",
     "store_backend_roundtrip",
@@ -153,7 +149,7 @@ KERNEL_NAMES = (
 )
 
 #: Storage engines the per-backend kernel times, in reporting order.
-STORE_BACKEND_NAMES = ("directory", "sqlite", "memory")
+STORE_BACKEND_NAMES = ("directory", "memory")
 
 #: Kernels that time an in-file baseline alongside the optimized path
 #: and must record the comparison (see :func:`validate_bench`).
@@ -765,29 +761,6 @@ def _bench_repartition_table(averages: int, repeats: int) -> Dict[str, Any]:
     )
 
 
-def _bench_store_roundtrip(documents: int, repeats: int) -> Dict[str, Any]:
-    """Write + cold re-read of result documents on a temp directory."""
-    from .runtime.store import ResultStore
-
-    payload = {
-        "kind": "bench",
-        "result": {"metric": 1.0, "values": list(range(32))},
-    }
-
-    def run() -> None:
-        with tempfile.TemporaryDirectory() as root:
-            writer = ResultStore(root)
-            for index in range(documents):
-                writer.put(f"{index:064x}", dict(payload))
-            reader = ResultStore(root)  # fresh memory layer: disk reads
-            for index in range(documents):
-                if reader.get(f"{index:064x}") is None:
-                    raise RuntimeError("store round-trip lost a document")
-
-    samples = _time_repeats(run, repeats)
-    return _kernel_entry(samples, units=documents, unit="documents")
-
-
 def _percentiles_ns(op_times_ns: List[int]) -> Dict[str, float]:
     """p50/p90/p99 (and the mean) of per-operation nanosecond timings."""
     arr = np.asarray(op_times_ns, dtype=np.float64)
@@ -800,19 +773,17 @@ def _percentiles_ns(op_times_ns: List[int]) -> Dict[str, float]:
 
 
 def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, Any]:
-    """Per-operation put/get latency across every storage engine.
+    """Per-operation put/get latency on each storage engine.
 
-    For each backend, every repeat writes ``documents`` fresh documents
+    For each engine, every repeat writes ``documents`` fresh documents
     through the :class:`~repro.runtime.store.ResultStore` façade and
     cold-reads them back through a second handle (fresh memory layer,
-    so persistent engines hit their media), timing each operation
+    so the directory engine reads its files), timing each operation
     individually.  Per-op samples accumulate across repeats into
-    p50/p90/p99 per backend per operation — percentile reporting in
+    p50/p90/p99 per engine per operation — percentile reporting in
     the python-diskcache tradition, because a store's *tail* is what a
     worker pool's stragglers feel, and a min-of-repeats total would
-    hide it.  Connection setup (sqlite's open + schema check) is paid
-    outside the timed region via one warm-up miss, matching how the
-    runtime holds one handle per process.
+    hide it.
     """
     from .runtime.store import ResultStore
 
@@ -827,15 +798,10 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
     samples: List[float] = []
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as root:
-            targets = {
-                "directory": str(Path(root) / "tree"),
-                "sqlite": f"sqlite://{root}/store.db",
-                "memory": None,
-            }
+            targets = {"directory": str(Path(root) / "tree"), "memory": None}
             repeat_started = time.perf_counter()
             for name in STORE_BACKEND_NAMES:
                 writer = ResultStore(targets[name])
-                writer.get("f" * 64)  # open handles outside the timing
                 puts = op_times[name]["put"]
                 for fingerprint in fingerprints:
                     doc = dict(payload)
@@ -849,7 +815,6 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
                 reader = ResultStore(
                     writer.backend if name == "memory" else targets[name]
                 )
-                reader.get("f" * 64)
                 gets = op_times[name]["get"]
                 for fingerprint in fingerprints:
                     started = time.perf_counter_ns()
@@ -858,8 +823,6 @@ def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, An
                             f"{name} backend lost a document mid-bench"
                         )
                     gets.append(time.perf_counter_ns() - started)
-                writer.close()
-                reader.close()
             samples.append(time.perf_counter() - repeat_started)
     backends = {
         name: {
@@ -904,7 +867,6 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
         "mix_run": _bench_mix_run(requests, repeats),
         "isolated_baseline": _bench_isolated_baseline(requests, repeats),
         "trace_replay": _bench_trace_replay(accesses, repeats),
-        "store_roundtrip": _bench_store_roundtrip(documents, repeats),
         "warm_sweep_grid": _bench_warm_sweep_grid(requests, repeats),
         "stream_synthesis": _bench_stream_synthesis(stream_samples, repeats),
         "store_backend_roundtrip": _bench_store_backend_roundtrip(
@@ -1188,10 +1150,10 @@ def format_bench(payload: Dict[str, Any]) -> str:
                 f" ({entry['baseline_seconds']:.3f}s)"
             )
         elif "backends" in entry:
-            sqlite = entry["backends"]["sqlite"]
+            directory = entry["backends"]["directory"]
             note = (
-                f"sqlite p50 put {sqlite['put']['p50_ns'] / 1e3:,.0f}us"
-                f" / get {sqlite['get']['p50_ns'] / 1e3:,.0f}us"
+                f"directory p50 put {directory['put']['p50_ns'] / 1e3:,.0f}us"
+                f" / get {directory['get']['p50_ns'] / 1e3:,.0f}us"
             )
         rows.append(
             [

@@ -15,9 +15,7 @@ Usage::
     python -m repro cache --prune
     python -m repro cache --clear
     python -m repro table3 --stats
-    python -m repro table3 --store sqlite:///tmp/corpus/store.db
-    python -m repro cache --migrate ~/.cache/repro-ubik sqlite:///tmp/store.db
-    python -m repro cache --export /tmp/corpus-export
+    python -m repro table3 --store directory:///tmp/corpus
     python -m repro bench --quick
 
 ``bench`` times the hot-path kernels (mix run, isolated baseline,
@@ -34,17 +32,15 @@ picks the sweep grid's seed (default 2014); completed runs persist in
 the result store (``repro cache`` inspects, ``--prune`` garbage-collects
 stale schema generations), so repeat invocations are served from disk.
 
-The store itself is pluggable (:mod:`repro.runtime.backends`):
-``--store`` (or ``REPRO_STORE``) selects a backend by URL —
-``sqlite:///path/store.db`` for the single-file WAL-mode engine,
-``directory:///path`` (or a bare path) for the sharded JSON tree,
-``memory://`` for no persistence.  ``repro cache --migrate SRC DST``
-moves a corpus between backends byte-faithfully, and ``--export DIR``
-writes the canonical directory-layout tree any backend's corpus
-reduces to.
+``--store`` (or ``REPRO_STORE``) picks the store's engine
+(:mod:`repro.runtime.backends`) by URL: ``directory:///path`` for the
+sharded JSON tree (``--store`` also takes a bare path), ``memory://``
+for no persistence.  A directory store is copied like any directory.
 
 ``run`` evaluates a single (mix, policy) spec.  A bad flag exits 2
-with ``argument --<flag>: ...`` before any command runs.
+with ``argument --<flag>: ...`` before any command runs, and so does a
+bad store location, whether it comes from ``--store`` or from
+``REPRO_STORE``.
 """
 
 from __future__ import annotations
@@ -55,7 +51,9 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .experiments.common import ExperimentScale, default_scale, format_table
+from .runtime.backends import parse_store_url
 from .runtime.session import Session
+from .runtime.store import default_store_url
 from .workloads.names import LC_NAMES, MIN_TAIL_REQUESTS, batch_type_combos
 
 __all__ = ["main"]
@@ -102,6 +100,10 @@ TAIL_COMMANDS = (
 SCALE_COMMANDS = ("fig9", "table3", "fig12", "fig13", "ablations", "utilization")
 
 
+#: Commands that open the result store.
+STORE_COMMANDS = ("run", *SCALE_COMMANDS, "scaleout", "bandwidth", "cache")
+
+
 def _unknown(flag: str, kind: str, name: str, known) -> ValueError:
     """The usage error for a ``flag`` that names no known ``kind``."""
     return ValueError(f"argument {flag}: unknown {kind} {name!r} (known: {', '.join(known)})")
@@ -115,6 +117,18 @@ def _lc_names(raw: Optional[str]) -> Tuple[str, ...]:
         if name not in LC_NAMES:
             raise _unknown("--lc", "LC workload", name, LC_NAMES)
     return names
+
+
+def _check_store(store: Optional[str]) -> None:
+    """Parse the store location ``--store`` or the environment names,
+    opening nothing; a bad one is a ``ValueError`` naming its source."""
+    if store is None:
+        default_store_url()  # its errors start with REPRO_STORE
+        return
+    try:
+        parse_store_url(store)
+    except ValueError as exc:
+        raise ValueError(f"argument --store: {exc}") from None
 
 
 def _scale_from_args(args) -> ExperimentScale:
@@ -148,7 +162,7 @@ def _cmd_list(args) -> None:
         ["scaleout", "larger-CMP extension"],
         ["bandwidth", "memory-bandwidth contention extension"],
         ["cache", "inspect (--clear/--prune) the store (--store selects a "
-         "backend); --migrate/--export move corpora; --stats: artifact cache"],
+         "backend); --stats: artifact cache"],
         ["bench", "time the hot-path kernels, write BENCH_<rev>.json"],
     ]
     print(format_table(["Command", "Regenerates"], rows))
@@ -213,16 +227,7 @@ def _cmd_run(args) -> None:
         ["deboosts", record.deboosts],
         ["watermarks", record.watermarks],
         ["fingerprint", spec.fingerprint()],
-        [
-            "store document",
-            str(doc)
-            if doc
-            else (
-                session.store.url
-                if session.store.persistent
-                else "(memory-only store)"
-            ),
-        ],
+        ["store document", str(doc) if doc else "(memory-only store)"],
     ]
     print(format_table(["Field", "Value"], rows, title="Run"))
 
@@ -424,28 +429,11 @@ def _print_artifact_counters() -> None:
 
 
 def _cmd_cache(args) -> None:
-    from .runtime.store import migrate_store
-
     store = Session(jobs=1, store=getattr(args, "store", None)).store
-    # Corpus movement and maintenance actions first, so combinations
-    # like `cache --clear --stats` clear and then report rather than
+    # Maintenance actions first, so combinations like
+    # `cache --clear --stats` clear and then report rather than
     # silently skipping the clear.
     acted = False
-    if args.migrate:
-        source, destination = args.migrate
-        counts = migrate_store(source, destination)
-        print(
-            f"migrated {counts['documents']} document(s): "
-            f"{source} -> {destination}"
-        )
-        acted = True
-    if args.export:
-        exported = store.export_canonical(args.export)
-        print(
-            f"exported {exported} document(s) from {store.url} "
-            f"to {args.export}"
-        )
-        acted = True
     if args.clear:
         removed = store.clear()
         print(f"cleared {removed} stored result(s)")
@@ -578,26 +566,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--store",
         default=None,
         help="result-store location: a backend URL "
-        "(sqlite:///path/store.db, directory:///path, memory://) "
-        "or a bare directory path "
+        "(directory:///path, memory://) or a bare directory path "
         "(default: REPRO_STORE, then REPRO_CACHE_DIR, then "
         "~/.cache/repro-ubik)",
-    )
-    parser.add_argument(
-        "--migrate",
-        nargs=2,
-        metavar=("SRC", "DST"),
-        default=None,
-        help="with the cache command: copy a result corpus between "
-        "backends, byte-faithfully (each side is a URL or path)",
-    )
-    parser.add_argument(
-        "--export",
-        metavar="DIR",
-        default=None,
-        help="with the cache command: write the store's canonical "
-        "directory-layout export (byte-identical across backends "
-        "holding the same corpus)",
     )
     parser.add_argument(
         "--clear",
@@ -651,10 +622,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"argument --requests: {args.command} needs at least "
                 f"{least}, got {args.requests}"
             )
-    # A bad flag or scale knob is a usage error too, reported before
-    # any spec is evaluated.
+    # A bad flag, scale knob or store location is a usage error too,
+    # reported before any spec is evaluated.
     try:
         args.lc = _lc_names(args.lc)
+        if args.command in STORE_COMMANDS:
+            _check_store(args.store)
         if args.command in SCALE_COMMANDS:
             args.scale = _scale_from_args(args)
             if args.command == "utilization":

@@ -6,7 +6,7 @@ memoization, experiments describe work declaratively and hand it to a
 :class:`Session`:
 
 * :mod:`~repro.runtime.registry` — string-keyed factories for
-  policies, schemes, and LC/batch workloads (``make_policy("ubik",
+  policies, schemes, and LC workloads (``make_policy("ubik",
   slack=0.05)``).
 * :mod:`~repro.runtime.spec` — frozen, JSON-serializable
   :class:`RunSpec` descriptions with canonical content fingerprints.
@@ -14,9 +14,9 @@ memoization, experiments describe work declaratively and hand it to a
   lookup, in-process batch evaluation, and the process-pool worker
   entry point.
 * :mod:`~repro.runtime.store` — a persistent fingerprint-keyed result
-  store shared across processes, a façade over the pluggable engines
-  of :mod:`~repro.runtime.backends` (``REPRO_STORE`` URLs like
-  ``sqlite:///path/store.db``, ``REPRO_CACHE_DIR`` paths).
+  store shared across processes, a façade over the directory and
+  memory engines of :mod:`~repro.runtime.backends` (``REPRO_STORE``
+  URLs like ``directory:///path``, ``REPRO_CACHE_DIR`` paths).
 * :mod:`~repro.runtime.artifacts` — the per-process content-addressed
   cache of intermediate products (request streams, baselines, workload
   and core-model objects) that makes a sweep evaluate each distinct
@@ -38,21 +38,15 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "reset_artifacts",
         ),
         "registry": (
-            "BATCH_WORKLOADS",
             "LC_WORKLOADS",
             "POLICIES",
             "SCHEMES",
             "Registry",
-            "list_batch_classes",
             "list_lc_workloads",
             "list_policies",
             "list_schemes",
-            "make_batch_workload_named",
-            "make_lc_workload_named",
             "make_policy",
             "make_scheme",
-            "register_policy",
-            "register_scheme",
         ),
         "session": (
             "DEFAULT_POLICIES",
@@ -74,10 +68,8 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "mix_refs",
         ),
         "backends": (
-            "BACKENDS",
             "DirectoryBackend",
             "MemoryBackend",
-            "SqliteBackend",
             "StoreBackend",
             "make_backend",
             "parse_store_url",
@@ -85,7 +77,6 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
         "store": (
             "ResultStore",
             "default_store_url",
-            "migrate_store",
         ),
     },
 )
@@ -95,17 +86,11 @@ __all__ = [
     "POLICIES",
     "SCHEMES",
     "LC_WORKLOADS",
-    "BATCH_WORKLOADS",
-    "register_policy",
     "make_policy",
     "list_policies",
-    "register_scheme",
     "make_scheme",
     "list_schemes",
-    "make_lc_workload_named",
     "list_lc_workloads",
-    "make_batch_workload_named",
-    "list_batch_classes",
     "PolicySpec",
     "SchemeSpec",
     "MixRef",
@@ -118,12 +103,9 @@ __all__ = [
     "resolve_jobs",
     "ResultStore",
     "default_store_url",
-    "migrate_store",
     "StoreBackend",
     "DirectoryBackend",
-    "SqliteBackend",
     "MemoryBackend",
-    "BACKENDS",
     "parse_store_url",
     "make_backend",
     "ArtifactCache",

@@ -8,12 +8,10 @@ the runtime already mints).
 Backends never interpret what they store: stamping, schema checks, and
 JSON (de)serialization belong to the :class:`~repro.runtime.store.ResultStore`
 façade, which hands every backend the *same canonical text* for the
-same logical document.  That division is what makes the byte-parity
-contract cheap to state: :meth:`StoreBackend.export_canonical` writes
-the logical store tree of *any* backend in the directory backend's
-on-disk layout, and two backends holding the same corpus export
-byte-identical trees (``tests/golden/test_backend_golden.py`` pins
-this, and ``repro cache --migrate`` relies on it).
+same logical document.  So a directory store and a memory store
+holding the same corpus map every fingerprint to the same text, and
+the directory tree at ``<root>/<fp[:2]>/<fp>.json`` is the canonical
+layout of any corpus.
 """
 
 from __future__ import annotations
@@ -31,19 +29,18 @@ class StoreBackend(abc.ABC):
     Class attributes every concrete backend pins:
 
     ``name``
-        The registry key and URL scheme (``directory``, ``sqlite``,
-        ``memory``).
+        The URL scheme (``directory`` or ``memory``).
     ``persistent``
         Whether another process that opens the backend's :attr:`url`
         sees this one's writes.  The façade refuses to hand
         non-persistent stores across process boundaries.
     """
 
-    #: Registry key / URL scheme; concrete classes override.
+    #: URL scheme; concrete classes override.
     name: str = "abstract"
     #: True when a second process opening :attr:`url` shares the data.
     persistent: bool = False
-    #: The directory backend's root; ``None`` for every other engine.
+    #: The directory backend's root; ``None`` for the memory engine.
     #: (Kept on the base so façade code can read it unconditionally.)
     root: Optional[Path] = None
 
@@ -83,13 +80,13 @@ class StoreBackend(abc.ABC):
 
     def drop_retired_blobs(self) -> None:
         """Remove the blob side older versions kept beside the documents
-        (default no-op: only the persistent engines ever had one)."""
+        (default no-op: only the directory engine ever had one)."""
 
     def close(self) -> None:
         """Release any held handles (idempotent; default no-op)."""
 
     # ------------------------------------------------------------------
-    # Identity / interop
+    # Identity
     # ------------------------------------------------------------------
     @property
     @abc.abstractmethod
@@ -105,9 +102,8 @@ class StoreBackend(abc.ABC):
     def document_path(self, fingerprint: str) -> Optional[Path]:
         """Where one document lives as its own file, if anywhere.
 
-        Only the directory backend has per-document files; engines
-        that pack documents into one container return ``None`` and the
-        CLI reports the container instead.
+        Only the directory backend has per-document files; the memory
+        engine returns ``None``.
         """
         return None
 
@@ -116,32 +112,6 @@ class StoreBackend(abc.ABC):
 
     def __iter__(self) -> Iterator[str]:
         return self.iter_docs()
-
-    # ------------------------------------------------------------------
-    # The parity contract
-    # ------------------------------------------------------------------
-    def export_canonical(self, destination: Path) -> int:
-        """Write the logical store tree in the directory layout.
-
-        Every document's canonical text lands at
-        ``<destination>/<fp[:2]>/<fp>.json`` — the exact layout (and
-        bytes) the directory backend keeps natively.  Because the
-        façade stores identical canonical text in every engine, two
-        backends holding the same corpus export byte-identical trees;
-        that is the cross-backend correctness contract, golden-pinned
-        and CI-diffed.  Returns the number of documents written.
-        """
-        destination = Path(destination)
-        written = 0
-        for fingerprint in sorted(self.iter_docs()):
-            text = self.get_doc(fingerprint)
-            if text is None:  # racing deleter; the tree stays coherent
-                continue
-            path = destination / fingerprint[:2] / f"{fingerprint}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-            written += 1
-        return written
 
     def __repr__(self) -> str:  # pragma: no cover - debugging sugar
         return f"<{type(self).__name__} {self.url}>"

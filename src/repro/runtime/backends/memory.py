@@ -1,18 +1,17 @@
-"""The in-process store engine: two dicts behind the backend protocol.
+"""The in-process store engine: a dict behind the backend protocol.
 
 This is what ``ResultStore(None)`` / ``REPRO_STORE=0`` / ``memory://``
 resolve to — the "disk layer off" mode, expressed as a first-class
-backend so every code path (export,
-migrate, stats, the backend-parametrized test suites) treats it
-uniformly instead of special-casing ``root is None``.
+backend so every code path (stats, prune, the engine-parametrized test
+suites) treats it uniformly instead of special-casing ``root is None``.
 
 Documents round-trip through the same canonical-JSON texts the
-persistent engines store — not live dict references — so a memory
+directory engine stores — not live dict references — so a memory
 store has *identical* serialization semantics (float round-tripping
-included) and exports the same canonical tree bytes as a directory or
-SQLite store holding the same corpus.  ``persistent`` is False: a
-second handle on ``memory://`` is a fresh empty store, which is why
-the session never hands a memory store across process boundaries.
+included) and holds the same text per fingerprint as a directory store
+holding the same corpus.  ``persistent`` is False: a second handle on
+``memory://`` is a fresh empty store, which is why the session never
+hands a memory store across process boundaries.
 """
 
 from __future__ import annotations

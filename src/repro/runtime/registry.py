@@ -1,4 +1,4 @@
-"""Named factories for policies, schemes, and workloads.
+"""Named factories for policies, schemes, and LC workloads.
 
 Experiments used to hard-code ``DEFAULT_POLICY_FACTORIES`` tuples and
 import concrete policy classes module by module.  The registries make
@@ -26,24 +26,18 @@ from __future__ import annotations
 import difflib
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..workloads.names import BATCH_CLASSES, LC_NAMES
+from ..workloads.names import LC_NAMES
 
 __all__ = [
     "Registry",
     "POLICIES",
     "SCHEMES",
     "LC_WORKLOADS",
-    "BATCH_WORKLOADS",
-    "register_policy",
     "make_policy",
     "list_policies",
-    "register_scheme",
     "make_scheme",
     "list_schemes",
-    "make_lc_workload_named",
     "list_lc_workloads",
-    "make_batch_workload_named",
-    "list_batch_classes",
 ]
 
 
@@ -168,16 +162,6 @@ def _builtin_lc_workloads(registry: Registry) -> None:
         )
 
 
-def _builtin_batch_workloads(registry: Registry) -> None:
-    from ..workloads.batch import make_batch_workload
-
-    for cls in BATCH_CLASSES:
-        registry.register(
-            cls,
-            lambda batch_class=cls, **kw: make_batch_workload(batch_class, **kw),
-        )
-
-
 def _builtin_registry(kind: str, builtins: Callable[[Registry], None]) -> Registry:
     """A registry that ``builtins`` fills when it is first used."""
     registry = Registry(kind)
@@ -194,14 +178,6 @@ SCHEMES = _builtin_registry("scheme", _builtin_schemes)
 #: Latency-critical workload models, keyed by paper name.
 LC_WORKLOADS = _builtin_registry("LC workload", _builtin_lc_workloads)
 
-#: Batch workload classes (n/f/t/s), as in paper Section 6.
-BATCH_WORKLOADS = _builtin_registry("batch workload class", _builtin_batch_workloads)
-
-
-def register_policy(name: str, factory: Optional[Callable[..., Any]] = None):
-    """Register a policy factory under ``name`` (decorator-friendly)."""
-    return POLICIES.register(name, factory)
-
 
 def make_policy(name: str, **kwargs: Any):
     """Instantiate the policy registered under ``name``."""
@@ -211,11 +187,6 @@ def make_policy(name: str, **kwargs: Any):
 def list_policies() -> List[str]:
     """Sorted names of all registered policies."""
     return POLICIES.names()
-
-
-def register_scheme(name: str, factory: Optional[Callable[..., Any]] = None):
-    """Register a scheme-model factory under ``name``."""
-    return SCHEMES.register(name, factory)
 
 
 def make_scheme(name: str, llc_lines: int, **kwargs: Any):
@@ -228,21 +199,7 @@ def list_schemes() -> List[str]:
     return SCHEMES.names()
 
 
-def make_lc_workload_named(name: str, **kwargs: Any):
-    """Instantiate the LC workload model registered under ``name``."""
-    return LC_WORKLOADS.make(name, **kwargs)
-
-
 def list_lc_workloads() -> List[str]:
     """Sorted names of all registered LC workloads."""
     return LC_WORKLOADS.names()
 
-
-def make_batch_workload_named(name: str, **kwargs: Any):
-    """Instantiate a batch workload from a registered class key."""
-    return BATCH_WORKLOADS.make(name, **kwargs)
-
-
-def list_batch_classes() -> List[str]:
-    """Sorted keys of all registered batch workload classes."""
-    return BATCH_WORKLOADS.names()

@@ -115,7 +115,7 @@ class Session:
         jobs: Optional[int] = None,
     ):
         # ``store`` takes anything the store itself does — a live
-        # ResultStore, a backend URL (``sqlite:///path/store.db``), a
+        # ResultStore, a backend URL (``directory:///path``), a
         # bare path, a backend instance, or None for the environment
         # default (REPRO_STORE / REPRO_CACHE_DIR / the XDG cache dir).
         if store is None:

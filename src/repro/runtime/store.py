@@ -1,30 +1,26 @@
-"""Persistent, fingerprint-keyed result store — a façade over
-pluggable storage backends.
+"""Persistent, fingerprint-keyed result store — a façade over the
+storage engines of :mod:`repro.runtime.backends`.
 
 A two-layer store every process can share:
 
 * an **in-memory layer** (a plain dict) for hot lookups within a
   process, and
-* a **backend layer** (:mod:`repro.runtime.backends`) holding
-  canonical-JSON documents: the sharded JSON-document ``directory``
-  tree (the default), a single-file WAL-mode ``sqlite`` store, or a
-  process-local ``memory`` engine.
+* a **backend layer** holding canonical-JSON documents: the sharded
+  JSON-document ``directory`` tree (the default, and the only
+  persistent engine) or a process-local ``memory`` engine.
 
 Keys are the canonical content fingerprints of
 :class:`~repro.runtime.spec.RunSpec` / ``BaselineSpec``; values are
 JSON documents wrapping a :class:`~repro.runtime.spec.RunRecord` or a
 baseline's latency summary.  The façade owns everything semantic —
 schema stamping, canonical serialization, typed wrappers, prune/clear
-— while backends move bytes, which is why every backend holding the
-same corpus exports the same canonical tree (:meth:`ResultStore.export_canonical`)
-and why :func:`migrate_store` can move a corpus between engines
-byte-faithfully.
+— while backends move bytes, which is why both engines holding the
+same corpus hold the same text under every fingerprint.
 
 The store location comes from ``REPRO_STORE`` — a URL like
-``sqlite:///path/store.db`` / ``directory:///path`` / ``memory://``,
-or the historical ``0``/``off`` toggle — falling back to
-``REPRO_CACHE_DIR`` and then ``~/.cache/repro-ubik`` (a directory
-tree, exactly as before).
+``directory:///path`` / ``memory://``, or the historical ``0``/``off``
+toggle — falling back to ``REPRO_CACHE_DIR`` and then
+``~/.cache/repro-ubik`` (a directory tree, exactly as before).
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ResultStore",
     "default_store_url",
-    "migrate_store",
     "DEFAULT_STORE_DIRNAME",
 ]
 
@@ -56,16 +51,21 @@ def default_store_url() -> Optional[str]:
     """The environment's store target, or ``None`` for a memory-only
     store.
 
-    A ``REPRO_STORE`` carrying a backend URL (``sqlite://…``,
-    ``directory://…``, ``memory://``) wins outright.  Otherwise
-    ``REPRO_STORE=0`` (or ``off``/``false``/``no``/``memory``) keeps
-    the store in memory, ``REPRO_CACHE_DIR`` names a directory store,
-    and the default is the directory tree ``~/.cache/repro-ubik``
-    (honouring ``XDG_CACHE_HOME``).
+    A ``REPRO_STORE`` carrying a backend URL (``directory://…``,
+    ``memory://``) wins outright.  Otherwise ``REPRO_STORE=0`` (or
+    ``off``/``false``/``no``/``memory``) keeps the store in memory,
+    ``REPRO_CACHE_DIR`` names a directory store, and the default is
+    the directory tree ``~/.cache/repro-ubik`` (honouring
+    ``XDG_CACHE_HOME``).  A URL naming no engine, or a
+    ``directory://`` URL without a path, raises a :class:`ValueError`
+    whose message starts with ``REPRO_STORE``.
     """
     toggle = os.environ.get("REPRO_STORE", "").strip()
     if "://" in toggle:
-        name, _ = parse_store_url(toggle)  # validate the scheme early
+        try:
+            name, _ = parse_store_url(toggle)
+        except ValueError as exc:
+            raise ValueError(f"REPRO_STORE: {exc}") from None
         return None if name == "memory" else toggle
     if toggle.lower() in ("0", "off", "false", "no", "memory"):
         return None
@@ -85,14 +85,14 @@ class ResultStore:
     """Two-layer (memory + backend) JSON store keyed by fingerprint.
 
     ``root`` may be ``None`` (memory engine), a filesystem path (the
-    directory engine, as always), a ``scheme://location`` URL naming
-    any registered backend, or a live
-    :class:`~repro.runtime.backends.StoreBackend` instance.
+    directory engine, as always), a ``directory://`` or ``memory://``
+    URL, or a live :class:`~repro.runtime.backends.StoreBackend`
+    instance.
     """
 
     def __init__(self, root: StoreLocation = None):
         self.backend = make_backend(root)
-        #: The directory backend's tree root; ``None`` for every other
+        #: The directory backend's tree root; ``None`` for the memory
         #: engine.  Kept as a public attribute for compatibility (the
         #: CLI and tests path-join against it).
         self.root = self.backend.root
@@ -133,8 +133,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def document_path(self, fingerprint: str) -> Optional[Path]:
         """Where a fingerprint's document lives as its own file
-        (``None`` unless the backend keeps per-document files — only
-        the directory engine does).  The file need not exist yet; the
+        (``None`` on the memory engine, which keeps no files).  The file need not exist yet; the
         path is deterministic, which is what ``repro run`` prints."""
         return self.backend.document_path(fingerprint)
 
@@ -169,9 +168,7 @@ class ResultStore:
         """Store a document in memory and (atomically) in the backend.
 
         Every backend receives the same canonical-JSON text for the
-        same logical document — the serialization happens here, once —
-        which is what makes cross-backend canonical exports
-        byte-identical.
+        same logical document — the serialization happens here, once.
         """
         payload = self._stamp(payload)
         self._mem[fingerprint] = payload
@@ -319,46 +316,3 @@ class ResultStore:
         removed = self.backend.clear_documents()
         self.backend.drop_retired_blobs()
         return removed
-
-    # ------------------------------------------------------------------
-    # The parity contract
-    # ------------------------------------------------------------------
-    def export_canonical(self, destination: os.PathLike) -> int:
-        """Write the logical corpus as a directory-layout tree.
-
-        Byte-identical across backends holding the same corpus — the
-        golden-pinned cross-backend contract (see
-        :meth:`~repro.runtime.backends.StoreBackend.export_canonical`).
-        Returns the number of documents written.
-        """
-        return self.backend.export_canonical(Path(destination))
-
-
-def migrate_store(
-    source: StoreLocation, destination: StoreLocation
-) -> Dict[str, int]:
-    """Copy a corpus between backends, byte-faithfully.
-
-    Documents are moved as raw texts — never re-stamped, never
-    re-serialized — so a migrated corpus exports the exact canonical
-    tree of its source (``repro cache --migrate`` surfaces this; the
-    golden suite pins it).  Existing destination documents under the
-    same fingerprints are overwritten; returns ``{"documents": …}``,
-    the count copied.
-    """
-    src = source.backend if isinstance(source, ResultStore) else make_backend(source)
-    dst = (
-        destination.backend
-        if isinstance(destination, ResultStore)
-        else make_backend(destination)
-    )
-    if src is dst or (src.persistent and dst.persistent and src.url == dst.url):
-        raise ValueError(f"refusing to migrate a store onto itself ({src.url})")
-    documents = 0
-    for fingerprint in list(src.iter_docs()):
-        text = src.get_doc(fingerprint)
-        if text is None:
-            continue
-        dst.put_doc(fingerprint, text)
-        documents += 1
-    return {"documents": documents}

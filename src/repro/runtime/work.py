@@ -290,8 +290,7 @@ def cache_result(spec, store: ResultStore, fingerprint: str, result) -> None:
 #: Per-process store handles, keyed by the share target — a backend
 #: URL or bare path (None = memory-only).  Reusing one handle across
 #: the specs a worker evaluates keeps its memory layer of documents
-#: warm and, for the sqlite engine, keeps one per-process connection
-#: alive for the whole batch.
+#: warm for the whole batch.
 _WORKER_STORES: dict = {}
 
 

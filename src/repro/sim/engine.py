@@ -72,7 +72,7 @@ from ..core.deboost import DeBoostTracker
 from .bandwidth import BandwidthModel
 from ..cpu import CoreModel, make_core_model
 from ..monitor.miss_curve import MissCurve, interp_float
-from ..numeric import pairwise_sum
+from ..numeric import mean, pairwise_sum, percentile
 from ..policies.base import AppView, Decision, Policy, PolicyContext
 from ..workloads.batch import BatchWorkload
 from ..workloads.latency_critical import LCWorkload
@@ -207,15 +207,16 @@ class _LCApp(_App):
             core, scheme, segments,
         )
         self.spec = spec
-        # Stream-constant statistics, computed once per engine.
         self.req_accesses = spec.works * spec.workload.profile.apki / 1000.0
-        self.mean_req_accesses = float(np.mean(self.req_accesses))
-        self.tail_req_accesses = float(np.percentile(self.req_accesses, 95))
         # The streams as Python floats, read once per event: ``tolist``
         # gives exactly the ``float(x)`` of every element.
         self.arrival_list = spec.arrivals.tolist()
         self.work_list = spec.works.tolist()
         self.access_list = self.req_accesses.tolist()
+        # Stream-constant statistics, computed once per engine; the
+        # helpers equal np.mean and np.percentile bit for bit.
+        self.mean_req_accesses = mean(self.access_list)
+        self.tail_req_accesses = percentile(self.access_list, 95)
         self.warmup = int(len(spec.arrivals) * warmup_fraction)
         self.arrival_ptr = 0
         self.queue: List[int] = []

@@ -27,6 +27,19 @@ def _isolated_result_store(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
 
 
+@pytest.fixture(scope="session")
+def store_documents():
+    """``documents(store)``: ``{fingerprint: document text}`` for all a
+    store's engine holds, read through ``store.fingerprints()`` and the
+    engine's ``get_doc``.  Two stores holding the same corpus map equal,
+    whatever their engines."""
+
+    def documents(store):
+        return {fp: store.backend.get_doc(fp) for fp in store.fingerprints()}
+
+    return documents
+
+
 @pytest.fixture
 def forbid_evaluation(monkeypatch):
     """A switch that makes evaluating any spec fail the test.

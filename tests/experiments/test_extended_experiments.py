@@ -180,7 +180,7 @@ class TestScaleoutBaseline:
         streams = [tuple(_instance_latencies(6, instance)) for instance in range(3)]
         assert len(set(streams)) == 3
 
-    @pytest.mark.parametrize("engine", ["directory", "sqlite", "memory"])
+    @pytest.mark.parametrize("engine", ["directory", "memory"])
     def test_stored_summary_serves_without_simulating(
         self, engine, tmp_path, monkeypatch
     ):
@@ -189,8 +189,7 @@ class TestScaleoutBaseline:
 
         target = {
             "directory": str(tmp_path / "tree"),
-            "sqlite": f"sqlite://{tmp_path}/store.db",
-            "memory": None,
+                "memory": None,
         }[engine]
         store = ResultStore(target)
         identity = _baseline_identity(4)

@@ -3,9 +3,10 @@
 How a batch is fanned out must change nothing about what lands in the
 store: not a float, not a byte.  This evaluates a three-policy batch of
 the pinned ``tests/golden`` grid (one shared baseline, three run
-records) at 1, 2 and 4 workers against each local engine, and
-compares the canonical export of every resulting corpus with the
-serial directory-store reference, file for file.  A rerun against the
+records) at 1, 2 and 4 workers against both engines, and compares
+the documents of every resulting corpus with the serial directory-store
+reference, text for text (and a directory store's tree file for
+file).  A rerun against the
 filled store must then be served without evaluating anything.
 """
 
@@ -36,15 +37,13 @@ GOLDEN_SPECS = [
 ]
 
 JOBS = (1, 2, 4)
-ENGINES = ("directory", "sqlite", "memory")
+ENGINES = ("directory", "memory")
 
 
 def make_store(name, tmp_path):
     """A fresh ResultStore on the named engine under tmp_path."""
     if name == "directory":
         return ResultStore(str(tmp_path / "tree"))
-    if name == "sqlite":
-        return ResultStore(f"sqlite://{tmp_path}/store.db")
     return ResultStore(None)
 
 
@@ -57,12 +56,6 @@ def tree(root):
     }
 
 
-def tree_of(store, destination):
-    """A store's canonical export as path -> bytes."""
-    store.export_canonical(destination)
-    return tree(destination)
-
-
 @pytest.fixture(autouse=True)
 def _fresh_artifacts():
     """Empty artifact cache per test: every arm computes."""
@@ -72,30 +65,33 @@ def _fresh_artifacts():
 
 
 @pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """The serial directory-store ground truth every cell reproduces."""
+def reference(tmp_path_factory, store_documents):
+    """The serial directory-store ground truth every cell reproduces:
+    records, documents by fingerprint, and the tree's files."""
     root = tmp_path_factory.mktemp("reference")
     reset_artifacts()
-    records = Session(store=ResultStore(str(root)), jobs=1).run_many(GOLDEN_SPECS)
-    documents = tree(root)
+    store = ResultStore(str(root))
+    records = Session(store=store, jobs=1).run_many(GOLDEN_SPECS)
+    documents = store_documents(store)
     assert len(documents) == len(GOLDEN_SPECS) + 1  # one shared baseline
-    return records, documents
+    return records, documents, tree(root)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("jobs", JOBS)
-def test_store_documents_byte_identical(jobs, engine, tmp_path, reference):
-    ref_records, ref_documents = reference
+def test_store_documents_byte_identical(
+    jobs, engine, tmp_path, reference, store_documents
+):
+    ref_records, ref_documents, ref_tree = reference
     store = make_store(engine, tmp_path)
     records = Session(store=store, jobs=jobs).run_many(GOLDEN_SPECS)
     assert records == ref_records
-    exported = tmp_path / "export"
-    assert store.export_canonical(exported) == len(ref_documents)
-    assert tree(exported) == ref_documents, f"corpus drifted at {jobs}/{engine}"
+    assert store_documents(store) == ref_documents, (
+        f"corpus drifted at {jobs}/{engine}"
+    )
     if engine == "directory":
         # Nothing else left behind in the live tree: no temp files.
-        assert tree(tmp_path / "tree") == ref_documents
-    store.close()
+        assert tree(tmp_path / "tree") == ref_tree
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -103,7 +99,7 @@ def test_store_documents_byte_identical(jobs, engine, tmp_path, reference):
 def test_rerun_is_served_without_evaluating(
     jobs, engine, tmp_path, reference, forbid_evaluation
 ):
-    ref_records, _ = reference
+    ref_records = reference[0]
     store = make_store(engine, tmp_path)
     assert Session(store=store, jobs=jobs).run_many(GOLDEN_SPECS) == ref_records
     # Persistent engines serve a brand-new handle; a memory store can
@@ -111,17 +107,16 @@ def test_rerun_is_served_without_evaluating(
     reread = ResultStore(store.share_target()) if store.persistent else store
     forbid_evaluation()
     assert Session(store=reread, jobs=jobs).run_many(GOLDEN_SPECS) == ref_records
-    store.close()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_batch_equals_one_spec_at_a_time(engine, tmp_path, reference):
-    ref_records, _ = reference
+def test_batch_equals_one_spec_at_a_time(
+    engine, tmp_path, reference, store_documents
+):
+    ref_records = reference[0]
     batch_store = make_store(engine, tmp_path / "batch")
     single_store = make_store(engine, tmp_path / "single")
     batch = Session(store=batch_store).run_many(GOLDEN_SPECS)
     singles = [Session(store=single_store).run(spec) for spec in GOLDEN_SPECS]
     assert batch == singles == ref_records
-    assert tree_of(batch_store, tmp_path / "eb") == tree_of(
-        single_store, tmp_path / "es"
-    )
+    assert store_documents(batch_store) == store_documents(single_store)

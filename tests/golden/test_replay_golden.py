@@ -7,9 +7,9 @@ store through a serial ``Session`` — the production path, one replay
 group on :class:`~repro.sim.engine.MixEngine` — and the same
 specs one by one through ``execute_spec``, the scalar ``run_mix``
 oracle, into another.  The stores must match: raw trees on the
-directory backend, canonical exports on sqlite (whose raw file bytes
-legitimately depend on insertion order).  A corpus written either way
-must also serve a rerun the other way as a pure store hit.
+directory backend, documents by fingerprint on the memory engine.  A
+corpus written either way must also serve a rerun the other way as a
+pure store hit.
 """
 
 import pytest
@@ -45,16 +45,6 @@ def store_tree(root):
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
         for p in root.rglob("*")
-        if p.is_file()
-    }
-
-
-def export_tree(store, destination):
-    """Canonical-export a store and return its path → bytes map."""
-    store.export_canonical(destination)
-    return {
-        p.relative_to(destination).as_posix(): p.read_bytes()
-        for p in destination.rglob("*")
         if p.is_file()
     }
 
@@ -95,20 +85,17 @@ def test_directory_store_trees_byte_identical(tmp_path):
     assert len(tree) == 3
 
 
-def test_sqlite_canonical_exports_byte_identical(tmp_path):
-    production_store = ResultStore(f"sqlite://{tmp_path}/production.db")
-    run_production(production_store)
-    production = export_tree(production_store, tmp_path / "export-production")
-    production_store.close()
+def test_memory_store_documents_byte_identical(store_documents):
+    production_store = ResultStore(None)
+    production_records = run_production(production_store)
 
     reset_artifacts()
-    oracle_store = ResultStore(f"sqlite://{tmp_path}/oracle.db")
-    run_oracle(oracle_store)
-    oracle = export_tree(oracle_store, tmp_path / "export-oracle")
-    oracle_store.close()
+    oracle_store = ResultStore(None)
+    assert run_oracle(oracle_store) == production_records
 
+    production = store_documents(production_store)
     assert len(production) == 3
-    assert production == oracle
+    assert production == store_documents(oracle_store)
 
 
 @pytest.mark.parametrize("first", ["production-first", "oracle-first"])

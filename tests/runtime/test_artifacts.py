@@ -237,11 +237,10 @@ class TestBaselineArtifacts:
         assert (counts["hits"], counts["misses"]) == (2, 1)
 
 
-@pytest.fixture(params=["directory", "sqlite", "memory"])
+@pytest.fixture(params=["directory", "memory"])
 def any_store(request, tmp_path):
     target = {
         "directory": str(tmp_path / "tree"),
-        "sqlite": f"sqlite://{tmp_path}/store.db",
         "memory": None,
     }[request.param]
     store = ResultStore(target)

@@ -1,31 +1,27 @@
-"""Tests for the pluggable storage backends and their shared contract."""
+"""Tests for the two storage engines and their shared contract."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.runtime.backends import (
-    BACKENDS,
     DirectoryBackend,
     MemoryBackend,
-    SqliteBackend,
     StoreBackend,
     make_backend,
     parse_store_url,
 )
-from repro.runtime.store import (
-    ResultStore,
-    default_store_url,
-    migrate_store,
-)
+from repro.runtime.store import ResultStore, default_store_url
 
-BACKEND_NAMES = ("directory", "sqlite", "memory")
+BACKEND_NAMES = ("directory", "memory")
 
 #: What a store URL naming no engine is refused with.
-UNKNOWN_ENGINE = r"unknown store backend .*\(known: directory, memory, sqlite\)"
+UNKNOWN_ENGINE = r"unknown store backend .*\(known: directory, memory\)"
 
 #: Store URLs of engines that no longer exist, plus one that never did.
 RETIRED_URLS = [
+    "sqlite:///tmp/x/store.db",
     "redis://localhost/0",
     "http://127.0.0.1:8377",
     "cluster://replicas=2;http://a:1;http://b:2",
@@ -36,8 +32,6 @@ def make_target(name: str, tmp_path):
     """A store target string (or None) for one backend."""
     if name == "directory":
         return str(tmp_path / "tree")
-    if name == "sqlite":
-        return f"sqlite://{tmp_path}/store.db"
     return None
 
 
@@ -59,12 +53,6 @@ def backend(request, target_factory):
 
 
 class TestParseStoreUrl:
-    def test_sqlite_url(self):
-        assert parse_store_url("sqlite:///tmp/x/store.db") == (
-            "sqlite",
-            "/tmp/x/store.db",
-        )
-
     def test_directory_url(self):
         assert parse_store_url("directory:///tmp/x") == ("directory", "/tmp/x")
 
@@ -88,12 +76,12 @@ class TestParseStoreUrl:
 
     def test_schemed_url_requires_path(self):
         with pytest.raises(ValueError, match="missing its path"):
-            parse_store_url("sqlite://")
+            parse_store_url("directory://")
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("SQLITE:///tmp/x/store.db", ("sqlite", "/tmp/x/store.db")),
+            ("DIRECTORY:///tmp/x", ("directory", "/tmp/x")),
             ("  directory:///tmp/x  ", ("directory", "/tmp/x")),
             ("Memory://", ("memory", None)),
             ("  /tmp/corpus ", ("directory", "/tmp/corpus")),
@@ -104,20 +92,13 @@ class TestParseStoreUrl:
 
 
 class TestHomeRelativeTargets:
-    @pytest.mark.parametrize(
-        "target, path",
-        [
-            ("directory://~/corpus", "corpus"),
-            ("sqlite://~/corpus/store.db", "corpus/store.db"),
-        ],
-    )
-    def test_tilde_expands_to_home(self, target, path, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("target", ["directory://~/corpus", "~/corpus"])
+    def test_tilde_expands_to_home(self, target, monkeypatch, tmp_path):
         monkeypatch.setenv("HOME", str(tmp_path))
         backend = make_backend(target)
         backend.put_doc("ab" * 32, "doc")
-        assert backend.url == target.replace("~", str(tmp_path))
-        assert (tmp_path / path).exists()
-        backend.close()
+        assert backend.url == f"directory://{tmp_path}/corpus"
+        assert (tmp_path / "corpus" / "ab" / f"{'ab' * 32}.json").exists()
 
 
 class TestMakeBackend:
@@ -133,64 +114,38 @@ class TestMakeBackend:
         instance = MemoryBackend()
         assert make_backend(instance) is instance
 
-    def test_registry_covers_every_scheme(self):
+    @pytest.mark.parametrize(
+        "target, engine",
+        [
+            ("directory://{tmp}/tree", DirectoryBackend),
+            ("{tmp}/tree", DirectoryBackend),
+            ("memory://", MemoryBackend),
+            ("off", MemoryBackend),
+            ("", MemoryBackend),
+        ],
+        ids=["directory-url", "bare-path", "memory-url", "off-token", "empty"],
+    )
+    def test_each_target_opens_its_engine(self, target, engine, tmp_path):
+        backend = make_backend(target.format(tmp=tmp_path))
+        assert type(backend) is engine
+        assert isinstance(backend, StoreBackend)
+        assert backend.name in BACKEND_NAMES
+        assert not (tmp_path / "tree").exists()  # opening writes nothing
+
+    def test_package_holds_two_engines(self):
+        import pkgutil
+
         import repro.runtime.backends as backends
 
-        assert set(BACKENDS) == set(BACKEND_NAMES)
-        for name, class_name in BACKENDS.items():
-            cls = getattr(backends, class_name)
-            assert cls.name == name
-            assert issubclass(cls, StoreBackend)
-            assert cls.__module__ == f"repro.runtime.backends.{name}"
+        modules = sorted(m.name for m in pkgutil.iter_modules(backends.__path__))
+        assert modules == ["base", "directory", "memory"]
+        assert (DirectoryBackend.name, MemoryBackend.name) == BACKEND_NAMES
 
     def test_url_round_trips(self, tmp_path):
-        for name in ("directory", "sqlite"):
-            first = make_backend(make_target(name, tmp_path))
-            second = make_backend(first.url)
-            assert second.name == first.name
-            assert second.url == first.url
-
-
-#: Every engine module, and the `sqlite3` module only the sqlite engine needs.
-ENGINE_MODULES = tuple(f"repro.runtime.backends.{name}" for name in BACKEND_NAMES)
-
-
-class TestLazyEngines:
-    """An engine's module loads when a store of its scheme opens."""
-
-    def test_package_import_loads_no_engine(self, fresh_interpreter):
-        __, loaded = fresh_interpreter(
-            "-c",
-            "import repro.runtime.backends, repro.runtime.store",
-            watch=ENGINE_MODULES + ("sqlite3",),
-        )
-        assert loaded == []
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_opening_a_store_loads_only_its_engine(
-        self, name, fresh_interpreter, tmp_path
-    ):
-        target = make_target(name, tmp_path)
-        __, loaded = fresh_interpreter(
-            "-c",
-            "import sys; from repro.runtime.store import ResultStore; "
-            "ResultStore(sys.argv[1] if len(sys.argv) > 1 else None)",
-            *([target] if target else []),
-            watch=ENGINE_MODULES + ("sqlite3",),
-        )
-        engines = [module for module in loaded if module.startswith("repro.")]
-        assert engines == [f"repro.runtime.backends.{name}"]
-        assert ("sqlite3" in loaded) == (name == "sqlite")
-
-    def test_engine_classes_import_from_the_package(self):
-        import repro.runtime.backends as backends
-        from repro.runtime.backends.sqlite import SqliteBackend as defined
-
-        assert SqliteBackend is defined
-        assert {"DirectoryBackend", "MemoryBackend", "SqliteBackend"} <= set(
-            dir(backends)
-        )
-        assert sorted(backends._EXPORTS) == sorted(BACKENDS.values())
+        first = make_backend(make_target("directory", tmp_path))
+        second = make_backend(first.url)
+        assert second.name == first.name
+        assert second.url == first.url
 
 
 class TestBackendContract:
@@ -316,18 +271,6 @@ class TestBackendContract:
             assert reopened.doc_count() == 0
         reopened.close()
 
-    def test_export_writes_the_directory_layout(self, backend, tmp_path):
-        texts = {f"{index:02x}" * 32: f'{{"i":{index}}}' for index in (1, 2, 3)}
-        for fp, text in texts.items():
-            backend.put_doc(fp, text)
-        destination = tmp_path / "exported"
-        assert backend.export_canonical(destination) == 3
-        files = sorted(p for p in destination.rglob("*") if p.is_file())
-        assert [p.relative_to(destination).as_posix() for p in files] == [
-            f"{fp[:2]}/{fp}.json" for fp in sorted(texts)
-        ]
-        assert {p.stem: p.read_text() for p in files} == texts
-
     def test_document_path_only_on_the_directory_engine(self, backend):
         fp = "ab" * 32
         backend.put_doc(fp, "doc")
@@ -348,23 +291,29 @@ class TestBackendContract:
             assert backend.disk_bytes() == small == 0
 
 
-class TestPersistence:
-    @pytest.mark.parametrize("name", ["directory", "sqlite"])
-    def test_second_handle_sees_the_corpus(self, name, target_factory):
-        target = target_factory(name)
-        writer = make_backend(target)
-        writer.put_doc("ab" * 32, "doc")
-        writer.close()
-        reader = make_backend(target)
-        assert reader.get_doc("ab" * 32) == "doc"
-        reader.close()
+#: How a second handle names a directory store the first opened by path.
+LOCATION_FORMS = {
+    "path": lambda root: str(root),
+    "url": lambda root: f"directory://{root}",
+}
 
-    @pytest.mark.parametrize("name", ["directory", "sqlite"])
+
+class TestPersistence:
+    @pytest.mark.parametrize("form", LOCATION_FORMS)
+    def test_second_handle_sees_the_corpus(self, form, tmp_path):
+        root = tmp_path / "tree"
+        writer = make_backend(str(root))
+        writer.put_doc("ab" * 32, "doc")
+        reader = make_backend(LOCATION_FORMS[form](root))
+        assert reader.get_doc("ab" * 32) == "doc"
+
+    @pytest.mark.parametrize("form", LOCATION_FORMS)
     def test_open_handles_see_each_others_overwrites_and_deletes(
-        self, name, target_factory
+        self, form, tmp_path
     ):
-        target = target_factory(name)
-        first, second = make_backend(target), make_backend(target)
+        root = tmp_path / "tree"
+        first = make_backend(str(root))
+        second = make_backend(LOCATION_FORMS[form](root))
         first.put_doc("ab" * 32, "v1")
         first.put_doc("cd" * 32, "doomed")
         assert second.get_doc("ab" * 32) == "v1"
@@ -373,36 +322,46 @@ class TestPersistence:
         assert first.get_doc("ab" * 32) == "v2"
         assert first.get_doc("cd" * 32) is None
         assert sorted(first.iter_docs()) == sorted(second.iter_docs()) == ["ab" * 32]
-        first.close()
-        second.close()
 
-    @pytest.mark.parametrize("name", ["directory", "sqlite"])
-    def test_clear_through_one_handle_empties_the_other(self, name, target_factory):
-        target = target_factory(name)
-        first, second = make_backend(target), make_backend(target)
+    @pytest.mark.parametrize("form", LOCATION_FORMS)
+    def test_clear_through_one_handle_empties_the_other(self, form, tmp_path):
+        root = tmp_path / "tree"
+        first = make_backend(str(root))
+        second = make_backend(LOCATION_FORMS[form](root))
         first.put_doc("ab" * 32, "doc")
         assert second.clear_documents() == 1
         assert first.doc_count() == 0
         assert first.get_doc("ab" * 32) is None
-        first.close()
-        second.close()
 
     def test_memory_handles_share_nothing(self, tmp_path):
         writer = make_backend(None)
         writer.put_doc("ab" * 32, "doc")
         assert make_backend(None).get_doc("ab" * 32) is None
 
-    def test_sqlite_reads_never_create_the_file(self, tmp_path):
-        path = tmp_path / "probe.db"
-        backend = SqliteBackend(path)
-        assert backend.get_doc("ab" * 32) is None
-        assert backend.doc_count() == 0
-        assert list(backend.iter_docs()) == []
-        assert backend.clear_documents() == 0
-        assert not path.exists()
-        backend.put_doc("ab" * 32, "doc")
-        assert path.exists()
-        backend.close()
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda store: store.get("ab" * 32),
+            len,
+            lambda store: list(store.fingerprints()),
+            lambda store: store.stats(),
+            lambda store: store.prune(),
+            lambda store: store.clear(),
+            lambda store: store.backend.delete_doc("ab" * 32),
+        ],
+        ids=["get", "len", "fingerprints", "stats", "prune", "clear", "delete"],
+    )
+    def test_reads_and_maintenance_never_create_the_root(self, read, tmp_path):
+        root = tmp_path / "missing"
+        read(ResultStore(str(root)))
+        assert not root.exists()
+
+    def test_a_put_creates_the_root(self, tmp_path):
+        root = tmp_path / "missing" / "tree"
+        store = ResultStore(str(root))
+        store.put("ab" * 32, {"kind": "run"})
+        assert (root / "ab" / f"{'ab' * 32}.json").is_file()
+        assert len(store) == 1
 
 
 class TestDirectoryAtomicity:
@@ -439,129 +398,160 @@ class TestDirectoryAtomicity:
         assert backend.get_doc(fp) == json.dumps({"i": 9})
 
 
-def _tree_bytes(root):
-    """fingerprint -> document bytes for a directory-layout tree."""
-    return {p.stem: p.read_bytes() for p in root.glob("??/*.json")}
+    def test_write_whose_temp_was_swept_is_dropped(self, tmp_path, monkeypatch):
+        """A concurrent clear that sweeps a writer's temp file makes the
+        write a no-op, not an error: the store is a cache."""
+        import os
 
+        backend = DirectoryBackend(tmp_path)
 
-class TestCanonicalExport:
-    def test_exports_byte_identical_across_backends(self, tmp_path, target_factory):
-        docs = {
-            "ab" * 32: '{"kind":"run","x":1.5}',
-            "cd" * 32: '{"kind":"baseline","latencies":[1.0,2.25]}',
-            "ef" * 32: '{"kind":"run","y":[1,2,3]}',
-        }
-        exports = {}
-        for name in BACKEND_NAMES:
-            backend = make_backend(target_factory(name, name))
-            for fp, text in docs.items():
-                backend.put_doc(fp, text)
-            destination = tmp_path / f"export-{name}"
-            assert backend.export_canonical(destination) == len(docs)
-            exports[name] = _tree_bytes(destination)
-            backend.close()
-        assert exports["sqlite"] == exports["directory"]
-        assert exports["memory"] == exports["directory"]
-        # And the export reproduces the directory backend's own layout.
-        assert exports["directory"] == _tree_bytes(
-            tmp_path / "directory" / "tree"
-        )
+        def swept(src, dst):
+            os.unlink(src)
+            raise FileNotFoundError(src)
 
-    def test_export_writes_only_document_files(self, tmp_path):
-        backend = MemoryBackend()
+        monkeypatch.setattr(os, "replace", swept)
         backend.put_doc("ab" * 32, "doc")
-        destination = tmp_path / "export"
-        assert backend.export_canonical(destination) == 1
-        assert _tree_bytes(destination) == {"ab" * 32: b"doc"}
-        assert sorted(
-            p.relative_to(destination).as_posix() for p in destination.rglob("*")
-        ) == ["ab", f"ab/{'ab' * 32}.json"]
+        monkeypatch.undo()
+        assert backend.get_doc("ab" * 32) is None
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_failed_write_removes_its_temp_and_raises(self, tmp_path, monkeypatch):
+        import os
+
+        backend = DirectoryBackend(tmp_path)
+        backend.put_doc("ab" * 32, "old")
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            backend.put_doc("ab" * 32, "new")
+        monkeypatch.undo()
+        assert backend.get_doc("ab" * 32) == "old"
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [
+            f"{'ab' * 32}.json"
+        ]
 
 
-class TestMigrate:
-    @pytest.mark.parametrize("src_name", BACKEND_NAMES)
-    @pytest.mark.parametrize("dst_name", BACKEND_NAMES)
-    def test_migrate_preserves_export_bytes(
-        self, src_name, dst_name, tmp_path, target_factory
-    ):
-        if src_name == dst_name == "memory":
-            pytest.skip("two memory targets resolve to two empty stores")
-        src = make_backend(target_factory(src_name, "src"))
-        src.put_doc("ab" * 32, '{"kind":"run","x":1}')
-        src.put_doc("cd" * 32, '{"kind":"baseline","t":2.5}')
-        dst = make_backend(target_factory(dst_name, "dst"))
-        counts = migrate_store(src, dst)
-        assert counts == {"documents": 2}
-        src_export, dst_export = tmp_path / "se", tmp_path / "de"
-        src.export_canonical(src_export)
-        dst.export_canonical(dst_export)
-        assert _tree_bytes(src_export) == _tree_bytes(dst_export)
-        src.close()
-        dst.close()
+class TestDirectoryLayout:
+    """What under a directory store's root is a document, and what is
+    left alone."""
 
     @pytest.mark.parametrize(
-        "src_name,dst_name",
+        "foreign",
         [
-            (src, dst)
-            for src in BACKEND_NAMES
-            for dst in BACKEND_NAMES
-            if not src == dst == "memory"
+            "notes.json",
+            "abc/x.json",
+            "ab/notes.txt",
+            "ab/.hidden.json",
+            "ab/deeper/x.json",
         ],
     )
-    def test_migrate_overwrites_same_keys_and_keeps_the_rest(
-        self, src_name, dst_name, target_factory
-    ):
-        src = make_backend(target_factory(src_name, "src"))
-        src.put_doc("ab" * 32, '{"kind":"run","x":2}')
-        dst = make_backend(target_factory(dst_name, "dst"))
-        dst.put_doc("ab" * 32, '{"kind":"run","x":1}')
-        dst.put_doc("cd" * 32, '{"kind":"run","only":"dst"}')
-        assert migrate_store(src, dst) == {"documents": 1}
-        assert dst.get_doc("ab" * 32) == '{"kind":"run","x":2}'
-        assert dst.get_doc("cd" * 32) == '{"kind":"run","only":"dst"}'
-        # The source is read, never written.
-        assert src.doc_count() == 1
-        assert src.get_doc("ab" * 32) == '{"kind":"run","x":2}'
-        src.close()
-        dst.close()
+    def test_foreign_files_are_not_documents(self, foreign, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        backend.put_doc("ab" * 32, "doc")
+        (tmp_path / foreign).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / foreign).write_text("foreign")
+        assert list(backend.iter_docs()) == ["ab" * 32]
+        assert backend.doc_count() == 1
+        assert backend.disk_bytes() == len("doc")
+        assert backend.clear_documents() == 1
+        assert (tmp_path / foreign).read_text() == "foreign"
 
-    def test_round_trip_restores_the_original_corpus(self, tmp_path):
+    def test_delete_prunes_only_an_emptied_shard(self, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        backend.put_doc("ab" * 32, "doc")
+        backend.put_doc("ab" + "cd" * 31, "doc")
+        backend.put_doc("ef" * 32, "doc")
+        backend.delete_doc("ab" * 32)
+        assert (tmp_path / "ab").is_dir()
+        backend.delete_doc("ab" + "cd" * 31)
+        assert not (tmp_path / "ab").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ef"]
+
+    def test_disk_bytes_are_the_document_bytes(self, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        texts = {"ab" * 32: "x", "cd" * 32: "é" * 10, "ef" * 32: "0" * 4096}
+        for fp, text in texts.items():
+            backend.put_doc(fp, text)
+        assert backend.disk_bytes() == sum(len(t.encode()) for t in texts.values())
+
+
+def _tree_bytes(root):
+    """path -> bytes for every file under a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+class TestCanonicalLayout:
+    """The directory tree is every corpus's canonical layout."""
+
+    TEXTS = {
+        "ab" * 32: '{"kind":"run","x":1.5}',
+        "cd" * 32: '{"kind":"baseline","latencies":[1.0,2.25]}',
+        "ef" * 32: '{"kind":"run","y":[1,2,3]}',
+    }
+
+    def test_engines_hold_the_same_texts(self, tmp_path):
+        held = {}
+        for name in BACKEND_NAMES:
+            backend = make_backend(make_target(name, tmp_path))
+            for fp, text in self.TEXTS.items():
+                backend.put_doc(fp, text)
+            held[name] = {fp: backend.get_doc(fp) for fp in backend.iter_docs()}
+        assert held["directory"] == held["memory"] == self.TEXTS
+        # And the directory engine keeps each text at <fp[:2]>/<fp>.json.
+        assert _tree_bytes(tmp_path / "tree") == {
+            f"{fp[:2]}/{fp}.json": text.encode() for fp, text in self.TEXTS.items()
+        }
+
+    def test_tree_holds_only_document_files(self, tmp_path):
+        backend = DirectoryBackend(tmp_path / "tree")
+        backend.put_doc("ab" * 32, "doc")
+        assert sorted(
+            p.relative_to(tmp_path / "tree").as_posix()
+            for p in (tmp_path / "tree").rglob("*")
+        ) == ["ab", f"ab/{'ab' * 32}.json"]
+
+    def test_a_copied_tree_is_the_same_corpus(self, tmp_path, store_documents):
         origin = ResultStore(str(tmp_path / "origin"))
-        origin.put("ab" * 32, {"kind": "run", "value": 1.25})
-        origin_bytes = _tree_bytes(tmp_path / "origin")
-        sqlite_url = f"sqlite://{tmp_path}/hop.db"
-        migrate_store(str(tmp_path / "origin"), sqlite_url)
-        migrate_store(sqlite_url, str(tmp_path / "back"))
-        assert _tree_bytes(tmp_path / "back") == origin_bytes
-
-    def test_refuses_migrating_onto_itself(self, tmp_path):
-        target = str(tmp_path / "tree")
-        make_backend(target).put_doc("ab" * 32, "doc")
-        with pytest.raises(ValueError, match="onto itself"):
-            migrate_store(target, target)
-
-    def test_accepts_result_store_handles(self, tmp_path):
-        src = ResultStore(str(tmp_path / "a"))
-        dst = ResultStore(f"sqlite://{tmp_path}/b.db")
-        src.put("ab" * 32, {"kind": "run"})
-        assert migrate_store(src, dst)["documents"] == 1
-        assert dst.get("ab" * 32)["kind"] == "run"
+        for fp, text in self.TEXTS.items():
+            origin.put(fp, json.loads(text))
+        shutil.copytree(tmp_path / "origin", tmp_path / "copy")
+        copy = ResultStore(str(tmp_path / "copy"))
+        assert store_documents(copy) == store_documents(origin)
+        assert {fp: copy.get(fp) for fp in self.TEXTS} == {
+            fp: origin.get(fp) for fp in self.TEXTS
+        }
 
 
 class TestDefaultStoreUrl:
     def test_url_in_env_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_STORE", f"sqlite://{tmp_path}/s.db")
+        monkeypatch.setenv("REPRO_STORE", f"directory://{tmp_path}/s")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ignored"))
-        assert default_store_url() == f"sqlite://{tmp_path}/s.db"
+        assert default_store_url() == f"directory://{tmp_path}/s"
 
     def test_memory_url_means_no_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "memory://")
         assert default_store_url() is None
 
-    @pytest.mark.parametrize("url", ["redis://localhost/0", "http://127.0.0.1:8377"])
+    @pytest.mark.parametrize("url", RETIRED_URLS)
     def test_invalid_env_url_raises(self, monkeypatch, url):
         monkeypatch.setenv("REPRO_STORE", url)
-        with pytest.raises(ValueError, match=UNKNOWN_ENGINE):
+        with pytest.raises(ValueError, match="^REPRO_STORE: " + UNKNOWN_ENGINE):
+            default_store_url()
+
+    @pytest.mark.parametrize("url", ["directory://", "  directory://  "])
+    def test_env_url_missing_its_path_raises(self, monkeypatch, url):
+        monkeypatch.setenv("REPRO_STORE", url)
+        with pytest.raises(
+            ValueError,
+            match=r"^REPRO_STORE: store URL 'directory://' is missing its path$",
+        ):
             default_store_url()
 
     def test_falls_back_to_legacy_rules(self, monkeypatch, tmp_path):
@@ -569,19 +559,36 @@ class TestDefaultStoreUrl:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "s"))
         assert default_store_url() == str(tmp_path / "s")
 
-    def test_off_toggle_means_no_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "0")
+    @pytest.mark.parametrize("token", ["0", "off", "false", "no", "memory", " OFF "])
+    def test_off_toggle_means_no_store(self, monkeypatch, tmp_path, token):
+        monkeypatch.setenv("REPRO_STORE", token)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ignored"))
         assert default_store_url() is None
 
 
 class TestFacadeIdentity:
     def test_persistent_stores_expose_share_targets(self, tmp_path):
-        sqlite_url = f"sqlite://{tmp_path}/s.db"
-        store = ResultStore(sqlite_url)
+        url = f"directory://{tmp_path}/s"
+        store = ResultStore(url)
         assert store.persistent
-        assert store.share_target() == sqlite_url
-        assert store.memo_key == sqlite_url
-        assert store.root is None  # only the directory engine has one
+        assert store.share_target() == url
+        assert store.memo_key == url
+        assert store.root == tmp_path / "s"
+
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            str,
+            lambda root: root,
+            lambda root: f"directory://{root}",
+            lambda root: f"{root}/",
+            lambda root: f"  {root}  ",
+        ],
+        ids=["path", "pathlike", "url", "trailing-slash", "outer-space"],
+    )
+    def test_every_spelling_of_a_root_shares_one_identity(self, spell, tmp_path):
+        store = ResultStore(spell(tmp_path / "s"))
+        assert store.share_target() == store.memo_key == f"directory://{tmp_path}/s"
 
     def test_directory_store_keeps_its_root(self, tmp_path):
         store = ResultStore(str(tmp_path / "tree"))
@@ -595,11 +602,7 @@ class TestFacadeIdentity:
         assert store.memo_key == id(store)
 
     def test_worker_reopens_share_target(self, tmp_path):
-        from repro.runtime.work import execute_in_worker
-        from repro.runtime.spec import RunRecord
-
-        sqlite_url = f"sqlite://{tmp_path}/s.db"
-        parent = ResultStore(sqlite_url)
+        parent = ResultStore(str(tmp_path / "s"))
         reopened = ResultStore(parent.share_target())
         parent.put("ab" * 32, {"kind": "run", "x": 1})
         assert reopened.get("ab" * 32)["x"] == 1

@@ -1,18 +1,15 @@
 """Stores written before the blob side was retired still work.
 
-Older versions kept a second, content-addressed side in every store: a
-``blobs/<key[:2]>/<key>.bin`` subtree under a directory store's root
-and a ``blobs`` table in a sqlite file.  Nothing reads that side any
-more, but a store carrying it must open, serve, count, export, prune,
-clear and migrate exactly its documents.  Opening, serving, counting,
-exporting, migrating and new writes leave the old side as they found
-it; prune and clear reclaim it, and a sqlite file shrinks on disk.  A
-directory store's reclaim unlinks only the blob files older versions
-wrote, so foreign files under ``blobs/`` survive.  New sqlite files get
-no ``blobs`` table.
+Older versions kept a second, content-addressed side in every directory
+store: a ``blobs/<key[:2]>/<key>.bin`` subtree under its root.  Nothing
+reads that side any more, but a store carrying it must open, serve,
+count, list, prune and clear exactly its documents.  Opening, serving,
+counting, listing and new writes leave the old side as they found it;
+prune and clear reclaim it.  The reclaim unlinks only the blob files
+older versions wrote, so foreign files under ``blobs/`` survive.  New
+stores get no ``blobs/`` side.
 """
 
-import sqlite3
 from pathlib import Path
 
 import pytest
@@ -24,7 +21,6 @@ from repro.runtime import (
     ResultStore,
     RunSpec,
     Session,
-    migrate_store,
     reset_artifacts,
 )
 from repro.runtime.spec import canonical_json
@@ -59,54 +55,22 @@ def corpus(tmp_path_factory):
     return texts
 
 
-def write_older_store(engine, tmp_path, corpus):
-    """A store in the older layout holding ``corpus``; returns its target."""
-    if engine == "directory":
-        root = tmp_path / "older"
-        for fp, text in corpus.items():
-            (root / fp[:2]).mkdir(parents=True, exist_ok=True)
-            (root / fp[:2] / f"{fp}.json").write_text(text)
-        blob = root / "blobs" / BLOB_KEY[:2] / f"{BLOB_KEY}.bin"
-        blob.parent.mkdir(parents=True)
-        blob.write_bytes(BLOB)
-        return str(root)
-    path = tmp_path / "older.db"
-    conn = sqlite3.connect(str(path))
-    conn.execute("PRAGMA journal_mode=WAL")
-    conn.execute(
-        "CREATE TABLE documents (fingerprint TEXT PRIMARY KEY, doc TEXT NOT NULL)"
-    )
-    conn.execute("CREATE TABLE blobs (key TEXT PRIMARY KEY, payload BLOB NOT NULL)")
-    conn.executemany("INSERT INTO documents VALUES (?, ?)", corpus.items())
-    conn.execute("INSERT INTO blobs VALUES (?, ?)", (BLOB_KEY, BLOB))
-    conn.commit()
-    conn.close()
-    return f"sqlite://{path}"
+def write_older_store(tmp_path, corpus):
+    """A store in the older layout holding ``corpus``; returns its root."""
+    root = tmp_path / "older"
+    for fp, text in corpus.items():
+        (root / fp[:2]).mkdir(parents=True, exist_ok=True)
+        (root / fp[:2] / f"{fp}.json").write_text(text)
+    blob = root / "blobs" / BLOB_KEY[:2] / f"{BLOB_KEY}.bin"
+    blob.parent.mkdir(parents=True)
+    blob.write_bytes(BLOB)
+    return str(root)
 
 
 def old_side(target):
     """The old side's contents: key -> payload."""
-    if not target.startswith("sqlite://"):
-        files = (Path(target) / "blobs").rglob("*")
-        return {p.stem: p.read_bytes() for p in files if p.is_file()}
-    conn = sqlite3.connect(target[len("sqlite://"):])
-    try:
-        tables = {
-            row[0]
-            for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-        }
-        if "blobs" not in tables:
-            return {}
-        return dict(conn.execute("SELECT key, payload FROM blobs").fetchall())
-    finally:
-        conn.close()
-
-
-def file_bytes(target):
-    """The sqlite database file's size; ``None`` for a directory store."""
-    if target.startswith("sqlite://"):
-        return Path(target[len("sqlite://"):]).stat().st_size
-    return None
+    files = (Path(target) / "blobs").rglob("*")
+    return {p.stem: p.read_bytes() for p in files if p.is_file()}
 
 
 def tree(root):
@@ -117,10 +81,10 @@ def tree(root):
     }
 
 
-@pytest.fixture(params=["directory", "sqlite"])
-def older(request, tmp_path, corpus):
-    """The target of an older store of each persistent engine."""
-    return write_older_store(request.param, tmp_path, corpus)
+@pytest.fixture
+def older(tmp_path, corpus):
+    """The root of an older directory store."""
+    return write_older_store(tmp_path, corpus)
 
 
 def test_opens_and_serves_its_documents(older, corpus):
@@ -159,28 +123,17 @@ def test_counts_exactly_its_documents(older):
     store.close()
 
 
-def test_exports_exactly_its_documents(older, corpus, tmp_path):
-    store = ResultStore(older)
-    assert store.export_canonical(tmp_path / "export") == 3
-    assert tree(tmp_path / "export") == {
-        f"{fp[:2]}/{fp}.json": text.encode() for fp, text in corpus.items()
-    }
-    store.close()
+def test_lists_exactly_its_documents(older, corpus, store_documents):
+    assert store_documents(ResultStore(older)) == corpus
+    assert old_side(older) == {BLOB_KEY: BLOB}
 
 
 def assert_reclaimed(older, action):
-    """``action(store)`` removes the old side; a sqlite file shrinks,
-    in its own size and in the store's ``disk_bytes``."""
-    size = file_bytes(older)
-    store = ResultStore(older)
-    disk = store.stats()["disk_bytes"]
-    action(store)
-    if size is not None:
-        assert store.stats()["disk_bytes"] < disk
-    store.close()
+    """``action(store)`` removes the old side and leaves no ``blobs/``
+    directory behind."""
+    action(ResultStore(older))
     assert old_side(older) == {}
-    if size is not None:
-        assert file_bytes(older) < size
+    assert not (Path(older) / "blobs").exists()
 
 
 def test_prunes_exactly_its_documents(older, corpus):
@@ -203,7 +156,7 @@ def test_clear_removes_exactly_its_documents(older):
 def test_reclaiming_leaves_foreign_files_under_blobs(action, tmp_path, corpus):
     """A directory store's reclaim unlinks only the blob files older
     versions wrote; anything else under ``blobs/`` survives."""
-    root = Path(write_older_store("directory", tmp_path, corpus))
+    root = Path(write_older_store(tmp_path, corpus))
     foreign = {
         "blobs/notes.txt": b"not a blob",
         f"blobs/{BLOB_KEY[:2]}/keep.txt": b"beside a blob",
@@ -217,14 +170,6 @@ def test_reclaiming_leaves_foreign_files_under_blobs(action, tmp_path, corpus):
     store.close()
     assert tree(root / "blobs") == {
         name[len("blobs/"):]: data for name, data in foreign.items()
-    }
-
-
-def test_migrates_exactly_its_documents(older, corpus, tmp_path):
-    copy = tmp_path / "copy"
-    assert migrate_store(older, str(copy)) == {"documents": 3}
-    assert tree(copy) == {
-        f"{fp[:2]}/{fp}.json": text.encode() for fp, text in corpus.items()
     }
 
 
@@ -247,14 +192,19 @@ def test_cache_command_reports_documents_only(older, capsys):
     assert not any("blob" in name for name in rows)
 
 
-def test_new_sqlite_file_has_only_the_documents_table(tmp_path):
-    store = ResultStore(f"sqlite://{tmp_path}/new.db")
-    store.put("ab" * 32, {"kind": "run"})
-    store.close()
-    conn = sqlite3.connect(str(tmp_path / "new.db"))
-    tables = [
-        row[0]
-        for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-    ]
-    conn.close()
-    assert tables == ["documents"]
+@pytest.mark.parametrize("action", ["--prune", "--clear"])
+def test_cache_command_reclaims_the_old_side(action, older, capsys):
+    assert main(["cache", "--store", older, action]) == 0
+    assert old_side(older) == {}
+    assert not (Path(older) / "blobs").exists()
+    left = ResultStore(older)
+    assert len(left) == (2 if action == "--prune" else 0)
+
+
+def test_new_store_has_no_blob_side(tmp_path, corpus):
+    reset_artifacts()
+    root = tmp_path / "new"
+    Session(store=ResultStore(str(root)), jobs=1).run_many([SPEC])
+    assert sorted(tree(root)) == sorted(
+        f"{fp[:2]}/{fp}.json" for fp in corpus if fp != STALE[0]
+    )

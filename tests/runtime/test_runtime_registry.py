@@ -6,7 +6,6 @@ from repro.core.ubik import UbikPolicy
 from repro.policies.lru import LRUPolicy
 from repro.runtime import (
     Registry,
-    list_batch_classes,
     list_lc_workloads,
     list_policies,
     list_schemes,
@@ -65,9 +64,6 @@ class TestSchemeRegistry:
 class TestWorkloadRegistries:
     def test_lc_names_registered(self):
         assert set(list_lc_workloads()) == set(LC_NAMES)
-
-    def test_batch_classes_registered(self):
-        assert list_batch_classes() == ["f", "n", "s", "t"]
 
 
 class TestRegistryMechanics:

@@ -269,28 +269,19 @@ class TestBatchFailure:
     holds only whole documents, and a rerun resumes from it."""
 
     @staticmethod
-    def _location(engine, tmp_path):
-        if engine == "directory":
-            return str(tmp_path / "tree")
-        return f"sqlite://{tmp_path}/store.db"
-
-    @staticmethod
     def _assert_documents_whole(location):
-        backend = ResultStore(location).backend
-        texts = [backend.get_doc(fp) for fp in backend.iter_docs()]
-        if backend.root is not None:
-            # Every file in the tree, temporaries included, is a document.
-            texts = [p.read_text() for p in backend.root.rglob("*") if p.is_file()]
-        for text in texts:
-            assert json.loads(text)["kind"] == "test_double"
+        # Every file in the tree, temporaries included, is a document.
+        root = ResultStore(location).root
+        for path in root.rglob("*"):
+            if path.is_file():
+                assert json.loads(path.read_text())["kind"] == "test_double"
 
-    @pytest.mark.parametrize("engine", ["directory", "sqlite"])
     def test_error_reraised_and_finished_work_kept(
-        self, engine, tmp_path, forbid_evaluation
+        self, tmp_path, forbid_evaluation
     ):
         # The failing spec is last, so every other spec has finished
         # (and persisted) by the time its error surfaces.
-        location = self._location(engine, tmp_path)
+        location = str(tmp_path / "tree")
         good = [DoubleSpec(value=v) for v in range(6)]
         failing = DoubleSpec(value=99, fail=True)
         with pytest.raises(RuntimeError, match="spec 99 failed"):
@@ -301,11 +292,10 @@ class TestBatchFailure:
         rerun = Session(store=location, jobs=2).run_many(good)
         assert rerun == [{"value": 2 * v} for v in range(6)]
 
-    @pytest.mark.parametrize("engine", ["directory", "sqlite"])
-    def test_rerun_resumes_after_an_early_failure(self, engine, tmp_path):
+    def test_rerun_resumes_after_an_early_failure(self, tmp_path):
         # Specs queued behind the failure may never start; a rerun
         # evaluates whatever the store lacks and matches serial results.
-        location = self._location(engine, tmp_path)
+        location = str(tmp_path / "tree")
         good = [DoubleSpec(value=v) for v in range(6)]
         failing = DoubleSpec(value=99, fail=True)
         with pytest.raises(RuntimeError, match="spec 99 failed"):
@@ -316,38 +306,31 @@ class TestBatchFailure:
 
 
 class TestDeterminismMatrix:
-    """One sweep at 1, 2 and 4 workers on every engine: the serial
-    reference's records and canonical export, byte for byte."""
+    """One sweep at 1, 2 and 4 workers on both engines: the serial
+    reference's records and documents, byte for byte."""
 
     @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
+    def reference(self, tmp_path_factory, store_documents):
         root = tmp_path_factory.mktemp("serial-ref")
-        session = Session(store=ResultStore(root), jobs=1)
+        store = ResultStore(root)
+        session = Session(store=store, jobs=1)
         records = session.run_many(session.sweep_specs(TWO_MIXES, POLICIES))
-        return records, _store_bytes(root)
+        return records, store_documents(store), _store_bytes(root)
 
-    @pytest.mark.parametrize("engine", ["directory", "sqlite", "memory"])
+    @pytest.mark.parametrize("engine", ["directory", "memory"])
     @pytest.mark.parametrize("jobs", JOBS)
-    def test_records_and_export_match_serial_reference(
-        self, reference, jobs, engine, tmp_path
+    def test_records_and_documents_match_serial_reference(
+        self, reference, jobs, engine, tmp_path, store_documents
     ):
-        ref_records, ref_bytes = reference
-        if engine == "directory":
-            store = ResultStore(str(tmp_path / "tree"))
-        elif engine == "sqlite":
-            store = ResultStore(f"sqlite://{tmp_path}/store.db")
-        else:
-            store = ResultStore(None)
+        ref_records, ref_documents, ref_bytes = reference
+        store = ResultStore(str(tmp_path / "tree") if engine == "directory" else None)
         session = Session(store=store, jobs=jobs)
         records = session.run_many(session.sweep_specs(TWO_MIXES, POLICIES))
         assert records == ref_records
-        export = tmp_path / "export"
-        store.export_canonical(export)
-        assert _store_bytes(export) == ref_bytes
+        assert store_documents(store) == ref_documents
         if engine == "directory":
             # Nothing else left behind in the live tree: no temp files.
             assert _store_bytes(tmp_path / "tree") == ref_bytes
-        store.close()
 
 
 class TestJobs:

@@ -25,6 +25,7 @@ watermark) to the oracle.
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro.runtime.work as work
@@ -696,6 +697,48 @@ class TestEngineMemos:
         assert counts["mean service"] == LC_INSTANCES
         rebuilds = counts["views"]  # initialize and every reconfiguration
         assert counts["curve calls"] == 2 * len(engine.batch_apps) * rebuilds
+
+
+class TestStreamStatistics:
+    """Each LC app's mean and 95th-percentile accesses per request are
+    ``np.mean`` and ``np.percentile(…, 95)`` of its stream, bit for bit.
+    The oracle shares the engine's LC app, so the walls above cannot
+    see these two drift; they are held to NumPy here, for every LC
+    workload at both default loads and the default request count."""
+
+    @pytest.mark.parametrize("load", [LOW_LOAD, HIGH_LOAD])
+    @pytest.mark.parametrize("lc_name", LC_NAMES)
+    def test_equal_numpy_on_every_lc_stream(self, lc_name, load):
+        runner = MixRunner(requests=120, seed=2014)
+        spec = mix_spec(load=load, lc_name=lc_name)
+        lc_specs = runner._mix_lc_specs(spec, runner.baseline(spec.lc_workload, load))
+        ((policy, scheme),) = build_cells((("lru", {}, None),))
+        engine = runner._engine(MixEngine, spec, lc_specs, policy, scheme)
+        assert len(engine.lc_apps) == LC_INSTANCES
+        for app in engine.lc_apps:
+            accesses = app.spec.works * app.spec.workload.profile.apki / 1000.0
+            assert len(accesses) == 120
+            assert float.hex(app.mean_req_accesses) == float.hex(
+                float(np.mean(accesses))
+            )
+            assert float.hex(app.tail_req_accesses) == float.hex(
+                float(np.percentile(accesses, 95))
+            )
+
+    @pytest.mark.parametrize("requests", [20, 127, 128, 129, 257])
+    def test_equal_numpy_across_summation_blocks(self, requests):
+        """Stream lengths on both sides of NumPy's 128-element pairwise
+        summation block."""
+        runner = MixRunner(requests=requests, seed=7)
+        spec = mix_spec(load=LOW_LOAD, lc_name="xapian")
+        lc_specs = runner._mix_lc_specs(spec, runner.baseline(spec.lc_workload, LOW_LOAD))
+        ((policy, scheme),) = build_cells((("lru", {}, None),))
+        engine = runner._engine(MixEngine, spec, lc_specs, policy, scheme)
+        for app in engine.lc_apps:
+            accesses = app.spec.works * app.spec.workload.profile.apki / 1000.0
+            assert len(accesses) == requests
+            assert app.mean_req_accesses == float(np.mean(accesses))
+            assert app.tail_req_accesses == float(np.percentile(accesses, 95))
 
 
 class TestReplayGroupCounters:

@@ -65,7 +65,6 @@ MODULES = [
     "repro.runtime.backends",
     "repro.runtime.backends.base",
     "repro.runtime.backends.directory",
-    "repro.runtime.backends.sqlite",
     "repro.runtime.backends.memory",
     "repro.sim",
     "repro.sim.config",
@@ -279,9 +278,8 @@ UNREAD_MODULES = {
     "repro._lazy": "the package roots' lazy re-exports",
     "repro.cpu.inorder": "a core model, built by name by cpu.make_core_model",
     "repro.cpu.ooo": "a core model, built by name by cpu.make_core_model",
-    "repro.runtime.backends.directory": "a store engine, loaded by URL scheme",
-    "repro.runtime.backends.memory": "a store engine, loaded by URL scheme",
-    "repro.runtime.backends.sqlite": "a store engine, loaded by URL scheme",
+    "repro.runtime.backends.directory": "a store engine, opened by backends.make_backend",
+    "repro.runtime.backends.memory": "a store engine, opened by backends.make_backend",
     "repro.experiments.fig10_per_app": "read by benchmarks/",
     "repro.cache.vantage": "oracle: test_substrate_consistency holds FillState to it",
     "repro.monitor.umon": "oracle: test_substrate_consistency holds it to an LRU cache",

@@ -117,12 +117,12 @@ class TestRunBench:
     def test_store_kernel_times_every_engine_with_percentiles(
         self, quick_payload
     ):
-        """The per-backend kernel covers the three engines, with tail
+        """The per-backend kernel covers both engines, with tail
         percentiles per operation."""
         backends = quick_payload["kernels"]["store_backend_roundtrip"][
             "backends"
         ]
-        assert set(backends) == set(STORE_BACKEND_NAMES)
+        assert set(backends) == set(STORE_BACKEND_NAMES) == {"directory", "memory"}
         for name in STORE_BACKEND_NAMES:
             for op in ("put", "get"):
                 stats = backends[name][op]
@@ -311,7 +311,7 @@ class TestCompareBench:
         old = json.loads((perf / "BENCH_pr9.json").read_text())
         comparison = compare_bench(old, quick_payload)
         assert comparison["only_new"] == ["lockstep_replay", "repartition_table"]
-        assert comparison["only_old"] == ["cluster_roundtrip"]
+        assert comparison["only_old"] == ["cluster_roundtrip", "store_roundtrip"]
         assert "lockstep_replay" not in comparison["kernels"]
         assert "joint_replay_grid" in comparison["kernels"]
         floor_row = comparison["kernels"]["joint_replay_grid"]

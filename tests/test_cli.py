@@ -17,9 +17,6 @@ SWEEP_MODULES = {
     "utilization": "utilization",
 }
 
-#: The sqlite engine and the `sqlite3` module, which a directory store never needs.
-SQLITE_MODULES = ("sqlite3", "repro.runtime.backends.sqlite")
-
 #: Modules only a simulation needs: a served run loads none of them
 #: but the two of :data:`SERVED_SIM_MODULES`.
 SIMULATOR_MODULES = (
@@ -168,7 +165,7 @@ class TestCLI:
 
 
 class TestStorageCLI:
-    """The --store flag and the cache command's corpus movement."""
+    """The --store flag and the cache command."""
 
     RUN_ARGS = [
         "run",
@@ -185,13 +182,15 @@ class TestStorageCLI:
             line for line in text.splitlines() if line.startswith(name)
         ][0].split()[-1]
 
-    def test_run_with_sqlite_store(self, capsys, monkeypatch, tmp_path):
+    def test_run_with_directory_url_store(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        url = f"sqlite://{tmp_path}/store.db"
+        url = f"directory://{tmp_path}/store"
         assert main(self.RUN_ARGS + ["--store", url]) == 0
         out = capsys.readouterr().out
-        assert url in out
-        assert (tmp_path / "store.db").exists()
+        fingerprint = self._field(out, "fingerprint")
+        document = tmp_path / "store" / fingerprint[:2] / f"{fingerprint}.json"
+        assert self._field(out, "store document") == str(document)
+        assert document.is_file()
         # Re-running against the same store is a hit on the same record.
         assert main(self.RUN_ARGS + ["--store", url]) == 0
         again = capsys.readouterr().out
@@ -207,12 +206,18 @@ class TestStorageCLI:
         assert (tmp_path / "chosen").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_env_url_selects_backend(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_STORE", f"sqlite://{tmp_path}/env.db")
+    @pytest.mark.parametrize(
+        "url, engine", [("directory://{tmp}/env", "directory"), ("memory://", "memory")]
+    )
+    def test_env_url_selects_backend(self, url, engine, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_STORE", url.format(tmp=tmp_path))
         assert main(["cache", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "sqlite" in out
-        assert "documents" in out
+        rows = dict(
+            line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("backend", "documents"))
+        )
+        assert rows["backend"].strip() == engine
+        assert rows["documents"].strip() == "0"
 
     def test_cache_stats_reports_backend_rows(
         self, capsys, monkeypatch, tmp_path
@@ -229,59 +234,9 @@ class TestStorageCLI:
         assert "kind: run" in out
         assert "Artifact cache" in out
 
-    def test_cache_migrate_and_export(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "origin"))
-        assert main(self.RUN_ARGS) == 0
-        capsys.readouterr()
-
-        url = f"sqlite://{tmp_path}/migrated.db"
-        assert (
-            main(["cache", "--migrate", str(tmp_path / "origin"), url]) == 0
-        )
-        out = capsys.readouterr().out
-        assert out.startswith("migrated 2 document(s): ")
-
-        # Exports from the origin and the migrated copy are identical.
-        assert (
-            main(
-                [
-                    "cache",
-                    "--store",
-                    str(tmp_path / "origin"),
-                    "--export",
-                    str(tmp_path / "export-origin"),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "cache",
-                    "--store",
-                    url,
-                    "--export",
-                    str(tmp_path / "export-migrated"),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        origin_docs = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "export-origin").rglob("*.json")
-        }
-        migrated_docs = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "export-migrated").rglob("*.json")
-        }
-        assert origin_docs == migrated_docs
-        assert origin_docs  # the run produced documents
-
     def test_cache_clear_on_explicit_store(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        url = f"sqlite://{tmp_path}/store.db"
+        url = f"directory://{tmp_path}/store"
         assert main(self.RUN_ARGS + ["--store", url]) == 0
         capsys.readouterr()
         assert main(["cache", "--store", url, "--clear"]) == 0
@@ -289,24 +244,58 @@ class TestStorageCLI:
         assert "cleared" in out
         assert "cleared 0" not in out
 
+    @pytest.mark.parametrize("engine", ["path", "memory"])
+    def test_run_reports_where_its_document_lives(
+        self, engine, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        store = str(tmp_path / "store") if engine == "path" else "memory://"
+        assert main(self.RUN_ARGS + ["--store", store]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("store document"))
+        if engine == "memory":
+            assert row.split(None, 2)[2].strip() == "(memory-only store)"
+        else:
+            fingerprint = self._field(out, "fingerprint")
+            document = tmp_path / "store" / fingerprint[:2] / f"{fingerprint}.json"
+            assert row.split()[-1] == str(document)
+            assert document.is_file()
+
+    @pytest.mark.parametrize("flag", [["--migrate", "a", "b"], ["--export", "d"]])
+    def test_retired_cache_flags_are_usage_errors(self, flag, capsys, tmp_path):
+        """A directory store moves as a directory copy; the cache
+        command has no corpus-movement flags."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--store", str(tmp_path / "s"), *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_list_mentions_store(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "--store" in out
 
     @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_retired_store_url_fails_by_name(self, monkeypatch, via):
-        """A stale network store URL fails when the session is built,
-        naming the engines that exist, before anything simulates."""
+    def test_retired_store_url_fails_by_name(self, capsys, monkeypatch, via):
+        """A stale network store URL is a usage error naming where it
+        came from and the engines that exist, before anything runs."""
         url = "http://127.0.0.1:8377"
         args = list(self.RUN_ARGS)
         if via == "flag":
             monkeypatch.delenv("REPRO_STORE", raising=False)
             args += ["--store", url]
+            source = "argument --store"
         else:
             monkeypatch.setenv("REPRO_STORE", url)
-        with pytest.raises(ValueError, match="known: directory, memory, sqlite"):
+            source = "REPRO_STORE"
+        with pytest.raises(SystemExit) as excinfo:
             main(args)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"repro: error: {source}: unknown store backend 'http' in "
+            f"'{url}' (known: directory, memory)"
+        )
 
 
 class TestBenchCompareCLI:
@@ -377,10 +366,12 @@ class TestStoreBackedCommands:
 
     @staticmethod
     def _url(engine, tmp_path):
+        """The ``--store`` value for an engine; ``path`` is a directory
+        store named by its bare path."""
         if engine == "directory":
             return f"directory://{tmp_path}/tree"
-        if engine == "sqlite":
-            return f"sqlite://{tmp_path}/store.db"
+        if engine == "path":
+            return str(tmp_path / "tree")
         return "memory://"
 
     @pytest.mark.parametrize(
@@ -389,15 +380,14 @@ class TestStoreBackedCommands:
     def test_output_identical_on_every_engine(self, command, capsys, tmp_path):
         # ``run`` is left out: it prints the store location itself.
         outputs = {}
-        for engine in ("directory", "sqlite", "memory"):
+        for engine in ("directory", "memory"):
             args = STORE_BACKED[command] + ["--store", self._url(engine, tmp_path)]
             assert main(args) == 0
             outputs[engine] = capsys.readouterr().out
         assert outputs["directory"]
-        assert outputs["sqlite"] == outputs["directory"]
         assert outputs["memory"] == outputs["directory"]
 
-    @pytest.mark.parametrize("engine", ["directory", "sqlite"])
+    @pytest.mark.parametrize("engine", ["directory", "path"])
     @pytest.mark.parametrize("command", list(STORE_BACKED))
     def test_rerun_is_served_byte_identical(
         self, command, engine, capsys, monkeypatch, tmp_path
@@ -446,8 +436,7 @@ def test_cli_import_loads_no_pool_machinery(fresh_interpreter):
         "-c",
         "import repro.cli",
         watch=("asyncio", "concurrent", "multiprocessing", "numpy")
-        + SIMULATOR_MODULES
-        + SQLITE_MODULES,
+        + SIMULATOR_MODULES,
     )
     assert _simulator(loaded) == []
 
@@ -460,8 +449,7 @@ def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path)
     with NumPy), rerun on a filled directory store, prints the bytes
     of its cold run and imports neither NumPy nor any of the
     simulator but ``repro.sim.config``, and neither does ``repro
-    cache`` on that store; no run on a directory store loads the
-    sqlite engine."""
+    cache`` on that store."""
     env = {
         "REPRO_STORE": f"directory://{tmp_path}",
         "REPRO_LC": "masstree",
@@ -469,10 +457,9 @@ def test_served_rerun_imports_no_simulator(command, fresh_interpreter, tmp_path)
         "REPRO_LOADS": "0.2",
     }
     args = STORE_BACKED[command]
-    watch = ("numpy",) + SIMULATOR_MODULES + SQLITE_MODULES
+    watch = ("numpy",) + SIMULATOR_MODULES
     cold, simulated = fresh_interpreter("-m", "repro", *args, watch=watch, env=env)
     assert {"repro.sim.engine", "numpy"} <= set(simulated)
-    assert not set(SQLITE_MODULES) & set(simulated)
     served, loaded = fresh_interpreter("-m", "repro", *args, watch=watch, env=env)
     assert served == cold
     assert _simulator(loaded) == []
@@ -602,6 +589,10 @@ class TestFlagErrors:
             "run --policy LRU",
             "run --scheme vantage_zcache",
             "scaleout --cores 2",
+            "cache --store memory://",
+            "cache --store 0",
+            "run --store directory:///tmp/repro-corpus",
+            "table3 --store ~/repro-corpus",
         ],
     )
     def test_boundary_values_reach_the_command(self, command, monkeypatch):
@@ -612,3 +603,107 @@ class TestFlagErrors:
         monkeypatch.setitem(cli._HANDLERS, argv[0], reached.append)
         assert main(argv) == 0
         assert len(reached) == 1
+
+    @staticmethod
+    def _usage_error(argv, capsys, monkeypatch):
+        """The last stderr line of ``main(argv)``, which must exit 2
+        before the command's handler runs."""
+        import repro.cli as cli
+
+        reached = []
+        monkeypatch.setitem(cli._HANDLERS, argv[0], reached.append)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert reached == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", [*STORE_BACKED, "cache"])
+    def test_retired_store_engine_exits_2(self, command, capsys, monkeypatch):
+        """Every command that opens a store refuses a sqlite URL by
+        name, with the engines that exist."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        url = "sqlite:///tmp/corpus/store.db"
+        assert self._usage_error(
+            [command, "--store", url], capsys, monkeypatch
+        ) == (
+            f"repro: error: argument --store: unknown store backend 'sqlite' "
+            f"in '{url}' (known: directory, memory)"
+        )
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("bogus://x", "unknown store backend 'bogus' in 'bogus://x'"),
+            ("directory://", "store URL 'directory://' is missing its path"),
+            ("Directory://  ", "store URL 'Directory://  ' is missing its path"),
+        ],
+    )
+    def test_bad_store_flag_names_it(self, url, message, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        last = self._usage_error(["cache", "--store", url], capsys, monkeypatch)
+        assert last.startswith(f"repro: error: argument --store: {message}")
+
+    @pytest.mark.parametrize("command", [*STORE_BACKED, "cache"])
+    def test_bad_env_store_exits_2_naming_it(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "bogus://x")
+        assert self._usage_error([command], capsys, monkeypatch) == (
+            "repro: error: REPRO_STORE: unknown store backend 'bogus' "
+            "in 'bogus://x' (known: directory, memory)"
+        )
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            (
+                "sqlite:///tmp/corpus/store.db",
+                "unknown store backend 'sqlite' in 'sqlite:///tmp/corpus/store.db' "
+                "(known: directory, memory)",
+            ),
+            ("directory://", "store URL 'directory://' is missing its path"),
+            (
+                "HTTP://127.0.0.1:8377",
+                "unknown store backend 'http' in 'HTTP://127.0.0.1:8377' "
+                "(known: directory, memory)",
+            ),
+        ],
+    )
+    def test_bad_env_store_names_the_variable(
+        self, url, message, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STORE", url)
+        assert self._usage_error(["cache"], capsys, monkeypatch) == (
+            f"repro: error: REPRO_STORE: {message}"
+        )
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_store_check_opens_nothing(self, via, monkeypatch, tmp_path):
+        """Checking a good location reads it and creates nothing; the
+        command's handler opens the store."""
+        import repro.cli as cli
+
+        root = tmp_path / "store"
+        argv = ["table3"]
+        if via == "flag":
+            monkeypatch.delenv("REPRO_STORE", raising=False)
+            argv += ["--store", f"directory://{root}"]
+        else:
+            monkeypatch.setenv("REPRO_STORE", f"directory://{root}")
+        reached = []
+        monkeypatch.setitem(cli._HANDLERS, "table3", reached.append)
+        assert main(argv) == 0
+        assert len(reached) == 1
+        assert not root.exists()
+
+    def test_store_flag_wins_over_a_bad_env_store(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "bogus://x")
+        assert main(["cache", "--store", "memory://"]) == 0
+        assert "memory" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["list", "fig1b --lc masstree"])
+    def test_commands_without_a_store_ignore_it(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "bogus://x")
+        assert main(command.split() + ["--store", "sqlite:///x.db"]) == 0
+        assert capsys.readouterr().out

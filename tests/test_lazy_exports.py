@@ -54,9 +54,29 @@ def test_public_api_entry_points():
     assert make_policy("lru").__class__.__name__ == "LRUPolicy"
 
 
+def test_runtime_exports_no_retired_name():
+    """The second store engine's tooling and the registry entry points
+    no caller used are gone from the runtime's export table."""
+    import repro.runtime as runtime
+
+    retired = {
+        "SqliteBackend",
+        "BACKENDS",
+        "migrate_store",
+        "register_policy",
+        "register_scheme",
+        "make_lc_workload_named",
+        "make_batch_workload_named",
+        "BATCH_WORKLOADS",
+        "list_batch_classes",
+    }
+    assert not retired & set(runtime._EXPORTS)
+    assert not retired & set(dir(runtime))
+    assert not any(hasattr(runtime, name) for name in retired)
+
+
 def test_registries_list_todays_entries():
     from repro.runtime import (
-        list_batch_classes,
         list_lc_workloads,
         list_policies,
         list_schemes,
@@ -73,7 +93,6 @@ def test_registries_list_todays_entries():
         "waypart_sa64",
     ]
     assert list_lc_workloads() == ["masstree", "moses", "shore", "specjbb", "xapian"]
-    assert list_batch_classes() == ["f", "n", "s", "t"]
 
 
 def test_registries_fill_one_at_a_time(fresh_interpreter):
