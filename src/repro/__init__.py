@@ -51,6 +51,14 @@ Packages:
   metrics, and M/G/1 formulas kept as a test oracle.
 """
 
+import os
+
+# Nothing here calls BLAS, but importing NumPy on a host with two or
+# more free CPUs starts an OpenBLAS worker thread that spins (about
+# 0.13 s of CPU per process on 2 vCPUs).  Every entry point imports this
+# package before NumPy; a user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._lazy import lazy_exports
 
 _EXPORTS, __getattr__, __dir__ = lazy_exports(

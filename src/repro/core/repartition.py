@@ -22,7 +22,7 @@ the same argument).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class RepartitionTable:
         self.num_apps = num_apps = len(curves)
         self.buckets = buckets
         self.bucket_lines = llc_lines / buckets
+        self._allocs: Dict[int, List[float]] = {}  # level -> its allocations
 
         if num_apps == 0:
             self._rows: List[List[int]] = [[]] * (buckets + 1)
@@ -173,18 +174,24 @@ class RepartitionTable:
         """Per-app batch allocations (lines) for a given batch space.
 
         ``int * float`` rounds exactly as ``int64 * float64`` does.
+        Each row's list is built once and returned to every later
+        lookup of that row: treat it as read-only.
         """
         bucket_lines = self.bucket_lines
         # level_for inlined, clamping only past the walked rows: Ubik
-        # looks rows up at every event.
+        # looks rows up at every event.  Lists are kept by unclamped level.
         level = int(batch_lines // bucket_lines)
-        if not self._low <= level <= self._high:
-            level = min(max(level, 0), self.buckets)
-            if level < self._low:
-                self._walk_down(level)
-            elif level > self._high:
-                self._walk_up(level)
-        return [b * bucket_lines for b in self._rows[level]]
+        allocs = self._allocs.get(level)
+        if allocs is None:
+            row = level
+            if not self._low <= row <= self._high:
+                row = min(max(row, 0), self.buckets)
+                if row < self._low:
+                    self._walk_down(row)
+                elif row > self._high:
+                    self._walk_up(row)
+            allocs = self._allocs[level] = [b * bucket_lines for b in self._rows[row]]
+        return allocs
 
     def row(self, level: int) -> np.ndarray:
         """Raw bucket row (for tests and introspection)."""

@@ -68,12 +68,14 @@ class MissCurve:
             raise ValueError("miss ratios must lie in [0, 1]")
         # Enforce monotonicity (non-increasing) without rejecting noisy
         # UMON samples: take the running minimum.
-        ratios_arr = np.minimum.accumulate(ratios_arr)
+        self._adopt(sizes_arr, np.minimum.accumulate(ratios_arr))
+
+    def _adopt(self, sizes_arr: np.ndarray, ratios_arr: np.ndarray) -> None:
+        """Take validated arrays as this curve's own, unchecked.  The
+        read-only views are built once (``sizes``/``miss_ratios`` sit on
+        the fill-transient hot path); the float tables on first use."""
         self._sizes = sizes_arr
         self._ratios = ratios_arr
-        # Read-only views are built once: `sizes`/`miss_ratios` sit on
-        # the engine's fill-transient hot path, and materializing a
-        # fresh view per property call measurably added up there.
         sizes_view = sizes_arr.view()
         sizes_view.flags.writeable = False
         ratios_view = ratios_arr.view()
@@ -229,12 +231,17 @@ class MissCurve:
     def with_noise(self, rng: np.random.Generator, relative_std: float) -> "MissCurve":
         """Model UMON sampling error: multiplicative Gaussian noise.
 
-        The constructor re-imposes monotonicity, as real UMON curves are
-        post-processed before use.
+        Monotonicity is re-imposed with the constructor's running
+        minimum, as real UMON curves are post-processed before use.
+        The constructor's checks are skipped, since they cannot fail:
+        the sizes are this validated curve's (shared, never written)
+        and the clip keeps every ratio in [0, 1].
         """
         noise = rng.normal(1.0, relative_std, size=self._ratios.size)
         noisy = np.clip(self._ratios * noise, 0.0, 1.0)
-        return MissCurve(self._sizes, noisy)
+        curve = MissCurve.__new__(MissCurve)
+        curve._adopt(self._sizes, np.minimum.accumulate(noisy))
+        return curve
 
     # ------------------------------------------------------------------
     # Dunder support
@@ -250,18 +257,8 @@ class MissCurve:
         return (self._sizes, self._ratios)
 
     def __setstate__(self, state) -> None:
-        """Restore the arrays, rebuild the read-only views, and leave
-        the float tables to be rebuilt from these arrays on first use."""
-        sizes_arr, ratios_arr = state
-        self._sizes = sizes_arr
-        self._ratios = ratios_arr
-        sizes_view = sizes_arr.view()
-        sizes_view.flags.writeable = False
-        ratios_view = ratios_arr.view()
-        ratios_view.flags.writeable = False
-        self._sizes_view = sizes_view
-        self._ratios_view = ratios_view
-        self._tables = None
+        """Restore the arrays and rebuild the read-only views."""
+        self._adopt(*state)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MissCurve):

@@ -56,9 +56,10 @@ def default_store_url() -> Optional[str]:
     ``off``/``false``/``no``/``memory``) keeps the store in memory,
     ``REPRO_CACHE_DIR`` names a directory store, and the default is
     the directory tree ``~/.cache/repro-ubik`` (honouring
-    ``XDG_CACHE_HOME``).  A URL naming no engine, or a
-    ``directory://`` URL without a path, raises a :class:`ValueError`
-    whose message starts with ``REPRO_STORE``.
+    ``XDG_CACHE_HOME``).  A URL naming no engine, a ``directory://``
+    URL without a path, or any other value (a bare path included: it
+    goes in ``REPRO_CACHE_DIR``) raises a :class:`ValueError` whose
+    message starts with ``REPRO_STORE``.
     """
     toggle = os.environ.get("REPRO_STORE", "").strip()
     if "://" in toggle:
@@ -69,6 +70,11 @@ def default_store_url() -> Optional[str]:
         return None if name == "memory" else toggle
     if toggle.lower() in ("0", "off", "false", "no", "memory"):
         return None
+    if toggle:
+        raise ValueError(
+            f"REPRO_STORE: {toggle!r} is neither a store URL nor an off token "
+            "(a directory goes in REPRO_CACHE_DIR or as directory:///path)"
+        )
     override = os.environ.get("REPRO_CACHE_DIR", "").strip()
     if override:
         return str(Path(override).expanduser())

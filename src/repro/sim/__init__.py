@@ -7,7 +7,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
     {
         "config": ("CMPConfig", "CacheLevelConfig", "CoreKind", "westmere_config"),
         "engine": ("LCInstanceSpec", "MixEngine"),
-        "fill": ("Advance", "FillState"),
+        "fill": ("FillState",),
         "mix_runner": ("BaselineResult", "MixRunner"),
         "results": ("BatchAppResult", "LCInstanceResult", "MixResult"),
         "study_runner": ("run_bandwidth_point", "run_scaleout_point"),
@@ -20,7 +20,6 @@ __all__ = [
     "CoreKind",
     "westmere_config",
     "FillState",
-    "Advance",
     "MixEngine",
     "LCInstanceSpec",
     "MixRunner",

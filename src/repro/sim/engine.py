@@ -46,6 +46,9 @@ order:
   views, and Ubik's reads neither map;
 * scalar curve reads go through
   :meth:`~repro.monitor.miss_curve.MissCurve.at`;
+* the fill integrators return plain tuples, a retarget reads its
+  scheme's answer from the fill's memo, Ubik's table builds each row's
+  allocations once, and a noisy UMON curve is validated once;
 * steady-state commits inline the closing branch of
   :meth:`FillState.advance_cycles`;
 * the service walk reuses a per-app scratch fill, and its steady-state
@@ -529,8 +532,7 @@ class MixEngine:
         else:
             r = fill.resident
             if r < fill._eff_target - _EPS:  # filling
-                adv = fill.advance_cycles(dt)
-                accesses, misses = adv.accesses, adv.misses
+                __, accesses, misses = fill.advance_cycles(dt)
             elif dt > _EPS:
                 # fill.miss_ratio() with the memo check inlined.
                 base = fill._p_val if fill._p_key == r else fill.base_miss_ratio()
@@ -662,13 +664,13 @@ class MixEngine:
                 # Transient: exact closed-form integration, one chunk
                 # at a time (each chunk moves the resident count).
                 step = min(chunk, remaining)
-                adv = fill.advance_accesses(step)
-                t += adv.cycles
+                cycles, __, misses = fill.advance_accesses(step)
+                t += cycles
                 remaining -= step
                 if armed:
                     plan = tracker.plan
                     proj += step * tracker.active_miss_ratio
-                    actual += adv.misses
+                    actual += misses
                     if fill.resident >= plan.boost_lines * (1.0 - 1e-9):
                         filled = True
                     guard = plan.guard_fraction * proj

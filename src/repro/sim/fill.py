@@ -29,32 +29,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..cache.schemes import SchemeModel
 from ..monitor.miss_curve import MissCurve, interp_float
 
-__all__ = ["Advance", "FillState"]
+__all__ = ["FillState"]
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Advance:
-    """Result of advancing an app: cycles spent, work done, misses seen."""
-
-    cycles: float
-    accesses: float
-    misses: float
-
-    def merged(self, other: "Advance") -> "Advance":
-        return Advance(
-            cycles=self.cycles + other.cycles,
-            accesses=self.accesses + other.accesses,
-            misses=self.misses + other.misses,
-        )
 
 
 def _grown(p0: float, b: float, dr_seg: float, e: float, n: float) -> float:
@@ -89,18 +72,20 @@ class FillState:
         Partitioning-scheme imperfection model; defaults to ideal
         (Vantage-on-zcache) behaviour.
 
-    The curve reads on the engine's event hot path are memoized on the
-    exact values they depend on, so a hit returns exactly what a
-    recompute would: the miss ratio on ``resident``, and the curve
-    segment on ``(resident, target)``, first in the instance and then
-    in :attr:`segments`.  That table may be shared by every fill over
-    the same curve and scheme; an engine gives its fills one table per
-    curve, so a segment one LC instance computes serves its siblings.
-    Curve reads bisect
-    the curve's :attr:`~repro.monitor.miss_curve.MissCurve.float_tables`
+    The reads on the engine's event hot path are memoized on the exact
+    values they depend on, so a hit returns exactly what a recompute
+    would: the miss ratio on ``resident``; the curve segment on
+    ``(resident, target)``, first in the instance and then in
+    :attr:`segments`; and a retarget's ``(target, miss multiplier,
+    effective target)`` on the requested line count, in a table this
+    fill's clones share.  The segment table may be shared by every fill
+    over the same curve and scheme; an engine gives its fills one table
+    per curve, so a segment one LC instance computes serves its
+    siblings.  Curve reads bisect the curve's
+    :attr:`~repro.monitor.miss_curve.MissCurve.float_tables`
     (:func:`~repro.monitor.miss_curve.interp_float` is the exact scalar
-    copy of ``np.interp``), and the effective target is kept as a plain
-    attribute that :meth:`set_target`, its only writer, recomputes.
+    copy of ``np.interp``), and the integrators return plain
+    ``(cycles, accesses, misses)`` tuples.
     """
 
     def __init__(
@@ -130,6 +115,8 @@ class FillState:
         self._seg_val: tuple = (0.0, 0.0, 0.0)
         #: ``(resident, target)`` -> ``(p0, slope, lines to segment end)``.
         self.segments: dict = {}
+        # Requested lines -> (target, miss multiplier, effective target).
+        self._retargets: dict = {}
         self.set_target(target)
 
     def clone(self) -> "FillState":
@@ -151,21 +138,27 @@ class FillState:
     # Target management
     # ------------------------------------------------------------------
     def set_target(self, lines: float) -> None:
-        """Retarget the partition; shrinking releases lines immediately."""
-        if lines < 0:
-            raise ValueError("target must be non-negative")
-        scheme = self.scheme
-        if scheme is not None and lines > 0:
-            lines = float(scheme.quantize(lines))
-            self._miss_multiplier = scheme.miss_multiplier(
-                lines, self.curve.max_size
-            )
-        else:
-            self._miss_multiplier = 1.0
-        self.target = float(lines)
-        self._eff_target = (
-            self.target if scheme is None else scheme.effective_target(self.target)
-        )
+        """Retarget the partition; shrinking releases lines immediately.
+
+        The scheme's answer depends only on ``lines``, so it is computed
+        once per line count.  ``0.0`` and ``-0.0`` are one dict key but
+        keep their sign as targets, so a zero is never memoized.
+        """
+        answer = self._retargets.get(lines)
+        if answer is None:
+            if lines < 0:
+                raise ValueError("target must be non-negative")
+            scheme = self.scheme
+            target = float(lines)
+            multiplier = 1.0
+            if scheme is not None and lines > 0:
+                target = float(scheme.quantize(lines))
+                multiplier = scheme.miss_multiplier(target, self.curve.max_size)
+            eff = target if scheme is None else scheme.effective_target(target)
+            answer = (target, multiplier, eff)
+            if lines:
+                self._retargets[lines] = answer
+        self.target, self._miss_multiplier, self._eff_target = answer
         if self.resident > self._eff_target:
             self.resident = self._eff_target
 
@@ -213,8 +206,9 @@ class FillState:
     # ------------------------------------------------------------------
     # Advancement
     # ------------------------------------------------------------------
-    def advance_accesses(self, accesses: float) -> Advance:
-        """Execute ``accesses`` LLC accesses from the current state.
+    def advance_accesses(self, accesses: float) -> tuple[float, float, float]:
+        """Execute ``accesses`` LLC accesses from the current state;
+        returns ``(cycles spent, accesses, misses seen)``.
 
         Each growth step runs in closed form to the end of the current
         curve segment (or the target), clipped to the accesses left.
@@ -282,10 +276,11 @@ class FillState:
             cycles += remaining * hit + seg_misses * mp
             misses += seg_misses
             remaining = 0.0
-        return Advance(cycles=cycles, accesses=accesses, misses=misses)
+        return cycles, accesses, misses
 
-    def advance_cycles(self, budget: float) -> Advance:
-        """Execute for ``budget`` cycles; returns work actually done.
+    def advance_cycles(self, budget: float) -> tuple[float, float, float]:
+        """Execute for ``budget`` cycles; returns the work actually done
+        as ``(cycles spent, accesses, misses seen)``.
 
         The growth steps of :meth:`advance_accesses`, unclipped; the
         step the budget runs out in is inverted in time instead.
@@ -342,7 +337,7 @@ class FillState:
             accesses += seg_n
             misses += seg_n * p
             remaining = 0.0
-        return Advance(cycles=budget - remaining, accesses=accesses, misses=misses)
+        return budget - remaining, accesses, misses
 
     # ------------------------------------------------------------------
     # Segment machinery

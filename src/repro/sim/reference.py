@@ -3,9 +3,10 @@
 Mirrors the ``repro.cache.reference`` pattern: when a hot loop is
 rewritten, the original survives here as the behavioural oracle.
 
-* :class:`NaiveFillState` keeps the plain fill integrators:
-  ``np.interp`` and ``np.searchsorted`` curve reads, one method per
-  integration step and the full 80-step time inversion.
+* :class:`NaiveFillState` keeps the plain fill integrators and
+  retargets: ``np.interp`` and ``np.searchsorted`` curve reads, one
+  method per integration step, the full 80-step time inversion, and
+  the scheme's answer recomputed at every retarget.
   ``tests/sim/test_fill_equivalence.py`` holds
   :class:`~repro.sim.fill.FillState` to it.
 * :class:`NaiveMixEngine` is the heap-loop engine: it pushes every
@@ -41,7 +42,7 @@ import numpy as np
 from ..cache.reference import NaiveSharedOccupancyModel
 from ..policies.base import AppView, PolicyContext
 from .engine import _COMPLETION_TOL, _WALK_CHUNKS, MixEngine, _App, _BatchApp, _LCApp
-from .fill import _EPS, Advance, FillState
+from .fill import _EPS, FillState
 from .results import MixResult
 
 __all__ = ["NaiveFillState", "NaiveMixEngine", "run_unmanaged"]
@@ -60,7 +61,26 @@ class NaiveFillState(FillState):
             self._p_key = self.resident
         return self._p_val
 
-    def advance_accesses(self, accesses: float) -> Advance:
+    def set_target(self, lines: float) -> None:
+        """Retarget the partition; shrinking releases lines immediately."""
+        if lines < 0:
+            raise ValueError("target must be non-negative")
+        scheme = self.scheme
+        if scheme is not None and lines > 0:
+            lines = float(scheme.quantize(lines))
+            self._miss_multiplier = scheme.miss_multiplier(
+                lines, self.curve.max_size
+            )
+        else:
+            self._miss_multiplier = 1.0
+        self.target = float(lines)
+        self._eff_target = (
+            self.target if scheme is None else scheme.effective_target(self.target)
+        )
+        if self.resident > self._eff_target:
+            self.resident = self._eff_target
+
+    def advance_accesses(self, accesses: float) -> tuple[float, float, float]:
         """Execute ``accesses`` LLC accesses from the current state."""
         if accesses < 0:
             raise ValueError("accesses must be non-negative")
@@ -83,9 +103,9 @@ class NaiveFillState(FillState):
             cycles += remaining * self.hit_interval + seg_misses * self.miss_penalty
             misses += seg_misses
             remaining = 0.0
-        return Advance(cycles=cycles, accesses=accesses, misses=misses)
+        return cycles, accesses, misses
 
-    def advance_cycles(self, budget: float) -> Advance:
+    def advance_cycles(self, budget: float) -> tuple[float, float, float]:
         """Execute for ``budget`` cycles; returns work actually done."""
         if budget < 0:
             raise ValueError("budget must be non-negative")
@@ -121,7 +141,7 @@ class NaiveFillState(FillState):
             accesses += seg_n
             misses += seg_n * p
             remaining = 0.0
-        return Advance(cycles=budget - remaining, accesses=accesses, misses=misses)
+        return budget - remaining, accesses, misses
 
     def _segment(self):
         """Current curve segment: (p0, slope b, lines to segment end)."""
@@ -328,21 +348,21 @@ class NaiveMixEngine(MixEngine):
             app.last_commit = upto
             return
         if isinstance(app, _BatchApp):
-            adv = app.fill.advance_cycles(dt)
-            instr = adv.accesses * app.profile.instructions_per_access
+            __, accesses, misses = app.fill.advance_cycles(dt)
+            instr = accesses * app.profile.instructions_per_access
             app.result.instructions += instr
             app.result.cycles += dt
-            app.stats.accesses += adv.accesses
-            app.stats.misses += adv.misses
+            app.stats.accesses += accesses
+            app.stats.misses += misses
         else:
             lc = app  # type: _LCApp
             if lc.serving is not None and lc.remaining > 0:
-                adv = lc.fill.advance_cycles(dt)
-                done = min(adv.accesses, lc.remaining)
+                __, accesses, misses = lc.fill.advance_cycles(dt)
+                done = min(accesses, lc.remaining)
                 lc.remaining -= done
-                _note_progress(lc, adv.accesses, adv.misses)
+                _note_progress(lc, accesses, misses)
                 if lc.tracker is not None and not lc.tracker.fired:
-                    lc.tracker.accumulate(adv.accesses, adv.misses, lc.fill.resident)
+                    lc.tracker.accumulate(accesses, misses, lc.fill.resident)
             elif lc.serving is None:
                 lc.stats.idle_time += dt
             # Serving with zero LLC accesses: busy but cache-silent.
@@ -387,13 +407,13 @@ class NaiveMixEngine(MixEngine):
         while remaining > _COMPLETION_TOL:
             if fill.filling:
                 step = min(chunk, remaining)
-                adv = fill.advance_accesses(step)
-                t += adv.cycles
+                cycles, __, misses = fill.advance_accesses(step)
+                t += cycles
                 remaining -= step
                 if armed:
                     plan = tracker.plan
                     proj += step * tracker.active_miss_ratio
-                    actual += adv.misses
+                    actual += misses
                     if fill.resident >= plan.boost_lines * (1.0 - 1e-9):
                         filled = True
                     guard = plan.guard_fraction * proj

@@ -7,7 +7,8 @@ as far as a lookup reaches.  The NumPy walks it replaced are kept as
 both tables from the same inputs and requires identical rows (values
 and dtype) at every level, and bit-identical allocations (float hex and
 Python ``float`` type) on and between the level boundaries and clamped
-outside them, whether the rows are read in level order or shuffled.
+outside them, whether the rows are read in level order or shuffled,
+and when a row is read again.
 
 The property draws 1-8 apps over curves of 2-257 knots, equal, zero and
 tiny weights (below the ``1e-12`` clamp), averages at 0, at the LLC and
@@ -133,11 +134,13 @@ def test_empty_batch_side_matches():
 @given(inputs=table_inputs(), order=st.randoms(use_true_random=False))
 def test_rows_read_in_shuffled_order_match_the_numpy_walks(inputs, order):
     """The walks extend only as far as each lookup reaches, so reads in
-    any order, rows and allocations mixed, see the full walk's rows."""
+    any order, rows and allocations mixed, see the full walk's rows.
+    Every row is read twice, so later reads come from the row's kept
+    allocation list."""
     curves, weights, llc_lines, avg, buckets = inputs
     table = RepartitionTable(curves, weights, llc_lines, avg, buckets=buckets)
     oracle = NaiveRepartitionTable(curves, weights, llc_lines, avg, buckets=buckets)
-    levels = list(range(buckets + 1))
+    levels = list(range(buckets + 1)) * 2
     order.shuffle(levels)
     step = table.bucket_lines
     for level in levels:

@@ -71,10 +71,10 @@ class TestVantageMatchesFillModel:
         )
         fill = FillState(curve, hit_interval=1.0, miss_penalty=0.0,
                          resident=0.0, target=target)
-        adv = fill.advance_accesses(accesses)
+        __, __, modelled_misses = fill.advance_accesses(accesses)
 
         assert cache.actual_size(0) == pytest.approx(fill.resident, rel=0.1)
-        assert misses == pytest.approx(adv.misses, rel=0.15)
+        assert misses == pytest.approx(modelled_misses, rel=0.15)
 
 
 def _monitored_loop(managed: bool):

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor.miss_curve import MissCurve, combine_curves, interp_float
+from repro.workloads.batch import make_batch_workload
+from repro.workloads.latency_critical import make_lc_workload
+from repro.workloads.names import BATCH_CLASSES, LC_NAMES
 
 
 def simple_curve():
@@ -295,3 +298,41 @@ class TestPickling:
         curve.__setstate__(other.__getstate__())
         assert_at_reads_own_knots(curve)
         assert curve.at(5.0) == other.at(5.0)
+
+
+def hexes(array):
+    return [value.hex() for value in array.tolist()]
+
+
+def workload_curves(name):
+    """An LC workload's curve, or three drawn curves of a batch class."""
+    if name in LC_NAMES:
+        return [make_lc_workload(name).miss_curve]
+    return [make_batch_workload(name, seed).miss_curve for seed in range(3)]
+
+
+@pytest.mark.parametrize("name", [*LC_NAMES, *BATCH_CLASSES])
+def test_with_noise_is_the_constructors_curve(name):
+    """``with_noise`` adopts its arrays without the constructor's
+    checks, so it must give what the constructor gives over the same
+    draw, bit for bit, and leave the generator where one draw does."""
+    import pickle
+
+    for curve in workload_curves(name):
+        sizes, ratios = hexes(curve.sizes), hexes(curve.miss_ratios)
+        for seed, std in ((0, 0.02), (1, 0.3)):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            noisy = curve.with_noise(rng, std)
+            noise = twin.normal(1.0, std, size=len(ratios))
+            want = MissCurve(curve.sizes, np.clip(curve.miss_ratios * noise, 0, 1))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert hexes(noisy.sizes) == hexes(want.sizes)
+            assert hexes(noisy.miss_ratios) == hexes(want.miss_ratios)
+            assert noisy.float_tables == want.float_tables
+            for view in (noisy.sizes, noisy.miss_ratios):
+                with pytest.raises(ValueError):
+                    view[0] = 0.5
+            loaded = pickle.loads(pickle.dumps(noisy))
+            assert loaded == noisy
+            assert hexes(loaded.miss_ratios) == hexes(noisy.miss_ratios)
+        assert (hexes(curve.sizes), hexes(curve.miss_ratios)) == (sizes, ratios)

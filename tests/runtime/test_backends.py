@@ -554,6 +554,21 @@ class TestDefaultStoreUrl:
         ):
             default_store_url()
 
+    @pytest.mark.parametrize(
+        "value", ["/tmp/xx", " relative/store ", "~/store", "1", "on"]
+    )
+    def test_a_value_neither_url_nor_off_token_raises(self, monkeypatch, tmp_path, value):
+        """A bare path once fell through to the default store."""
+        monkeypatch.setenv("REPRO_STORE", value)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ignored"))
+        with pytest.raises(ValueError) as excinfo:
+            default_store_url()
+        assert str(excinfo.value) == (
+            f"REPRO_STORE: {value.strip()!r} is neither a store URL nor an "
+            "off token (a directory goes in REPRO_CACHE_DIR or as "
+            "directory:///path)"
+        )
+
     def test_falls_back_to_legacy_rules(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "s"))

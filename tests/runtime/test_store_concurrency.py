@@ -72,8 +72,19 @@ def _serial_oracle():
 
 
 def _run_threads(targets):
+    """One writer thread per target; each writer's error fails the test,
+    though every writer puts every document, so the corpus converges
+    even when some die."""
+    errors = []
+
+    def write(backend, seed):
+        try:
+            _apply(backend, seed)
+        except Exception as exc:  # pragma: no cover - the failure
+            errors.append(exc)
+
     workers = [
-        threading.Thread(target=_apply, args=(backend, seed))
+        threading.Thread(target=write, args=(backend, seed))
         for seed, backend in enumerate(targets)
     ]
     for worker in workers:
@@ -81,6 +92,7 @@ def _run_threads(targets):
     for worker in workers:
         worker.join(timeout=60)
     assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
 
 
 def _pool_writer(job):

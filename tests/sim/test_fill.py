@@ -24,23 +24,23 @@ def make_fill(resident=0.0, target=4000.0, scheme=None):
 class TestSteadyState:
     def test_steady_execution(self):
         fill = make_fill(resident=4000.0, target=4000.0)
-        adv = fill.advance_accesses(1000.0)
+        cycles, __, misses = fill.advance_accesses(1000.0)
         p = 0.05
-        assert adv.misses == pytest.approx(1000 * p)
-        assert adv.cycles == pytest.approx(1000 * (C + p * M))
+        assert misses == pytest.approx(1000 * p)
+        assert cycles == pytest.approx(1000 * (C + p * M))
 
     def test_advance_cycles_steady_inverse(self):
         fill = make_fill(resident=4000.0, target=4000.0)
         budget = 123_456.0
-        adv = fill.advance_cycles(budget)
-        assert adv.cycles == pytest.approx(budget)
-        assert adv.accesses == pytest.approx(budget / (C + 0.05 * M))
+        cycles, accesses, __ = fill.advance_cycles(budget)
+        assert cycles == pytest.approx(budget)
+        assert accesses == pytest.approx(budget / (C + 0.05 * M))
 
     def test_zero_accesses(self):
         fill = make_fill(resident=1000.0)
-        adv = fill.advance_accesses(0.0)
-        assert adv.cycles == 0.0
-        assert adv.misses == 0.0
+        cycles, __, misses = fill.advance_accesses(0.0)
+        assert cycles == 0.0
+        assert misses == 0.0
 
     def test_validation(self):
         fill = make_fill()
@@ -58,8 +58,8 @@ class TestGrowth:
     def test_one_line_per_miss(self):
         """The Vantage invariant: lines grown == misses seen."""
         fill = make_fill(resident=500.0, target=4000.0)
-        adv = fill.advance_accesses(2000.0)
-        assert fill.resident - 500.0 == pytest.approx(adv.misses)
+        __, __, misses = fill.advance_accesses(2000.0)
+        assert fill.resident - 500.0 == pytest.approx(misses)
 
     def test_growth_stops_at_target(self):
         fill = make_fill(resident=0.0, target=1500.0)
@@ -85,11 +85,11 @@ class TestGrowth:
         total_cycles = 0.0
         # Many small steps; stop once filled.
         while fill.filling:
-            adv = fill.advance_accesses(200.0)
+            cycles, __, __ = fill.advance_accesses(200.0)
             if not fill.filling:
                 # Remove the post-fill steady part of the last chunk.
                 break
-            total_cycles += adv.cycles
+            total_cycles += cycles
         approx = transient_length_exact(curve(), 1000.0, 3000.0, C, M)
         # total_cycles is within one chunk of the analytic value.
         chunk_cost = 200 * (C + 0.3 * M)
@@ -98,19 +98,19 @@ class TestGrowth:
     def test_advance_cycles_growth_inverse(self):
         """advance_cycles and advance_accesses agree on the same path."""
         forward = make_fill(resident=200.0, target=4000.0)
-        adv = forward.advance_accesses(1500.0)
+        cycles, __, __ = forward.advance_accesses(1500.0)
         inverse = make_fill(resident=200.0, target=4000.0)
-        adv2 = inverse.advance_cycles(adv.cycles)
-        assert adv2.accesses == pytest.approx(1500.0, rel=1e-6)
+        __, accesses, __ = inverse.advance_cycles(cycles)
+        assert accesses == pytest.approx(1500.0, rel=1e-6)
         assert inverse.resident == pytest.approx(forward.resident, rel=1e-6)
 
     def test_zero_miss_region_stalls_growth(self):
         flat_zero = MissCurve([0, 100, 4000], [0.5, 0.0, 0.0])
         fill = FillState(flat_zero, C, M, resident=200.0, target=4000.0)
-        adv = fill.advance_accesses(10_000.0)
+        cycles, __, misses = fill.advance_accesses(10_000.0)
         # p=0 at resident=200: no misses, no growth, pure-hit cycles.
-        assert adv.misses == pytest.approx(0.0, abs=1e-6)
-        assert adv.cycles == pytest.approx(10_000 * C, rel=1e-6)
+        assert misses == pytest.approx(0.0, abs=1e-6)
+        assert cycles == pytest.approx(10_000 * C, rel=1e-6)
 
 
 class TestSchemes:
@@ -165,14 +165,14 @@ def test_property_fill_conservation(resident_frac, target_frac, accesses):
     target = 4000.0 * target_frac
     start = min(4000.0 * resident_frac, target)
     fill = FillState(curve(), C, M, resident=start, target=target)
-    adv = fill.advance_accesses(accesses)
-    assert adv.accesses == pytest.approx(accesses)
+    cycles, done, misses = fill.advance_accesses(accesses)
+    assert done == pytest.approx(accesses)
     assert start - 1e-9 <= fill.resident <= max(target, start) + 1e-9
     grown = fill.resident - start
-    assert adv.misses >= grown - 1e-6
+    assert misses >= grown - 1e-6
     # abs tolerance covers the engine's sub-epsilon access cutoff.
-    assert adv.cycles == pytest.approx(
-        C * accesses + M * adv.misses, rel=1e-9, abs=1e-6
+    assert cycles == pytest.approx(
+        C * accesses + M * misses, rel=1e-9, abs=1e-6
     )
 
 
@@ -184,9 +184,9 @@ def test_property_fill_conservation(resident_frac, target_frac, accesses):
 def test_property_cycles_inverse_consistent(budget, start_frac):
     start = 4000.0 * start_frac
     a = FillState(curve(), C, M, resident=start, target=4000.0)
-    adv = a.advance_cycles(budget)
-    assert adv.cycles <= budget + 1e-6
+    spent, accesses, __ = a.advance_cycles(budget)
+    assert spent <= budget + 1e-6
     b = FillState(curve(), C, M, resident=start, target=4000.0)
-    adv2 = b.advance_accesses(adv.accesses)
-    assert adv2.cycles == pytest.approx(budget, rel=1e-5, abs=1.0)
+    cycles, __, __ = b.advance_accesses(accesses)
+    assert cycles == pytest.approx(budget, rel=1e-5, abs=1.0)
     assert b.resident == pytest.approx(a.resident, rel=1e-6, abs=1e-3)

@@ -1,14 +1,18 @@
 """The production fill model vs its plain oracle: the bit-identity wall.
 
 :class:`~repro.sim.fill.FillState` integrates fill transients with
-fused loops over float tables; :class:`~repro.sim.reference.NaiveFillState`
-keeps the plain integrators.  Random piecewise-linear curves (zero
-regions included), every scheme setting and random sequences of
-advances, retargets, transients, idle losses and clones must leave the
-two ``==`` on every :class:`~repro.sim.fill.Advance` and on the state
-after every step — no tolerance.  Every example runs under a time
-limit, so an integrator that stops making progress fails instead of
-hanging the suite.
+fused loops over float tables and memoizes each retarget's answer;
+:class:`~repro.sim.reference.NaiveFillState` keeps the plain
+integrators and recomputes every retarget.  Random piecewise-linear
+curves (zero regions included), every scheme setting and random
+sequences of advances, retargets (some to a line count asked for
+earlier in the sequence, which the memo serves), transients, idle
+losses and clones must leave the two bit-identical, compared as float
+hex so that the sign of a zero counts, on every ``(cycles, accesses,
+misses)`` tuple the integrators return and on the state after every
+step — no tolerance.  Every example runs under a time limit, so an
+integrator that stops making progress fails instead of hanging the
+suite.
 """
 
 import signal
@@ -75,6 +79,7 @@ OPS = st.one_of(
     st.tuples(st.just("accesses"), st.floats(0.0, 1e5)),
     st.tuples(st.just("cycles"), st.floats(0.0, 1e7)),
     st.tuples(st.just("set_target"), st.floats(0.0, 12_000.0)),
+    st.tuples(st.just("retarget_again"), st.integers(0, 12)),
     st.tuples(st.just("begin_transient"), st.integers(0, 2**16)),
     st.tuples(st.just("apply_idle_loss"), st.integers(0, 2**16)),
     st.tuples(st.just("clone"), st.just(0)),
@@ -82,15 +87,32 @@ OPS = st.one_of(
 
 
 @st.composite
+def op_lists(draw, start_target):
+    """Operations on a fill built at ``start_target``.  A
+    ``retarget_again`` becomes a ``set_target`` to a line count the
+    constructor or an earlier step asked for: a retarget memo hit."""
+    asked = [start_target]
+    ops = []
+    for name, arg in draw(st.lists(OPS, min_size=1, max_size=12)):
+        if name == "retarget_again":
+            name, arg = "set_target", asked[arg % len(asked)]
+        if name == "set_target":
+            asked.append(arg)
+        ops.append((name, arg))
+    return ops
+
+
+@st.composite
 def fill_cases(draw):
+    target = draw(st.floats(0.0, 12_000.0))
     return {
         "curve": draw(curves()),
         "scheme": draw(st.sampled_from(sorted(SCHEMES, key=str))),
         "hit_interval": draw(st.floats(0.5, 200.0)),
         "miss_penalty": draw(st.floats(0.0, 400.0)),
         "resident": draw(st.floats(0.0, 12_000.0)),
-        "target": draw(st.floats(0.0, 12_000.0)),
-        "ops": draw(st.lists(OPS, min_size=1, max_size=12)),
+        "target": target,
+        "ops": draw(op_lists(target)),
     }
 
 
@@ -113,8 +135,17 @@ def build_pair(case, curve, scheme):
     ]
 
 
+def bits(values):
+    """Floats as hex, so ``0.0`` and ``-0.0`` differ; the rest as is."""
+    if isinstance(values, tuple):
+        return tuple(bits(value) for value in values)
+    return values.hex() if isinstance(values, float) else values
+
+
 def state(fill):
-    return (fill.resident, fill.target, fill.effective_target, fill.miss_ratio())
+    return bits(
+        (fill.resident, fill.target, fill.effective_target, fill.miss_ratio())
+    )
 
 
 def apply(fill, op):
@@ -141,7 +172,7 @@ def apply(fill, op):
 def step_pair(pair, op):
     """Apply ``op`` to both fills and assert they stay identical."""
     (fill, got), (naive, want) = (apply(f, op) for f in pair)
-    assert got == want, op
+    assert bits(got) == bits(want), op
     assert state(fill) == state(naive), op
     return [fill, naive]
 
@@ -173,10 +204,31 @@ REPRO_ZERO_CROSSING = {
 }
 
 
+def signed_zero_retargets(scheme):
+    """Retargets to ``0.0``, ``-0.0`` and back, around a retarget to the
+    constructor's line count: ``0.0`` and ``-0.0`` are one dict key,
+    but a target and a clamped resident count keep the sign asked for."""
+    return {
+        "curve": ([0.0, 1000.0, 2100.0], [0.8, 0.2, 0.05]),
+        "scheme": scheme,
+        "hit_interval": 1.0,
+        "miss_penalty": 100.0,
+        "resident": 500.0,
+        "target": 1600.0,
+        "ops": [("set_target", 0.0), ("set_target", -0.0), ("set_target", 0.0),
+                ("set_target", 1600.0), ("accesses", 1e4),
+                ("set_target", -0.0), ("set_target", 0.0), ("set_target", -0.0)],
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=fill_cases())
 @example(case=REPRO_TIME_INVERSION)
 @example(case=REPRO_ZERO_CROSSING)
+@example(case=signed_zero_retargets(None))
+@example(case=signed_zero_retargets("vantage_setassoc"))
+@example(case=signed_zero_retargets("way_partitioning"))
+@example(case=signed_zero_retargets("vantage_zcache"))
 def test_fill_matches_the_oracle(case):
     pair = build_pair(case, *curve_and_scheme(case))
     assert state(pair[0]) == state(pair[1])
@@ -185,15 +237,29 @@ def test_fill_matches_the_oracle(case):
             pair = step_pair(pair, op)
 
 
+@st.composite
+def fill_case_pairs(draw):
+    """Two fills over one curve and scheme, each with its own start
+    and operations."""
+    first = draw(fill_cases())
+    target = draw(st.floats(0.0, 12_000.0))
+    second = dict(
+        first,
+        resident=draw(st.floats(0.0, 12_000.0)),
+        target=target,
+        ops=draw(op_lists(target)),
+    )
+    return first, second
+
+
 @settings(max_examples=150, deadline=None)
-@given(first=fill_cases(), second_ops=st.lists(OPS, min_size=1, max_size=12),
-       second_start=st.tuples(st.floats(0.0, 12_000.0), st.floats(0.0, 12_000.0)))
-def test_fills_sharing_a_segment_table_match_the_oracle(first, second_ops, second_start):
+@given(cases=fill_case_pairs())
+def test_fills_sharing_a_segment_table_match_the_oracle(cases):
     """Two production fills over one curve and scheme, sharing one
     segment table as a replay group's cells do, each stay identical to
     an oracle of their own while their operations interleave."""
-    second = dict(first, ops=second_ops)
-    second["resident"], second["target"] = second_start
+    first, second = cases
+    second_ops = second["ops"]
     curve, scheme = curve_and_scheme(first)
     pairs = [build_pair(first, curve, scheme), build_pair(second, curve, scheme)]
     shared = pairs[1][0].segments = pairs[0][0].segments
@@ -215,10 +281,10 @@ def test_growth_into_a_zero_miss_ratio_ends(model):
     by_cycles = model(zero_tail, 1.0, 100.0, resident=0, target=1600)
     by_accesses = model(zero_tail, 1.0, 100.0, resident=0, target=1600)
     with time_limit(5.0):
-        spent = by_cycles.advance_cycles(1e6)
-        done = by_accesses.advance_accesses(1e5)
-    assert spent.cycles == 1e6
-    assert done.accesses == 1e5
+        spent, __, __ = by_cycles.advance_cycles(1e6)
+        __, done, __ = by_accesses.advance_accesses(1e5)
+    assert spent == 1e6
+    assert done == 1e5
     for fill in (by_cycles, by_accesses):
         assert 1099.99 < fill.resident < 1100.0
         assert fill.filling

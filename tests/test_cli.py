@@ -668,6 +668,16 @@ class TestFlagErrors:
                 "unknown store backend 'http' in 'HTTP://127.0.0.1:8377' "
                 "(known: directory, memory)",
             ),
+            (
+                "/tmp/corpus",
+                "'/tmp/corpus' is neither a store URL nor an off token "
+                "(a directory goes in REPRO_CACHE_DIR or as directory:///path)",
+            ),
+            (
+                "1",
+                "'1' is neither a store URL nor an off token "
+                "(a directory goes in REPRO_CACHE_DIR or as directory:///path)",
+            ),
         ],
     )
     def test_bad_env_store_names_the_variable(
