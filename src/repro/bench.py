@@ -2,7 +2,7 @@
 
 The ROADMAP's north star is "as fast as the hardware allows", which is
 only meaningful with a *trajectory*: numbers written down, schema-
-stable, and comparable across revisions.  This module times nine
+stable, and comparable across revisions.  This module times eight
 canonical kernels that cover the stack's hot layers and writes a
 ``BENCH_<revision>.json`` document (under ``benchmarks/perf/`` by
 convention):
@@ -25,13 +25,6 @@ convention):
     code path on the same machine, never against a stale number from
     different hardware.  The two replays are asserted access-for-access
     identical before their times are recorded.
-``store_backend_roundtrip``
-    Writing and (cold) re-reading a batch of result documents through
-    :class:`~repro.runtime.store.ResultStore` on **each** storage
-    engine — directory and memory — with p50/p90/p99 nanoseconds per
-    operation recorded per engine (diskcache-style percentile
-    reporting: a cache's tail latency is what callers actually feel).
-    The micro-kernel of the ``runtime.store`` layer.
 ``warm_sweep_grid``
     The shared-state derivation of a 3-policy × 2-load sweep grid —
     per cell: workload objects, the three-instance isolated baseline,
@@ -102,7 +95,6 @@ from __future__ import annotations
 import json
 import platform
 import subprocess
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -116,7 +108,6 @@ __all__ = [
     "ARCHIVED_SCHEMAS",
     "KERNEL_NAMES",
     "SPEEDUP_FLOORS",
-    "STORE_BACKEND_NAMES",
     "run_bench",
     "write_bench",
     "default_bench_path",
@@ -128,12 +119,12 @@ __all__ = [
 
 #: Schema identifier stamped into every document; bump only when the
 #: document layout changes (CI fails on drift against this module).
-BENCH_SCHEMA = "repro-bench/10"
+BENCH_SCHEMA = "repro-bench/11"
 
 #: Earlier generations.  Committed documents under these tags are an
 #: archive: :func:`validate_bench` holds them to the common core that
 #: the trajectory floors and ``--compare`` read, never to a kernel set.
-ARCHIVED_SCHEMAS = tuple(f"repro-bench/{generation}" for generation in range(1, 10))
+ARCHIVED_SCHEMAS = tuple(f"repro-bench/{generation}" for generation in range(1, 11))
 
 #: The canonical kernels, in reporting order.
 KERNEL_NAMES = (
@@ -142,14 +133,10 @@ KERNEL_NAMES = (
     "trace_replay",
     "warm_sweep_grid",
     "stream_synthesis",
-    "store_backend_roundtrip",
     "joint_replay_grid",
     "lockstep_replay",
     "repartition_table",
 )
-
-#: Storage engines the per-backend kernel times, in reporting order.
-STORE_BACKEND_NAMES = ("directory", "memory")
 
 #: Kernels that time an in-file baseline alongside the optimized path
 #: and must record the comparison (see :func:`validate_bench`).
@@ -761,84 +748,6 @@ def _bench_repartition_table(averages: int, repeats: int) -> Dict[str, Any]:
     )
 
 
-def _percentiles_ns(op_times_ns: List[int]) -> Dict[str, float]:
-    """p50/p90/p99 (and the mean) of per-operation nanosecond timings."""
-    arr = np.asarray(op_times_ns, dtype=np.float64)
-    return {
-        "p50_ns": float(np.percentile(arr, 50)),
-        "p90_ns": float(np.percentile(arr, 90)),
-        "p99_ns": float(np.percentile(arr, 99)),
-        "mean_ns": float(arr.mean()),
-    }
-
-
-def _bench_store_backend_roundtrip(documents: int, repeats: int) -> Dict[str, Any]:
-    """Per-operation put/get latency on each storage engine.
-
-    For each engine, every repeat writes ``documents`` fresh documents
-    through the :class:`~repro.runtime.store.ResultStore` façade and
-    cold-reads them back through a second handle (fresh memory layer,
-    so the directory engine reads its files), timing each operation
-    individually.  Per-op samples accumulate across repeats into
-    p50/p90/p99 per engine per operation — percentile reporting in
-    the python-diskcache tradition, because a store's *tail* is what a
-    worker pool's stragglers feel, and a min-of-repeats total would
-    hide it.
-    """
-    from .runtime.store import ResultStore
-
-    payload = {
-        "kind": "bench",
-        "result": {"metric": 1.0, "values": list(range(32))},
-    }
-    fingerprints = [f"{index:064x}" for index in range(documents)]
-    op_times: Dict[str, Dict[str, List[int]]] = {
-        name: {"put": [], "get": []} for name in STORE_BACKEND_NAMES
-    }
-    samples: List[float] = []
-    for _ in range(repeats):
-        with tempfile.TemporaryDirectory() as root:
-            targets = {"directory": str(Path(root) / "tree"), "memory": None}
-            repeat_started = time.perf_counter()
-            for name in STORE_BACKEND_NAMES:
-                writer = ResultStore(targets[name])
-                puts = op_times[name]["put"]
-                for fingerprint in fingerprints:
-                    doc = dict(payload)
-                    started = time.perf_counter_ns()
-                    writer.put(fingerprint, doc)
-                    puts.append(time.perf_counter_ns() - started)
-                # A second handle's memory layer is empty, so gets
-                # hit the engine.  The memory engine has no second
-                # handle (a fresh ``memory://`` is empty): share the
-                # backend, drop the façade's parsed layer.
-                reader = ResultStore(
-                    writer.backend if name == "memory" else targets[name]
-                )
-                gets = op_times[name]["get"]
-                for fingerprint in fingerprints:
-                    started = time.perf_counter_ns()
-                    if reader.get(fingerprint) is None:
-                        raise RuntimeError(
-                            f"{name} backend lost a document mid-bench"
-                        )
-                    gets.append(time.perf_counter_ns() - started)
-            samples.append(time.perf_counter() - repeat_started)
-    backends = {
-        name: {
-            "put": _percentiles_ns(op_times[name]["put"]),
-            "get": _percentiles_ns(op_times[name]["get"]),
-        }
-        for name in STORE_BACKEND_NAMES
-    }
-    return _kernel_entry(
-        samples,
-        units=documents * len(STORE_BACKEND_NAMES),
-        unit="round-trips",
-        backends=backends,
-    )
-
-
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -861,7 +770,6 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
     #: builds several per sample and takes extra samples for best-of.
     table_averages = 4 if quick else 16
     table_repeats = max(repeats, 7)
-    documents = 50 if quick else 200
     stream_samples = 10_000 if quick else 100_000
     kernels = {
         "mix_run": _bench_mix_run(requests, repeats),
@@ -869,9 +777,6 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, A
         "trace_replay": _bench_trace_replay(accesses, repeats),
         "warm_sweep_grid": _bench_warm_sweep_grid(requests, repeats),
         "stream_synthesis": _bench_stream_synthesis(stream_samples, repeats),
-        "store_backend_roundtrip": _bench_store_backend_roundtrip(
-            documents, repeats
-        ),
         "joint_replay_grid": _bench_joint_replay_grid(requests, repeats),
         "lockstep_replay": _bench_lockstep_replay(
             lockstep_requests, lockstep_repeats
@@ -929,8 +834,7 @@ def validate_bench(payload: Any) -> List[str]:
     ``tools/check_bench.py`` and the tier-1 bench test.
 
     A :data:`BENCH_SCHEMA` document must carry every kernel of
-    :data:`KERNEL_NAMES` and a percentile row for every engine of
-    :data:`STORE_BACKEND_NAMES`.  A document of an
+    :data:`KERNEL_NAMES`.  A document of an
     :data:`ARCHIVED_SCHEMAS` generation is held to the common core
     only: the top-level fields, the per-kernel keys of each kernel it
     carries, and the comparison fields of each compared kernel it
@@ -990,31 +894,6 @@ def validate_bench(payload: Any) -> List[str]:
             ):
                 if key not in entry:
                     problems.append(f"kernel {name!r} missing {key!r}")
-    if archived:
-        return problems
-    entry = kernels.get("store_backend_roundtrip")
-    if isinstance(entry, dict):
-        backends = entry.get("backends")
-        if not isinstance(backends, dict):
-            problems.append("kernel 'store_backend_roundtrip' missing 'backends'")
-        else:
-            for backend in STORE_BACKEND_NAMES:
-                per = backends.get(backend)
-                if not isinstance(per, dict):
-                    problems.append(
-                        f"store_backend_roundtrip missing backend {backend!r}"
-                    )
-                    continue
-                for op in ("put", "get"):
-                    stats = per.get(op)
-                    if not isinstance(stats, dict) or not all(
-                        isinstance(stats.get(k), (int, float))
-                        for k in ("p50_ns", "p90_ns", "p99_ns")
-                    ):
-                        problems.append(
-                            f"store_backend_roundtrip {backend}.{op} must "
-                            "carry p50/p90/p99 nanosecond percentiles"
-                        )
     return problems
 
 
@@ -1148,12 +1027,6 @@ def format_bench(payload: Dict[str, Any]) -> str:
             note = (
                 f"{entry['speedup']:.2f}x vs {against}"
                 f" ({entry['baseline_seconds']:.3f}s)"
-            )
-        elif "backends" in entry:
-            directory = entry["backends"]["directory"]
-            note = (
-                f"directory p50 put {directory['put']['p50_ns'] / 1e3:,.0f}us"
-                f" / get {directory['get']['p50_ns'] / 1e3:,.0f}us"
             )
         rows.append(
             [

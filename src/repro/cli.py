@@ -32,8 +32,8 @@ picks the sweep grid's seed (default 2014); completed runs persist in
 the result store (``repro cache`` inspects, ``--prune`` garbage-collects
 stale schema generations), so repeat invocations are served from disk.
 
-``--store`` (or ``REPRO_STORE``) picks the store's engine
-(:mod:`repro.runtime.backends`) by URL: ``directory:///path`` for the
+``--store`` (or ``REPRO_STORE``) picks the result store
+(:mod:`repro.runtime.store`) by URL: ``directory:///path`` for the
 sharded JSON tree (``--store`` also takes a bare path), ``memory://``
 for no persistence.  A directory store is copied like any directory.
 
@@ -51,9 +51,8 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .experiments.common import ExperimentScale, default_scale, format_table
-from .runtime.backends import parse_store_url
 from .runtime.session import Session
-from .runtime.store import default_store_url
+from .runtime.store import default_store_url, parse_store_url
 from .workloads.names import LC_NAMES, MIN_TAIL_REQUESTS, batch_type_combos
 
 __all__ = ["main"]

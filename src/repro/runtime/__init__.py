@@ -13,10 +13,10 @@ memoization, experiments describe work declaratively and hand it to a
 * :mod:`~repro.runtime.work` — the evaluation primitives: store
   lookup, in-process batch evaluation, and the process-pool worker
   entry point.
-* :mod:`~repro.runtime.store` — a persistent fingerprint-keyed result
-  store shared across processes, a façade over the directory and
-  memory engines of :mod:`~repro.runtime.backends` (``REPRO_STORE``
-  URLs like ``directory:///path``, ``REPRO_CACHE_DIR`` paths).
+* :mod:`~repro.runtime.store` — a fingerprint-keyed result store: a
+  dict of documents over an optional directory tree that every process
+  can share (``REPRO_STORE`` URLs like ``directory:///path``,
+  ``REPRO_CACHE_DIR`` paths).
 * :mod:`~repro.runtime.artifacts` — the per-process content-addressed
   cache of intermediate products (request streams, baselines, workload
   and core-model objects) that makes a sweep evaluate each distinct
@@ -67,16 +67,10 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
             "TaskSpec",
             "mix_refs",
         ),
-        "backends": (
-            "DirectoryBackend",
-            "MemoryBackend",
-            "StoreBackend",
-            "make_backend",
-            "parse_store_url",
-        ),
         "store": (
             "ResultStore",
             "default_store_url",
+            "parse_store_url",
         ),
     },
 )
@@ -103,11 +97,7 @@ __all__ = [
     "resolve_jobs",
     "ResultStore",
     "default_store_url",
-    "StoreBackend",
-    "DirectoryBackend",
-    "MemoryBackend",
     "parse_store_url",
-    "make_backend",
     "ArtifactCache",
     "get_artifacts",
     "reset_artifacts",

@@ -115,9 +115,9 @@ class Session:
         jobs: Optional[int] = None,
     ):
         # ``store`` takes anything the store itself does — a live
-        # ResultStore, a backend URL (``directory:///path``), a
-        # bare path, a backend instance, or None for the environment
-        # default (REPRO_STORE / REPRO_CACHE_DIR / the XDG cache dir).
+        # ResultStore, a store URL (``directory:///path``), a bare
+        # path, or None for the environment default (REPRO_STORE /
+        # REPRO_CACHE_DIR / the XDG cache dir).
         if store is None:
             store = ResultStore(default_store_url())
         elif not isinstance(store, ResultStore):
@@ -141,7 +141,7 @@ class Session:
         ``jobs`` is 1, when only one spec misses, or when the store is
         memory-only and so cannot reach another process.  Otherwise
         each miss runs in a process-pool worker that persists it to the
-        shared store, and the parent keeps it in its memory layer.
+        shared store, and the parent keeps it in its store's dict.
         Results come back in spec order, byte-identical at any ``jobs``.
         """
         specs = list(specs)

@@ -13,8 +13,8 @@ from these operations on a unit of work — a
   instance specs, then one engine per cell, each owning its memos,
 * :func:`execute_in_worker` — the picklable process-pool entry point
   (per-process store handles so workers share warmed baselines),
-* :func:`cache_result` — warm the parent's memory layer with a result
-  a worker persisted.
+* :func:`cache_result` — keep a result a worker persisted in the
+  parent store's dict.
 
 Both evaluators label every record for its own spec, so a batch's
 results line up with its specs whichever path ran them.
@@ -277,7 +277,7 @@ def store_lookup(spec, store: Optional[ResultStore]) -> Tuple[str, Optional[Any]
 
 
 def cache_result(spec, store: ResultStore, fingerprint: str, result) -> None:
-    """Warm the parent store's memory layer after a worker computed
+    """Keep a result in the parent store's dict after a worker computed
     (and persisted) a result in another process — no second disk write."""
     if isinstance(spec, RunSpec) and isinstance(result, RunRecord):
         store.cache_record(fingerprint, result)
@@ -287,10 +287,10 @@ def cache_result(spec, store: ResultStore, fingerprint: str, result) -> None:
         )
 
 
-#: Per-process store handles, keyed by the share target — a backend
+#: Per-process store handles, keyed by the share target — a store
 #: URL or bare path (None = memory-only).  Reusing one handle across
-#: the specs a worker evaluates keeps its memory layer of documents
-#: warm for the whole batch.
+#: the specs a worker evaluates keeps its dict of documents warm for
+#: the whole batch.
 _WORKER_STORES: dict = {}
 
 

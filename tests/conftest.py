@@ -30,12 +30,16 @@ def _isolated_result_store(tmp_path_factory):
 @pytest.fixture(scope="session")
 def store_documents():
     """``documents(store)``: ``{fingerprint: document text}`` for all a
-    store's engine holds, read through ``store.fingerprints()`` and the
-    engine's ``get_doc``.  Two stores holding the same corpus map equal,
-    whatever their engines."""
+    store holds, read through ``store.fingerprints()``: a directory
+    store's file texts, a memory store's documents as the canonical
+    JSON a directory store would write.  Two stores holding the same
+    corpus map equal, whichever kind each is."""
+    from repro.runtime.spec import canonical_json
 
     def documents(store):
-        return {fp: store.backend.get_doc(fp) for fp in store.fingerprints()}
+        if store.root is None:
+            return {fp: canonical_json(store.get(fp)) for fp in store.fingerprints()}
+        return {fp: store.document_path(fp).read_text() for fp in store.fingerprints()}
 
     return documents
 

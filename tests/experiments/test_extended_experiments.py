@@ -203,10 +203,11 @@ class TestScaleoutBaseline:
             raise AssertionError("a stored baseline was simulated again")
 
         monkeypatch.setattr(study_runner, "scaleout_baseline_instance", refuse)
-        fresh = ResultStore(store.backend)
+        # A new handle on a directory store reads the file; a memory
+        # store can only be read through itself.
+        fresh = ResultStore(store.share_target()) if store.persistent else store
         assert study_runner._scaleout_baseline(fresh, identity) == first
         assert fresh.stats()["by_kind"] == {"scaleout_baseline": 1}
-        store.close()
 
     def test_one_summary_per_machine_size_and_seed(self):
         from repro.runtime import ResultStore

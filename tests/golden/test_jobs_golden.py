@@ -1,9 +1,9 @@
-"""Worker-count-by-engine byte identity on a golden-suite batch.
+"""Worker-count-by-store byte identity on a golden-suite batch.
 
 How a batch is fanned out must change nothing about what lands in the
 store: not a float, not a byte.  This evaluates a three-policy batch of
 the pinned ``tests/golden`` grid (one shared baseline, three run
-records) at 1, 2 and 4 workers against both engines, and compares
+records) at 1, 2 and 4 workers against both kinds of store, and compares
 the documents of every resulting corpus with the serial directory-store
 reference, text for text (and a directory store's tree file for
 file).  A rerun against the
@@ -41,7 +41,7 @@ ENGINES = ("directory", "memory")
 
 
 def make_store(name, tmp_path):
-    """A fresh ResultStore on the named engine under tmp_path."""
+    """A fresh ResultStore of the named kind under tmp_path."""
     if name == "directory":
         return ResultStore(str(tmp_path / "tree"))
     return ResultStore(None)

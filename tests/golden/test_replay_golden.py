@@ -6,8 +6,8 @@ this repo meets: *byte identity*.  This runs the pinned 2-policy sweep
 store through a serial ``Session`` — the production path, one replay
 group on :class:`~repro.sim.engine.MixEngine` — and the same
 specs one by one through ``execute_spec``, the scalar ``run_mix``
-oracle, into another.  The stores must match: raw trees on the
-directory backend, documents by fingerprint on the memory engine.  A
+oracle, into another.  The stores must match: raw trees on a
+directory store, documents by fingerprint on a memory store.  A
 corpus written either way must also serve a rerun the other way as a
 pure store hit.
 """

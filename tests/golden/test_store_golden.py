@@ -1,13 +1,13 @@
-"""Engine parity on a golden-suite grid.
+"""Store parity on a golden-suite grid.
 
-The acceptance bar for the storage layer is *byte identity*: the same
-sweep run against either engine — directory tree or in-memory — must
-return the same records and leave the same document text under every
-fingerprint, and the directory engine's tree must hold exactly those
-texts at ``<fp[:2]>/<fp>.json``.  This runs the pinned 2-policy sweep
-(the Ubik and LRU cells of the ``tests/golden`` grid) against both
-engines, each from an empty artifact cache, and compares the corpora
-— every document, every byte.  A corpus moves between stores as a
+The acceptance bar for the result store is *byte identity*: the same
+sweep run against either kind of store — a directory tree or memory
+only — must return the same records and hold the same document text
+under every fingerprint, and the directory store's tree must hold
+exactly those texts at ``<fp[:2]>/<fp>.json``.  This runs the pinned
+2-policy sweep (the Ubik and LRU cells of the ``tests/golden`` grid)
+against both kinds, each from an empty artifact cache, and compares
+the corpora — every document, every byte.  A corpus moves between stores as a
 directory copy, and a copied tree must serve a rerun as a pure store
 hit.
 """
@@ -39,11 +39,11 @@ GOLDEN_SPECS = [
     )
 ]
 
-BACKEND_NAMES = ("directory", "memory")
+STORE_KINDS = ("directory", "memory")
 
 
 def make_store(name, tmp_path):
-    """A fresh ResultStore on the named engine under tmp_path."""
+    """A fresh ResultStore of the named kind under tmp_path."""
     if name == "directory":
         return ResultStore(str(tmp_path / "tree"))
     return ResultStore(None)
@@ -66,10 +66,10 @@ def _fresh_artifacts():
     reset_artifacts()
 
 
-def test_documents_byte_identical_across_backends(tmp_path, store_documents):
+def test_documents_byte_identical_across_stores(tmp_path, store_documents):
     documents = {}
     records = {}
-    for name in BACKEND_NAMES:
+    for name in STORE_KINDS:
         reset_artifacts()
         store = make_store(name, tmp_path / name)
         records[name] = Session(store=store).run_many(GOLDEN_SPECS)

@@ -243,9 +243,7 @@ def any_store(request, tmp_path):
         "directory": str(tmp_path / "tree"),
         "memory": None,
     }[request.param]
-    store = ResultStore(target)
-    yield store
-    store.close()
+    return ResultStore(target)
 
 
 class TestBaselineResolution:

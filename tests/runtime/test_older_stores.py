@@ -42,14 +42,13 @@ BLOB = b"\x93NUMPY\x00stream-bytes\xff"
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
+def corpus(tmp_path_factory, store_documents):
     """fingerprint -> document text: the sweep cell's run record and
     baseline, plus the stale document."""
     root = tmp_path_factory.mktemp("corpus")
     reset_artifacts()
     Session(store=ResultStore(str(root)), jobs=1).run_many([SPEC])
-    store = ResultStore(str(root))
-    texts = {fp: store.backend.get_doc(fp) for fp in store.fingerprints()}
+    texts = store_documents(ResultStore(str(root)))
     assert len(texts) == 2  # the run record and its baseline
     texts[STALE[0]] = STALE[1]
     return texts
@@ -90,9 +89,8 @@ def older(tmp_path, corpus):
 def test_opens_and_serves_its_documents(older, corpus):
     store = ResultStore(older)
     for fp, text in corpus.items():
-        assert store.backend.get_doc(fp) == text
+        assert canonical_json(store.get(fp)) == text
     assert store.get_record(SPEC.fingerprint()) is not None
-    store.close()
 
 
 def test_a_sweep_is_served_without_evaluating(older, forbid_evaluation):
@@ -120,7 +118,6 @@ def test_counts_exactly_its_documents(older):
         "disk_bytes",
         "by_kind",
     }
-    store.close()
 
 
 def test_lists_exactly_its_documents(older, corpus, store_documents):
@@ -165,18 +162,14 @@ def test_reclaiming_leaves_foreign_files_under_blobs(action, tmp_path, corpus):
     for name, data in foreign.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(data)
-    store = ResultStore(str(root))
-    getattr(store, action)()
-    store.close()
+    getattr(ResultStore(str(root)), action)()
     assert tree(root / "blobs") == {
         name[len("blobs/"):]: data for name, data in foreign.items()
     }
 
 
 def test_new_documents_land_beside_the_old_side(older):
-    store = ResultStore(older)
-    store.put("12" * 32, {"kind": "run"})
-    store.close()
+    ResultStore(older).put("12" * 32, {"kind": "run"})
     assert len(ResultStore(older)) == 4
     assert old_side(older) == {BLOB_KEY: BLOB}
 

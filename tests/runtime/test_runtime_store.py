@@ -130,7 +130,7 @@ class TestMaintenance:
     def test_prune_sweeps_stale_memory_entries(self):
         store = ResultStore(None)
         store.put_record("dd" * 32, _record())
-        store._mem["ab" * 32] = {"kind": "run", "schema": 0}
+        store._docs["ab" * 32] = {"kind": "run", "schema": 0}
         store.prune()
         assert store.get("ab" * 32) is None
         assert store.get_record("dd" * 32) == _record()
@@ -160,155 +160,6 @@ class TestMaintenance:
         payload = json.loads(path.read_text())
         assert payload["kind"] == "run"
         assert payload["record"]["policy"] == "Ubik"
-
-
-def _store_target(backend_name, tmp_path):
-    if backend_name == "directory":
-        return str(tmp_path / "tree")
-    return None
-
-
-@pytest.fixture(params=["directory", "memory"])
-def any_store(request, tmp_path):
-    store = ResultStore(_store_target(request.param, tmp_path))
-    yield store
-    store.close()
-
-
-class TestEveryBackend:
-    """The façade behaves identically regardless of the engine below."""
-
-    def test_record_round_trip(self, any_store):
-        any_store.put_record("ab" * 32, _record())
-        assert any_store.get_record("ab" * 32) == _record()
-        if any_store.persistent:
-            reopened = ResultStore(any_store.share_target())
-            assert reopened.get_record("ab" * 32) == _record()
-
-    def test_baseline_round_trip(self, any_store):
-        baseline = BaselineResult(
-            tail95_cycles=100.5, p95_cycles=90.25, latencies=(1.0, 2.5, 3.75)
-        )
-        any_store.put_baseline("cd" * 32, baseline)
-        assert any_store.get_baseline("cd" * 32) == baseline
-
-    def test_prune_counts(self, any_store):
-        any_store.put_record("ab" * 32, _record())
-        # A document written by a previous schema generation, planted
-        # below the façade so ``put`` cannot re-stamp it.
-        any_store.backend.put_doc("cd" * 32, '{"kind": "run", "schema": 0}')
-        counts = any_store.prune()
-        assert counts == {"kept": 1, "pruned": 1}
-        assert any_store.get("cd" * 32) is None
-        assert any_store.get_record("ab" * 32) == _record()
-
-    def test_stats_name_their_backend(self, any_store):
-        any_store.put_record("ab" * 32, _record())
-        stats = any_store.stats()
-        assert stats["backend"] == any_store.backend.name
-        assert stats["documents"] == 1
-        assert stats["by_kind"] == {"run": 1}
-        if any_store.persistent:
-            assert stats["disk_entries"] == 1
-            assert stats["disk_bytes"] > 0
-        else:
-            assert stats["disk_entries"] == 0
-
-    def test_len_and_fingerprints(self, any_store):
-        any_store.put("ab" * 32, {"kind": "run"})
-        any_store.put("cd" * 32, {"kind": "baseline"})
-        assert len(any_store) == 2
-        assert sorted(any_store.fingerprints()) == ["ab" * 32, "cd" * 32]
-
-    def test_engine_text_matches_the_directory_file(
-        self, any_store, tmp_path, store_documents
-    ):
-        any_store.put_record("ab" * 32, _record())
-        reference = ResultStore(str(tmp_path / "reference"))
-        reference.put_record("ab" * 32, _record())
-        written = tmp_path / "reference" / "ab" / ("ab" * 32 + ".json")
-        assert store_documents(any_store) == {"ab" * 32: written.read_text()}
-
-    # A second façade over the same engine instance starts with an empty
-    # memory layer, so it reads what the engine really holds — for the
-    # memory engine too, which no URL can reopen.
-
-    def test_corrupt_document_reads_as_miss(self, any_store):
-        any_store.put_record("ab" * 32, _record())
-        any_store.backend.put_doc("ab" * 32, "{not json")
-        fresh = ResultStore(any_store.backend)
-        assert fresh.get_record("ab" * 32) is None
-        assert "ab" * 32 not in fresh
-        assert fresh.stats()["by_kind"] == {"corrupt": 1}
-
-    def test_kind_mismatch_reads_as_miss(self, any_store):
-        baseline = BaselineResult(tail95_cycles=2.0, p95_cycles=1.5, latencies=(1.5,))
-        any_store.put_record("ab" * 32, _record())
-        any_store.put_baseline("cd" * 32, baseline)
-        fresh = ResultStore(any_store.backend)
-        assert fresh.get_baseline("ab" * 32) is None
-        assert fresh.get_record("cd" * 32) is None
-        assert fresh.get_record("ab" * 32) == _record()
-        assert fresh.get_baseline("cd" * 32) == baseline
-
-    def test_floats_round_trip_exactly(self, any_store):
-        awkward = (0.1 + 0.2, 1e-300, 2.0**53 + 2, 123456.789e10, 5e-324)
-        record = RunRecord(**dict(_record().to_dict(), tail_degradation=awkward[0]))
-        baseline = BaselineResult(
-            tail95_cycles=awkward[3], p95_cycles=awkward[2], latencies=awkward
-        )
-        any_store.put_record("ab" * 32, record)
-        any_store.put_baseline("cd" * 32, baseline)
-        fresh = ResultStore(any_store.backend)
-        assert fresh.get_record("ab" * 32).tail_degradation.hex() == awkward[0].hex()
-        reread = fresh.get_baseline("cd" * 32)
-        assert [x.hex() for x in reread.latencies] == [x.hex() for x in awkward]
-        assert reread.tail95_cycles.hex() == awkward[3].hex()
-
-    def test_engine_holds_stamped_canonical_json(self, any_store):
-        import repro
-        from repro.runtime.spec import SPEC_SCHEMA_VERSION, canonical_json
-
-        any_store.put_record("ab" * 32, _record())
-        text = any_store.backend.get_doc("ab" * 32)
-        payload = json.loads(text)
-        assert text == canonical_json(payload)
-        assert payload["schema"] == SPEC_SCHEMA_VERSION
-        assert payload["repro"] == repro.__version__
-        assert RunRecord.from_dict(payload["record"]) == _record()
-
-    def test_clear_drops_both_layers(self, any_store):
-        any_store.put_record("ab" * 32, _record())
-        any_store.put("cd" * 32, {"kind": "run"})
-        assert any_store.clear() == 2
-        assert any_store.get_record("ab" * 32) is None
-        assert len(any_store) == 0
-        assert any_store.stats()["memory_entries"] == 0
-
-    def test_prune_drops_stale_unstamped_and_corrupt(self, any_store):
-        any_store.put_record("dd" * 32, _record())
-        backend = any_store.backend
-        backend.put_doc("ab" * 32, json.dumps({"kind": "run", "schema": 0}))
-        backend.put_doc("cd" * 32, json.dumps({"kind": "run", "record": {}}))
-        backend.put_doc("ef" * 32, "{not json")
-        assert any_store.prune() == {"kept": 1, "pruned": 3}
-        assert sorted(backend.iter_docs()) == ["dd" * 32]
-        assert ResultStore(backend).get_record("dd" * 32) == _record()
-
-    def test_cache_record_warms_memory_only(self, any_store):
-        any_store.cache_record("ab" * 32, _record())
-        assert any_store.get_record("ab" * 32) == _record()
-        assert any_store.backend.get_doc("ab" * 32) is None
-        assert len(any_store) == 0
-        assert ResultStore(any_store.backend).get_record("ab" * 32) is None
-
-    def test_second_facade_reads_through_to_the_engine(self, any_store):
-        fresh = ResultStore(any_store.backend)
-        assert "ab" * 32 not in fresh
-        any_store.put_record("ab" * 32, _record())
-        assert "ab" * 32 in fresh
-        assert fresh.get_record("ab" * 32) == _record()
-        assert fresh.stats()["memory_entries"] == 1
 
 
 class TestDefaultRoot:

@@ -5,35 +5,30 @@ pool workers all put the same canonical text under the same content
 fingerprint, run records and baseline documents interleaved.  Correctness
 therefore means that however many threads or forked processes write one
 store, the corpus they leave is byte-identical to applying the same
-operations serially against a memory engine.  These tests pin that for
-the engine that crosses process boundaries (``directory``) and, within
-one process, for both engines.
+operations serially to a memory store.  These tests pin that for the
+store that crosses process boundaries (a directory store) and, within
+one process, for both kinds of store.
 """
 
-import json
 import multiprocessing
 import random
 import threading
 
 import pytest
 
-from repro.runtime.backends import make_backend
-from repro.runtime.spec import RunRecord
+from repro.runtime.spec import RunRecord, canonical_json
 from repro.runtime.store import ResultStore
 
 #: The corpus every scenario must converge to: duplicate-fingerprint
 #: document puts (identical canonical text, as the runtime guarantees),
 #: short run records interleaved with longer baseline documents.
-DOCS = {
-    f"{i:02x}" * 32: json.dumps({"kind": "run", "i": i}, sort_keys=True)
-    for i in range(16)
-}
+DOCS = {f"{i:02x}" * 32: {"kind": "run", "i": i} for i in range(16)}
 DOCS.update(
     {
-        f"{i + 16:02x}" * 32: json.dumps(
-            {"kind": "baseline", "latencies": [float(j) for j in range(64 + i)]},
-            sort_keys=True,
-        )
+        f"{i + 16:02x}" * 32: {
+            "kind": "baseline",
+            "latencies": [float(j) for j in range(64 + i)],
+        }
         for i in range(16)
     }
 )
@@ -55,18 +50,21 @@ def _ops(seed):
     return ops
 
 
-def _apply(backend, seed):
-    for fingerprint, text in _ops(seed):
-        backend.put_doc(fingerprint, text)
+def _apply(store, seed):
+    for fingerprint, document in _ops(seed):
+        store.put(fingerprint, document)
 
 
-def _corpus(backend):
-    """The full logical corpus: document texts by fingerprint."""
-    return {fp: backend.get_doc(fp) for fp in backend.iter_docs()}
+def _corpus(store):
+    """The full logical corpus: document texts by fingerprint, read from
+    a directory store's files (a memory store's as canonical JSON)."""
+    if store.root is None:
+        return {fp: canonical_json(store.get(fp)) for fp in store.fingerprints()}
+    return {fp: store.document_path(fp).read_text() for fp in store.fingerprints()}
 
 
 def _serial_oracle():
-    oracle = make_backend(None)
+    oracle = ResultStore(None)
     _apply(oracle, seed=0)
     return _corpus(oracle)
 
@@ -77,15 +75,15 @@ def _run_threads(targets):
     even when some die."""
     errors = []
 
-    def write(backend, seed):
+    def write(store, seed):
         try:
-            _apply(backend, seed)
+            _apply(store, seed)
         except Exception as exc:  # pragma: no cover - the failure
             errors.append(exc)
 
     workers = [
-        threading.Thread(target=write, args=(backend, seed))
-        for seed, backend in enumerate(targets)
+        threading.Thread(target=write, args=(store, seed))
+        for seed, store in enumerate(targets)
     ]
     for worker in workers:
         worker.start()
@@ -98,9 +96,7 @@ def _run_threads(targets):
 def _pool_writer(job):
     """Process-pool worker: open the store by URL and write every key."""
     url, seed = job
-    backend = make_backend(url)
-    _apply(backend, seed)
-    backend.close()
+    _apply(ResultStore(url), seed)
     return seed
 
 
@@ -125,17 +121,15 @@ def _facade_writer(job):
     store = ResultStore(share_target)
     for index in indices:
         store.put_record(f"{index:064x}", _record(index))
-    store.close()
     return list(indices)
 
 
 def _open_together(url, barrier, index):
     """Process body: open the store at the barrier, write four docs."""
     barrier.wait(timeout=30)
-    backend = make_backend(url)
+    store = ResultStore(url)
     for offset in range(4):
-        backend.put_doc(f"{index * 4 + offset:064x}", "doc")
-    backend.close()
+        store.put(f"{index * 4 + offset:064x}", {"kind": "run"})
 
 
 #: Fork-inheritance plumbing for the test below (set pre-fork).
@@ -143,34 +137,31 @@ _INHERITED = {}
 
 
 def _write_with_inherited_handle():
-    """Runs in the forked child with the parent's backend object."""
-    backend = _INHERITED["backend"]
-    _apply(backend, seed=99)
-    return _corpus(backend) == DOCS
+    """Runs in the forked child with the parent's store object."""
+    store = _INHERITED["store"]
+    _apply(store, seed=99)
+    return _corpus(store) == _serial_oracle()
 
 
 class TestThreadStress:
     @pytest.mark.parametrize("name", PERSISTENT)
     def test_handle_per_thread_converges_to_serial_oracle(self, name, tmp_path):
-        url = make_backend(_target(name, tmp_path)).url
-        handles = [make_backend(url) for _ in range(8)]
+        url = ResultStore(_target(name, tmp_path)).url
+        handles = [ResultStore(url) for _ in range(8)]
         _run_threads(handles)
-        assert _corpus(make_backend(url)) == _serial_oracle()
-        for handle in handles:
-            handle.close()
+        assert _corpus(ResultStore(url)) == _serial_oracle()
 
     @pytest.mark.parametrize("name", ("directory", "memory"))
     def test_one_shared_handle_across_threads(self, name, tmp_path):
-        shared = make_backend(_target(name, tmp_path))
+        shared = ResultStore(_target(name, tmp_path))
         _run_threads([shared] * 8)
         assert _corpus(shared) == _serial_oracle()
-        shared.close()
 
     @pytest.mark.parametrize("name", ("directory", "memory"))
     def test_clear_racing_writers_leaves_only_whole_documents(self, name, tmp_path):
         # A clear may sweep a live writer's temp file; that write is
         # dropped, never raised, and never leaves a torn document.
-        shared = make_backend(_target(name, tmp_path))
+        shared = ResultStore(_target(name, tmp_path))
         stop = threading.Event()
         errors = []
 
@@ -183,7 +174,7 @@ class TestThreadStress:
         def clear_until_stopped():
             while not stop.is_set():
                 try:
-                    shared.clear_documents()
+                    shared.clear()
                 except Exception as exc:  # pragma: no cover - the failure
                     errors.append(exc)
 
@@ -198,7 +189,8 @@ class TestThreadStress:
         clearer.join(timeout=60)
         assert not any(t.is_alive() for t in [clearer, *writers])
         assert errors == []
-        assert all(DOCS[fp] == text for fp, text in _corpus(shared).items())
+        oracle = _serial_oracle()
+        assert all(oracle[fp] == text for fp, text in _corpus(shared).items())
         _apply(shared, seed=0)
         assert _corpus(shared) == _serial_oracle()
 
@@ -206,23 +198,23 @@ class TestThreadStress:
 class TestProcessStress:
     @pytest.mark.parametrize("name", PERSISTENT)
     def test_process_pool_converges_to_serial_oracle(self, name, tmp_path):
-        url = make_backend(_target(name, tmp_path)).url
+        url = ResultStore(_target(name, tmp_path)).url
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(2) as pool:
             done = pool.map_async(
                 _pool_writer, [(url, seed) for seed in range(4)]
             ).get(timeout=60)
         assert sorted(done) == [0, 1, 2, 3]
-        assert _corpus(make_backend(url)) == _serial_oracle()
+        assert _corpus(ResultStore(url)) == _serial_oracle()
 
     @pytest.mark.parametrize("name", PERSISTENT)
     def test_forked_worker_writes_through_an_inherited_handle(self, name, tmp_path):
         # A handle the parent has already used is inherited across
         # fork(); the child must still read and write the shared corpus
         # correctly.
-        backend = make_backend(_target(name, tmp_path))
-        _apply(backend, seed=1)
-        _INHERITED["backend"] = backend
+        store = ResultStore(_target(name, tmp_path))
+        _apply(store, seed=1)
+        _INHERITED["store"] = store
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(1) as pool:
@@ -230,8 +222,7 @@ class TestProcessStress:
         finally:
             _INHERITED.clear()
         # The parent's handle still works afterwards.
-        assert _corpus(backend) == _serial_oracle()
-        backend.close()
+        assert _corpus(store) == _serial_oracle()
 
     @pytest.mark.parametrize("name", PERSISTENT)
     def test_workers_reopening_the_share_target_fill_one_corpus(
@@ -249,8 +240,7 @@ class TestProcessStress:
         serial = ResultStore(None)
         for index in range(12):
             serial.put_record(f"{index:064x}", _record(index))
-        assert _corpus(parent.backend) == _corpus(serial.backend)
-        parent.close()
+        assert _corpus(parent) == _corpus(serial)
 
     @pytest.mark.parametrize("name", PERSISTENT)
     def test_processes_opening_a_new_store_together(self, name, tmp_path):
@@ -259,7 +249,7 @@ class TestProcessStress:
         # documents share; none may fail on a directory another made.
         ctx = multiprocessing.get_context("fork")
         for round_index in range(5):
-            url = make_backend(_target(name, tmp_path / f"round{round_index}")).url
+            url = ResultStore(_target(name, tmp_path / f"round{round_index}")).url
             barrier = ctx.Barrier(8)
             workers = [
                 ctx.Process(target=_open_together, args=(url, barrier, index))
@@ -270,4 +260,4 @@ class TestProcessStress:
             for worker in workers:
                 worker.join(timeout=60)
             assert [worker.exitcode for worker in workers] == [0] * 8
-            assert make_backend(url).doc_count() == 32
+            assert len(ResultStore(url)) == 32

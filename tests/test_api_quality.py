@@ -62,10 +62,6 @@ MODULES = [
     "repro.runtime.store",
     "repro.runtime.work",
     "repro.runtime.session",
-    "repro.runtime.backends",
-    "repro.runtime.backends.base",
-    "repro.runtime.backends.directory",
-    "repro.runtime.backends.memory",
     "repro.sim",
     "repro.sim.config",
     "repro.sim.fill",
@@ -278,8 +274,6 @@ UNREAD_MODULES = {
     "repro._lazy": "the package roots' lazy re-exports",
     "repro.cpu.inorder": "a core model, built by name by cpu.make_core_model",
     "repro.cpu.ooo": "a core model, built by name by cpu.make_core_model",
-    "repro.runtime.backends.directory": "a store engine, opened by backends.make_backend",
-    "repro.runtime.backends.memory": "a store engine, opened by backends.make_backend",
     "repro.experiments.fig10_per_app": "read by benchmarks/",
     "repro.cache.vantage": "oracle: test_substrate_consistency holds FillState to it",
     "repro.monitor.umon": "oracle: test_substrate_consistency holds it to an LRU cache",

@@ -12,7 +12,6 @@ from repro.bench import (
     BENCH_SCHEMA,
     KERNEL_NAMES,
     SPEEDUP_FLOORS,
-    STORE_BACKEND_NAMES,
     default_bench_path,
     format_bench,
     run_bench,
@@ -113,25 +112,6 @@ class TestRunBench:
 
     def test_validates_clean(self, quick_payload):
         assert validate_bench(quick_payload) == []
-
-    def test_store_kernel_times_every_engine_with_percentiles(
-        self, quick_payload
-    ):
-        """The per-backend kernel covers both engines, with tail
-        percentiles per operation."""
-        backends = quick_payload["kernels"]["store_backend_roundtrip"][
-            "backends"
-        ]
-        assert set(backends) == set(STORE_BACKEND_NAMES) == {"directory", "memory"}
-        for name in STORE_BACKEND_NAMES:
-            for op in ("put", "get"):
-                stats = backends[name][op]
-                assert (
-                    0
-                    < stats["p50_ns"]
-                    <= stats["p90_ns"]
-                    <= stats["p99_ns"]
-                )
 
     def test_repeats_validation(self):
         with pytest.raises(ValueError):
@@ -311,7 +291,11 @@ class TestCompareBench:
         old = json.loads((perf / "BENCH_pr9.json").read_text())
         comparison = compare_bench(old, quick_payload)
         assert comparison["only_new"] == ["lockstep_replay", "repartition_table"]
-        assert comparison["only_old"] == ["cluster_roundtrip", "store_roundtrip"]
+        assert comparison["only_old"] == [
+            "cluster_roundtrip",
+            "store_backend_roundtrip",
+            "store_roundtrip",
+        ]
         assert "lockstep_replay" not in comparison["kernels"]
         assert "joint_replay_grid" in comparison["kernels"]
         floor_row = comparison["kernels"]["joint_replay_grid"]

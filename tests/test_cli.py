@@ -1,5 +1,6 @@
 """Tests for the repro CLI."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -151,8 +152,6 @@ class TestCLI:
         assert "one (mix, policy) spec" in capsys.readouterr().out
 
     def test_cache_prune(self, capsys, monkeypatch, tmp_path):
-        import json
-
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         stale = tmp_path / "ab" / ("ab" * 32 + ".json")
@@ -260,6 +259,40 @@ class TestStorageCLI:
             document = tmp_path / "store" / fingerprint[:2] / f"{fingerprint}.json"
             assert row.split()[-1] == str(document)
             assert document.is_file()
+
+    @pytest.mark.parametrize("text", ["[]", "1", "null", "{not json"])
+    def test_cache_counts_and_prunes_a_non_object_document(
+        self, text, capsys, monkeypatch, tmp_path
+    ):
+        """A document file that is not a JSON object is a corrupt entry:
+        ``cache`` reports it, and ``--prune`` reclaims it."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        root = tmp_path / "store"
+        assert main(self.RUN_ARGS + ["--store", str(root)]) == 0
+        corrupt = root / "ab" / f"{'ab' * 32}.json"
+        corrupt.parent.mkdir(parents=True, exist_ok=True)
+        corrupt.write_text(text)
+        capsys.readouterr()
+        assert main(["cache", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert self._field(out, "documents") == "3"
+        assert self._field(out, "  kind: corrupt") == "1"
+        assert main(["cache", "--store", str(root), "--prune"]) == 0
+        assert capsys.readouterr().out == "pruned 1 stale result(s), kept 2 current\n"
+        assert not corrupt.exists()
+
+    def test_run_recomputes_over_a_non_object_document(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        store = ["--store", str(tmp_path / "store")]
+        assert main(self.RUN_ARGS + store) == 0
+        first = capsys.readouterr().out
+        document = Path(self._field(first, "store document"))
+        document.write_text("[]")
+        assert main(self.RUN_ARGS + store) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(document.read_text())["kind"] == "run"
 
     @pytest.mark.parametrize("flag", [["--migrate", "a", "b"], ["--export", "d"]])
     def test_retired_cache_flags_are_usage_errors(self, flag, capsys, tmp_path):
@@ -639,6 +672,12 @@ class TestFlagErrors:
             ("bogus://x", "unknown store backend 'bogus' in 'bogus://x'"),
             ("directory://", "store URL 'directory://' is missing its path"),
             ("Directory://  ", "store URL 'Directory://  ' is missing its path"),
+            (
+                "memory:///tmp/corpus",
+                "store URL 'memory:///tmp/corpus' names a location, but a "
+                "memory store keeps nothing (a directory goes as "
+                "directory:///path)",
+            ),
         ],
     )
     def test_bad_store_flag_names_it(self, url, message, capsys, monkeypatch):
@@ -663,6 +702,12 @@ class TestFlagErrors:
                 "(known: directory, memory)",
             ),
             ("directory://", "store URL 'directory://' is missing its path"),
+            (
+                "memory://somewhere",
+                "store URL 'memory://somewhere' names a location, but a "
+                "memory store keeps nothing (a directory goes as "
+                "directory:///path)",
+            ),
             (
                 "HTTP://127.0.0.1:8377",
                 "unknown store backend 'http' in 'HTTP://127.0.0.1:8377' "

@@ -1,6 +1,7 @@
 """The lazy package roots, the self-filling registries and the name tables."""
 
 import importlib
+import importlib.util
 from itertools import combinations_with_replacement
 
 import pytest
@@ -55,11 +56,15 @@ def test_public_api_entry_points():
 
 
 def test_runtime_exports_no_retired_name():
-    """The second store engine's tooling and the registry entry points
-    no caller used are gone from the runtime's export table."""
+    """The store engines and their tooling, and the registry entry
+    points no caller used, are gone from the runtime's export table."""
     import repro.runtime as runtime
 
     retired = {
+        "StoreBackend",
+        "DirectoryBackend",
+        "MemoryBackend",
+        "make_backend",
         "SqliteBackend",
         "BACKENDS",
         "migrate_store",
@@ -73,6 +78,7 @@ def test_runtime_exports_no_retired_name():
     assert not retired & set(runtime._EXPORTS)
     assert not retired & set(dir(runtime))
     assert not any(hasattr(runtime, name) for name in retired)
+    assert importlib.util.find_spec("repro.runtime.backends") is None
 
 
 def test_registries_list_todays_entries():

@@ -12,10 +12,9 @@ the CI bench smoke job is immune to machine noise.  The actual rules
 live in :func:`repro.bench.validate_bench`; this wrapper just feeds it
 files, exactly like ``tools/check_docs.py`` wraps the docs gate.
 
-Two rules.  A ``repro-bench/10`` document (the current schema) must
-carry every current kernel, the comparison fields of each compared
-kernel, and p50/p90/p99 put/get percentiles for the directory and
-memory engines.  A document tagged ``repro-bench/1`` to ``/9`` is an
+Two rules.  A ``repro-bench/11`` document (the current schema) must
+carry every current kernel and the comparison fields of each compared
+kernel.  A document tagged ``repro-bench/1`` to ``/10`` is an
 archive: it is held only to the top-level fields, the per-kernel
 keys of each kernel it carries, and the comparison fields of each
 compared kernel it carries.
